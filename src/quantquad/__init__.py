@@ -54,7 +54,6 @@ from .quadrature import (
     QuadratureResult,
     SmallBallProfile,
     classical_mc,
-    cost_of,
     euler_mc,
     euler_mc_schedule,
     gaussian_subspace_mc,

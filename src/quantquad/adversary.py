@@ -26,7 +26,15 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import ConfigurationError
-from .measures import BrownianKL, MeasureSpec, SeedSpec, is_path_measure, sample_batch
+from .measures import (
+    BrownianKL,
+    MeasureSpec,
+    SeedSpec,
+    _chunks,
+    _Moments,
+    is_path_measure,
+    sample_batch,
+)
 from .paths import (
     Functional,
     Grid,
@@ -148,26 +156,16 @@ def gap_identity_check(
     family = fooling_family(codebook)
     f_last = family.functionals[m - 1]
 
-    sums = np.zeros(3)
-    sums_sq = np.zeros(3)
-    done = 0
-    chunk_index = 0
-    while done < M:
-        b = min(_CHUNK, M - done)
-        batch = sample_batch(measure, seed.child(chunk_index), b)
+    moments = _Moments((3,))
+    for index, _, b in _chunks(M):
+        batch = sample_batch(measure, seed.child(index), b)
         lhs = f_last(batch)
         d_full, _ = min_dist_batch(batch, codebook)
         d_red, _ = min_dist_batch(batch, reduced)
         rhs = 0.5 * (d_red - d_full)
-        diff = lhs - rhs
-        for j, v in enumerate((lhs, rhs, diff)):
-            sums[j] += v.sum()
-            sums_sq[j] += (v * v).sum()
-        done += b
-        chunk_index += 1
-    means = sums / M
-    variances = np.maximum(sums_sq / M - means**2, 0.0) * M / (M - 1)
-    stderrs = np.sqrt(variances / M)
+        moments.add(np.stack((lhs, rhs, lhs - rhs)))
+    means = moments.mean()
+    stderrs = moments.stderr()
     combined = math.sqrt(stderrs[0] ** 2 + stderrs[1] ** 2)
     return GapIdentityReport(
         mean_f_last=float(means[0]),
@@ -282,15 +280,10 @@ def event_probability(
     measure = BrownianKL(k_terms, grid)
 
     hits = 0
-    done = 0
-    chunk_index = 0
-    while done < M:
-        b = min(_CHUNK, M - done)
-        batch = sample_batch(measure, seed.child(chunk_index), b)
+    for index, _, b in _chunks(M):
+        batch = sample_batch(measure, seed.child(index), b)
         increments = np.diff(batch[:, indices, 0], axis=1)
         hits += int(np.all(increments >= threshold, axis=1).sum())
-        done += b
-        chunk_index += 1
     p_hat = hits / M
     stderr = math.sqrt(max(p_hat * (1.0 - p_hat), 1e-300) / M)
     p = 1.0 - NormalDist().cdf(1.0 / segments)

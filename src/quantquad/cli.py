@@ -83,12 +83,6 @@ def _build_parser() -> _Parser:
 
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", default="0", help="master seed (integer)")
-    common.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="worker hint; results are identical for any value",
-    )
 
     p = sub.add_parser("quantize", parents=[common], help="build a codebook")
     p.add_argument("--measure", required=True)
@@ -141,6 +135,8 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("rates", parents=[common], help="run a rate experiment")
     p.add_argument("--config", required=True)
     p.add_argument("--out-dir", required=True)
+    # Without --seed, the config file's seed applies.
+    p.set_defaults(seed=None)
 
     p = sub.add_parser("widths", parents=[common], help="subspace width ladder")
     p.add_argument("--measure", required=True)
@@ -330,7 +326,7 @@ def _cmd_adversary(args) -> int:
 
 
 def _cmd_rates(args) -> int:
-    seed = parse_seed(args.seed) if args.seed != "0" else None
+    seed = parse_seed(args.seed) if args.seed is not None else None
     config = load_experiment_config(args.config, seed)
     report = run_rate_experiment(config)
     os.makedirs(args.out_dir, exist_ok=True)
@@ -389,8 +385,6 @@ def main(argv=None) -> int:
         if args.command == "info":
             print(f"quantquad {__version__}")
             return EXIT_OK
-        if getattr(args, "workers", 1) < 1:
-            raise ConfigurationError("--workers must be >= 1")
         handler = {
             "quantize": _cmd_quantize,
             "quad": _cmd_quad,

@@ -18,9 +18,13 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .measures import (
+    BrownianKL,
+    Diffusion,
     DiffusionSpec,
     MeasureSpec,
     SeedSpec,
+    _chunks,
+    _Moments,
     euler_values,
     is_path_measure,
     reference_value,
@@ -38,9 +42,7 @@ from .paths import (
 from .quadrature import (
     SmallBallProfile,
     classical_mc_replicated,
-    euler_mc_replicated,
     euler_mc_schedule,
-    gaussian_subspace_mc_replicated,
     subspace_mc_schedule,
     vr_mc_replicated,
 )
@@ -144,26 +146,13 @@ def width_estimate(
         raise ConfigurationError("order p must be positive")
     if not is_path_measure(measure):
         raise ConfigurationError("width_estimate expects a path measure")
-    total = 0.0
-    total_sq = 0.0
-    done = 0
-    chunk_index = 0
-    chunk = 8192
-    while done < M:
-        b = min(chunk, M - done)
-        batch = sample_batch(measure, seed.child(chunk_index), b)
+    moments = _Moments()
+    for index, _, b in _chunks(M, 8192):
+        batch = sample_batch(measure, seed.child(index), b)
         _, resid = batch_project(batch[:, :, 0], sub)
         norms = batch_path_norm(resid[:, :, None], norm_kind, sub.grid)
-        y = norms**p
-        total += float(y.sum())
-        total_sq += float((y * y).sum())
-        done += b
-        chunk_index += 1
-    mean = total / M
-    var = max(total_sq / M - mean * mean, 0.0) * M / (M - 1)
-    se_mean = math.sqrt(var / M)
-    value = mean ** (1.0 / p)
-    stderr = se_mean * value / (p * mean) if mean > 0 else se_mean
+        moments.add(norms**p)
+    value, stderr = moments.root(p)
     return RatePoint(size=float(sub.dim), error=value, stderr=stderr)
 
 
@@ -248,27 +237,18 @@ def _resolve_reference(config: RateExperimentConfig) -> Tuple[float, float]:
         _, k_ref, n_ref = config.reference
         grid = config.grid or Grid.uniform()
         rng = config.seed.child(1_000_001).rng()
-        vals = []
-        done = 0
-        while done < n_ref:
-            b = min(8192, n_ref - done)
-            vals.append(config.functional(
+        moments = _Moments()
+        for _, _, b in _chunks(n_ref, 8192):
+            moments.add(config.functional(
                 euler_values(config.diffusion, k_ref, rng, b, grid)
             ))
-            done += b
-        v = np.concatenate(vals)
-        return float(v.mean()), float(v.std(ddof=1) / math.sqrt(n_ref))
+        return float(moments.mean()), float(moments.stderr())
     raise ConfigurationError(f"unknown reference kind {kind!r}")
 
 
 def _run_one_size(config: RateExperimentConfig, size: int, stream: SeedSpec):
     algo = config.algorithm
     grid = config.grid or Grid.uniform()
-    if algo == "mc":
-        est = classical_mc_replicated(
-            config.measure, config.functional, size, config.replications, stream
-        )
-        return est, size, 0
     if algo == "vrmc":
         cb = config.codebooks.get(size)
         if cb is None:
@@ -277,17 +257,17 @@ def _run_one_size(config: RateExperimentConfig, size: int, stream: SeedSpec):
             cb, config.measure, config.functional, size, config.replications, stream
         )
         return est, size, 0
-    if algo == "euler":
+    if algo == "mc":
+        n, k, measure = size, 0, config.measure
+    elif algo == "euler":
         n, k = euler_mc_schedule(size)
-        est = euler_mc_replicated(
-            config.diffusion, config.functional, k, n, config.replications,
-            stream, grid,
-        )
-        return est, n, k
-    n, k = subspace_mc_schedule(size, config.profile)
-    sub = make_kl_subspace(k, grid)
-    est = gaussian_subspace_mc_replicated(
-        sub, config.functional, n, config.replications, stream
+        measure = Diffusion(config.diffusion, k, grid)
+    else:
+        n, k = subspace_mc_schedule(size, config.profile)
+        sub = make_kl_subspace(k, grid)
+        measure = BrownianKL(sub.dim, sub.grid)
+    est = classical_mc_replicated(
+        measure, config.functional, n, config.replications, stream
     )
     return est, n, k
 

@@ -266,9 +266,14 @@ def _interp_breakpoints_to_grid(states: np.ndarray, k: int, grid: Grid) -> np.nd
     pos = grid.points * (k - 1)
     j = np.minimum(pos.astype(int), k - 2)
     lam = pos - j
-    return (1.0 - lam)[None, :, None] * states[:, j, :] + lam[None, :, None] * states[
-        :, j + 1, :
-    ]
+    # In place on the two gathered copies: a batch of all replications of a
+    # rate ladder makes each one large.
+    out = states[:, j, :]
+    out *= (1.0 - lam)[None, :, None]
+    upper = states[:, j + 1, :]
+    upper *= lam[None, :, None]
+    out += upper
+    return out
 
 
 def euler_values(
@@ -351,6 +356,65 @@ def euler_strong_path(
 
 
 # ---------------------------------------------------------------------------
+# Streamed estimation
+
+
+def _chunks(total: int, size: int = _CHUNK):
+    """(chunk index, start, size) of consecutive chunks covering ``total`` draws.
+
+    Chunk i is drawn from ``seed.child(i)`` (or the next slice of one shared
+    stream), so a chunk layout is part of a call site's seeded output.
+    """
+    for index, start in enumerate(range(0, total, size)):
+        yield index, start, min(size, total - start)
+
+
+class _Moments:
+    """Running mean and CLT stderr of streamed values, per column.
+
+    ``add`` takes one chunk, (b,) for a single column or (columns, b).
+    Each mean is (sum of chunk sums) / count.  The second moment is kept
+    centred: each chunk's sum of squared deviations from its own mean is
+    merged by the pairwise update of Chan, Golub & LeVeque (1983), so no
+    stderr suffers the cancellation of E[y^2] - mean^2 at large means.
+    """
+
+    def __init__(self, shape=()):
+        self.count = 0
+        self.total = np.zeros(shape)
+        self.center = np.zeros(shape)
+        self.m2 = np.zeros(shape)
+
+    def add(self, values: np.ndarray):
+        b = values.shape[-1]
+        chunk_sum = values.sum(axis=-1)
+        # Clipping to the chunk's range keeps a constant chunk exactly centred.
+        chunk_mean = np.clip(chunk_sum / b, values.min(axis=-1), values.max(axis=-1))
+        dev = values - np.expand_dims(chunk_mean, -1)
+        delta = chunk_mean - self.center
+        n = self.count + b
+        self.m2 += (dev * dev).sum(axis=-1) + delta * delta * (self.count * b / n)
+        self.center += delta * (b / n)
+        self.total += chunk_sum
+        self.count = n
+
+    def mean(self):
+        return self.total / self.count
+
+    def stderr(self):
+        return np.sqrt(self.m2 / (self.count - 1) / self.count)
+
+    def root(self, p: float):
+        """(mean^(1/p), its stderr by the delta method) of a single column."""
+        mean = float(self.mean())
+        se_mean = float(self.stderr())
+        value = mean ** (1.0 / p)
+        # d(mean^(1/p)) = mean^(1/p - 1) / p.
+        stderr = se_mean * value / (p * mean) if mean > 0 else se_mean
+        return value, stderr
+
+
+# ---------------------------------------------------------------------------
 # Reference oracle
 
 
@@ -366,35 +430,31 @@ def reference_value(
 ) -> MonteCarloEstimate:
     """Plain Monte Carlo estimate of the mean of a functional with CLT stderr.
 
-    Used as the ground-truth oracle by tests and the rate harness.
+    Used as the ground-truth oracle by tests and the rate harness.  A
+    ``ConfigurationError`` from the functional (say, a wrong output shape)
+    passes through; any other failure is reported as a ``NumericError``
+    carrying the first sample of the failing chunk.
     """
     if budget < 100:
         raise ConfigurationError("reference budget must be >= 100")
-    total = 0.0
-    total_sq = 0.0
-    done = 0
-    chunk_index = 0
-    while done < budget:
-        b = min(_CHUNK, budget - done)
-        batch = sample_batch(measure, seed.child(chunk_index), b)
+    moments = _Moments()
+    for index, start, b in _chunks(budget):
+        batch = sample_batch(measure, seed.child(index), b)
         try:
             vals = functional(batch)
+        except ConfigurationError:
+            raise
         except Exception as exc:  # locate the failing draw for the caller
             raise NumericError(
                 f"functional evaluation failed on samples "
-                f"[{done}, {done + b}): {exc}",
-                sample=done,
+                f"[{start}, {start + b}): {exc}",
+                sample=start,
             ) from exc
         if not np.all(np.isfinite(vals)):
             bad = int(np.argmax(~np.isfinite(vals)))
             raise NumericError(
-                f"functional returned a non-finite value at sample {done + bad}",
-                sample=done + bad,
+                f"functional returned a non-finite value at sample {start + bad}",
+                sample=start + bad,
             )
-        total += float(vals.sum())
-        total_sq += float((vals * vals).sum())
-        done += b
-        chunk_index += 1
-    mean = total / budget
-    var = max(total_sq / budget - mean * mean, 0.0) * budget / (budget - 1)
-    return MonteCarloEstimate(mean, math.sqrt(var / budget), budget)
+        moments.add(vals)
+    return MonteCarloEstimate(float(moments.mean()), float(moments.stderr()), budget)

@@ -8,9 +8,13 @@ Four estimators of S(f) = E f(X):
 * ``vr_mc``: quantization-based variance reduction; the Voronoi sum plus
   a Monte Carlo correction of the interpolation residual
   f - f(nearest codebook point).
-* ``euler_mc`` / ``gaussian_subspace_mc``: the Monte Carlo mean over
-  Euler diffusion paths, resp. truncated Gaussian expansions on a
-  subspace, with cost proportional to (subspace dimension) x (draws).
+* ``euler_mc`` / ``gaussian_subspace_mc``: ``classical_mc`` over Euler
+  diffusion paths, resp. truncated Gaussian expansions on a subspace,
+  with cost proportional to (subspace dimension) x (draws).
+
+Each Monte Carlo estimator has a ``*_replicated`` form returning the
+estimates of R runs at once; replication j uses draws j*n .. (j+1)*n of
+the seed's single stream, so replication 0 equals the single run.
 
 Cost-balanced schedules split a total budget N into (repetitions n,
 subspace dimension k) with k*n <= N.
@@ -26,10 +30,10 @@ import numpy as np
 from .errors import ConfigurationError
 from .measures import (
     BrownianKL,
+    Diffusion,
     DiffusionSpec,
     MeasureSpec,
     SeedSpec,
-    euler_values,
     oracle_dim,
     rng_calls_per_sample,
     sample_batch,
@@ -89,11 +93,6 @@ class SmallBallProfile:
             raise ConfigurationError("alpha must be positive")
 
 
-def cost_of(result: QuadratureResult) -> CostLedger:
-    """Accessor producing the cost report of a result."""
-    return result.cost
-
-
 def _check_oracle_dim(f: Functional, k: int):
     if f.oracle_dim is not None and k > f.oracle_dim:
         raise ConfigurationError(
@@ -136,28 +135,32 @@ def voronoi_quadrature(codebook: Codebook, f: Functional) -> QuadratureResult:
 
 
 def _mean_and_stderr(values: np.ndarray) -> Tuple[float, float]:
-    n = values.size
-    mean = float(values.mean())
+    return float(values.mean()), float(values.std(ddof=1) / math.sqrt(values.size))
+
+
+def _mc_values(
+    measure: MeasureSpec, f: Functional, n: int, replications: int, seed: SeedSpec
+) -> np.ndarray:
+    """f at n * replications draws of ``seed``'s stream; (replications, n)."""
     if n < 2:
-        return mean, 0.0
-    return mean, float(values.std(ddof=1) / math.sqrt(n))
+        raise ConfigurationError(f"Monte Carlo needs n >= 2 draws, got {n}")
+    _check_oracle_dim(f, oracle_dim(measure))
+    return f(sample_batch(measure, seed, n * replications)).reshape(replications, n)
 
 
 def classical_mc(
     measure: MeasureSpec, f: Functional, n: int, seed: SeedSpec
 ) -> QuadratureResult:
     """Mean of f over n independent draws with CLT standard error."""
-    if n < 2:
-        raise ConfigurationError("classical_mc needs n >= 2")
+    estimate, stderr = _mean_and_stderr(_mc_values(measure, f, n, 1, seed)[0])
     k = oracle_dim(measure)
-    _check_oracle_dim(f, k)
-    values = f(sample_batch(measure, seed, n))
-    estimate, stderr = _mean_and_stderr(values)
+    # A Diffusion draw costs one arithmetic unit per Euler step.
+    steps = measure.k_steps if isinstance(measure, Diffusion) else 1
     ledger = CostLedger(
         oracle_calls=n,
         subspace_dim=k,
         rng_calls=n * rng_calls_per_sample(measure),
-        arithmetic_proxy=n,
+        arithmetic_proxy=n * steps,
     )
     return QuadratureResult(estimate, stderr, n, k, ledger)
 
@@ -166,13 +169,33 @@ def classical_mc_replicated(
     measure: MeasureSpec, f: Functional, n: int, replications: int, seed: SeedSpec
 ) -> np.ndarray:
     """Estimates of ``replications`` independent classical_mc runs; (R,)."""
-    batch = sample_batch(measure, seed, n * replications)
-    vals = f(batch).reshape(replications, n)
-    return vals.mean(axis=1)
+    return _mc_values(measure, f, n, replications, seed).mean(axis=1)
 
 
 # ---------------------------------------------------------------------------
 # Quantization-based variance reduction
+
+
+def _vr_residuals(
+    codebook: Codebook,
+    measure: MeasureSpec,
+    f: Functional,
+    n: int,
+    replications: int,
+    seed: SeedSpec,
+) -> Tuple[float, np.ndarray]:
+    """Voronoi part and the (replications, n) residuals f - J(f) at the draws."""
+    if codebook.weights is None:
+        raise ConfigurationError("vr_mc needs codebook weights")
+    if n < 2:
+        raise ConfigurationError("vr_mc needs n >= 2")
+    _check_oracle_dim(f, oracle_dim(measure))
+    f_at_points = f(codebook.points)
+    voronoi_part = float(f_at_points @ codebook.weights)
+    batch = sample_batch(measure, seed, n * replications)
+    _, idx = min_dist_batch(batch, codebook)
+    residuals = f(batch) - f_at_points[idx]
+    return voronoi_part, residuals.reshape(replications, n)
 
 
 def vr_mc(
@@ -190,18 +213,9 @@ def vr_mc(
     comes from the residual sample alone (the weights are taken as
     exact, their estimation error is reported by the codebook).
     """
-    if codebook.weights is None:
-        raise ConfigurationError("vr_mc needs codebook weights")
-    if n < 2:
-        raise ConfigurationError("vr_mc needs n >= 2")
+    voronoi_part, residuals = _vr_residuals(codebook, measure, f, n, 1, seed)
+    correction, stderr = _mean_and_stderr(residuals[0])
     k = oracle_dim(measure)
-    _check_oracle_dim(f, k)
-    f_at_points = f(codebook.points)
-    voronoi_part = float(f_at_points @ codebook.weights)
-    batch = sample_batch(measure, seed, n)
-    _, idx = min_dist_batch(batch, codebook)
-    residuals = f(batch) - f_at_points[idx]
-    correction, stderr = _mean_and_stderr(residuals)
     ledger = CostLedger(
         oracle_calls=n + codebook.n,
         subspace_dim=k,
@@ -222,13 +236,7 @@ def vr_mc_replicated(
     seed: SeedSpec,
 ) -> np.ndarray:
     """Estimates of ``replications`` independent vr_mc runs; (R,)."""
-    if codebook.weights is None:
-        raise ConfigurationError("vr_mc needs codebook weights")
-    f_at_points = f(codebook.points)
-    voronoi_part = float(f_at_points @ codebook.weights)
-    batch = sample_batch(measure, seed, n * replications)
-    _, idx = min_dist_batch(batch, codebook)
-    residuals = (f(batch) - f_at_points[idx]).reshape(replications, n)
+    voronoi_part, residuals = _vr_residuals(codebook, measure, f, n, replications, seed)
     return voronoi_part + residuals.mean(axis=1)
 
 
@@ -244,41 +252,11 @@ def euler_mc(
     seed: SeedSpec,
     grid: Optional[Grid] = None,
 ) -> QuadratureResult:
-    """Mean of f over n Euler paths with k breakpoints."""
-    if k < 2:
-        raise ConfigurationError("euler_mc needs k >= 2")
-    if n < 2:
-        raise ConfigurationError("euler_mc needs n >= 2")
-    _check_oracle_dim(f, k)
-    grid = grid or Grid.uniform()
-    values = f(euler_values(spec, k, seed.rng(), n, grid))
-    estimate, stderr = _mean_and_stderr(values)
-    ledger = CostLedger(
-        oracle_calls=n,
-        subspace_dim=k,
-        rng_calls=n * (k - 1) * spec.m,
-        arithmetic_proxy=n * k,
-    )
-    return QuadratureResult(estimate, stderr, n, k, ledger)
+    """Mean of f over n Euler paths with k breakpoints.
 
-
-def euler_mc_replicated(
-    spec: DiffusionSpec,
-    f: Functional,
-    k: int,
-    n: int,
-    replications: int,
-    seed: SeedSpec,
-    grid: Optional[Grid] = None,
-) -> np.ndarray:
-    """Estimates of ``replications`` independent euler_mc runs; (R,)."""
-    grid = grid or Grid.uniform()
-    out = np.empty(replications)
-    # One joint Euler batch per replication block keeps memory bounded.
-    for j in range(replications):
-        vals = f(euler_values(spec, k, seed.child(j).rng(), n, grid))
-        out[j] = vals.mean()
-    return out
+    This is classical_mc on ``Diffusion(spec, k, grid)``.
+    """
+    return classical_mc(Diffusion(spec, k, grid), f, n, seed)
 
 
 def _schedule_minimum(formula) -> int:
@@ -357,14 +335,6 @@ def subspace_mc_schedule(N: int, profile: SmallBallProfile) -> Tuple[int, int]:
 # Gaussian-subspace Monte Carlo
 
 
-def _subspace_measure(sub: Subspace) -> BrownianKL:
-    if sub.kind != "karhunen-loeve":
-        raise ConfigurationError(
-            "gaussian_subspace_mc needs a karhunen-loeve subspace"
-        )
-    return BrownianKL(sub.dim, sub.grid)
-
-
 def gaussian_subspace_mc(
     sub: Subspace, f: Functional, n: int, seed: SeedSpec
 ) -> QuadratureResult:
@@ -373,28 +343,8 @@ def gaussian_subspace_mc(
     Draws are sums of the k leading Brownian eigenfunctions with
     independent N(0, lambda_l) coefficients; every sample lies in the
     subspace, so a functional vanishing there is estimated as exactly 0.
+    This is classical_mc on ``BrownianKL(sub.dim, sub.grid)``.
     """
-    if n < 2:
-        raise ConfigurationError("gaussian_subspace_mc needs n >= 2")
-    k = sub.dim
-    _check_oracle_dim(f, k)
-    measure = _subspace_measure(sub)
-    values = f(sample_batch(measure, seed, n))
-    estimate, stderr = _mean_and_stderr(values)
-    ledger = CostLedger(
-        oracle_calls=n,
-        subspace_dim=k,
-        rng_calls=n * k,
-        arithmetic_proxy=n,
-    )
-    return QuadratureResult(estimate, stderr, n, k, ledger)
-
-
-def gaussian_subspace_mc_replicated(
-    sub: Subspace, f: Functional, n: int, replications: int, seed: SeedSpec
-) -> np.ndarray:
-    """Estimates of ``replications`` independent gaussian_subspace_mc runs."""
-    measure = _subspace_measure(sub)
-    batch = sample_batch(measure, seed, n * replications)
-    vals = f(batch).reshape(replications, n)
-    return vals.mean(axis=1)
+    if sub.kind != "karhunen-loeve":
+        raise ConfigurationError("gaussian_subspace_mc needs a karhunen-loeve subspace")
+    return classical_mc(BrownianKL(sub.dim, sub.grid), f, n, seed)

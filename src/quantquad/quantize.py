@@ -8,7 +8,6 @@ increases from one iteration to the next.
 """
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
 from statistics import NormalDist
@@ -21,6 +20,8 @@ from .measures import (
     MeasureSpec,
     SeedSpec,
     StdNormal,
+    _chunks,
+    _Moments,
     is_path_measure,
     measure_grid,
     measure_tag,
@@ -226,8 +227,6 @@ def dist_to_codebook_functional(codebook: Codebook) -> Functional:
 # ---------------------------------------------------------------------------
 # Distortion and Voronoi weights
 
-_POOL_CHUNK = 65536
-
 
 def distortion(
     codebook: Codebook, measure: MeasureSpec, r: float, M: int, seed: SeedSpec
@@ -237,25 +236,12 @@ def distortion(
         raise ConfigurationError("distortion sample count must be >= 100")
     if r <= 0:
         raise ConfigurationError("order r must be positive")
-    total = 0.0
-    total_sq = 0.0
-    done = 0
-    chunk_index = 0
-    while done < M:
-        b = min(_POOL_CHUNK, M - done)
-        batch = sample_batch(measure, seed.child(chunk_index), b)
+    moments = _Moments()
+    for index, _, b in _chunks(M):
+        batch = sample_batch(measure, seed.child(index), b)
         d, _ = min_dist_batch(batch, codebook)
-        y = d**r
-        total += float(y.sum())
-        total_sq += float((y * y).sum())
-        done += b
-        chunk_index += 1
-    mean = total / M
-    var = max(total_sq / M - mean * mean, 0.0) * M / (M - 1)
-    se_mean = math.sqrt(var / M)
-    value = mean ** (1.0 / r)
-    # Delta method: d(mean^(1/r)) = mean^(1/r - 1) / r.
-    stderr = se_mean * value / (r * mean) if mean > 0 else se_mean
+        moments.add(d**r)
+    value, stderr = moments.root(r)
     return DistortionEstimate(value, stderr, M, r)
 
 
@@ -270,15 +256,10 @@ def voronoi_weights(
     if M < 100:
         raise ConfigurationError("weight sample count must be >= 100")
     counts = np.zeros(codebook.n, dtype=np.int64)
-    done = 0
-    chunk_index = 0
-    while done < M:
-        b = min(_POOL_CHUNK, M - done)
-        batch = sample_batch(measure, seed.child(chunk_index), b)
+    for index, _, b in _chunks(M):
+        batch = sample_batch(measure, seed.child(index), b)
         _, idx = min_dist_batch(batch, codebook)
         counts += np.bincount(idx, minlength=codebook.n)
-        done += b
-        chunk_index += 1
     w = counts / float(M)
     # Force an exact unit sum; the correction is at the rounding level.
     w[int(np.argmax(w))] += 1.0 - w.sum()

@@ -240,6 +240,28 @@ class TestCliRatesAndWidths:
         assert "passed=true" in text
         assert os.path.exists(os.path.join(out_dir, "mc-demo.plot.csv"))
 
+    def test_rates_seed_flag_overrides_config_seed(self, tmp_path):
+        config = {
+            "name": "seeded",
+            "algorithm": "mc",
+            "measure": "uniform_cube:1",
+            "functional": "abs_coord_at(0)",
+            "ladder": [4, 8, 16, 32],
+            "replications": 20,
+            "reference": {"kind": "analytic", "value": 0.5},
+            "seed": 11,
+        }
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        tags = {}
+        for label, extra in (("flag0", ("--seed", "0")), ("config", ())):
+            out_dir = str(tmp_path / label)
+            assert run("rates", "--config", str(cfg), "--out-dir", out_dir, *extra) == 0
+            text = open(os.path.join(out_dir, "seeded.csv")).read()
+            tags[label] = [l for l in text.splitlines() if l.startswith("# seed=")]
+        assert tags["flag0"] == ["# seed=0:0"]
+        assert tags["config"] == ["# seed=11:0"]
+
     def test_widths_output(self, tmp_path):
         out = str(tmp_path / "w.csv")
         code = run(

@@ -191,6 +191,48 @@ class TestReferenceValue:
             reference_value(Functional(explode), UniformCube(1), 200, SeedSpec(0))
         assert info.value.sample == 0
 
+    def test_configuration_error_passes_through(self):
+        from quantquad.paths import Functional
+
+        # (n, 2) output for an (n, 2) batch: a shape mismatch, not a numeric failure
+        wrong_shape = Functional(lambda v: v, name="identity")
+        with pytest.raises(ConfigurationError, match="returned shape"):
+            reference_value(wrong_shape, UniformCube(2), 200, SeedSpec(0))
+
+    @pytest.mark.parametrize("shift", [0.0, 1e6, 1e8])
+    def test_stderr_survives_a_large_mean(self, shift):
+        # f = shift + 1e-3 Z: the stderr is 1e-3 / sqrt(M) whatever the shift
+        from quantquad.paths import Functional
+
+        f = Functional(lambda v: shift + 1e-3 * v[:, 0], name="shifted")
+        M = 2 * 10**5
+        est = reference_value(f, StdNormal(1), M, SeedSpec(24))
+        assert est.stderr == pytest.approx(1e-3 / math.sqrt(M), rel=0.01)
+
+    def test_stderr_matches_one_shot_across_chunks(self):
+        # 65536 + 37 draws span two internal chunks (streams child(0), child(1))
+        from quantquad.paths import vector_coord_functional
+
+        seed = SeedSpec(25)
+        M = 65536 + 37
+        est = reference_value(vector_coord_functional(0), UniformCube(1), M, seed)
+        values = np.concatenate([
+            sample_batch(UniformCube(1), seed.child(0), 65536)[:, 0],
+            sample_batch(UniformCube(1), seed.child(1), 37)[:, 0],
+        ])
+        assert est.value == pytest.approx(values.mean(), rel=1e-14)
+        assert est.stderr == pytest.approx(
+            values.std(ddof=1) / math.sqrt(M), rel=1e-12, abs=0.0
+        )
+
+    def test_constant_values_have_zero_stderr(self):
+        from quantquad.paths import Functional
+
+        f = Functional(lambda v: np.full(v.shape[0], 0.1), name="const")
+        est = reference_value(f, UniformCube(1), 65536 + 37, SeedSpec(26))
+        assert est.stderr == 0.0
+        assert est.value == pytest.approx(0.1, rel=1e-14)
+
 
 class TestSeedSpec:
     def test_children_are_independent_streams(self):

@@ -5,20 +5,27 @@ import pytest
 from conftest import dense_integral
 
 from quantquad.errors import ConfigurationError
-from quantquad.measures import SeedSpec, UniformCube, gbm_spec
+from quantquad.measures import (
+    BrownianKL,
+    Diffusion,
+    SeedSpec,
+    StdNormal,
+    UniformCube,
+    gbm_spec,
+)
 from quantquad.paths import (
     Functional,
     Grid,
     NormKind,
     make_kl_subspace,
     path_coord_functional,
+    sup_norm_functional,
     vector_coord_functional,
 )
 from quantquad.quadrature import (
     SmallBallProfile,
     classical_mc,
     classical_mc_replicated,
-    cost_of,
     euler_mc,
     euler_mc_schedule,
     gaussian_subspace_mc,
@@ -97,7 +104,6 @@ class TestClassicalMC:
         res = classical_mc(UniformCube(2), f, 50, SeedSpec(4))
         assert res.cost.oracle_cost == 100  # k = d = 2
         assert res.cost.rng_calls == 100
-        assert cost_of(res) is res.cost
 
     def test_oracle_dim_restriction(self):
         f = vector_coord_functional(0)
@@ -255,3 +261,84 @@ class TestGaussianSubspaceMC:
         f = path_coord_functional(1.0, grid)
         with pytest.raises(ConfigurationError):
             gaussian_subspace_mc(sub, f, 10, SeedSpec(19))
+
+
+def _measure_functional_codebook(kind, grid):
+    """A measure, a functional on it, and a weighted two-point codebook."""
+    if kind in ("uniform", "normal"):
+        measure = UniformCube(2) if kind == "uniform" else StdNormal(3)
+        d = measure.d
+        f = Functional(lambda v: np.abs(v).sum(axis=1), name="l1")
+        points = np.zeros((2, d))
+        points[:, 0] = (0.25, 0.75)
+        cb = Codebook(points, 2.0, NormKind.EUCLIDEAN, "v", weights=np.array([0.5, 0.5]))
+        return measure, f, cb
+    if kind == "kl":
+        measure = BrownianKL(20, grid)
+    else:
+        measure = Diffusion(gbm_spec(0.1, 0.2), 11, grid)
+    points = np.stack([0.5 * grid.points, 1.0 + grid.points])
+    cb = Codebook(points, 2.0, NormKind.L2, "p", grid=grid, weights=np.array([0.5, 0.5]))
+    return measure, sup_norm_functional(), cb
+
+
+_KINDS = ["uniform", "normal", "kl", "diffusion"]
+
+
+class TestReplicationRule:
+    # Replication j of a *_replicated call uses draws j*n .. (j+1)*n of the
+    # seed's single stream, so replication 0 is the single run.  For the
+    # KL measure the (n*R, k) @ (k, G) product may be blocked differently
+    # from the (n, k) one, hence the rounding-level allowance there.
+
+    @pytest.mark.parametrize("n", [2, 16, 300])
+    @pytest.mark.parametrize("kind", _KINDS)
+    def test_classical_mc_replication_zero_is_the_single_run(self, kind, n, grid):
+        measure, f, _ = _measure_functional_codebook(kind, grid)
+        seed = SeedSpec(30)
+        reps = classical_mc_replicated(measure, f, n, 50, seed)
+        single = classical_mc(measure, f, n, seed).estimate
+        assert reps.shape == (50,)
+        if kind == "kl":
+            assert reps[0] == pytest.approx(single, rel=1e-15, abs=0.0)
+        else:
+            assert reps[0] == single
+
+    @pytest.mark.parametrize("n", [2, 16, 300])
+    @pytest.mark.parametrize("kind", _KINDS)
+    def test_vr_mc_replication_zero_is_the_single_run(self, kind, n, grid):
+        measure, f, cb = _measure_functional_codebook(kind, grid)
+        seed = SeedSpec(31)
+        reps = vr_mc_replicated(cb, measure, f, n, 50, seed)
+        single = vr_mc(cb, measure, f, n, seed).estimate
+        if kind == "kl":
+            assert reps[0] == pytest.approx(single, rel=1e-15, abs=0.0)
+        else:
+            assert reps[0] == single
+
+    def test_euler_mc_is_classical_mc_on_the_diffusion(self, grid):
+        spec = gbm_spec(0.1, 0.2)
+        f = sup_norm_functional()
+        res = euler_mc(spec, f, 21, 300, SeedSpec(32), grid)
+        assert res == classical_mc(Diffusion(spec, 21, grid), f, 300, SeedSpec(32))
+        assert res.cost.arithmetic_proxy == 300 * 21  # one unit per Euler step
+
+    def test_gaussian_subspace_mc_is_classical_mc_on_the_expansion(self, grid):
+        sub = make_kl_subspace(7, grid)
+        f = sup_norm_functional()
+        res = gaussian_subspace_mc(sub, f, 300, SeedSpec(33))
+        assert res == classical_mc(BrownianKL(7, grid), f, 300, SeedSpec(33))
+
+    def test_replicated_forms_check_like_single_runs(self):
+        f = vector_coord_functional(0)
+        with pytest.raises(ConfigurationError):
+            classical_mc_replicated(UniformCube(1), f, 1, 10, SeedSpec(0))
+        restricted = vector_coord_functional(0)
+        restricted.oracle_dim = 1
+        with pytest.raises(ConfigurationError):
+            classical_mc_replicated(UniformCube(2), restricted, 10, 10, SeedSpec(0))
+        unweighted = Codebook(np.array([[0.25], [0.75]]), 1.0, NormKind.EUCLIDEAN, "u")
+        with pytest.raises(ConfigurationError):
+            vr_mc_replicated(unweighted, UniformCube(1), f, 10, 10, SeedSpec(0))
+        with pytest.raises(ConfigurationError):
+            vr_mc_replicated(exact_two_point(), UniformCube(1), f, 1, 10, SeedSpec(0))

@@ -117,6 +117,20 @@ class TestDistortion:
         est = distortion(cb, StdNormal(1), 1, 10**5, SeedSpec(6))
         assert abs(est.value - SQRT_2_OVER_PI) <= 3.0 * est.stderr
 
+    def test_stderr_survives_a_distant_point(self):
+        # d = 1e8 - U: the stderr of the mean distance is the stderr of U
+        seed = SeedSpec(10)
+        M = 2 * 10**5
+        cb = Codebook(np.array([[1e8]]), 1.0, NormKind.EUCLIDEAN, "uniform_cube:1")
+        est = distortion(cb, UniformCube(1), 1, M, seed)
+        draws = np.concatenate([
+            sample_batch(UniformCube(1), seed.child(i), b)[:, 0]
+            for i, b in enumerate((65536, 65536, 65536, M - 3 * 65536))
+        ])
+        oracle = draws.std(ddof=1) / math.sqrt(M)
+        assert oracle == pytest.approx(math.sqrt(1.0 / 12.0 / M), rel=0.01)
+        assert est.stderr == pytest.approx(oracle, rel=0.01)
+
     def test_stderr_scales_inverse_sqrt(self):
         cb = two_point_uniform()
         a = distortion(cb, UniformCube(1), 1, 10**4, SeedSpec(7))
