@@ -132,11 +132,14 @@ def _build_parser() -> _Parser:
     p.add_argument("--lip-claim", type=float, default=None)
     p.add_argument("--out", default=None)
 
-    p = sub.add_parser("rates", parents=[common], help="run a rate experiment")
+    # Not built on `common`: subparsers share the parent's actions, so a
+    # rates-only default would change every command's --seed.
+    p = sub.add_parser("rates", help="run a rate experiment")
+    p.add_argument(
+        "--seed", default=None, help="master seed (integer); default: the config's"
+    )
     p.add_argument("--config", required=True)
     p.add_argument("--out-dir", required=True)
-    # Without --seed, the config file's seed applies.
-    p.set_defaults(seed=None)
 
     p = sub.add_parser("widths", parents=[common], help="subspace width ladder")
     p.add_argument("--measure", required=True)

@@ -34,6 +34,8 @@ from .measures import (
     DiffusionSpec,
     MeasureSpec,
     SeedSpec,
+    _chunks,
+    euler_values,
     oracle_dim,
     rng_calls_per_sample,
     sample_batch,
@@ -138,14 +140,38 @@ def _mean_and_stderr(values: np.ndarray) -> Tuple[float, float]:
     return float(values.mean()), float(values.std(ddof=1) / math.sqrt(values.size))
 
 
+# Euler steps (paths x breakpoints x dimension) per recursion block.
+_EULER_BLOCK = 1 << 22
+
+
+def _draws(
+    measure: MeasureSpec, f: Functional, n: int, replications: int, seed: SeedSpec
+):
+    """Checked draws 0 .. n * replications of ``seed``'s stream, in batches.
+
+    A Diffusion measure is drawn in blocks of whole replications from one
+    shared stream, so the Euler recursion's memory does not grow with the
+    replication count and every replication keeps its draws.
+    """
+    if n < 2:
+        raise ConfigurationError(f"Monte Carlo needs n >= 2 draws, got {n}")
+    _check_oracle_dim(f, oracle_dim(measure))
+    if not isinstance(measure, Diffusion):
+        return [sample_batch(measure, seed, n * replications)]
+    per_block = max(1, _EULER_BLOCK // (n * measure.k_steps * measure.spec.m))
+    rng = seed.rng()
+    return (
+        euler_values(measure.spec, measure.k_steps, rng, b * n, measure.grid)
+        for _, _, b in _chunks(replications, per_block)
+    )
+
+
 def _mc_values(
     measure: MeasureSpec, f: Functional, n: int, replications: int, seed: SeedSpec
 ) -> np.ndarray:
     """f at n * replications draws of ``seed``'s stream; (replications, n)."""
-    if n < 2:
-        raise ConfigurationError(f"Monte Carlo needs n >= 2 draws, got {n}")
-    _check_oracle_dim(f, oracle_dim(measure))
-    return f(sample_batch(measure, seed, n * replications)).reshape(replications, n)
+    values = [f(batch) for batch in _draws(measure, f, n, replications, seed)]
+    return np.concatenate(values).reshape(replications, n)
 
 
 def classical_mc(
@@ -187,15 +213,14 @@ def _vr_residuals(
     """Voronoi part and the (replications, n) residuals f - J(f) at the draws."""
     if codebook.weights is None:
         raise ConfigurationError("vr_mc needs codebook weights")
-    if n < 2:
-        raise ConfigurationError("vr_mc needs n >= 2")
-    _check_oracle_dim(f, oracle_dim(measure))
+    batches = _draws(measure, f, n, replications, seed)
     f_at_points = f(codebook.points)
     voronoi_part = float(f_at_points @ codebook.weights)
-    batch = sample_batch(measure, seed, n * replications)
-    _, idx = min_dist_batch(batch, codebook)
-    residuals = f(batch) - f_at_points[idx]
-    return voronoi_part, residuals.reshape(replications, n)
+    residuals = [
+        f(batch) - f_at_points[min_dist_batch(batch, codebook)[1]]
+        for batch in batches
+    ]
+    return voronoi_part, np.concatenate(residuals).reshape(replications, n)
 
 
 def vr_mc(

@@ -163,6 +163,15 @@ class TestCliQuad:
         assert record["config"]["grid"] == 2049
         assert record["oracle_cost"] == 9210
 
+    def test_seed_defaults_to_zero(self, tmp_path):
+        out = str(tmp_path / "noseed.json")
+        code = run(
+            "quad", "--algo", "mc", "--measure", "uniform_cube:1",
+            "--functional", "coord_at(0)", "--n", "100", "--out", out,
+        )
+        assert code == 0
+        assert json.load(open(out))["seed"] == "0:0"
+
     def test_usage_error_exit_code(self, tmp_path, capsys):
         assert run("quad", "--algo", "warp") == 1
         assert run("nonsense") == 1

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from conftest import dense_integral
 
+from quantquad import quadrature
 from quantquad.errors import ConfigurationError
 from quantquad.measures import (
     BrownianKL,
@@ -11,6 +12,7 @@ from quantquad.measures import (
     SeedSpec,
     StdNormal,
     UniformCube,
+    euler_values,
     gbm_spec,
 )
 from quantquad.paths import (
@@ -342,3 +344,30 @@ class TestReplicationRule:
             vr_mc_replicated(unweighted, UniformCube(1), f, 10, 10, SeedSpec(0))
         with pytest.raises(ConfigurationError):
             vr_mc_replicated(exact_two_point(), UniformCube(1), f, 1, 10, SeedSpec(0))
+
+    @pytest.mark.parametrize("block, recursions", [(1, 10), (11 * 16 * 3, 4)])
+    def test_euler_blocks_keep_every_replication(
+        self, block, recursions, grid, monkeypatch
+    ):
+        # Blocks of one, resp. three, replications give the same estimates
+        # as one recursion over all draws.
+        measure, f, cb = _measure_functional_codebook("diffusion", grid)
+        seed = SeedSpec(34)
+        whole = classical_mc_replicated(measure, f, 16, 10, seed)
+        whole_vr = vr_mc_replicated(cb, measure, f, 16, 10, seed)
+        calls = []
+
+        def counted(*args):
+            calls.append(args[3])
+            return euler_values(*args)
+
+        monkeypatch.setattr(quadrature, "_EULER_BLOCK", block)
+        monkeypatch.setattr(quadrature, "euler_values", counted)
+        np.testing.assert_array_equal(
+            classical_mc_replicated(measure, f, 16, 10, seed), whole
+        )
+        np.testing.assert_array_equal(
+            vr_mc_replicated(cb, measure, f, 16, 10, seed), whole_vr
+        )
+        assert len(calls) == 2 * recursions
+        assert sum(calls) == 2 * 16 * 10
