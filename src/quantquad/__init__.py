@@ -21,7 +21,6 @@ from .measures import (
     euler_strong_path,
     gbm_spec,
     reference_value,
-    sample,
     sample_batch,
     sample_brownian_kl,
 )

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Union
+from typing import Callable, Optional, Union
 
 import numpy as np
 
@@ -329,15 +329,6 @@ def sample_batch(measure: MeasureSpec, seed: SeedSpec, n: int) -> np.ndarray:
     if isinstance(measure, Diffusion):
         return euler_values(measure.spec, measure.k_steps, rng, n, measure.grid)
     raise ConfigurationError(f"unknown measure {measure!r}")
-
-
-def sample(measure: MeasureSpec, seed: SeedSpec, n: int) -> List:
-    """n independent draws as a list of vectors or Path objects."""
-    batch = sample_batch(measure, seed, n)
-    if is_path_measure(measure):
-        grid = measure_grid(measure)
-        return [Path(grid, batch[i]) for i in range(n)]
-    return [batch[i] for i in range(n)]
 
 
 def sample_brownian_kl(k_terms: int, grid: Optional[Grid], seed: SeedSpec) -> Path:

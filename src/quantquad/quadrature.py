@@ -166,6 +166,11 @@ def _draws(
     )
 
 
+def _draw_cost(measure: MeasureSpec) -> int:
+    """Arithmetic units per draw: one per Euler step for a Diffusion, else one."""
+    return measure.k_steps if isinstance(measure, Diffusion) else 1
+
+
 def _mc_values(
     measure: MeasureSpec, f: Functional, n: int, replications: int, seed: SeedSpec
 ) -> np.ndarray:
@@ -180,13 +185,11 @@ def classical_mc(
     """Mean of f over n independent draws with CLT standard error."""
     estimate, stderr = _mean_and_stderr(_mc_values(measure, f, n, 1, seed)[0])
     k = oracle_dim(measure)
-    # A Diffusion draw costs one arithmetic unit per Euler step.
-    steps = measure.k_steps if isinstance(measure, Diffusion) else 1
     ledger = CostLedger(
         oracle_calls=n,
         subspace_dim=k,
         rng_calls=n * rng_calls_per_sample(measure),
-        arithmetic_proxy=n * steps,
+        arithmetic_proxy=n * _draw_cost(measure),
     )
     return QuadratureResult(estimate, stderr, n, k, ledger)
 
@@ -245,7 +248,7 @@ def vr_mc(
         oracle_calls=n + codebook.n,
         subspace_dim=k,
         rng_calls=n * rng_calls_per_sample(measure),
-        arithmetic_proxy=n + codebook.n,
+        arithmetic_proxy=n * _draw_cost(measure) + codebook.n,
     )
     return QuadratureResult(
         voronoi_part + correction, stderr, n + codebook.n, k, ledger

@@ -4,22 +4,24 @@ A codebook is a finite set of points quantizing a measure; its quality of
 order r is the r-th mean of the distance from a sample to its nearest
 point.  Search is Lloyd iteration on a fixed sample pool (empirical
 measure): deterministic given the seed, with pool distortion that never
-increases from one iteration to the next.
+increases from one iteration to the next.  The scalar N(0,1) quantizers
+behind the Brownian product quantizer need no pool: they are exact
+Lloyd-Max fixed points.
 """
 from __future__ import annotations
 
+import functools
+import math
 import warnings
 from dataclasses import dataclass
-from statistics import NormalDist
 from typing import Optional
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, NumericError
 from .measures import (
     MeasureSpec,
     SeedSpec,
-    StdNormal,
     _chunks,
     _Moments,
     is_path_measure,
@@ -323,7 +325,7 @@ def _reseed_empty(centers, counts, pool_flat, dists):
     return centers
 
 
-def _lloyd_run_general(pool, codebook_proto, init_flat, opts, r):
+def _lloyd_run_general(pool, codebook, init_flat, opts, r):
     shape = pool.shape[1:]
     flat_pool = pool.reshape(pool.shape[0], -1)
     centers = init_flat.copy()
@@ -331,8 +333,7 @@ def _lloyd_run_general(pool, codebook_proto, init_flat, opts, r):
     prev = None
     prev_centers = centers
     for it in range(opts.iters + 1):
-        cb = _make_codebook_like(codebook_proto, centers.reshape((-1,) + shape))
-        dists, labels = min_dist_batch(pool, cb)
+        dists, labels = min_dist_batch(pool, codebook(centers.reshape((-1,) + shape)))
         cur = float(np.mean(dists**r))
         if prev is not None and cur > prev:
             centers = prev_centers  # keep the pool distortion non-increasing
@@ -396,20 +397,6 @@ def _lloyd_run_1d(pool_sorted, prefix, init, opts, r):
     return centers, history
 
 
-def _make_codebook_like(proto: Codebook, points) -> Codebook:
-    cb = object.__new__(Codebook)
-    cb.points = points
-    cb.order_r = proto.order_r
-    cb.norm = proto.norm
-    cb.measure_tag = proto.measure_tag
-    cb.grid = proto.grid
-    cb.weights = None
-    cb.oracle_dim = proto.oracle_dim
-    cb.fit_history = None
-    cb.meta = None
-    return cb
-
-
 def lloyd(
     measure: MeasureSpec,
     n: int,
@@ -440,17 +427,14 @@ def lloyd(
         raise ConfigurationError("pool is smaller than the codebook")
     pool = sample_batch(measure, seed.child(0), pool_size)
     grid = measure_grid(measure)
-    proto = _make_codebook_like(
-        Codebook(
-            np.zeros((1, 1)) if grid is None else np.zeros((1, grid.size, 1)),
-            float(r),
-            norm,
-            measure_tag(measure),
-            grid=grid,
-        ),
-        None,
+    codebook = functools.partial(
+        Codebook,
+        order_r=float(r),
+        norm=norm,
+        measure_tag=measure_tag(measure),
+        grid=grid,
+        oracle_dim=oracle_dim(measure),
     )
-    proto.oracle_dim = oracle_dim(measure)
 
     fast_1d = grid is None and pool.shape[1] == 1
     if fast_1d:
@@ -465,7 +449,7 @@ def lloyd(
             points = centers[:, None]
         else:
             points, history = _lloyd_run_general(
-                pool, proto, pool[pick].reshape(n, -1), opts, r
+                pool, codebook, pool[pick].reshape(n, -1), opts, r
             )
         final = history[-1]
         if best is None or final < best[0]:
@@ -475,16 +459,7 @@ def lloyd(
         points = points[np.argsort(points[:, 0], kind="stable")]
     elif grid is None:
         points = points[np.lexsort(points.T[::-1])]
-    cb = Codebook(
-        points if grid is None else points.reshape(n, grid.size, -1),
-        float(r),
-        norm,
-        measure_tag(measure),
-        grid=grid,
-        oracle_dim=oracle_dim(measure),
-        fit_history=history,
-    )
-    return cb
+    return codebook(points, fit_history=history)
 
 
 def uniform_midpoint_codebook(d: int, per_axis: int, r: float = 2.0) -> Codebook:
@@ -513,50 +488,79 @@ def uniform_midpoint_codebook(d: int, per_axis: int, r: float = 2.0) -> Codebook
 
 
 # ---------------------------------------------------------------------------
-# Cached scalar N(0,1) quantizers and the Brownian product quantizer
+# Exact scalar N(0,1) quantizers and the Brownian product quantizer
 
-_SCALAR_SEED = SeedSpec(424242)
-_SCALAR_OPTS = LloydOptions(iters=500, tol=1e-13, restarts=4, pool_size=400_000)
-_scalar_cache: dict = {}
-
-
-def _scalar_entry(n: int):
-    if n not in _scalar_cache:
-        if n == 1:
-            # The mean minimizes the quadratic distortion; E Z^2 = 1.
-            _scalar_cache[1] = (np.zeros(1), 1.0)
-        else:
-            cb = lloyd(StdNormal(1), n, 2, _SCALAR_OPTS, _SCALAR_SEED)
-            points = np.sort(cb.points[:, 0])
-            d2 = cb.fit_history[-1]
-            _scalar_cache[n] = (points, d2)
-    return _scalar_cache[n]
+_SQRT2 = math.sqrt(2.0)
+_SQRT_2PI = math.sqrt(2.0 * math.pi)
+_LLOYD_MAX_TOL = 1e-13
+_LLOYD_MAX_ITERS = 100_000  # about 2 n^2 iterations are needed; n = 128 takes 31k
 
 
-def _scalar_cell_masses(points: np.ndarray) -> np.ndarray:
-    nd = NormalDist()
-    bounds = (points[1:] + points[:-1]) / 2.0
-    upper = np.concatenate((bounds, [np.inf]))
-    lower = np.concatenate(([-np.inf], bounds))
-    return np.array(
-        [nd.cdf(u) - nd.cdf(l) if np.isfinite(u) or np.isfinite(l) else 1.0
-         for l, u in zip(lower, upper)]
+def _normal_tail(x: np.ndarray) -> np.ndarray:
+    """P(Z > x) for Z ~ N(0,1), elementwise."""
+    return np.array([0.5 * math.erfc(v / _SQRT2) for v in x])
+
+
+def _companding_start(n: int) -> np.ndarray:
+    """Exactly symmetric N(0, 3) quantiles at (i + 1/2) / n, by bisection.
+
+    Their density, proportional to phi^(1/3), is asymptotically optimal.
+    """
+    q = (np.arange(n) + 0.5) / n
+    x, step = np.zeros(n), 16.0
+    for _ in range(60):
+        x += np.where(_normal_tail(x) > 1.0 - q, step, -step)
+        step /= 2.0
+    return math.sqrt(3.0) * (x - x[::-1]) / 2.0
+
+
+def _cell_moments(c: np.ndarray):
+    """Mass, first and second moment of N(0,1) on each midpoint cell of sorted c."""
+    e = (c[1:] + c[:-1]) / 2.0
+    a, b = np.append(-np.inf, e), np.append(e, np.inf)
+    # Masses come from the tail beyond each edge on the cell's side away
+    # from 0, so tail cells do not lose digits to cancellation.
+    t = _normal_tail(np.abs(e))
+    ta, tb = np.append(0.0, t), np.append(t, 0.0)
+    p = np.where(a >= 0, ta - tb, np.where(b <= 0, tb - ta, 1.0 - ta - tb))
+    pdf = np.exp(-0.5 * e * e) / _SQRT_2PI
+    m1 = np.append(0.0, pdf) - np.append(pdf, 0.0)
+    m2 = p + np.append(0.0, e * pdf) - np.append(e * pdf, 0.0)
+    return p, m1, m2
+
+
+@functools.cache
+def _lloyd_max(n: int):
+    """Exact quadratic-optimal N(0,1) codebook of size n: (points, cell masses, D2).
+
+    Lloyd-Max fixed-point iteration (Max 1960; Pages & Printems 2003): each
+    point moves to the centroid of its cell, with cell masses and moments
+    in closed form.  The optimum is unique, as the normal density is
+    log-concave.  The returned arrays are shared, so they are read-only.
+    """
+    if n < 1:
+        raise ConfigurationError("levels must be >= 1")
+    c = _companding_start(n)
+    for _ in range(_LLOYD_MAX_ITERS):
+        p, m1, m2 = _cell_moments(c)
+        centroids = m1 / p
+        if np.max(np.abs(centroids - c)) <= _LLOYD_MAX_TOL:
+            d2 = float(np.sum(m2 - 2.0 * c * m1 + c * c * p))
+            c.flags.writeable = p.flags.writeable = False
+            return c, p, d2
+        c = centroids
+    raise NumericError(
+        f"Lloyd-Max did not converge in {_LLOYD_MAX_ITERS} steps at n={n}"
     )
 
 
 def scalar_gaussian_quantizer(levels: int) -> Codebook:
-    """Cached near-optimal quadratic quantizer of N(0,1) with the given size.
-
-    Built by Lloyd with fixed high-budget options and a fixed internal
-    seed, so results are identical across runs and processes.
-    """
-    if levels < 1:
-        raise ConfigurationError("levels must be >= 1")
-    points, _ = _scalar_entry(levels)
-    weights = _scalar_cell_masses(points)
+    """Exact quadratic-optimal quantizer of N(0,1), weighted by its cell masses."""
+    points, masses, _ = _lloyd_max(levels)
+    weights = masses.copy()
     weights[int(np.argmax(weights))] += 1.0 - weights.sum()
     return Codebook(
-        points[:, None],
+        points[:, None].copy(),
         2.0,
         NormKind.EUCLIDEAN,
         "std_normal:1",
@@ -566,9 +570,8 @@ def scalar_gaussian_quantizer(levels: int) -> Codebook:
 
 
 def scalar_quantizer_distortion2(levels: int) -> float:
-    """Pool-empirical squared quadratic distortion of the cached quantizer."""
-    _, d2 = _scalar_entry(levels)
-    return d2
+    """Exact squared quadratic distortion E min_i (Z - c_i)^2 of the quantizer."""
+    return _lloyd_max(levels)[2]
 
 
 def product_quantizer_bm(
@@ -599,8 +602,7 @@ def product_quantizer_bm(
             if new_prod > n_budget:
                 continue
             gain = lam[ell] * (
-                scalar_quantizer_distortion2(int(levels[ell]))
-                - scalar_quantizer_distortion2(int(levels[ell]) + 1)
+                _lloyd_max(int(levels[ell]))[2] - _lloyd_max(int(levels[ell]) + 1)[2]
             )
             if gain > best_gain:
                 best_gain = gain
@@ -617,8 +619,8 @@ def product_quantizer_bm(
         points = np.zeros((1, grid.size, 1))
         weights = np.ones(1)
     else:
-        axes_points = [ _scalar_entry(int(levels[ell]))[0] for ell in active ]
-        axes_masses = [ _scalar_cell_masses(p) for p in axes_points ]
+        axes_points = [_lloyd_max(int(levels[ell]))[0] for ell in active]
+        axes_masses = [_lloyd_max(int(levels[ell]))[1] for ell in active]
         mesh = np.meshgrid(*axes_points, indexing="ij")
         coeffs = np.stack([m.ravel() for m in mesh], axis=1)  # (N, active)
         scaled = coeffs * np.sqrt(lam[active])[None, :]

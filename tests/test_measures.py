@@ -17,7 +17,6 @@ from quantquad.measures import (
     euler_values,
     gbm_spec,
     reference_value,
-    sample,
     sample_batch,
     sample_brownian_kl,
 )
@@ -37,10 +36,9 @@ class TestSample:
         assert abs(batch[:, 0].mean() - 0.5) <= 3.0 * (1.0 / math.sqrt(12)) / 1e3
 
     def test_std_normal_shape(self):
-        draws = sample(StdNormal(2), SeedSpec(5), 1)
-        assert len(draws) == 1
-        assert draws[0].shape == (2,)
-        assert np.all(np.isfinite(draws[0]))
+        draws = sample_batch(StdNormal(2), SeedSpec(5), 1)
+        assert draws.shape == (1, 2)
+        assert np.all(np.isfinite(draws))
 
     def test_determinism(self):
         a = sample_batch(UniformCube(1), SeedSpec(7), 5)

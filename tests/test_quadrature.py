@@ -144,6 +144,15 @@ class TestVrMc:
         exact = 5.0 / 18.0
         assert abs(estimates.mean() - exact) <= 3.0 * estimates.std(ddof=1) / math.sqrt(reps)
 
+    def test_cost_ledger_counts_euler_steps(self, grid):
+        # Same unit as classical_mc: one per Euler step per path, plus
+        # one per codebook point.
+        measure, f, cb = _measure_functional_codebook("diffusion", grid)
+        res = vr_mc(cb, measure, f, 300, SeedSpec(12))
+        assert res.cost.arithmetic_proxy == 300 * measure.k_steps + cb.n
+        mc = classical_mc(measure, f, 300, SeedSpec(12))
+        assert res.cost.arithmetic_proxy - cb.n == mc.cost.arithmetic_proxy
+
     @pytest.mark.parametrize("n", [2, 4])
     def test_error_bound_against_quantization_number(self, n):
         # RMSE <= 2 n^(-1/2) q_n^(2) + 3 se on the uniform cube

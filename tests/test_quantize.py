@@ -1,10 +1,13 @@
 import math
+from functools import reduce
+from statistics import NormalDist
 
 import numpy as np
 import pytest
 from conftest import brute_nearest, dense_integral, normal_expectation
 
-from quantquad.errors import ConfigurationError
+from quantquad import quantize
+from quantquad.errors import ConfigurationError, NumericError
 from quantquad.measures import BrownianKL, SeedSpec, StdNormal, UniformCube, sample_batch
 from quantquad.paths import NormKind, Path, kl_basis_on_grid, kl_eigenvalues
 from quantquad.quantize import (
@@ -258,6 +261,69 @@ class TestScalarGaussianQuantizer:
     def test_cached_distortions_decrease(self):
         values = [scalar_quantizer_distortion2(n) for n in range(1, 10)]
         assert all(b < a for a, b in zip(values, values[1:]))
+
+    def test_rejects_empty_quantizer(self):
+        for build in (scalar_gaussian_quantizer, scalar_quantizer_distortion2):
+            with pytest.raises(ConfigurationError):
+                build(0)
+
+    def test_returned_codebook_does_not_alias_the_cache(self):
+        cb = scalar_gaussian_quantizer(1)
+        cb.points[0, 0] = 5.0
+        cb.weights[0] = 0.5
+        again = scalar_gaussian_quantizer(1)
+        assert again.points[0, 0] == 0.0
+        assert again.weights[0] == 1.0
+
+
+# Max (1960), Table I: minimum mean squared error of the optimal n-level
+# quantizer of N(0,1).
+MAX_TABLE_D2 = {3: 0.1902, 4: 0.1175, 5: 0.07994, 6: 0.05798, 7: 0.04400, 8: 0.03455}
+
+
+def _normal_cells(points):
+    """Mass and first moment of N(0,1) on each midpoint cell of sorted points."""
+    nd = NormalDist()
+    edges = np.concatenate(([-np.inf], (points[1:] + points[:-1]) / 2.0, [np.inf]))
+    a, b = edges[:-1], edges[1:]
+    mass = np.array([nd.cdf(hi) - nd.cdf(lo) for lo, hi in zip(a, b)])
+    m1 = np.array([nd.pdf(lo) - nd.pdf(hi) for lo, hi in zip(a, b)])
+    return mass, m1
+
+
+class TestExactScalarQuantizer:
+    # Closed-form oracles for the Lloyd-Max fixed point.
+
+    def test_two_levels_closed_form(self):
+        cb = scalar_gaussian_quantizer(2)
+        target = np.array([-math.sqrt(2.0 / math.pi), math.sqrt(2.0 / math.pi)])
+        assert np.abs(cb.points[:, 0] - target).max() <= 1e-12
+        assert abs(scalar_quantizer_distortion2(2) - (1.0 - 2.0 / math.pi)) <= 1e-12
+
+    @pytest.mark.parametrize("n", sorted(MAX_TABLE_D2))
+    def test_distortion_matches_max_table(self, n):
+        d2 = scalar_quantizer_distortion2(n)
+        assert float(f"{d2:.4g}") == MAX_TABLE_D2[n]
+        pts = scalar_gaussian_quantizer(n).points[:, 0]
+        oracle = normal_expectation(
+            lambda z: reduce(np.minimum, ((z - c) ** 2 for c in pts))
+        )
+        assert d2 == pytest.approx(oracle, abs=1e-8)
+
+    @pytest.mark.parametrize("n", list(range(1, 17)) + [64])
+    def test_points_are_symmetric_cell_centroids(self, n):
+        cb = scalar_gaussian_quantizer(n)
+        pts = cb.points[:, 0]
+        mass, m1 = _normal_cells(pts)
+        assert np.abs(pts * mass - m1).max() <= 1e-12
+        assert np.array_equal(pts, -pts[::-1])
+        assert np.all(np.diff(pts) > 0)
+        assert np.abs(cb.weights - mass).max() <= 1e-12
+
+    def test_non_convergence_raises(self, monkeypatch):
+        monkeypatch.setattr(quantize, "_LLOYD_MAX_ITERS", 5)
+        with pytest.raises(NumericError):
+            quantize._lloyd_max.__wrapped__(8)
 
 
 class TestProductQuantizer:
