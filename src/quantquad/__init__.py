@@ -18,11 +18,9 @@ from .measures import (
     SeedSpec,
     StdNormal,
     UniformCube,
-    euler_strong_path,
     gbm_spec,
     reference_value,
     sample_batch,
-    sample_brownian_kl,
 )
 from .paths import (
     Functional,

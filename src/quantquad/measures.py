@@ -17,7 +17,7 @@ from typing import Callable, Optional, Union
 import numpy as np
 
 from .errors import ConfigurationError, NumericError
-from .paths import Grid, Path, kl_basis_on_grid, kl_eigenvalues
+from .paths import Grid, kl_basis_on_grid, kl_eigenvalues
 
 # Fixed internal batch size; sampling consumes the stream in this layout,
 # so estimates are identical however callers chunk their work.
@@ -329,21 +329,6 @@ def sample_batch(measure: MeasureSpec, seed: SeedSpec, n: int) -> np.ndarray:
     if isinstance(measure, Diffusion):
         return euler_values(measure.spec, measure.k_steps, rng, n, measure.grid)
     raise ConfigurationError(f"unknown measure {measure!r}")
-
-
-def sample_brownian_kl(k_terms: int, grid: Optional[Grid], seed: SeedSpec) -> Path:
-    """One truncated Karhunen-Loeve Brownian path W(t) = sum sqrt(l_j) Z_j e_j(t)."""
-    measure = BrownianKL(k_terms, grid or Grid.uniform())
-    return Path(measure.grid, sample_batch(measure, seed, 1)[0])
-
-
-def euler_strong_path(
-    spec: DiffusionSpec, k: int, seed: SeedSpec, grid: Optional[Grid] = None
-) -> Path:
-    """One Euler path with k breakpoints, interpolated to the grid."""
-    grid = grid or Grid.uniform()
-    values = euler_values(spec, k, seed.rng(), 1, grid)
-    return Path(grid, values[0])
 
 
 # ---------------------------------------------------------------------------

@@ -362,15 +362,6 @@ class Functional:
         arr = np.asarray(x, dtype=float)
         return float(self(arr[None, ...])[0])
 
-    @staticmethod
-    def from_scalar(fn: Callable, **kwargs) -> "Functional":
-        """Wrap a one-sample callable into the batch convention."""
-
-        def batched(batch):
-            return np.array([fn(batch[i]) for i in range(batch.shape[0])])
-
-        return Functional(batched, **kwargs)
-
 
 def sup_norm_functional() -> Functional:
     """f(x) = sup_t |x(t)| on grid paths; 1-Lipschitz for the sup norm."""

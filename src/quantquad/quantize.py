@@ -287,9 +287,26 @@ class LloydOptions:
     restarts: int = 8
     pool_size: Optional[int] = None  # default: 100000 vectors, 20000 paths
 
+    def __post_init__(self):
+        if self.restarts < 1:
+            raise ConfigurationError(f"Lloyd needs restarts >= 1, got {self.restarts}")
+        if self.iters < 0:
+            raise ConfigurationError(f"Lloyd needs iters >= 0, got {self.iters}")
+        if not self.tol >= 0:
+            raise ConfigurationError(f"Lloyd needs tol >= 0, got {self.tol}")
+        if self.pool_size is not None and self.pool_size < 1:
+            raise ConfigurationError(
+                f"Lloyd needs pool_size >= 1, got {self.pool_size}"
+            )
+
 
 _DEFAULT_POOL_VECTOR = 100_000
 _DEFAULT_POOL_PATH = 20_000
+# Samples per block of the d=1 range sums.  Each block is summed relative
+# to its own first sample, so the rounding of a cell's power sum scales
+# with the spread of a block, not with |x|; a block must stay narrow next
+# to a cell, while an iteration costs O(M / _BLOCK) besides its searches.
+_BLOCK = 256
 
 
 def _cell_update(flat_pool: np.ndarray, labels: np.ndarray, n: int, r: int):
@@ -325,76 +342,139 @@ def _reseed_empty(centers, counts, pool_flat, dists):
     return centers
 
 
+def _stop(it, prev, cur, opts):
+    # None while the run goes on, else why it ended.
+    if prev is not None and prev - cur <= opts.tol * max(prev, 1e-300):
+        return "tol"
+    return "iters" if it == opts.iters else None
+
+
 def _lloyd_run_general(pool, codebook, init_flat, opts, r):
     shape = pool.shape[1:]
     flat_pool = pool.reshape(pool.shape[0], -1)
     centers = init_flat.copy()
     history = []
+    reseeds = 0
     prev = None
     prev_centers = centers
     for it in range(opts.iters + 1):
         dists, labels = min_dist_batch(pool, codebook(centers.reshape((-1,) + shape)))
         cur = float(np.mean(dists**r))
         if prev is not None and cur > prev:
-            centers = prev_centers  # keep the pool distortion non-increasing
+            # Keep the pool distortion non-increasing.
+            centers, stop = prev_centers, "revert"
             break
         history.append(cur)
-        if it == opts.iters or (
-            prev is not None and prev - cur <= opts.tol * max(prev, 1e-300)
-        ):
+        stop = _stop(it, prev, cur, opts)
+        if stop:
             break
         prev, prev_centers = cur, centers
         centers, counts = _cell_update(flat_pool, labels, centers.shape[0], r)
+        reseeds += int(np.count_nonzero(counts == 0))
         centers = _reseed_empty(centers, counts, flat_pool, dists)
-    return centers.reshape((-1,) + shape), history
+    return centers.reshape((-1,) + shape), history, stop, reseeds
 
 
-def _lloyd_run_1d(pool_sorted, prefix, init, opts, r):
-    # Vector d=1 fast path: cells of a sorted codebook are index ranges of
-    # the sorted pool, so assignment and exact updates are O(M).
-    M = pool_sorted.size
+def _block_sums(flat: np.ndarray):
+    """In-block prefix sums of y = x - pivot and y^2 over a sorted pool.
+
+    Block k holds samples k*_BLOCK .. (k+1)*_BLOCK - 1 (the last may be
+    shorter) and its pivot is its first sample.  Entry j of each sum runs
+    from the start of j's block through j.  Built in place: no temporary
+    the size of the pool.  Returns (pivots, sums of y, sums of y^2).
+    """
+    s1, s2 = flat.copy(), flat.copy()
+    full = flat.size - flat.size % _BLOCK
+    for y, y2 in ((s1[:full], s2[:full]), (s1[full:], s2[full:])):
+        if not y.size:
+            continue
+        width = min(_BLOCK, y.size)
+        y, y2 = y.reshape(-1, width), y2.reshape(-1, width)
+        pivot = y[:, :1].copy()
+        y -= pivot
+        y2 -= pivot
+        np.square(y2, out=y2)
+        np.cumsum(y, axis=1, out=y)
+        np.cumsum(y2, axis=1, out=y2)
+    return flat[::_BLOCK].copy(), s1, s2
+
+
+def _pool_power_sum(flat, sums, splits, centers, r):
+    """Sum of |x - c|^r over a sorted pool, x in the cell of center c.
+
+    Cell i is flat[splits[i]:splits[i+1]].  Cutting the cells at block
+    edges (and, for r=1, at the centers) leaves pieces that lie in one
+    block and one cell, on one side of its center; each piece's sum comes
+    from its block's prefix sums with d = c - pivot.
+    """
+    pivots, s1, s2 = sums
+    cuts = [splits, np.arange(0, flat.size, _BLOCK)]
+    if r == 1:
+        at = np.searchsorted(flat, centers)
+        cuts.append(at)
+    edges = np.sort(np.concatenate(cuts))
+    keep = edges[1:] > edges[:-1]
+    a, b = edges[:-1][keep], edges[1:][keep]
+    cell = np.searchsorted(splits, a, side="right") - 1
+    d = centers[cell] - pivots[a // _BLOCK]
+    count = b - a
+    inner = np.flatnonzero(a % _BLOCK)  # pieces that start inside a block
+
+    def piece(s):
+        out = s[b - 1]
+        out[inner] -= s[a[inner] - 1]
+        return out
+
+    if r == 2:  # sum (y - d)^2 = S2 - d (2 S1 - count d)
+        total = piece(s2) - d * (2.0 * piece(s1) - count * d)
+    else:
+        total = np.where(a >= at[cell], 1.0, -1.0) * (piece(s1) - count * d)
+    # A one-sample piece is taken from its sample, so a cell holding only
+    # its center costs exactly 0; no piece sum can be negative.
+    one = np.flatnonzero(count == 1)
+    total[one] = np.abs(flat[a[one]] - centers[cell[one]]) ** r
+    return float(np.sum(np.maximum(total, 0.0)))
+
+
+def _lloyd_run_1d(flat, prefix, sums, init, opts, r):
+    # Vector d=1 fast path: the cells of a sorted codebook are index ranges
+    # of the sorted pool, so an iteration costs O(n log M + M / _BLOCK).
+    M = flat.size
     centers = np.sort(init)
     history = []
+    reseeds = 0
     prev = None
     prev_centers = centers
     for it in range(opts.iters + 1):
         bounds = (centers[1:] + centers[:-1]) / 2.0
-        splits = np.searchsorted(pool_sorted, bounds, side="right")
-        splits = np.concatenate(([0], splits, [M]))
-        counts = np.diff(splits)
-        labels = np.repeat(np.arange(centers.size), counts)
-        absd = np.abs(pool_sorted - centers[labels])
-        cur = float(np.mean(absd**r))
+        splits = np.concatenate(([0], np.searchsorted(flat, bounds, side="right"), [M]))
+        cur = _pool_power_sum(flat, sums, splits, centers, r) / M
         if prev is not None and cur > prev:
-            centers = prev_centers
+            centers, stop = prev_centers, "revert"
             break
         history.append(cur)
-        if it == opts.iters or (
-            prev is not None and prev - cur <= opts.tol * max(prev, 1e-300)
-        ):
+        stop = _stop(it, prev, cur, opts)
+        if stop:
             break
         prev, prev_centers = cur, centers
+        counts = np.diff(splits)
+        filled = counts > 0
+        lo, hi, size = splits[:-1][filled], splits[1:][filled], counts[filled]
         new = np.empty_like(centers)
-        far_order = None
-        next_far = 0
-        for i in range(centers.size):
-            lo, hi = splits[i], splits[i + 1]
-            if hi <= lo:
-                if far_order is None:
-                    far_order = np.argsort(-absd, kind="stable")
-                new[i] = pool_sorted[far_order[next_far]]
-                next_far += 1
-            elif r == 2:
-                new[i] = (prefix[hi] - prefix[lo]) / (hi - lo)
-            else:
-                mid = lo + (hi - lo - 1) // 2
-                new[i] = (
-                    pool_sorted[mid]
-                    if (hi - lo) % 2
-                    else (pool_sorted[mid] + pool_sorted[mid + 1]) / 2.0
-                )
+        if r == 2:
+            new[filled] = (prefix[hi] - prefix[lo]) / size
+        else:
+            mid = lo + (size - 1) // 2
+            upper = flat[np.minimum(mid + 1, M - 1)]
+            new[filled] = np.where(size % 2 == 1, flat[mid], (flat[mid] + upper) / 2.0)
+        if not filled.all():
+            # Only a reseed needs each sample's distance to its center.
+            labels = np.repeat(np.arange(centers.size), counts)
+            absd = np.abs(flat - centers[labels])
+            reseeds += centers.size - int(np.count_nonzero(filled))
+            _reseed_empty(new[:, None], counts, flat[:, None], absd)
         centers = np.sort(new)
-    return centers, history
+    return centers[:, None], history, stop, reseeds
 
 
 def lloyd(
@@ -412,6 +492,12 @@ def lloyd(
     cells are reseeded at the pool sample farthest from the codebook.
     The empirical pool distortion never increases from one iteration to
     the next; the best restart by final pool distortion wins.
+
+    The codebook's ``meta`` reports the search: ``winner`` (index of the
+    winning restart) and, per restart, ``iterations`` (length of its pool
+    distortion history), ``stops`` (``"tol"``: converged, ``"iters"``:
+    hit the cap, ``"revert"``: an update raised the distortion and was
+    undone) and ``reseeds`` (empty cells reseeded).
     """
     if n < 1:
         raise ConfigurationError("codebook size must be >= 1")
@@ -420,9 +506,10 @@ def lloyd(
     opts = opts or LloydOptions()
     if norm is None:
         norm = NormKind.L2 if is_path_measure(measure) else NormKind.EUCLIDEAN
-    pool_size = opts.pool_size or (
-        _DEFAULT_POOL_PATH if is_path_measure(measure) else _DEFAULT_POOL_VECTOR
-    )
+    pool_size = opts.pool_size
+    if pool_size is None:
+        path = is_path_measure(measure)
+        pool_size = _DEFAULT_POOL_PATH if path else _DEFAULT_POOL_VECTOR
     if pool_size < n:
         raise ConfigurationError("pool is smaller than the codebook")
     pool = sample_batch(measure, seed.child(0), pool_size)
@@ -435,31 +522,35 @@ def lloyd(
         grid=grid,
         oracle_dim=oracle_dim(measure),
     )
+    inits = [
+        pool[seed.child(1 + restart).rng().choice(pool_size, size=n, replace=False)]
+        for restart in range(opts.restarts)
+    ]
 
-    fast_1d = grid is None and pool.shape[1] == 1
-    if fast_1d:
-        flat = np.sort(pool[:, 0], kind="stable")
-        prefix = np.concatenate(([0.0], np.cumsum(flat)))
-    best = None
-    for restart in range(opts.restarts):
-        rng = seed.child(1 + restart).rng()
-        pick = rng.choice(pool.shape[0], size=n, replace=False)
-        if fast_1d:
-            centers, history = _lloyd_run_1d(flat, prefix, pool[pick, 0], opts, r)
-            points = centers[:, None]
-        else:
-            points, history = _lloyd_run_general(
-                pool, codebook, pool[pick].reshape(n, -1), opts, r
-            )
-        final = history[-1]
-        if best is None or final < best[0]:
-            best = (final, points, history)
-    _, points, history = best
-    if grid is None and points.shape[1] == 1:
-        points = points[np.argsort(points[:, 0], kind="stable")]
-    elif grid is None:
+    if grid is None and pool.shape[1] == 1:
+        flat = pool.reshape(-1)
+        flat.sort()  # in place: the unsorted pool is not needed again
+        prefix = np.empty(pool_size + 1)
+        prefix[0] = 0.0
+        np.cumsum(flat, out=prefix[1:])
+        sums = _block_sums(flat)
+        runs = [_lloyd_run_1d(flat, prefix, sums, x[:, 0], opts, r) for x in inits]
+    else:
+        runs = [
+            _lloyd_run_general(pool, codebook, x.reshape(n, -1), opts, r) for x in inits
+        ]
+    points, histories, stops, reseeds = zip(*runs)
+    winner = min(range(len(runs)), key=lambda i: histories[i][-1])
+    points = points[winner]
+    if grid is None:
         points = points[np.lexsort(points.T[::-1])]
-    return codebook(points, fit_history=history)
+    meta = {
+        "winner": winner,
+        "iterations": [len(history) for history in histories],
+        "stops": list(stops),
+        "reseeds": list(reseeds),
+    }
+    return codebook(points, fit_history=histories[winner], meta=meta)
 
 
 def uniform_midpoint_codebook(d: int, per_axis: int, r: float = 2.0) -> Codebook:

@@ -100,6 +100,19 @@ class TestCliQuantize:
         b = open(tmp_path / "b.csv", "rb").read()
         assert a == b
 
+    @pytest.mark.parametrize(
+        "flag, value", [("--restarts", "0"), ("--iters", "-1"), ("--pool", "0")]
+    )
+    def test_invalid_lloyd_options_exit_1(self, tmp_path, capsys, flag, value):
+        out = tmp_path / "cb.csv"
+        code = run(
+            "quantize", "--measure", "uniform_cube:1", "--n", "2",
+            "--seed", "7", flag, value, "--out", str(out),
+        )
+        assert code == 1
+        assert "configuration error" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestCliQuad:
     def test_euler_budget_echoes_schedule(self, tmp_path):

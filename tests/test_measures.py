@@ -13,12 +13,10 @@ from quantquad.measures import (
     SeedSpec,
     StdNormal,
     UniformCube,
-    euler_strong_path,
     euler_values,
     gbm_spec,
     reference_value,
     sample_batch,
-    sample_brownian_kl,
 )
 from quantquad.paths import Grid, path_coord_functional, running_max_functional
 
@@ -71,8 +69,8 @@ class TestSample:
 class TestBrownianKL:
     def test_starts_at_zero(self):
         for k in (1, 7, 200):
-            w = sample_brownian_kl(k, None, SeedSpec(11))
-            assert w.values[0, 0] == 0.0
+            w = sample_batch(BrownianKL(k, Grid.uniform()), SeedSpec(11), 1)[0]
+            assert w[0, 0] == 0.0
 
     def test_single_term_variance(self):
         # W^(1)(1) = sqrt(l_1) Z e_1(1) with l_1 e_1(1)^2 = 2 (2/pi)^2 = 8/pi^2
@@ -101,22 +99,27 @@ class TestBrownianKL:
             BrownianKL(0)
 
 
+def _one_euler_path(spec, k, seed):
+    # One Euler path with k breakpoints on the default grid, shape (G, m).
+    return euler_values(spec, k, seed.rng(), 1, Grid.uniform())[0]
+
+
 class TestEuler:
     def test_constant_drift_exact(self):
         spec = DiffusionSpec(
             ConstantCoeff(1.0).drift, ConstantCoeff(0.0).diffusion, (0.0,), 1
         )
         for k in (2, 5, 64):
-            p = euler_strong_path(spec, k, SeedSpec(1))
-            assert p.values[-1, 0] == pytest.approx(1.0, abs=1e-12)
+            p = _one_euler_path(spec, k, SeedSpec(1))
+            assert p[-1, 0] == pytest.approx(1.0, abs=1e-12)
 
     def test_noiseless_recursion_closed_form(self):
         spec = DiffusionSpec(
             LinearCoeff(0.1).drift, ConstantCoeff(0.0).diffusion, (1.0,), 1
         )
-        p = euler_strong_path(spec, 11, SeedSpec(2))
+        p = _one_euler_path(spec, 11, SeedSpec(2))
         # (1 + 0.1/10)^10
-        assert p.values[-1, 0] == pytest.approx(1.01**10, abs=1e-12)
+        assert p[-1, 0] == pytest.approx(1.01**10, abs=1e-12)
 
     def test_linear_sde_mean(self):
         k, n = 11, 2 * 10**5
@@ -141,7 +144,7 @@ class TestEuler:
 
         spec = DiffusionSpec(bad_drift, ConstantCoeff(0.0).diffusion, (0.0,), 1)
         with pytest.raises(NumericError) as info:
-            euler_strong_path(spec, 5, SeedSpec(5))
+            _one_euler_path(spec, 5, SeedSpec(5))
         assert info.value.step == 1
 
     def test_breakpoints_off_grid_interpolated(self):
@@ -150,9 +153,9 @@ class TestEuler:
         spec = DiffusionSpec(
             ConstantCoeff(1.0).drift, ConstantCoeff(0.0).diffusion, (0.5,), 1
         )
-        p = euler_strong_path(spec, 4, SeedSpec(6))
-        assert p.values[0, 0] == 0.5
-        assert p.values[-1, 0] == pytest.approx(1.5, abs=1e-12)
+        p = _one_euler_path(spec, 4, SeedSpec(6))
+        assert p[0, 0] == 0.5
+        assert p[-1, 0] == pytest.approx(1.5, abs=1e-12)
 
 
 class TestReferenceValue:

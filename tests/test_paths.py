@@ -192,8 +192,8 @@ class TestProject:
 
 
 class TestFunctional:
-    def test_from_scalar_wrapper(self, grid):
-        f = Functional.from_scalar(lambda v: float(v[:, 0].max()), name="m")
+    def test_batch_convention(self, grid):
+        f = Functional(lambda batch: batch[:, :, 0].max(axis=1), name="m")
         batch = np.zeros((3, grid.size, 1))
         batch[1, 5, 0] = 2.0
         out = f(batch)

@@ -1,3 +1,4 @@
+import functools
 import math
 from functools import reduce
 from statistics import NormalDist
@@ -233,6 +234,139 @@ class TestLloyd:
     def test_unsupported_order(self):
         with pytest.raises(ConfigurationError):
             lloyd(UniformCube(1), 2, 3, seed=SeedSpec(0))
+
+
+def _run_both(pool_sorted, init, r, iters=50):
+    # The d=1 fast path and the general path on one hand-built sorted pool.
+    opts = LloydOptions(iters=iters, restarts=1)
+    flat = np.asarray(pool_sorted, dtype=float)
+    prefix = np.concatenate(([0.0], np.cumsum(flat)))
+    fast = quantize._lloyd_run_1d(
+        flat, prefix, quantize._block_sums(flat), np.asarray(init, dtype=float), opts, r
+    )
+    codebook = functools.partial(
+        Codebook, order_r=float(r), norm=NormKind.EUCLIDEAN, measure_tag="hand"
+    )
+    general = quantize._lloyd_run_general(
+        flat[:, None], codebook, np.asarray(init, dtype=float)[:, None], opts, r
+    )
+    return fast, general
+
+
+class TestLloydFastPath:
+    @pytest.mark.parametrize("r", [1, 2])
+    @pytest.mark.parametrize(
+        "pool, init",
+        [
+            # Cell 2 is empty at iteration 0, so the farthest sample reseeds it.
+            ([0.0, 0.1, 0.2, 10.0], [0.05, 0.06, 0.07, 10.0]),
+            ([-3.0, -1.0, -0.5, 0.0, 0.25, 2.0, 2.5, 7.0], [-3.0, 0.0, 7.0]),
+            ([0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0], [0.0, 1.0]),
+            (
+                np.sort(np.random.default_rng(4).standard_normal(700)),
+                [-1.0, -0.2, 0.1, 0.3, 1.5],
+            ),
+            (
+                np.sort(np.random.default_rng(5).random(1000) * 10.0 + 3.0),
+                [3.5, 4.0, 12.0],
+            ),
+        ],
+    )
+    def test_matches_general_path(self, pool, init, r):
+        fast, general = _run_both(pool, init, r)
+        fast_pts, fast_hist, fast_stop, fast_reseeds = fast
+        gen_pts, gen_hist, gen_stop, gen_reseeds = general
+        assert np.abs(fast_pts[:, 0] - np.sort(gen_pts[:, 0])).max() <= 1e-12
+        assert len(fast_hist) == len(gen_hist)
+        # The fast r=2 centroid is a difference of prefix sums, so a
+        # one-sample cell's center can sit an ulp off its sample: where the
+        # general path scores exactly 0 the fast path may score ~1e-33.
+        assert fast_hist == pytest.approx(gen_hist, rel=1e-12, abs=1e-30)
+        assert (fast_stop, fast_reseeds) == (gen_stop, gen_reseeds)
+
+    @pytest.mark.parametrize("r", [1, 2])
+    def test_empty_cell_reseeded_at_farthest_sample(self, r):
+        (pts, hist, _, reseeds), _ = _run_both(
+            [0.0, 0.1, 0.2, 10.0], [0.05, 0.06, 0.07, 10.0], r
+        )
+        assert reseeds == 1
+        assert np.abs(pts[:, 0] - [0.0, 0.1, 0.2, 10.0]).max() <= 1e-15
+        assert hist[-1] <= 1e-30
+
+    @pytest.mark.parametrize(
+        "measure, n, r, pool_size",
+        [(UniformCube(1), 256, 2, 10**6), (StdNormal(1), 64, 1, 200_000)],
+    )
+    def test_history_is_direct_pool_distortion(self, measure, n, r, pool_size):
+        # The last history entry against an exact sum over the same pool;
+        # a prefix of x^2 over the whole pool misses this by ~1e-8.
+        seed = SeedSpec(19)
+        opts = LloydOptions(pool_size=pool_size, restarts=1, iters=40)
+        cb = lloyd(measure, n, r, opts, seed)
+        x = sample_batch(measure, seed.child(0), pool_size)[:, 0]
+        c = cb.points[:, 0]
+        above = np.clip(np.searchsorted(c, x), 1, n - 1)
+        d = np.minimum(np.abs(x - c[above - 1]), np.abs(x - c[above]))
+        direct = math.fsum(d**r) / pool_size
+        assert abs(cb.fit_history[-1] - direct) <= 1e-12 * direct
+
+
+class TestLloydMeta:
+    def test_iteration_cap(self):
+        opts = LloydOptions(iters=3, restarts=2, pool_size=10_000)
+        cb = lloyd(UniformCube(1), 8, 2, opts, SeedSpec(20))
+        assert cb.meta["stops"] == ["iters", "iters"]
+        assert cb.meta["iterations"] == [4, 4]
+        assert len(cb.fit_history) == 4
+
+    def test_converged(self):
+        opts = LloydOptions(restarts=3, pool_size=10_000)
+        cb = lloyd(UniformCube(1), 2, 2, opts, SeedSpec(21))
+        meta = cb.meta
+        assert meta["stops"] == ["tol"] * 3
+        assert all(1 < k <= 201 for k in meta["iterations"])
+        assert meta["iterations"][meta["winner"]] == len(cb.fit_history)
+        assert meta["reseeds"] == [0, 0, 0]
+
+    def test_revert(self):
+        # The coordinatewise median is only a surrogate for Euclidean r=1,
+        # so an update can raise the pool distortion; it is undone.
+        opts = LloydOptions(restarts=1, pool_size=300)
+        cb = lloyd(UniformCube(2), 6, 1, opts, SeedSpec(0))
+        assert cb.meta["stops"] == ["revert"]
+        assert cb.meta["iterations"] == [len(cb.fit_history)]
+
+    @pytest.mark.parametrize(
+        "measure, n, r, pool_size, seed",
+        [(UniformCube(1), 20, 2, 40, 28), (UniformCube(2), 5, 2, 12, 142)],
+    )
+    def test_reseeds_counted(self, measure, n, r, pool_size, seed):
+        opts = LloydOptions(restarts=1, pool_size=pool_size)
+        cb = lloyd(measure, n, r, opts, SeedSpec(seed))
+        assert cb.meta["reseeds"] == [1]
+        assert cb.meta["winner"] == 0
+
+
+class TestLloydOptions:
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"restarts": 0},
+            {"iters": -1},
+            {"tol": -1e-12},
+            {"tol": math.nan},
+            {"pool_size": 0},
+        ],
+    )
+    def test_invalid_values_rejected(self, fields):
+        with pytest.raises(ConfigurationError):
+            LloydOptions(**fields)
+
+    def test_edge_values_accepted(self):
+        opts = LloydOptions(iters=0, tol=0.0, restarts=1, pool_size=1)
+        cb = lloyd(UniformCube(1), 1, 2, opts, SeedSpec(3))
+        assert cb.n == 1
+        assert len(cb.fit_history) == 1
 
 
 class TestScalarGaussianQuantizer:
