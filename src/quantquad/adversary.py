@@ -30,7 +30,8 @@ from .measures import (
     BrownianKL,
     MeasureSpec,
     SeedSpec,
-    _chunks,
+    _block_rows,
+    _blocks,
     _Moments,
     is_path_measure,
     sample_batch,
@@ -50,8 +51,6 @@ from .quantize import Codebook, min_dist_batch
 # subspace is decided, not approximated.
 _BLIND_SNAP_TOL = 1e-9
 
-_CHUNK = 65536
-
 
 # ---------------------------------------------------------------------------
 # Fooling families from codebooks
@@ -68,14 +67,14 @@ class FoolingFamily:
 
 
 def _all_point_distances(batch: np.ndarray, codebook: Codebook) -> np.ndarray:
-    # (B, n) distances to every codebook point, via single-point codebooks
-    # is wasteful; reuse the chunked machinery by a running loop instead.
+    # (B, n) distances to every codebook point, in runs of samples whose
+    # (samples, n, flat) difference array fills one block.
     from .quantize import _block_dist  # shared low-level kernel
 
     b = batch.shape[0]
     n = codebook.n
     out = np.empty((b, n))
-    step = max(1, _CHUNK // max(1, n))
+    step = _block_rows(n * int(np.prod(batch.shape[1:])))
     for b0 in range(0, b, step):
         xb = batch[b0 : b0 + step]
         out[b0 : b0 + step] = _block_dist(
@@ -157,8 +156,7 @@ def gap_identity_check(
     f_last = family.functionals[m - 1]
 
     moments = _Moments((3,))
-    for index, _, b in _chunks(M):
-        batch = sample_batch(measure, seed.child(index), b)
+    for _, batch in _blocks(measure, seed.child(0), M):
         lhs = f_last(batch)
         d_full, _ = min_dist_batch(batch, codebook)
         d_red, _ = min_dist_batch(batch, reduced)
@@ -273,6 +271,8 @@ def event_probability(
     """
     if M < 10_000:
         raise ConfigurationError("event_probability needs M >= 10^4")
+    if segments < 1:
+        raise ConfigurationError("segments must be >= 1")
     grid = grid or Grid.uniform()
     threshold = math.sqrt(window) / segments**1.5
     spec = IncrementFamilySpec(segments, window, signs=(0,) * segments)
@@ -280,8 +280,7 @@ def event_probability(
     measure = BrownianKL(k_terms, grid)
 
     hits = 0
-    for index, _, b in _chunks(M):
-        batch = sample_batch(measure, seed.child(index), b)
+    for _, batch in _blocks(measure, seed.child(0), M):
         increments = np.diff(batch[:, indices, 0], axis=1)
         hits += int(np.all(increments >= threshold, axis=1).sum())
     p_hat = hits / M

@@ -358,7 +358,12 @@ def _cmd_widths(args) -> int:
     if not is_path_measure(measure):
         raise ConfigurationError("widths needs a path measure")
     norm = parse_norm(args.norm)
-    dims = [int(tok) for tok in args.dims.split(",")]
+    try:
+        dims = [int(tok) for tok in args.dims.split(",")]
+    except ValueError:
+        raise ConfigurationError(
+            f"--dims must be comma-separated integers, got {args.dims!r}"
+        ) from None
     lines = [
         f"# measure={measure_tag(measure)} p={args.p!r} norm={norm.value} "
         f"samples={args.samples} seed={seed.tag()}",

@@ -7,6 +7,7 @@ functionals are referenced by ``name`` or ``name(argument)``.
 from __future__ import annotations
 
 import json
+import math
 import re
 from typing import Optional
 
@@ -144,12 +145,22 @@ def parse_functional(text: str, measure: Optional[MeasureSpec]) -> Functional:
     name, arg = match.group(1), match.group(2)
     pathlike = measure is not None and is_path_measure(measure)
     if name in ("coord_at", "abs_coord_at"):
-        if arg is None:
-            raise ConfigurationError(f"{name} needs an argument")
+        try:
+            value = float(arg)
+            index = int(value)
+        except (TypeError, ValueError, OverflowError):
+            raise ConfigurationError(
+                f"{name} needs a finite numeric argument, got {arg!r}"
+            ) from None
         absolute = name == "abs_coord_at"
         if pathlike:
-            return path_coord_functional(float(arg), measure.grid, absolute)
-        return vector_coord_functional(int(float(arg)), absolute)
+            return path_coord_functional(value, measure.grid, absolute)
+        d = measure.d if measure is not None else math.inf
+        if index != value or not 0 <= index < d:
+            raise ConfigurationError(
+                f"{name}({arg}) needs an integer coordinate index in [0, {d})"
+            )
+        return vector_coord_functional(index, absolute)
     if name == "sup_norm":
         return sup_norm_functional()
     if name == "l1_integral":

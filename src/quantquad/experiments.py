@@ -23,12 +23,10 @@ from .measures import (
     DiffusionSpec,
     MeasureSpec,
     SeedSpec,
-    _chunks,
+    _blocks,
     _Moments,
-    euler_values,
     is_path_measure,
     reference_value,
-    sample_batch,
 )
 from .paths import (
     Functional,
@@ -147,8 +145,7 @@ def width_estimate(
     if not is_path_measure(measure):
         raise ConfigurationError("width_estimate expects a path measure")
     moments = _Moments()
-    for index, _, b in _chunks(M, 8192):
-        batch = sample_batch(measure, seed.child(index), b)
+    for _, batch in _blocks(measure, seed.child(0), M):
         _, resid = batch_project(batch[:, :, 0], sub)
         norms = batch_path_norm(resid[:, :, None], norm_kind, sub.grid)
         moments.add(norms**p)
@@ -235,14 +232,13 @@ def _resolve_reference(config: RateExperimentConfig) -> Tuple[float, float]:
         return est.value, est.stderr
     if kind == "euler":
         _, k_ref, n_ref = config.reference
-        grid = config.grid or Grid.uniform()
-        rng = config.seed.child(1_000_001).rng()
-        moments = _Moments()
-        for _, _, b in _chunks(n_ref, 8192):
-            moments.add(config.functional(
-                euler_values(config.diffusion, k_ref, rng, b, grid)
-            ))
-        return float(moments.mean()), float(moments.stderr())
+        est = reference_value(
+            config.functional,
+            Diffusion(config.diffusion, k_ref, config.grid),
+            n_ref,
+            config.seed.child(1_000_001),
+        )
+        return est.value, est.stderr
     raise ConfigurationError(f"unknown reference kind {kind!r}")
 
 

@@ -19,9 +19,10 @@ import numpy as np
 from .errors import ConfigurationError, NumericError
 from .paths import Grid, kl_basis_on_grid, kl_eigenvalues
 
-# Fixed internal batch size; sampling consumes the stream in this layout,
-# so estimates are identical however callers chunk their work.
-_CHUNK = 65536
+# Bytes of the largest array one block of draws makes.  Blocks take
+# consecutive rows of one stream, so their size moves no draw: it bounds
+# memory and nothing else.
+_BLOCK_BYTES = 2**26
 
 
 @dataclass(frozen=True)
@@ -208,14 +209,6 @@ def measure_grid(measure: MeasureSpec) -> Optional[Grid]:
     return measure.grid if is_path_measure(measure) else None
 
 
-def path_dim(measure: MeasureSpec) -> int:
-    if isinstance(measure, BrownianKL):
-        return 1
-    if isinstance(measure, Diffusion):
-        return measure.spec.m
-    raise ConfigurationError("not a path measure")
-
-
 def oracle_dim(measure: MeasureSpec) -> int:
     """Dimension of the subspace the measure's samples live in.
 
@@ -266,8 +259,8 @@ def _interp_breakpoints_to_grid(states: np.ndarray, k: int, grid: Grid) -> np.nd
     pos = grid.points * (k - 1)
     j = np.minimum(pos.astype(int), k - 2)
     lam = pos - j
-    # In place on the two gathered copies: a batch of all replications of a
-    # rate ladder makes each one large.
+    # In place on the two gathered copies, so a block holds two arrays of
+    # its output's size rather than four.
     out = states[:, j, :]
     out *= (1.0 - lam)[None, :, None]
     upper = states[:, j + 1, :]
@@ -314,11 +307,16 @@ def euler_values(
     return _interp_breakpoints_to_grid(states, k, grid)
 
 
-def sample_batch(measure: MeasureSpec, seed: SeedSpec, n: int) -> np.ndarray:
-    """n independent draws as one array: (n, d) vectors or (n, G, m) paths."""
+def sample_batch(
+    measure: MeasureSpec, seed: Union[SeedSpec, np.random.Generator], n: int
+) -> np.ndarray:
+    """n independent draws as one array: (n, d) vectors or (n, G, m) paths.
+
+    ``seed`` is a SeedSpec, or a Generator whose stream continues.
+    """
     if n < 1:
         raise ConfigurationError("sample count must be >= 1")
-    rng = seed.rng()
+    rng = seed.rng() if isinstance(seed, SeedSpec) else seed
     if isinstance(measure, UniformCube):
         return rng.random((n, measure.d))
     if isinstance(measure, StdNormal):
@@ -335,14 +333,34 @@ def sample_batch(measure: MeasureSpec, seed: SeedSpec, n: int) -> np.ndarray:
 # Streamed estimation
 
 
-def _chunks(total: int, size: int = _CHUNK):
-    """(chunk index, start, size) of consecutive chunks covering ``total`` draws.
+def _block_rows(floats: int) -> int:
+    """Rows of ``floats`` floats each that fit in _BLOCK_BYTES (at least 1)."""
+    return max(1, _BLOCK_BYTES // (8 * max(1, floats)))
 
-    Chunk i is drawn from ``seed.child(i)`` (or the next slice of one shared
-    stream), so a chunk layout is part of a call site's seeded output.
+
+def _blocks(measure: MeasureSpec, seed: SeedSpec, total: int):
+    """(start, batch) over draws 0 .. total of ``seed``'s stream, in row blocks.
+
+    A block is sized by the largest array one draw makes: its vector, its
+    path, its expansion coefficients or its Euler states.  Generators fill
+    rows in order, so the draws do not depend on the block size (BrownianKL
+    paths move at BLAS rounding only).
+
+    The streamed estimators draw from ``seed.child(0)``: that was the
+    stream of their first chunk when each chunk of draws (65536, fewer for
+    widths) had a stream of its own, so every estimate that fit in one
+    chunk kept its draws.
     """
-    for index, start in enumerate(range(0, total, size)):
-        yield index, start, min(size, total - start)
+    if isinstance(measure, (UniformCube, StdNormal)):
+        floats = measure.d
+    elif isinstance(measure, BrownianKL):
+        floats = max(measure.k_terms, measure.grid.size)
+    else:
+        floats = measure.spec.m * max(measure.k_steps, measure.grid.size)
+    rows = _block_rows(floats)
+    rng = seed.rng()
+    for start in range(0, total, rows):
+        yield start, sample_batch(measure, rng, min(rows, total - start))
 
 
 class _Moments:
@@ -409,13 +427,13 @@ def reference_value(
     Used as the ground-truth oracle by tests and the rate harness.  A
     ``ConfigurationError`` from the functional (say, a wrong output shape)
     passes through; any other failure is reported as a ``NumericError``
-    carrying the first sample of the failing chunk.
+    carrying the first sample of the failing block.
     """
     if budget < 100:
         raise ConfigurationError("reference budget must be >= 100")
     moments = _Moments()
-    for index, start, b in _chunks(budget):
-        batch = sample_batch(measure, seed.child(index), b)
+    for start, batch in _blocks(measure, seed.child(0), budget):
+        b = batch.shape[0]
         try:
             vals = functional(batch)
         except ConfigurationError:

@@ -34,11 +34,9 @@ from .measures import (
     DiffusionSpec,
     MeasureSpec,
     SeedSpec,
-    _chunks,
-    euler_values,
+    _blocks,
     oracle_dim,
     rng_calls_per_sample,
-    sample_batch,
 )
 from .paths import Functional, Grid, Subspace
 from .quantize import Codebook, min_dist_batch
@@ -140,30 +138,14 @@ def _mean_and_stderr(values: np.ndarray) -> Tuple[float, float]:
     return float(values.mean()), float(values.std(ddof=1) / math.sqrt(values.size))
 
 
-# Euler steps (paths x breakpoints x dimension) per recursion block.
-_EULER_BLOCK = 1 << 22
-
-
 def _draws(
     measure: MeasureSpec, f: Functional, n: int, replications: int, seed: SeedSpec
 ):
-    """Checked draws 0 .. n * replications of ``seed``'s stream, in batches.
-
-    A Diffusion measure is drawn in blocks of whole replications from one
-    shared stream, so the Euler recursion's memory does not grow with the
-    replication count and every replication keeps its draws.
-    """
+    """Checked draws 0 .. n * replications of ``seed``'s stream, in blocks."""
     if n < 2:
         raise ConfigurationError(f"Monte Carlo needs n >= 2 draws, got {n}")
     _check_oracle_dim(f, oracle_dim(measure))
-    if not isinstance(measure, Diffusion):
-        return [sample_batch(measure, seed, n * replications)]
-    per_block = max(1, _EULER_BLOCK // (n * measure.k_steps * measure.spec.m))
-    rng = seed.rng()
-    return (
-        euler_values(measure.spec, measure.k_steps, rng, b * n, measure.grid)
-        for _, _, b in _chunks(replications, per_block)
-    )
+    return (batch for _, batch in _blocks(measure, seed, n * replications))
 
 
 def _draw_cost(measure: MeasureSpec) -> int:

@@ -22,7 +22,8 @@ from .errors import ConfigurationError, NumericError
 from .measures import (
     MeasureSpec,
     SeedSpec,
-    _chunks,
+    _block_rows,
+    _blocks,
     _Moments,
     is_path_measure,
     measure_grid,
@@ -172,8 +173,9 @@ def min_dist_batch(values: np.ndarray, codebook: Codebook):
                 best[b0:b1][better] = dloc[better]
                 idx[b0:b1][better] = local[better] + c0
         return best, idx
-    cb_chunk = max(1, min(n, _DIRECT_LIMIT // max(1, flat_dim * 64)))
-    s_chunk = max(1, _DIRECT_LIMIT // max(1, flat_dim * cb_chunk))
+    # The (samples, points, flat) difference array fills one block.
+    cb_chunk = min(n, _block_rows(flat_dim * 64))
+    s_chunk = _block_rows(flat_dim * cb_chunk)
     for b0 in range(0, b_total, s_chunk):
         b1 = min(b0 + s_chunk, b_total)
         xb = values[b0:b1]
@@ -239,8 +241,7 @@ def distortion(
     if r <= 0:
         raise ConfigurationError("order r must be positive")
     moments = _Moments()
-    for index, _, b in _chunks(M):
-        batch = sample_batch(measure, seed.child(index), b)
+    for _, batch in _blocks(measure, seed.child(0), M):
         d, _ = min_dist_batch(batch, codebook)
         moments.add(d**r)
     value, stderr = moments.root(r)
@@ -258,8 +259,7 @@ def voronoi_weights(
     if M < 100:
         raise ConfigurationError("weight sample count must be >= 100")
     counts = np.zeros(codebook.n, dtype=np.int64)
-    for index, _, b in _chunks(M):
-        batch = sample_batch(measure, seed.child(index), b)
+    for _, batch in _blocks(measure, seed.child(0), M):
         _, idx = min_dist_batch(batch, codebook)
         counts += np.bincount(idx, minlength=codebook.n)
     w = counts / float(M)
@@ -399,25 +399,18 @@ def _block_sums(flat: np.ndarray):
     return flat[::_BLOCK].copy(), s1, s2
 
 
-def _pool_power_sum(flat, sums, splits, centers, r):
-    """Sum of |x - c|^r over a sorted pool, x in the cell of center c.
+def _pieces(flat, splits, cuts=()):
+    """Pieces of the cells of a sorted pool that each lie in one block.
 
     Cell i is flat[splits[i]:splits[i+1]].  Cutting the cells at block
-    edges (and, for r=1, at the centers) leaves pieces that lie in one
-    block and one cell, on one side of its center; each piece's sum comes
-    from its block's prefix sums with d = c - pivot.
+    edges (and at any extra ``cuts``) leaves pieces flat[a:b] that lie in
+    one block and one cell.  Returns (a, b, cell, piece), where piece(s)
+    is each piece's sum taken from the in-block prefix sums s.
     """
-    pivots, s1, s2 = sums
-    cuts = [splits, np.arange(0, flat.size, _BLOCK)]
-    if r == 1:
-        at = np.searchsorted(flat, centers)
-        cuts.append(at)
-    edges = np.sort(np.concatenate(cuts))
+    edges = np.sort(np.concatenate([splits, np.arange(0, flat.size, _BLOCK), *cuts]))
     keep = edges[1:] > edges[:-1]
     a, b = edges[:-1][keep], edges[1:][keep]
     cell = np.searchsorted(splits, a, side="right") - 1
-    d = centers[cell] - pivots[a // _BLOCK]
-    count = b - a
     inner = np.flatnonzero(a % _BLOCK)  # pieces that start inside a block
 
     def piece(s):
@@ -425,6 +418,21 @@ def _pool_power_sum(flat, sums, splits, centers, r):
         out[inner] -= s[a[inner] - 1]
         return out
 
+    return a, b, cell, piece
+
+
+def _pool_power_sum(flat, sums, splits, centers, r):
+    """Sum of |x - c|^r over a sorted pool, x in the cell of center c.
+
+    For r=1 the cells are also cut at their centers, so each piece lies
+    on one side of its center; each piece's sum comes from its block's
+    prefix sums with d = c - pivot.
+    """
+    pivots, s1, s2 = sums
+    at = np.searchsorted(flat, centers) if r == 1 else None
+    a, b, cell, piece = _pieces(flat, splits, [at] if r == 1 else [])
+    d = centers[cell] - pivots[a // _BLOCK]
+    count = b - a
     if r == 2:  # sum (y - d)^2 = S2 - d (2 S1 - count d)
         total = piece(s2) - d * (2.0 * piece(s1) - count * d)
     else:
@@ -436,7 +444,22 @@ def _pool_power_sum(flat, sums, splits, centers, r):
     return float(np.sum(np.maximum(total, 0.0)))
 
 
-def _lloyd_run_1d(flat, prefix, sums, init, opts, r):
+def _cell_means(flat, sums, splits, filled):
+    """Means of the filled cells of a sorted pool.
+
+    Each mean is the cell's first sample p plus the mean of x - p.  A
+    piece's sum of x - p is its in-block sum of y = x - pivot plus
+    count (pivot - p), so no partial sum grows with |x|.
+    """
+    pivots, s1, _ = sums
+    a, b, cell, piece = _pieces(flat, splits)
+    first = flat[np.minimum(splits[:-1], flat.size - 1)]
+    offsets = piece(s1) + (b - a) * (pivots[a // _BLOCK] - first[cell])
+    sizes = np.diff(splits)[filled]
+    return first[filled] + np.bincount(cell, offsets, splits.size - 1)[filled] / sizes
+
+
+def _lloyd_run_1d(flat, sums, init, opts, r):
     # Vector d=1 fast path: the cells of a sorted codebook are index ranges
     # of the sorted pool, so an iteration costs O(n log M + M / _BLOCK).
     M = flat.size
@@ -459,10 +482,10 @@ def _lloyd_run_1d(flat, prefix, sums, init, opts, r):
         prev, prev_centers = cur, centers
         counts = np.diff(splits)
         filled = counts > 0
-        lo, hi, size = splits[:-1][filled], splits[1:][filled], counts[filled]
+        lo, size = splits[:-1][filled], counts[filled]
         new = np.empty_like(centers)
         if r == 2:
-            new[filled] = (prefix[hi] - prefix[lo]) / size
+            new[filled] = _cell_means(flat, sums, splits, filled)
         else:
             mid = lo + (size - 1) // 2
             upper = flat[np.minimum(mid + 1, M - 1)]
@@ -530,11 +553,8 @@ def lloyd(
     if grid is None and pool.shape[1] == 1:
         flat = pool.reshape(-1)
         flat.sort()  # in place: the unsorted pool is not needed again
-        prefix = np.empty(pool_size + 1)
-        prefix[0] = 0.0
-        np.cumsum(flat, out=prefix[1:])
         sums = _block_sums(flat)
-        runs = [_lloyd_run_1d(flat, prefix, sums, x[:, 0], opts, r) for x in inits]
+        runs = [_lloyd_run_1d(flat, sums, x[:, 0], opts, r) for x in inits]
     else:
         runs = [
             _lloyd_run_general(pool, codebook, x.reshape(n, -1), opts, r) for x in inits

@@ -155,75 +155,6 @@ def load_codebook(path: str) -> Codebook:
 
 
 # ---------------------------------------------------------------------------
-# Path and subspace CSV
-
-
-def save_path(path_obj, file_path: str):
-    """One CSV row per grid point: t, v_1, ..., v_m."""
-    lines = []
-    for i in range(path_obj.grid.size):
-        lines.append(_format_row([path_obj.grid.points[i], *path_obj.values[i]]))
-    atomic_write(file_path, "\n".join(lines) + "\n")
-
-
-def load_path(file_path: str):
-    from .paths import Grid, Path
-
-    rows = []
-    with open(file_path) as handle:
-        for number, line in enumerate(handle, start=1):
-            if not line.strip():
-                continue
-            try:
-                rows.append([float(tok) for tok in line.split(",")])
-            except ValueError:
-                raise ConfigurationError(
-                    f"{file_path}: line {number}: could not parse numbers"
-                ) from None
-    data = np.array(rows)
-    if data.ndim != 2 or data.shape[1] < 2:
-        raise ConfigurationError(f"{file_path}: expected rows t,v_1..v_m")
-    return Path(Grid(data[:, 0]), data[:, 1:])
-
-
-def save_subspace(sub, file_path: str):
-    """Header (kind, dim, grid size), then the basis matrix row by row."""
-    if not _is_uniform(sub.grid):
-        raise ConfigurationError("subspace files support uniform grids only")
-    lines = [f"kind={sub.kind}, dim={sub.dim}, grid={sub.grid.size}"]
-    for row in sub.basis:
-        lines.append(_format_row(row))
-    atomic_write(file_path, "\n".join(lines) + "\n")
-
-
-def load_subspace(file_path: str):
-    from .paths import Grid, Subspace
-
-    with open(file_path) as handle:
-        lines = [line.rstrip("\n") for line in handle if line.strip()]
-    if not lines:
-        raise ConfigurationError(f"{file_path}: empty subspace file (line 1)")
-    meta = {}
-    for part in lines[0].split(","):
-        key, _, value = part.strip().partition("=")
-        meta[key] = value
-    try:
-        kind = meta["kind"]
-        dim = int(meta["dim"])
-        grid = Grid.uniform(int(meta["grid"]))
-    except (KeyError, ValueError):
-        raise ConfigurationError(
-            f"{file_path}: line 1: expected kind=..., dim=..., grid=..."
-        ) from None
-    if len(lines) - 1 != dim:
-        raise ConfigurationError(f"{file_path}: expected {dim} basis rows")
-    basis = np.array([[float(tok) for tok in line.split(",")] for line in lines[1:]])
-    if basis.shape[1] != grid.size:
-        raise ConfigurationError(f"{file_path}: basis rows must have {grid.size} values")
-    return Subspace(grid, basis, kind)
-
-
-# ---------------------------------------------------------------------------
 # Result records
 
 
@@ -236,11 +167,6 @@ def write_result_json(path: str, payload: dict):
     record = dict(payload)
     record["written_at"] = timestamp()
     atomic_write(path, json.dumps(record, indent=2, sort_keys=True) + "\n")
-
-
-def read_result_json(path: str) -> dict:
-    with open(path) as handle:
-        return json.load(handle)
 
 
 def write_rate_report_csv(path: str, report, config_echo: dict):

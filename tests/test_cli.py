@@ -296,6 +296,28 @@ class TestCliRatesAndWidths:
         assert len(lines) == 5
 
 
+class TestCliBadInput:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("widths", "--measure", "brownian_kl:100", "--dims", "1,x"),
+            ("quad", "--algo", "mc", "--measure", "uniform_cube:1", "--n", "10",
+             "--functional", "coord_at(x)"),
+            ("quad", "--algo", "mc", "--measure", "uniform_cube:1", "--n", "10",
+             "--functional", "coord_at(3)"),
+            ("quad", "--algo", "mc", "--measure", "uniform_cube:2", "--n", "10",
+             "--functional", "coord_at(0.5)"),
+            ("adversary", "--check", "events", "--segments", "0"),
+        ],
+        ids=["dims", "functional-arg", "vector-index", "fractional-index", "segments"],
+    )
+    def test_exits_1_with_a_configuration_error(self, tmp_path, capsys, argv):
+        out = tmp_path / "out"
+        assert run(*argv, "--out", str(out)) == 1
+        assert "quantquad: configuration error: " in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestCliInfo:
     def test_version_exit_zero(self, capsys):
         assert run("info", "--version") == 0
@@ -303,37 +325,3 @@ class TestCliInfo:
 
     def test_bare_version_flag(self, capsys):
         assert run("--version") == 0
-
-
-class TestPathAndSubspaceFiles:
-    def test_path_roundtrip(self, tmp_path):
-        from quantquad.paths import Path
-        from quantquad.storage import load_path, save_path
-
-        grid = Grid.uniform(17)
-        p = Path(grid, np.sin(3.0 * grid.points))
-        file_path = str(tmp_path / "p.csv")
-        save_path(p, file_path)
-        back = load_path(file_path)
-        assert back.grid.same(p.grid)
-        assert np.array_equal(back.values, p.values)
-
-    def test_subspace_roundtrip(self, tmp_path):
-        from quantquad.paths import make_kl_subspace
-        from quantquad.storage import load_subspace, save_subspace
-
-        sub = make_kl_subspace(3, Grid.uniform(33))
-        file_path = str(tmp_path / "s.csv")
-        save_subspace(sub, file_path)
-        back = load_subspace(file_path)
-        assert back.kind == "karhunen-loeve"
-        assert back.dim == 3
-        assert np.array_equal(back.basis, sub.basis)
-
-    def test_subspace_bad_header(self, tmp_path):
-        bad = tmp_path / "bad.csv"
-        bad.write_text("dim=3, grid=33\n")
-        from quantquad.storage import load_subspace
-
-        with pytest.raises(ConfigurationError, match="line 1"):
-            load_subspace(str(bad))

@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from quantquad import measures
 from quantquad.errors import ConfigurationError, NumericError
 from quantquad.measures import (
+    AffineCoeff,
     BrownianKL,
     ConstantCoeff,
     Diffusion,
@@ -210,17 +212,16 @@ class TestReferenceValue:
         est = reference_value(f, StdNormal(1), M, SeedSpec(24))
         assert est.stderr == pytest.approx(1e-3 / math.sqrt(M), rel=0.01)
 
-    def test_stderr_matches_one_shot_across_chunks(self):
-        # 65536 + 37 draws span two internal chunks (streams child(0), child(1))
+    def test_stderr_matches_one_shot_across_chunks(self, monkeypatch):
+        # Blocks of 65536 draws: 65536 + 37 draws of the one stream child(0)
+        # span two blocks, whose moments are merged.
         from quantquad.paths import vector_coord_functional
 
+        monkeypatch.setattr(measures, "_BLOCK_BYTES", 8 * 65536)
         seed = SeedSpec(25)
         M = 65536 + 37
         est = reference_value(vector_coord_functional(0), UniformCube(1), M, seed)
-        values = np.concatenate([
-            sample_batch(UniformCube(1), seed.child(0), 65536)[:, 0],
-            sample_batch(UniformCube(1), seed.child(1), 37)[:, 0],
-        ])
+        values = sample_batch(UniformCube(1), seed.child(0), M)[:, 0]
         assert est.value == pytest.approx(values.mean(), rel=1e-14)
         assert est.stderr == pytest.approx(
             values.std(ddof=1) / math.sqrt(M), rel=1e-12, abs=0.0
@@ -250,3 +251,109 @@ class TestSeedSpec:
 
     def test_tag_roundtrip(self):
         assert SeedSpec(5, 2).child(3).tag() == "5:2:3"
+
+
+def _affine_2d(k):
+    drift, vol = AffineCoeff(0.1, -0.3), AffineCoeff(0.2, 0.1)
+    spec = DiffusionSpec(drift.drift, vol.diffusion, (1.0, 0.5), 2)
+    return Diffusion(spec, k, Grid.uniform(33))
+
+
+class TestBlocks:
+    # Streamed estimates take draws 0 .. M of one stream in row blocks of
+    # at most _BLOCK_BYTES; the block size moves no draw.
+
+    @pytest.mark.parametrize(
+        "measure, exact",
+        [
+            (UniformCube(3), True),
+            (StdNormal(2), True),
+            (_affine_2d(9), True),
+            (BrownianKL(20, Grid.uniform(33)), False),
+        ],
+        ids=["uniform", "normal", "diffusion", "kl"],
+    )
+    def test_one_row_blocks_are_the_one_shot_batch(self, measure, exact, monkeypatch):
+        seed = SeedSpec(40)
+        monkeypatch.setattr(measures, "_BLOCK_BYTES", 8)
+        blocks = list(measures._blocks(measure, seed, 50))
+        assert [start for start, _ in blocks] == list(range(50))
+        joined = np.concatenate([batch for _, batch in blocks])
+        whole = sample_batch(measure, seed, 50)
+        if exact:
+            np.testing.assert_array_equal(joined, whole)
+        else:
+            np.testing.assert_allclose(joined, whole, rtol=0, atol=1e-14)
+
+    def test_every_site_ignores_the_block_size(self, monkeypatch):
+        from quantquad.adversary import event_probability, gap_identity_check
+        from quantquad.experiments import (
+            RateExperimentConfig,
+            _resolve_reference,
+            width_estimate,
+        )
+        from quantquad.paths import make_kl_subspace, sup_norm_functional
+        from quantquad.quadrature import classical_mc_replicated
+        from quantquad.quantize import (
+            distortion,
+            uniform_midpoint_codebook,
+            voronoi_weights,
+        )
+
+        grid = Grid.uniform(17)
+        kl = BrownianKL(8, grid)
+        sup = sup_norm_functional()
+        cube = UniformCube(2)
+        seed = SeedSpec(41)
+        euler = RateExperimentConfig(
+            name="e", algorithm="euler", ladder=(100,), functional=sup,
+            diffusion=gbm_spec(0.1, 0.2), reference=("euler", 9, 200),
+            seed=seed, grid=grid,
+        )
+
+        def sites():
+            cb = uniform_midpoint_codebook(2, 2)
+            ref = reference_value(sup, _affine_2d(9), 200, seed)
+            dist = distortion(cb, cube, 2.0, 300, seed)
+            gap = gap_identity_check(cb, cube, 300, seed)
+            width = width_estimate(kl, make_kl_subspace(2, grid), 2.0, 1000, seed)
+            return np.concatenate([
+                [ref.value, ref.stderr, dist.value, dist.stderr],
+                voronoi_weights(cb, cube, 300, seed),
+                [gap.difference, gap.combined_stderr, gap.mean_f_last],
+                [event_probability(2, 1.0, 10_000, seed, 8, grid).estimate],
+                [width.error, width.stderr],
+                classical_mc_replicated(kl, sup, 16, 5, seed),
+                _resolve_reference(euler),
+            ])
+
+        default = sites()
+        monkeypatch.setattr(measures, "_BLOCK_BYTES", 8)
+        np.testing.assert_allclose(sites(), default, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize(
+        "measure",
+        [
+            BrownianKL(200, Grid.uniform(1025)),
+            Diffusion(gbm_spec(0.1, 0.2), 2049, Grid.uniform()),
+        ],
+        ids=["kl", "diffusion"],
+    )
+    def test_blocks_fit_the_byte_bound(self, measure, monkeypatch):
+        # A small bound keeps the 2048-step recursion quick; k > G on the
+        # diffusion and G > k on the expansion.
+        monkeypatch.setattr(measures, "_BLOCK_BYTES", 2**20)
+        states = []
+
+        def recorded(spec, k, rng, n, grid):
+            states.append(8 * n * k * spec.m)
+            return euler_values(spec, k, rng, n, grid)
+
+        monkeypatch.setattr(measures, "euler_values", recorded)
+        rows = measures._block_rows(measure.grid.size)
+        sizes = [
+            batch.nbytes
+            for _, batch in measures._blocks(measure, SeedSpec(42), 2 * rows + 3)
+        ]
+        assert len(sizes) >= 3
+        assert max(sizes + states) <= measures._BLOCK_BYTES

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from conftest import dense_integral
 
-from quantquad import quadrature
+from quantquad import measures
 from quantquad.errors import ConfigurationError
 from quantquad.measures import (
     BrownianKL,
@@ -354,12 +354,10 @@ class TestReplicationRule:
         with pytest.raises(ConfigurationError):
             vr_mc_replicated(exact_two_point(), UniformCube(1), f, 1, 10, SeedSpec(0))
 
-    @pytest.mark.parametrize("block, recursions", [(1, 10), (11 * 16 * 3, 4)])
-    def test_euler_blocks_keep_every_replication(
-        self, block, recursions, grid, monkeypatch
-    ):
-        # Blocks of one, resp. three, replications give the same estimates
-        # as one recursion over all draws.
+    @pytest.mark.parametrize("rows", [1, 37])
+    def test_euler_blocks_keep_every_replication(self, rows, grid, monkeypatch):
+        # Blocks of one, resp. 37, paths give the same estimates as one
+        # recursion over all draws.
         measure, f, cb = _measure_functional_codebook("diffusion", grid)
         seed = SeedSpec(34)
         whole = classical_mc_replicated(measure, f, 16, 10, seed)
@@ -370,13 +368,14 @@ class TestReplicationRule:
             calls.append(args[3])
             return euler_values(*args)
 
-        monkeypatch.setattr(quadrature, "_EULER_BLOCK", block)
-        monkeypatch.setattr(quadrature, "euler_values", counted)
+        # A draw's largest array is its path on the grid (G > k = 11).
+        monkeypatch.setattr(measures, "_BLOCK_BYTES", rows * 8 * grid.size)
+        monkeypatch.setattr(measures, "euler_values", counted)
         np.testing.assert_array_equal(
             classical_mc_replicated(measure, f, 16, 10, seed), whole
         )
         np.testing.assert_array_equal(
             vr_mc_replicated(cb, measure, f, 16, 10, seed), whole_vr
         )
-        assert len(calls) == 2 * recursions
+        assert max(calls) == rows
         assert sum(calls) == 2 * 16 * 10

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from conftest import brute_nearest, dense_integral, normal_expectation
 
-from quantquad import quantize
+from quantquad import measures, quantize
 from quantquad.errors import ConfigurationError, NumericError
 from quantquad.measures import BrownianKL, SeedSpec, StdNormal, UniformCube, sample_batch
 from quantquad.paths import NormKind, Path, kl_basis_on_grid, kl_eigenvalues
@@ -91,6 +91,28 @@ class TestNearest:
                     for j in range(5)
                 )
                 assert d[row] == pytest.approx(direct, rel=1e-12)
+
+
+    @pytest.mark.parametrize("kind", [NormKind.SUP, NormKind.L1, NormKind.L2])
+    def test_direct_path_ignores_the_block_size(self, kind, monkeypatch):
+        # Values on a 0.5 lattice tie often; per-pair distances and
+        # lowest-index ties must not depend on how the pairs are chunked.
+        from quantquad.adversary import _all_point_distances
+        from quantquad.paths import Grid
+
+        rng = np.random.default_rng(6)
+        grid = Grid.uniform(5)
+        cb = Codebook(np.arange(12.0)[:, None, None] * 0.5 + np.zeros((1, 5, 1)),
+                      2.0, kind, "lattice", grid=grid)
+        values = np.round(2.0 * rng.standard_normal((300, 5, 1))) / 2.0 + 2.75
+        nearest_whole = min_dist_batch(values, cb)
+        all_whole = _all_point_distances(values, cb)
+        monkeypatch.setattr(measures, "_BLOCK_BYTES", 8)
+        for got, want in zip(min_dist_batch(values, cb), nearest_whole):
+            np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(_all_point_distances(values, cb), all_whole)
+        d = np.abs(values[:, :, 0, None] - cb.points[None, :, 0, 0]).max(axis=1)
+        assert np.any(np.sum(d == d.min(axis=1, keepdims=True), axis=1) > 1)
 
 
 class TestDistortion:
@@ -240,9 +262,8 @@ def _run_both(pool_sorted, init, r, iters=50):
     # The d=1 fast path and the general path on one hand-built sorted pool.
     opts = LloydOptions(iters=iters, restarts=1)
     flat = np.asarray(pool_sorted, dtype=float)
-    prefix = np.concatenate(([0.0], np.cumsum(flat)))
     fast = quantize._lloyd_run_1d(
-        flat, prefix, quantize._block_sums(flat), np.asarray(init, dtype=float), opts, r
+        flat, quantize._block_sums(flat), np.asarray(init, dtype=float), opts, r
     )
     codebook = functools.partial(
         Codebook, order_r=float(r), norm=NormKind.EUCLIDEAN, measure_tag="hand"
@@ -309,6 +330,17 @@ class TestLloydFastPath:
         d = np.minimum(np.abs(x - c[above - 1]), np.abs(x - c[above]))
         direct = math.fsum(d**r) / pool_size
         assert abs(cb.fit_history[-1] - direct) <= 1e-12 * direct
+
+
+    @pytest.mark.parametrize("size", [1000, 10**5])
+    def test_centroid_of_a_distant_pool(self, size):
+        # One r=2 update on a pool far from 0, against exact cell means.
+        flat = np.sort(1e6 + 1e3 * np.random.default_rng(5).random(size))
+        init = np.quantile(flat, [0.1, 0.5, 0.9])
+        pts = _run_both(flat, init, 2, iters=1)[0][0][:, 0]
+        cuts = np.searchsorted(flat, (init[1:] + init[:-1]) / 2.0, side="right")
+        exact = [math.fsum(cell) / cell.size for cell in np.split(flat, cuts)]
+        assert np.all(np.abs(pts - exact) <= 4 * np.spacing(exact))
 
 
 class TestLloydMeta:
