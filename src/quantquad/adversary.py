@@ -34,7 +34,6 @@ from .measures import (
     _blocks,
     _Moments,
     is_path_measure,
-    sample_batch,
 )
 from .paths import (
     Functional,
@@ -379,19 +378,20 @@ def lipschitz_check(
     pathlike = is_path_measure(measure)
     if norm_kind is None:
         norm_kind = NormKind.SUP if pathlike else NormKind.EUCLIDEAN
-    xs = sample_batch(measure, seed.child(0), pairs)
-    ys = sample_batch(measure, seed.child(1), pairs)
-    bumps = bump_scale * seed.child(2).rng().standard_normal(xs.shape)
+    bump_rng = seed.child(2).rng()
     max_ratio = 0.0
-    for a, b in ((xs, ys), (xs, xs + bumps)):
-        fa, fb = f(a), f(b)
-        if pathlike:
-            grid = measure.grid
-            dist = batch_path_norm(a - b, norm_kind, grid)
-        else:
-            dist = batch_vector_norm(a - b, norm_kind)
-        ok = dist > 0
-        if np.any(ok):
-            ratios = np.abs(fa[ok] - fb[ok]) / dist[ok]
-            max_ratio = max(max_ratio, float(ratios.max()))
+    for (_, xs), (_, ys) in zip(
+        _blocks(measure, seed.child(0), pairs), _blocks(measure, seed.child(1), pairs)
+    ):
+        bumps = bump_scale * bump_rng.standard_normal(xs.shape)
+        for a, b in ((xs, ys), (xs, xs + bumps)):
+            fa, fb = f(a), f(b)
+            if pathlike:
+                dist = batch_path_norm(a - b, norm_kind, measure.grid)
+            else:
+                dist = batch_vector_norm(a - b, norm_kind)
+            ok = dist > 0
+            if np.any(ok):
+                ratios = np.abs(fa[ok] - fb[ok]) / dist[ok]
+                max_ratio = max(max_ratio, float(ratios.max()))
     return LipschitzReport(max_ratio, f.lip_claim, pairs)

@@ -286,13 +286,21 @@ class TestBlocks:
             np.testing.assert_allclose(joined, whole, rtol=0, atol=1e-14)
 
     def test_every_site_ignores_the_block_size(self, monkeypatch):
-        from quantquad.adversary import event_probability, gap_identity_check
+        from quantquad.adversary import (
+            event_probability,
+            gap_identity_check,
+            lipschitz_check,
+        )
         from quantquad.experiments import (
             RateExperimentConfig,
             _resolve_reference,
             width_estimate,
         )
-        from quantquad.paths import make_kl_subspace, sup_norm_functional
+        from quantquad.paths import (
+            l1_integral_functional,
+            make_kl_subspace,
+            sup_norm_functional,
+        )
         from quantquad.quadrature import classical_mc_replicated
         from quantquad.quantize import (
             distortion,
@@ -324,6 +332,7 @@ class TestBlocks:
                 [event_probability(2, 1.0, 10_000, seed, 8, grid).estimate],
                 [width.error, width.stderr],
                 classical_mc_replicated(kl, sup, 16, 5, seed),
+                [lipschitz_check(l1_integral_functional(grid), kl, 200, seed).max_ratio],
                 _resolve_reference(euler),
             ])
 
