@@ -26,13 +26,9 @@ from .paths import (
     Functional,
     Grid,
     NormKind,
-    Path,
     Subspace,
-    distance,
     make_kl_subspace,
     make_pl_subspace,
-    norm,
-    project,
 )
 from .quantize import (
     Codebook,
@@ -40,7 +36,6 @@ from .quantize import (
     LloydOptions,
     distortion,
     lloyd,
-    nearest,
     product_quantizer_bm,
     scalar_gaussian_quantizer,
     uniform_midpoint_codebook,

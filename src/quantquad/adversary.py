@@ -33,17 +33,9 @@ from .measures import (
     _block_rows,
     _blocks,
     _Moments,
-    is_path_measure,
+    measure_grid,
 )
-from .paths import (
-    Functional,
-    Grid,
-    NormKind,
-    Subspace,
-    batch_path_norm,
-    batch_project,
-    batch_vector_norm,
-)
+from .paths import Functional, Grid, NormKind, Subspace, batch_norm, batch_project
 from .quantize import Codebook, min_dist_batch
 
 # Residuals below this are snapped to exactly 0, so that membership in the
@@ -68,21 +60,17 @@ class FoolingFamily:
 def _all_point_distances(batch: np.ndarray, codebook: Codebook) -> np.ndarray:
     # (B, n) distances to every codebook point, in runs of samples whose
     # (samples, n, flat) difference array fills one block.
-    from .quantize import _block_dist  # shared low-level kernel
-
     b = batch.shape[0]
     n = codebook.n
     out = np.empty((b, n))
     step = _block_rows(n * int(np.prod(batch.shape[1:])))
     for b0 in range(0, b, step):
-        xb = batch[b0 : b0 + step]
-        out[b0 : b0 + step] = _block_dist(
-            xb, codebook.points, codebook.norm, codebook.grid
-        )
+        diff = batch[b0 : b0 + step, None] - codebook.points[None]
+        out[b0 : b0 + step] = batch_norm(diff, codebook.norm, codebook.grid)
     return out
 
 
-def fooling_family(codebook: Codebook, norm: Optional[NormKind] = None) -> FoolingFamily:
+def fooling_family(codebook: Codebook) -> FoolingFamily:
     """One fooling functional per codebook point; disjoint supports.
 
     f_i is positive exactly on the interior of the i-th Voronoi cell and
@@ -90,15 +78,6 @@ def fooling_family(codebook: Codebook, norm: Optional[NormKind] = None) -> Fooli
     """
     if codebook.n < 2:
         raise ConfigurationError("fooling_family needs at least 2 points")
-    if norm is not None and norm is not codebook.norm:
-        codebook = Codebook(
-            codebook.points,
-            codebook.order_r,
-            norm,
-            codebook.measure_tag,
-            grid=codebook.grid,
-            oracle_dim=codebook.oracle_dim,
-        )
 
     def member(i: int) -> Functional:
         def fn(batch):
@@ -333,11 +312,10 @@ def subspace_blind_functional(sub: Subspace) -> Functional:
     dominated by the sup norm on [0,1].  Any algorithm that only sees
     sample values inside the subspace returns exactly 0 for it.
     """
-    w = sub.grid.weights
 
     def fn(batch):
         _, resid = batch_project(batch[:, :, 0], sub)
-        norms = np.sqrt(np.einsum("bg,g,bg->b", resid, w, resid))
+        norms = batch_norm(resid[:, :, None], NormKind.L2, sub.grid)
         norms[norms < _BLIND_SNAP_TOL] = 0.0
         return norms
 
@@ -367,17 +345,18 @@ def lipschitz_check(
     norm_kind: Optional[NormKind] = None,
     bump_scale: float = 1e-3,
 ) -> LipschitzReport:
-    """Largest observed |f(x)-f(y)| / distance(x, y) over sampled pairs.
+    """Largest observed |f(x)-f(y)| / ||x - y|| over sampled pairs.
 
-    Pairs are independent draws plus locally perturbed copies (small
-    random bumps), which probe local Lipschitz violations.  Coincident
-    pairs are skipped.
+    The norm is ``norm_kind``: by default sup on paths and euclidean on
+    vectors.  Pairs are independent draws plus locally perturbed copies
+    (small random bumps), which probe local Lipschitz violations.
+    Coincident pairs are skipped.
     """
     if pairs < 100:
         raise ConfigurationError("lipschitz_check needs at least 100 pairs")
-    pathlike = is_path_measure(measure)
+    grid = measure_grid(measure)
     if norm_kind is None:
-        norm_kind = NormKind.SUP if pathlike else NormKind.EUCLIDEAN
+        norm_kind = NormKind.EUCLIDEAN if grid is None else NormKind.SUP
     bump_rng = seed.child(2).rng()
     max_ratio = 0.0
     for (_, xs), (_, ys) in zip(
@@ -386,10 +365,7 @@ def lipschitz_check(
         bumps = bump_scale * bump_rng.standard_normal(xs.shape)
         for a, b in ((xs, ys), (xs, xs + bumps)):
             fa, fb = f(a), f(b)
-            if pathlike:
-                dist = batch_path_norm(a - b, norm_kind, measure.grid)
-            else:
-                dist = batch_vector_norm(a - b, norm_kind)
+            dist = batch_norm(a - b, norm_kind, grid)
             ok = dist > 0
             if np.any(ok):
                 ratios = np.abs(fa[ok] - fb[ok]) / dist[ok]

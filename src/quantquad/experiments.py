@@ -33,7 +33,7 @@ from .paths import (
     Grid,
     NormKind,
     Subspace,
-    batch_path_norm,
+    batch_norm,
     batch_project,
     make_kl_subspace,
 )
@@ -147,7 +147,7 @@ def width_estimate(
     moments = _Moments()
     for _, batch in _blocks(measure, seed.child(0), M):
         _, resid = batch_project(batch[:, :, 0], sub)
-        norms = batch_path_norm(resid[:, :, None], norm_kind, sub.grid)
+        norms = batch_norm(resid[:, :, None], norm_kind, sub.grid)
         moments.add(norms**p)
     value, stderr = moments.root(p)
     return RatePoint(size=float(sub.dim), error=value, stderr=stderr)

@@ -2,7 +2,8 @@
 
 A path is a continuous function on [0,1] stored through its values on a
 fixed grid; integral norms use trapezoid weights, which are exact for
-piecewise-linear integrands.  Subspaces keep bases that are orthonormal
+piecewise-linear integrands.  Everything works on batches: (B, G, m) path
+values and (B, d) vectors.  Subspaces keep bases that are orthonormal
 with respect to the grid inner product, so projecting is two matrix
 products and the L2 residual of the projection is the exact L2 distance
 to the subspace.
@@ -79,11 +80,6 @@ class Grid:
     def weights(self) -> np.ndarray:
         return self._weights
 
-    def same(self, other: "Grid") -> bool:
-        return self is other or (
-            self.size == other.size and np.array_equal(self.points, other.points)
-        )
-
     def index_of(self, t: float) -> int:
         """Index of a grid point matching t exactly (within 1e-12)."""
         i = int(np.argmin(np.abs(self.points - t)))
@@ -92,107 +88,44 @@ class Grid:
         return i
 
 
-@dataclass
-class Path:
-    """Grid plus a (G, m) value matrix; scalar paths may pass (G,) values."""
-
-    grid: Grid
-    values: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        if v.ndim == 1:
-            v = v[:, None]
-        if v.ndim != 2 or v.shape[0] != self.grid.size:
-            raise ConfigurationError(
-                f"path values must be (G, m) with G={self.grid.size}, "
-                f"got shape {np.shape(self.values)}"
-            )
-        if not np.all(np.isfinite(v)):
-            raise ConfigurationError("path values must be finite")
-        self.values = v
-
-    @property
-    def dim(self) -> int:
-        return self.values.shape[1]
-
-    def at(self, t: float) -> np.ndarray:
-        """Piecewise-linear value at time t (exact at grid points)."""
-        out = np.empty(self.dim)
-        for j in range(self.dim):
-            out[j] = np.interp(t, self.grid.points, self.values[:, j])
-        return out
-
-
 # ---------------------------------------------------------------------------
-# Norms and distances
+# Norms
 
 
 def _pointwise_magnitude(values: np.ndarray) -> np.ndarray:
-    # (B, G, m) -> (B, G) Euclidean magnitude across the path dimension.
+    # (..., G, m) -> (..., G) Euclidean magnitude across the path dimension.
     if values.shape[-1] == 1:
         return np.abs(values[..., 0])
     return np.sqrt(np.einsum("...i,...i->...", values, values))
 
 
-def batch_path_norm(values: np.ndarray, kind: NormKind, grid: Grid) -> np.ndarray:
-    """Norms of a (B, G, m) batch of path values; returns (B,)."""
-    if kind is NormKind.EUCLIDEAN:
+def check_norm_space(kind: NormKind, grid: Optional[Grid]) -> None:
+    """Raise unless the norm fits the space: euclidean on vectors, paths otherwise."""
+    if grid is None and kind is not NormKind.EUCLIDEAN:
+        raise ConfigurationError(f"{kind.value} norm applies to paths, not vectors")
+    if grid is not None and kind is NormKind.EUCLIDEAN:
         raise ConfigurationError("euclidean norm applies to vectors, not paths")
+
+
+def batch_norm(
+    values: np.ndarray, kind: NormKind, grid: Optional[Grid] = None
+) -> np.ndarray:
+    """Norms of vectors (..., d) with no grid, or of paths (..., G, m) on a grid.
+
+    Returns an array of the leading shape.  Each norm is summed within its
+    own sample, so it does not depend on how many samples share the call.
+    """
+    check_norm_space(kind, grid)
+    if grid is None:
+        return np.sqrt(np.einsum("...d,...d->...", values, values))
+    mag = _pointwise_magnitude(values)
     if kind is NormKind.SUP:
-        return _pointwise_magnitude(values).max(axis=-1)
+        return mag.max(axis=-1)
     w = grid.weights
     if kind is NormKind.L1:
-        return _pointwise_magnitude(values) @ w
+        return np.einsum("...g,g->...", mag, w)
     # L2: trapezoid rule on the squared magnitude.
-    sq = np.einsum("bgm,bgm->bg", values, values)
-    return np.sqrt(sq @ w)
-
-
-def batch_vector_norm(values: np.ndarray, kind: NormKind) -> np.ndarray:
-    """Norms of a (B, d) batch of vectors; returns (B,)."""
-    if kind is not NormKind.EUCLIDEAN:
-        raise ConfigurationError(
-            f"{kind.value} norm applies to paths, not vectors"
-        )
-    return np.sqrt(np.einsum("bd,bd->b", values, values))
-
-
-def _as_batch(x) -> tuple[np.ndarray, Optional[Grid]]:
-    if isinstance(x, Path):
-        return x.values[None, :, :], x.grid
-    arr = np.asarray(x, dtype=float)
-    if arr.ndim != 1:
-        raise ConfigurationError(
-            "expected a Path or a 1-d vector, got shape " f"{arr.shape}"
-        )
-    return arr[None, :], None
-
-
-def norm(x, kind: NormKind) -> float:
-    """Norm of a Path (sup/L1/L2) or a finite-dimensional vector (euclidean)."""
-    batch, grid = _as_batch(x)
-    if grid is None:
-        return float(batch_vector_norm(batch, kind)[0])
-    return float(batch_path_norm(batch, kind, grid)[0])
-
-
-def distance(x, y, kind: NormKind) -> float:
-    """norm(x - y, kind); both arguments must live on the same grid."""
-    bx, gx = _as_batch(x)
-    by, gy = _as_batch(y)
-    if (gx is None) != (gy is None):
-        raise ConfigurationError("cannot mix a path and a vector in a distance")
-    if gx is not None and not gx.same(gy):
-        raise ConfigurationError("paths live on different grids")
-    if bx.shape != by.shape:
-        raise ConfigurationError(
-            f"shape mismatch {bx.shape[1:]} vs {by.shape[1:]}"
-        )
-    diff = bx - by
-    if gx is None:
-        return float(batch_vector_norm(diff, kind)[0])
-    return float(batch_path_norm(diff, kind, gx)[0])
+    return np.sqrt(np.einsum("...g,g,...g->...", mag, w, mag))
 
 
 # ---------------------------------------------------------------------------
@@ -231,10 +164,6 @@ class Subspace:
     @property
     def dim(self) -> int:
         return self.basis.shape[0]
-
-    def gram(self) -> np.ndarray:
-        wb = self.basis * self.grid.weights[None, :]
-        return wb @ self.basis.T
 
 
 def _orthonormalize_rows(raw: np.ndarray, grid: Grid) -> np.ndarray:
@@ -302,31 +231,6 @@ def batch_project(values: np.ndarray, sub: Subspace):
     return proj, values - proj
 
 
-def project(x: Path, sub: Subspace):
-    """L2-orthogonal projection of a scalar path onto the subspace.
-
-    Returns ``(projection, residual_norms)`` where ``residual_norms`` maps
-    each path norm to the norm of ``x - projection``.  The L2 entry is the
-    exact grid-L2 distance from x to the subspace; the sup and L1 entries
-    are norms of the same L2-optimal residual, hence upper bounds on the
-    corresponding distances.
-    """
-    if not isinstance(x, Path):
-        raise ConfigurationError("project expects a Path")
-    if not x.grid.same(sub.grid):
-        raise ConfigurationError("path and subspace live on different grids")
-    if x.dim != 1:
-        raise ConfigurationError("subspace projections support scalar paths")
-    proj, resid = batch_project(x.values[:, 0][None, :], sub)
-    rv = resid[:, :, None]
-    norms = {
-        NormKind.SUP: float(batch_path_norm(rv, NormKind.SUP, sub.grid)[0]),
-        NormKind.L1: float(batch_path_norm(rv, NormKind.L1, sub.grid)[0]),
-        NormKind.L2: float(batch_path_norm(rv, NormKind.L2, sub.grid)[0]),
-    }
-    return Path(sub.grid, proj[0]), norms
-
-
 # ---------------------------------------------------------------------------
 # Functionals
 
@@ -356,12 +260,6 @@ class Functional:
             )
         return out
 
-    def eval_one(self, x) -> float:
-        if isinstance(x, Path):
-            return float(self(x.values[None, :, :])[0])
-        arr = np.asarray(x, dtype=float)
-        return float(self(arr[None, ...])[0])
-
 
 def sup_norm_functional() -> Functional:
     """f(x) = sup_t |x(t)| on grid paths; 1-Lipschitz for the sup norm."""
@@ -377,12 +275,9 @@ def running_max_functional() -> Functional:
 
 def l1_integral_functional(grid: Grid) -> Functional:
     """f(x) = integral of |x(t)| dt by the grid trapezoid rule."""
-    w = grid.weights
-
-    def fn(v):
-        return _pointwise_magnitude(v) @ w
-
-    return Functional(fn, 1.0, None, "l1_integral")
+    return Functional(
+        lambda v: batch_norm(v, NormKind.L1, grid), 1.0, None, "l1_integral"
+    )
 
 
 def path_coord_functional(t: float, grid: Grid, absolute: bool = False) -> Functional:

@@ -25,13 +25,20 @@ from .measures import (
     _block_rows,
     _blocks,
     _Moments,
-    is_path_measure,
     measure_grid,
     measure_tag,
     oracle_dim,
     sample_batch,
 )
-from .paths import Functional, Grid, NormKind, Path, kl_basis_on_grid, kl_eigenvalues
+from .paths import (
+    Functional,
+    Grid,
+    NormKind,
+    batch_norm,
+    check_norm_space,
+    kl_basis_on_grid,
+    kl_eigenvalues,
+)
 
 _DIRECT_LIMIT = 2**24  # switch to the Gram identity above this many diff entries
 _GRAM_SAMPLE_CHUNK = 2048
@@ -42,8 +49,9 @@ _GRAM_CB_CHUNK = 8192
 class Codebook:
     """n quantization points with optional Voronoi weights.
 
-    ``points`` is (n, d) for vector measures or (n, G, m) for path
-    measures (``grid`` set).  ``oracle_dim`` records the dimension of the
+    ``points`` is (n, d) for vector measures, measured by the euclidean
+    norm, or (n, G, m) for path measures (``grid`` set), measured by sup,
+    L1 or L2.  ``oracle_dim`` records the dimension of the
     subspace the points were built in, used for cost accounting.
     """
 
@@ -58,6 +66,7 @@ class Codebook:
     meta: Optional[dict] = None
 
     def __post_init__(self):
+        check_norm_space(self.norm, self.grid)
         pts = np.asarray(self.points, dtype=float)
         if self.grid is None:
             if pts.ndim != 2:
@@ -113,30 +122,6 @@ class DistortionEstimate:
 # Nearest-point machinery
 
 
-def _flat_weights(cb_norm: NormKind, grid: Optional[Grid], m: int) -> Optional[np.ndarray]:
-    if grid is None or cb_norm is not NormKind.L2:
-        return None
-    return np.repeat(grid.weights, m)
-
-
-def _block_dist(xb: np.ndarray, cb: np.ndarray, kind: NormKind, grid: Optional[Grid]):
-    # xb: (b, ...), cb: (nc, ...); returns (b, nc) distances.
-    if grid is None:
-        diff = xb[:, None, :] - cb[None, :, :]
-        return np.sqrt(np.einsum("bnd,bnd->bn", diff, diff))
-    diff = xb[:, None, :, :] - cb[None, :, :, :]
-    if diff.shape[-1] == 1:
-        mag = np.abs(diff[..., 0])
-    else:
-        mag = np.sqrt(np.einsum("bngm,bngm->bng", diff, diff))
-    if kind is NormKind.SUP:
-        return mag.max(axis=-1)
-    w = grid.weights
-    if kind is NormKind.L1:
-        return mag @ w
-    return np.sqrt(np.einsum("bng,g,bng->bn", mag, w, mag))
-
-
 def min_dist_batch(values: np.ndarray, codebook: Codebook):
     """Distance to and index of the nearest codebook point for each sample.
 
@@ -153,8 +138,8 @@ def min_dist_batch(values: np.ndarray, codebook: Codebook):
     best = np.full(b_total, np.inf)
     idx = np.zeros(b_total, dtype=int)
     if use_gram:
-        m = 1 if codebook.grid is None else codebook.points.shape[2]
-        w = _flat_weights(kind, codebook.grid, m)
+        grid = codebook.grid  # set exactly when the norm is L2
+        w = None if grid is None else np.repeat(grid.weights, codebook.points.shape[2])
         x2d = values.reshape(b_total, flat_dim)
         c2d = codebook.flat_points()
         xw = x2d if w is None else x2d * w[None, :]
@@ -181,41 +166,13 @@ def min_dist_batch(values: np.ndarray, codebook: Codebook):
         xb = values[b0:b1]
         for c0 in range(0, n, cb_chunk):
             cbp = codebook.points[c0 : c0 + cb_chunk]
-            d = _block_dist(xb, cbp, kind, codebook.grid)
+            d = batch_norm(xb[:, None] - cbp[None], kind, codebook.grid)
             local = np.argmin(d, axis=1)
             dloc = d[np.arange(b1 - b0), local]
             better = dloc < best[b0:b1]
             best[b0:b1][better] = dloc[better]
             idx[b0:b1][better] = local[better] + c0
     return best, idx
-
-
-def _sample_values(x, codebook: Codebook) -> np.ndarray:
-    if isinstance(x, Path):
-        if codebook.grid is None or not x.grid.same(codebook.grid):
-            raise ConfigurationError("path and codebook grids do not match")
-        return x.values[None, :, :]
-    arr = np.asarray(x, dtype=float)
-    if codebook.grid is not None:
-        if arr.ndim == 1:
-            arr = arr[:, None]
-        if arr.shape != codebook.points.shape[1:]:
-            raise ConfigurationError("sample shape does not match path codebook")
-        return arr[None, :, :]
-    if arr.ndim == 0:
-        arr = arr[None]
-    if arr.shape != codebook.points.shape[1:]:
-        raise ConfigurationError(
-            f"sample shape {arr.shape} does not match codebook points "
-            f"{codebook.points.shape[1:]}"
-        )
-    return arr[None, :]
-
-
-def nearest(codebook: Codebook, x) -> int:
-    """Index of the nearest codebook point; ties break to the lowest index."""
-    _, idx = min_dist_batch(_sample_values(x, codebook), codebook)
-    return int(idx[0])
 
 
 def dist_to_codebook_functional(codebook: Codebook) -> Functional:
@@ -527,16 +484,16 @@ def lloyd(
     if r not in (1, 2):
         raise ConfigurationError("centroid updates support r in {1, 2}")
     opts = opts or LloydOptions()
+    grid = measure_grid(measure)
     if norm is None:
-        norm = NormKind.L2 if is_path_measure(measure) else NormKind.EUCLIDEAN
+        norm = NormKind.EUCLIDEAN if grid is None else NormKind.L2
+    check_norm_space(norm, grid)
     pool_size = opts.pool_size
     if pool_size is None:
-        path = is_path_measure(measure)
-        pool_size = _DEFAULT_POOL_PATH if path else _DEFAULT_POOL_VECTOR
+        pool_size = _DEFAULT_POOL_VECTOR if grid is None else _DEFAULT_POOL_PATH
     if pool_size < n:
         raise ConfigurationError("pool is smaller than the codebook")
     pool = sample_batch(measure, seed.child(0), pool_size)
-    grid = measure_grid(measure)
     codebook = functools.partial(
         Codebook,
         order_r=float(r),

@@ -43,7 +43,7 @@ class TestCodebookRoundTrip:
         back = load_codebook(path)
         assert np.array_equal(back.points, cb.points)
         assert np.array_equal(back.weights, cb.weights)
-        assert back.grid.same(cb.grid)
+        assert np.array_equal(back.grid.points, cb.grid.points)
 
     def test_weightless_roundtrip(self, tmp_path):
         cb = Codebook(np.array([[0.1], [0.9]]), 2.0, NormKind.EUCLIDEAN, "u")
@@ -308,8 +308,16 @@ class TestCliBadInput:
             ("quad", "--algo", "mc", "--measure", "uniform_cube:2", "--n", "10",
              "--functional", "coord_at(0.5)"),
             ("adversary", "--check", "events", "--segments", "0"),
+            ("quantize", "--measure", "uniform_cube:2", "--n", "4", "--norm", "sup"),
         ],
-        ids=["dims", "functional-arg", "vector-index", "fractional-index", "segments"],
+        ids=[
+            "dims",
+            "functional-arg",
+            "vector-index",
+            "fractional-index",
+            "segments",
+            "vector-norm",
+        ],
     )
     def test_exits_1_with_a_configuration_error(self, tmp_path, capsys, argv):
         out = tmp_path / "out"

@@ -9,13 +9,15 @@ from quantquad.paths import (
     Functional,
     Grid,
     NormKind,
-    Path,
-    distance,
+    batch_norm,
+    batch_project,
+    l1_integral_functional,
     make_kl_subspace,
     make_pl_subspace,
-    norm,
-    project,
+    sup_norm_functional,
 )
+
+PATH_NORMS = (NormKind.SUP, NormKind.L1, NormKind.L2)
 
 
 class TestGrid:
@@ -41,76 +43,82 @@ class TestGrid:
 
 class TestNorms:
     def test_zero_path(self, grid):
-        zero = Path(grid, np.zeros(grid.size))
-        for kind in (NormKind.SUP, NormKind.L1, NormKind.L2):
-            assert norm(zero, kind) == 0.0
+        zero = np.zeros((grid.size, 1))
+        for kind in PATH_NORMS:
+            assert batch_norm(zero, kind, grid) == 0.0
 
     def test_linear_path(self, grid):
         # sup over the grid of t is 1; the trapezoid rule integrates t exactly
-        line = Path(grid, grid.points.copy())
-        assert norm(line, NormKind.SUP) == 1.0
-        assert norm(line, NormKind.L1) == pytest.approx(0.5, abs=1e-15)
+        line = grid.points[:, None]
+        assert batch_norm(line, NormKind.SUP, grid) == 1.0
+        assert batch_norm(line, NormKind.L1, grid) == pytest.approx(0.5, abs=1e-15)
 
     def test_euclidean_three_four_five(self):
-        assert norm(np.array([3.0, 4.0]), NormKind.EUCLIDEAN) == 5.0
+        assert batch_norm(np.array([3.0, 4.0]), NormKind.EUCLIDEAN) == 5.0
 
     def test_space_mismatch(self, grid):
-        line = Path(grid, grid.points.copy())
+        line = grid.points[:, None]
         with pytest.raises(ConfigurationError):
-            norm(line, NormKind.EUCLIDEAN)
+            batch_norm(line, NormKind.EUCLIDEAN, grid)
         with pytest.raises(ConfigurationError):
-            norm(np.array([1.0, 2.0]), NormKind.SUP)
+            batch_norm(np.array([1.0, 2.0]), NormKind.SUP)
 
     def test_l2_and_l1_below_sup(self, grid):
         rng = np.random.default_rng(0)
-        for _ in range(200):
-            p = Path(grid, rng.standard_normal(grid.size))
-            sup = norm(p, NormKind.SUP)
-            assert norm(p, NormKind.L2) <= sup + 1e-12
-            assert norm(p, NormKind.L1) <= sup + 1e-12
+        p = rng.standard_normal((200, grid.size, 1))
+        sup = batch_norm(p, NormKind.SUP, grid)
+        assert np.all(batch_norm(p, NormKind.L2, grid) <= sup + 1e-12)
+        assert np.all(batch_norm(p, NormKind.L1, grid) <= sup + 1e-12)
 
     def test_homogeneity_and_triangle(self, grid):
-        from quantquad.paths import batch_path_norm
-
         rng = np.random.default_rng(1)
         triples = 10**4
         x = rng.standard_normal((triples, grid.size, 1))
         y = rng.standard_normal((triples, grid.size, 1))
         z = rng.standard_normal((triples, grid.size, 1))
         c = rng.standard_normal((triples, 1, 1))
-        for kind in (NormKind.SUP, NormKind.L1, NormKind.L2):
-            nx = batch_path_norm(x, kind, grid)
-            scaled = batch_path_norm(c * x, kind, grid)
+        for kind in PATH_NORMS:
+            nx = batch_norm(x, kind, grid)
+            scaled = batch_norm(c * x, kind, grid)
             assert np.allclose(scaled, np.abs(c[:, 0, 0]) * nx, rtol=1e-12, atol=0)
-            dxz = batch_path_norm(x - z, kind, grid)
-            dxy = batch_path_norm(x - y, kind, grid)
-            dyz = batch_path_norm(y - z, kind, grid)
+            dxz = batch_norm(x - z, kind, grid)
+            dxy = batch_norm(x - y, kind, grid)
+            dyz = batch_norm(y - z, kind, grid)
             assert np.all(dxz <= dxy + dyz + 1e-12)
+
+    def test_rows_do_not_depend_on_the_batch(self):
+        # A row's norm is the same whether it comes alone or with 3999
+        # others, bit for bit.
+        grid = Grid.uniform(257)
+        rng = np.random.default_rng(7)
+        brownian = sample_batch(BrownianKL(50, grid), SeedSpec(5), 4000)
+        plane = rng.standard_normal((500, grid.size, 2))
+        vectors = rng.standard_normal((500, 7))
+        cases = [(brownian, kind, grid) for kind in PATH_NORMS]
+        cases += [(plane, kind, grid) for kind in PATH_NORMS]
+        cases.append((vectors, NormKind.EUCLIDEAN, None))
+        for values, kind, g in cases:
+            rows = np.array([batch_norm(row, kind, g) for row in values])
+            np.testing.assert_array_equal(batch_norm(values, kind, g), rows)
 
 
 class TestDistance:
     def test_self_distance_zero(self, grid):
-        p = Path(grid, np.sin(grid.points))
-        for kind in (NormKind.SUP, NormKind.L1, NormKind.L2):
-            assert distance(p, p, kind) == 0.0
+        p = np.sin(grid.points)[:, None]
+        for kind in PATH_NORMS:
+            assert batch_norm(p - p, kind, grid) == 0.0
 
     def test_line_to_zero(self, grid):
-        line = Path(grid, grid.points.copy())
-        zero = Path(grid, np.zeros(grid.size))
-        assert distance(line, zero, NormKind.SUP) == 1.0
-
-    def test_grid_mismatch(self):
-        a = Path(Grid.uniform(17), np.zeros(17))
-        b = Path(Grid.uniform(33), np.zeros(33))
-        with pytest.raises(ConfigurationError):
-            distance(a, b, NormKind.SUP)
+        line = grid.points[:, None]
+        zero = np.zeros((grid.size, 1))
+        assert batch_norm(line - zero, NormKind.SUP, grid) == 1.0
 
     def test_symmetry(self, grid):
         rng = np.random.default_rng(2)
-        x = Path(grid, rng.standard_normal(grid.size))
-        y = Path(grid, rng.standard_normal(grid.size))
-        for kind in (NormKind.SUP, NormKind.L1, NormKind.L2):
-            assert distance(x, y, kind) == distance(y, x, kind)
+        x = rng.standard_normal((grid.size, 1))
+        y = rng.standard_normal((grid.size, 1))
+        for kind in PATH_NORMS:
+            assert batch_norm(x - y, kind, grid) == batch_norm(y - x, kind, grid)
 
 
 class TestSubspaces:
@@ -128,14 +136,15 @@ class TestSubspaces:
 
     def test_hat_projects_to_itself(self, grid):
         sub = make_pl_subspace([0.0, 0.25, 0.5, 1.0], grid)
-        hat = Path(grid, np.interp(grid.points, [0.0, 0.25, 0.5], [0.0, 1.0, 0.0]))
-        _, residuals = project(hat, sub)
-        assert residuals[NormKind.L2] <= 1e-10
+        hat = np.interp(grid.points, [0.0, 0.25, 0.5], [0.0, 1.0, 0.0])
+        _, resid = batch_project(hat[None, :], sub)
+        assert batch_norm(resid[0, :, None], NormKind.L2, grid) <= 1e-10
 
     def test_kl_dimension_and_gram(self, grid):
         sub = make_kl_subspace(5, grid)
         assert sub.dim == 5
-        assert np.abs(sub.gram() - np.eye(5)).max() <= 1e-10
+        gram = (sub.basis * grid.weights[None, :]) @ sub.basis.T
+        assert np.abs(gram - np.eye(5)).max() <= 1e-10
 
     def test_kl_first_basis_element(self, grid):
         sub = make_kl_subspace(1, grid)
@@ -151,44 +160,39 @@ class TestSubspaces:
 class TestProject:
     def test_member_residual_zero(self, grid):
         sub = make_kl_subspace(4, grid)
-        member = Path(grid, 0.3 * sub.basis[0] - 1.7 * sub.basis[3])
-        _, residuals = project(member, sub)
-        for kind in (NormKind.SUP, NormKind.L1, NormKind.L2):
-            assert residuals[kind] <= 1e-10
+        member = 0.3 * sub.basis[0] - 1.7 * sub.basis[3]
+        _, resid = batch_project(member[None, :], sub)
+        for kind in PATH_NORMS:
+            assert batch_norm(resid[0, :, None], kind, grid) <= 1e-10
 
     def test_line_in_pl_space(self, grid):
-        line = Path(grid, grid.points.copy())
-        _, residuals = project(line, make_pl_subspace([0.0, 1.0], grid))
-        assert residuals[NormKind.L2] <= 1e-10
+        sub = make_pl_subspace([0.0, 1.0], grid)
+        _, resid = batch_project(grid.points[None, :], sub)
+        assert batch_norm(resid[0, :, None], NormKind.L2, grid) <= 1e-10
 
     def test_kl_path_onto_own_span(self, grid):
         w = sample_batch(BrownianKL(20, grid), SeedSpec(77), 1)
-        path = Path(grid, w[0])
-        _, residuals = project(path, make_kl_subspace(20, grid))
-        assert residuals[NormKind.L2] <= 1e-10
+        _, resid = batch_project(w[:, :, 0], make_kl_subspace(20, grid))
+        assert batch_norm(resid[0, :, None], NormKind.L2, grid) <= 1e-10
 
     def test_idempotent(self, grid):
         sub = make_kl_subspace(6, grid)
-        x = Path(grid, np.cos(3.0 * grid.points) * grid.points)
-        proj, _ = project(x, sub)
-        proj2, residuals2 = project(proj, sub)
-        assert np.abs(proj2.values - proj.values).max() <= 1e-10
+        x = np.cos(3.0 * grid.points) * grid.points
+        proj, _ = batch_project(x[None, :], sub)
+        proj2, _ = batch_project(proj, sub)
+        assert np.abs(proj2 - proj).max() <= 1e-10
 
     def test_pythagoras(self, grid):
         rng = np.random.default_rng(4)
         sub = make_kl_subspace(8, grid)
-        for _ in range(20):
-            x = Path(grid, rng.standard_normal(grid.size))
-            proj, residuals = project(x, sub)
-            lhs = norm(x, NormKind.L2) ** 2
-            rhs = norm(proj, NormKind.L2) ** 2 + residuals[NormKind.L2] ** 2
-            assert lhs == pytest.approx(rhs, rel=1e-8)
-
-    def test_grid_mismatch(self):
-        sub = make_kl_subspace(3, Grid.uniform(33))
-        x = Path(Grid.uniform(17), np.zeros(17))
-        with pytest.raises(ConfigurationError):
-            project(x, sub)
+        x = rng.standard_normal((20, grid.size))
+        proj, resid = batch_project(x, sub)
+        lhs = batch_norm(x[:, :, None], NormKind.L2, grid) ** 2
+        rhs = (
+            batch_norm(proj[:, :, None], NormKind.L2, grid) ** 2
+            + batch_norm(resid[:, :, None], NormKind.L2, grid) ** 2
+        )
+        assert lhs == pytest.approx(rhs, rel=1e-8)
 
 
 class TestFunctional:
@@ -205,9 +209,12 @@ class TestFunctional:
         with pytest.raises(ConfigurationError):
             f(np.zeros((3, 2)))
 
-    def test_eval_one_path(self, grid):
-        from quantquad.paths import sup_norm_functional
-
+    def test_one_path_batch(self, grid):
         f = sup_norm_functional()
-        p = Path(grid, grid.points.copy())
-        assert f.eval_one(p) == 1.0
+        assert f(grid.points[None, :, None])[0] == 1.0
+
+    def test_l1_integral_rows_do_not_depend_on_the_batch(self, grid):
+        paths = sample_batch(BrownianKL(50, grid), SeedSpec(9), 300)
+        f = l1_integral_functional(grid)
+        rows = np.array([f(paths[i : i + 1])[0] for i in range(300)])
+        np.testing.assert_array_equal(f(paths), rows)

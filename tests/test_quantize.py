@@ -10,7 +10,7 @@ from conftest import brute_nearest, dense_integral, normal_expectation
 from quantquad import measures, quantize
 from quantquad.errors import ConfigurationError, NumericError
 from quantquad.measures import BrownianKL, SeedSpec, StdNormal, UniformCube, sample_batch
-from quantquad.paths import NormKind, Path, kl_basis_on_grid, kl_eigenvalues
+from quantquad.paths import Grid, NormKind, batch_norm, kl_basis_on_grid, kl_eigenvalues
 from quantquad.quantize import (
     Codebook,
     LloydOptions,
@@ -18,7 +18,6 @@ from quantquad.quantize import (
     distortion,
     lloyd,
     min_dist_batch,
-    nearest,
     product_quantizer_bm,
     scalar_gaussian_quantizer,
     scalar_quantizer_distortion2,
@@ -50,20 +49,27 @@ class TestCodebook:
                 weights=np.array([0.6, 0.5]),
             )
 
+    def test_norm_must_fit_the_space(self):
+        with pytest.raises(ConfigurationError, match="applies to paths"):
+            Codebook(np.array([[0.0], [1.0]]), 2.0, NormKind.SUP, "uniform_cube:1")
+        grid = Grid.uniform(17)
+        paths = sample_batch(BrownianKL(10, grid), SeedSpec(2), 3)
+        with pytest.raises(ConfigurationError, match="applies to vectors"):
+            Codebook(paths, 2.0, NormKind.EUCLIDEAN, "brownian_kl:10", grid=grid)
+
 
 class TestNearest:
     def test_basic(self):
-        cb = two_point_uniform()
-        assert nearest(cb, np.array([0.3])) == 0
-        assert nearest(cb, np.array([0.8])) == 1
+        _, idx = min_dist_batch(np.array([[0.3], [0.8]]), two_point_uniform())
+        assert idx.tolist() == [0, 1]
 
     def test_tie_breaks_low(self):
-        assert nearest(two_point_uniform(), np.array([0.5])) == 0
+        _, idx = min_dist_batch(np.array([[0.5]]), two_point_uniform())
+        assert idx[0] == 0
 
     def test_exact_hit(self):
-        cb = two_point_uniform()
-        assert nearest(cb, np.array([0.75])) == 1
-        d, _ = min_dist_batch(np.array([[0.75]]), cb)
+        d, idx = min_dist_batch(np.array([[0.75]]), two_point_uniform())
+        assert idx[0] == 1
         assert d[0] == 0.0
 
     def test_matches_brute_force(self):
@@ -83,34 +89,34 @@ class TestNearest:
         for kind in (NormKind.SUP, NormKind.L1, NormKind.L2):
             cb = Codebook(cb_pts, 2.0, kind, "brownian_kl:10", grid=grid)
             d, idx = min_dist_batch(pool, cb)
-            from quantquad.paths import distance
-
             for row in range(8):
                 direct = min(
-                    distance(Path(grid, pool[row]), Path(grid, cb_pts[j]), kind)
-                    for j in range(5)
+                    batch_norm(pool[row] - cb_pts[j], kind, grid) for j in range(5)
                 )
                 assert d[row] == pytest.approx(direct, rel=1e-12)
 
-
     @pytest.mark.parametrize("kind", [NormKind.SUP, NormKind.L1, NormKind.L2])
     def test_direct_path_ignores_the_block_size(self, kind, monkeypatch):
-        # Values on a 0.5 lattice tie often; per-pair distances and
-        # lowest-index ties must not depend on how the pairs are chunked.
+        # Per-pair distances and lowest-index ties must not depend on how
+        # the pairs are chunked.  Values on a 0.5 lattice tie often, but
+        # their sums are exact; Brownian paths on 257 points round.
         from quantquad.adversary import _all_point_distances
-        from quantquad.paths import Grid
 
         rng = np.random.default_rng(6)
         grid = Grid.uniform(5)
         cb = Codebook(np.arange(12.0)[:, None, None] * 0.5 + np.zeros((1, 5, 1)),
                       2.0, kind, "lattice", grid=grid)
         values = np.round(2.0 * rng.standard_normal((300, 5, 1))) / 2.0 + 2.75
-        nearest_whole = min_dist_batch(values, cb)
-        all_whole = _all_point_distances(values, cb)
+        fine = Grid.uniform(257)
+        paths = sample_batch(BrownianKL(50, fine), SeedSpec(5), 340)
+        brownian = Codebook(paths[:40], 2.0, kind, "brownian_kl:50", grid=fine)
+        cases = [(values, cb), (paths[40:], brownian)]
+        whole = [(min_dist_batch(x, c), _all_point_distances(x, c)) for x, c in cases]
         monkeypatch.setattr(measures, "_BLOCK_BYTES", 8)
-        for got, want in zip(min_dist_batch(values, cb), nearest_whole):
-            np.testing.assert_array_equal(got, want)
-        np.testing.assert_array_equal(_all_point_distances(values, cb), all_whole)
+        for (x, c), (nearest_whole, all_whole) in zip(cases, whole):
+            for got, want in zip(min_dist_batch(x, c), nearest_whole):
+                np.testing.assert_array_equal(got, want)
+            np.testing.assert_array_equal(_all_point_distances(x, c), all_whole)
         d = np.abs(values[:, :, 0, None] - cb.points[None, :, 0, 0]).max(axis=1)
         assert np.any(np.sum(d == d.min(axis=1, keepdims=True), axis=1) > 1)
 
