@@ -36,7 +36,7 @@ from .measures import (
     measure_grid,
 )
 from .paths import Functional, Grid, NormKind, Subspace, batch_norm, batch_project
-from .quantize import Codebook, min_dist_batch
+from .quantize import Codebook, _check_fits, min_dist_batch
 
 # Residuals below this are snapped to exactly 0, so that membership in the
 # subspace is decided, not approximated.
@@ -60,6 +60,7 @@ class FoolingFamily:
 def _all_point_distances(batch: np.ndarray, codebook: Codebook) -> np.ndarray:
     # (B, n) distances to every codebook point, in runs of samples whose
     # (samples, n, flat) difference array fills one block.
+    _check_fits(batch, codebook)
     b = batch.shape[0]
     n = codebook.n
     out = np.empty((b, n))

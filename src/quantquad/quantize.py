@@ -6,7 +6,9 @@ point.  Search is Lloyd iteration on a fixed sample pool (empirical
 measure): deterministic given the seed, with pool distortion that never
 increases from one iteration to the next.  The scalar N(0,1) quantizers
 behind the Brownian product quantizer need no pool: they are exact
-Lloyd-Max fixed points.
+Lloyd-Max fixed points.  Product codebooks (the cube's midpoint grid and
+the Brownian product quantizer) keep their per-axis levels, and their
+nearest search runs axis by axis.
 """
 from __future__ import annotations
 
@@ -43,6 +45,45 @@ from .paths import (
 _DIRECT_LIMIT = 2**24  # switch to the Gram identity above this many diff entries
 _GRAM_SAMPLE_CHUNK = 2048
 _GRAM_CB_CHUNK = 8192
+# Bytes of the buffer that holds a run of gathered winners in a product
+# search: small enough to stay in cache between the gather, the difference
+# and the norm.
+_GATHER_BYTES = 2**19
+# Largest entry of |rows W rows^T - I| for rows that count as orthonormal
+# under the grid weights W.  Uniform grids give the KL rows about 1e-14.
+_ORTHONORMAL_TOL = 1e-12
+
+
+def _is_orthonormal(rows: np.ndarray, w: np.ndarray) -> bool:
+    gram = (rows * w) @ rows.T
+    return bool(np.all(np.abs(gram - np.eye(rows.shape[0])) <= _ORTHONORMAL_TOL))
+
+
+@dataclass(frozen=True, eq=False)
+class ProductStructure:
+    """A codebook built as the product of scalar codebooks.
+
+    Point i is sum_l levels[l][i_l] * basis[l], where (i_0, i_1, ...) are
+    the mixed-radix digits of i, first axis most significant (the order
+    ``meshgrid(indexing="ij")`` gives).  Each level array is strictly
+    increasing.  ``basis`` is None for the identity (point i is the
+    vector of its levels), else (axes, G*m) rows orthonormal under the
+    grid weights.
+    """
+
+    levels: tuple
+    basis: Optional[np.ndarray] = None
+
+    def __post_init__(self):
+        levels = tuple(np.asarray(lv, dtype=float) for lv in self.levels)
+        for lv in levels:
+            if lv.ndim != 1 or lv.size < 1 or not np.all(np.isfinite(lv)):
+                raise ConfigurationError("product levels must be finite 1-D arrays")
+            if not np.all(np.diff(lv) > 0):
+                raise ConfigurationError("product levels must be strictly increasing")
+        object.__setattr__(self, "levels", levels)
+        if self.basis is not None:
+            object.__setattr__(self, "basis", np.asarray(self.basis, dtype=float))
 
 
 @dataclass
@@ -53,6 +94,8 @@ class Codebook:
     norm, or (n, G, m) for path measures (``grid`` set), measured by sup,
     L1 or L2.  ``oracle_dim`` records the dimension of the
     subspace the points were built in, used for cost accounting.
+    ``product``, when set, says how the points were built from scalar
+    codebooks; ``min_dist_batch`` then searches them axis by axis.
     """
 
     points: np.ndarray
@@ -64,6 +107,7 @@ class Codebook:
     oracle_dim: Optional[int] = None
     fit_history: Optional[list] = None
     meta: Optional[dict] = None
+    product: Optional[ProductStructure] = None
 
     def __post_init__(self):
         check_norm_space(self.norm, self.grid)
@@ -82,9 +126,14 @@ class Codebook:
             raise ConfigurationError("codebook needs at least one point")
         if not np.all(np.isfinite(pts)):
             raise ConfigurationError("codebook points must be finite")
-        flat = pts.reshape(pts.shape[0], -1)
-        if np.unique(flat, axis=0).shape[0] != pts.shape[0]:
-            raise ConfigurationError("codebook points must be pairwise distinct")
+        if self.product is None:
+            flat = pts.reshape(pts.shape[0], -1)
+            if np.unique(flat, axis=0).shape[0] != pts.shape[0]:
+                raise ConfigurationError("codebook points must be pairwise distinct")
+        else:
+            # Strictly increasing levels along orthonormal rows give
+            # pairwise distinct points, so no unique() pass is needed.
+            self._check_product(pts)
         if self.order_r <= 0:
             raise ConfigurationError("order r must be positive")
         self.points = pts
@@ -95,6 +144,28 @@ class Codebook:
             if abs(w.sum() - 1.0) > 1e-12:
                 raise ConfigurationError("weights must sum to 1")
             self.weights = w
+
+    def _check_product(self, pts: np.ndarray):
+        product = self.product
+        if self.norm not in (NormKind.EUCLIDEAN, NormKind.L2):
+            raise ConfigurationError("a product codebook needs the euclidean or L2 norm")
+        if math.prod(lv.size for lv in product.levels) != pts.shape[0]:
+            raise ConfigurationError("product level counts must multiply to n")
+        flat = math.prod(pts.shape[1:])
+        if self.grid is None:
+            fits = product.basis is None and len(product.levels) == flat
+        else:
+            w = np.repeat(self.grid.weights, pts.shape[2])
+            fits = (
+                product.basis is not None
+                and product.basis.shape == (len(product.levels), flat)
+                and _is_orthonormal(product.basis, w)
+            )
+        if not fits:
+            raise ConfigurationError(
+                "product basis must be the identity on vectors or one row per "
+                "axis, orthonormal under the grid weights"
+            )
 
     @property
     def n(self) -> int:
@@ -122,11 +193,60 @@ class DistortionEstimate:
 # Nearest-point machinery
 
 
+def _check_fits(values: np.ndarray, codebook: Codebook):
+    if values.shape[1:] != codebook.points.shape[1:]:
+        raise ConfigurationError(
+            f"samples of shape {values.shape[1:]} do not fit codebook points "
+            f"of shape {codebook.points.shape[1:]}"
+        )
+
+
+def _product_search(values: np.ndarray, codebook: Codebook):
+    # With orthonormal rows e_l and coordinates xi_l = <x, e_l>,
+    # |x - y|^2 = |x - Px|^2 + sum_l (xi_l - y_l)^2 for every point y, so
+    # the nearest point takes the nearest level on each axis.  The
+    # bracketing levels lv[j-1] < xi <= lv[j] come from one binary search;
+    # one comparison picks between them, the lower on a tie, which is the
+    # lower flat index.  O(B (a G + sum_l log n_l)) for a axes.
+    product = codebook.product
+    b = values.shape[0]
+    x2d = values.reshape(b, -1)
+    xi = x2d
+    if product.basis is not None:
+        w = np.repeat(codebook.grid.weights, codebook.points.shape[2])
+        xi = x2d @ (product.basis * w).T
+    idx = np.zeros(b, dtype=np.intp)
+    for axis, lv in enumerate(product.levels):
+        x = xi[:, axis]
+        hi = np.minimum(np.searchsorted(lv, x), lv.size - 1)
+        lo = np.maximum(hi - 1, 0)
+        nearest = np.where(np.abs(x - lv[lo]) <= np.abs(lv[hi] - x), lo, hi)
+        idx = idx * lv.size + nearest
+    # The winner's distance is the norm of the exact difference, as on the
+    # direct path.  One buffer holds each run of gathered winners, then
+    # their differences; norms are summed per sample, so runs move nothing.
+    dist = np.empty(b)
+    rows = max(1, _GATHER_BYTES // (8 * x2d.shape[1]))
+    buf = np.empty((min(rows, b),) + values.shape[1:])
+    for b0 in range(0, b, rows):
+        run = buf[: min(rows, b - b0)]
+        np.take(codebook.points, idx[b0 : b0 + rows], axis=0, out=run)
+        np.subtract(values[b0 : b0 + rows], run, out=run)
+        dist[b0 : b0 + rows] = batch_norm(run, codebook.norm, codebook.grid)
+    return dist, idx
+
+
 def min_dist_batch(values: np.ndarray, codebook: Codebook):
     """Distance to and index of the nearest codebook point for each sample.
 
-    Ties go to the lowest index.  Returns (distances, indices).
+    Ties go to the lowest index.  Returns (distances, indices).  A product
+    codebook is searched axis by axis; any other is searched point by
+    point.  Raises ``ConfigurationError`` when a sample's shape is not a
+    point's shape.
     """
+    _check_fits(values, codebook)
+    if codebook.product is not None:
+        return _product_search(values, codebook)
     n = codebook.n
     b_total = values.shape[0]
     flat_dim = int(np.prod(values.shape[1:]))
@@ -530,18 +650,28 @@ def lloyd(
     return codebook(points, fit_history=histories[winner], meta=meta)
 
 
+def _mesh(axes) -> np.ndarray:
+    """Every combination of the axes' values, (prod of sizes, len(axes)).
+
+    Rows are in mixed-radix order, first axis most significant.
+    """
+    grids = np.meshgrid(*axes, indexing="ij")
+    return np.stack([g.ravel() for g in grids], axis=1)
+
+
 def uniform_midpoint_codebook(d: int, per_axis: int, r: float = 2.0) -> Codebook:
     """Product-of-midpoints codebook for the uniform cube, with exact weights.
 
     Each axis gets the points (2i-1)/(2 per_axis); every cell carries the
     exact mass per_axis^-d by symmetry.  In one dimension this is the
-    optimal codebook of its size for any order r.
+    optimal codebook of its size for any order r.  The codebook keeps its
+    product structure, so its nearest search costs O(d log per_axis) per
+    sample.
     """
     if d < 1 or per_axis < 1:
         raise ConfigurationError("need d >= 1 and per_axis >= 1")
     axis = (2.0 * np.arange(1, per_axis + 1) - 1.0) / (2.0 * per_axis)
-    mesh = np.meshgrid(*([axis] * d), indexing="ij")
-    points = np.stack([m.ravel() for m in mesh], axis=1)
+    points = _mesh([axis] * d)
     n = points.shape[0]
     weights = np.full(n, 1.0 / n)
     weights[0] += 1.0 - weights.sum()
@@ -552,6 +682,7 @@ def uniform_midpoint_codebook(d: int, per_axis: int, r: float = 2.0) -> Codebook
         f"uniform_cube:{d}",
         weights=weights,
         oracle_dim=d,
+        product=ProductStructure((axis,) * d),
     )
 
 
@@ -653,6 +784,14 @@ def product_quantizer_bm(
     of levels staying within ``n_budget``.  Points are all combinations of
     the scaled scalar codebooks; weights are the exact products of the
     scalar cell masses.
+
+    The codebook keeps its product structure: levels sqrt(lambda_l) c^(n_l)
+    on the active expansion rows e_l.  Its nearest search then costs
+    O(a G + sum_l log n_l) per sample for a active rows and G grid points,
+    instead of O(n G).  On a grid where the active rows are not
+    orthonormal under the trapezoid weights (a non-uniform grid, or one
+    too coarse for them), the structure is left out and the points are
+    searched one by one.
     """
     if n_budget < 1:
         raise ConfigurationError("n_budget must be >= 1")
@@ -682,22 +821,23 @@ def product_quantizer_bm(
     assert np.all(np.diff(levels) <= 0), "greedy allocation must be non-increasing"
 
     active = np.flatnonzero(levels > 1)
-    basis = kl_basis_on_grid(k_terms, grid)
+    rows = kl_basis_on_grid(k_terms, grid)[active]
+    axes_levels = tuple(
+        _lloyd_max(int(levels[ell]))[0] * s
+        for ell, s in zip(active, np.sqrt(lam[active]))
+    )
     if active.size == 0:
         points = np.zeros((1, grid.size, 1))
         weights = np.ones(1)
     else:
-        axes_points = [_lloyd_max(int(levels[ell]))[0] for ell in active]
-        axes_masses = [_lloyd_max(int(levels[ell]))[1] for ell in active]
-        mesh = np.meshgrid(*axes_points, indexing="ij")
-        coeffs = np.stack([m.ravel() for m in mesh], axis=1)  # (N, active)
-        scaled = coeffs * np.sqrt(lam[active])[None, :]
-        points = (scaled @ basis[active])[:, :, None]
-        wmesh = np.meshgrid(*axes_masses, indexing="ij")
-        weights = np.ones(coeffs.shape[0])
-        for wm in wmesh:
-            weights = weights * wm.ravel()
+        points = (_mesh(axes_levels) @ rows)[:, :, None]
+        weights = np.ones(points.shape[0])
+        for masses in _mesh([_lloyd_max(int(levels[ell]))[1] for ell in active]).T:
+            weights = weights * masses
         weights[int(np.argmax(weights))] += 1.0 - weights.sum()
+    product = None
+    if _is_orthonormal(rows, grid.weights):
+        product = ProductStructure(axes_levels, rows)
     return Codebook(
         points,
         2.0,
@@ -707,4 +847,5 @@ def product_quantizer_bm(
         weights=weights,
         oracle_dim=max(1, int(active.size)),
         meta={"levels": tuple(int(v) for v in levels[: max(1, active.size)])},
+        product=product,
     )

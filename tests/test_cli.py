@@ -325,6 +325,25 @@ class TestCliBadInput:
         assert "quantquad: configuration error: " in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("quad", "--algo", "vrmc", "--functional", "sup_norm", "--n", "100"),
+            ("adversary", "--check", "gap-identity", "--samples", "1000"),
+        ],
+        ids=["vrmc", "gap-identity"],
+    )
+    def test_codebook_on_another_grid(self, tmp_path, capsys, argv):
+        # Paths on 33 grid points against samples on the measure's 257.
+        cb_file = str(tmp_path / "pq33.csv")
+        save_codebook(product_quantizer_bm(4, 20, Grid.uniform(33)), cb_file)
+        out = tmp_path / "out"
+        code = run(*argv, "--codebook", cb_file, "--measure", "brownian_kl:20",
+                   "--out", str(out))
+        assert code == 1
+        assert "quantquad: configuration error: " in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestCliInfo:
     def test_version_exit_zero(self, capsys):

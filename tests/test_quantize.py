@@ -1,4 +1,6 @@
+import dataclasses
 import functools
+import itertools
 import math
 from functools import reduce
 from statistics import NormalDist
@@ -14,6 +16,7 @@ from quantquad.paths import Grid, NormKind, batch_norm, kl_basis_on_grid, kl_eig
 from quantquad.quantize import (
     Codebook,
     LloydOptions,
+    ProductStructure,
     dist_to_codebook_functional,
     distortion,
     lloyd,
@@ -24,6 +27,7 @@ from quantquad.quantize import (
     uniform_midpoint_codebook,
     voronoi_weights,
 )
+from quantquad.storage import load_codebook, save_codebook
 
 SQRT_2_OVER_PI = 0.7978845608028654
 
@@ -56,6 +60,42 @@ class TestCodebook:
         paths = sample_batch(BrownianKL(10, grid), SeedSpec(2), 3)
         with pytest.raises(ConfigurationError, match="applies to vectors"):
             Codebook(paths, 2.0, NormKind.EUCLIDEAN, "brownian_kl:10", grid=grid)
+
+    def test_product_must_fit_the_points(self):
+        two = np.array([[0.0], [1.0]])
+        for points, levels in (
+            (two, ([0.0, 1.0, 2.0],)),  # 3 combinations for 2 points
+            (np.hstack([two, two]), ([0.0, 1.0],)),  # 1 axis for d = 2
+        ):
+            with pytest.raises(ConfigurationError, match="product"):
+                Codebook(points, 2.0, NormKind.EUCLIDEAN, "u",
+                         product=ProductStructure(levels))
+        grid = Grid.uniform(3)
+        row = np.ones((1, 3))  # unit norm under the trapezoid weights
+        with pytest.raises(ConfigurationError, match="euclidean or L2"):
+            Codebook(two[:, :, None] * row[:, :, None], 2.0, NormKind.SUP, "u",
+                     grid=grid, product=ProductStructure(([0.0, 1.0],), row))
+
+    @pytest.mark.parametrize("levels", [[1.0, 0.0], [0.0, 0.0], [0.0, np.nan]])
+    def test_product_levels_strictly_increasing(self, levels):
+        with pytest.raises(ConfigurationError, match="product levels"):
+            ProductStructure((levels,))
+
+    def test_product_basis_must_fit_the_space(self):
+        grid = Grid.uniform(3)
+        rows = np.array([[1.0, 1.0, 1.0], [0.0, 1.0, 2.0]])  # not orthogonal
+        pts = np.array([[a * rows[0] + b * rows[1] for b in (0.0, 1.0)]
+                        for a in (0.0, 1.0)]).reshape(4, 3, 1)
+        for basis in (rows, rows[:1]):
+            with pytest.raises(ConfigurationError, match="orthonormal"):
+                Codebook(pts, 2.0, NormKind.L2, "u", grid=grid,
+                         product=ProductStructure(([0.0, 1.0], [0.0, 1.0]), basis))
+        with pytest.raises(ConfigurationError, match="identity on vectors"):
+            Codebook(pts, 2.0, NormKind.L2, "u", grid=grid,
+                     product=ProductStructure(([0.0, 1.0], [0.0, 1.0])))
+        with pytest.raises(ConfigurationError, match="identity on vectors"):
+            Codebook(np.array([[0.0], [1.0]]), 2.0, NormKind.EUCLIDEAN, "u",
+                     product=ProductStructure(([0.0, 1.0],), np.ones((1, 1))))
 
 
 class TestNearest:
@@ -119,6 +159,93 @@ class TestNearest:
             np.testing.assert_array_equal(_all_point_distances(x, c), all_whole)
         d = np.abs(values[:, :, 0, None] - cb.points[None, :, 0, 0]).max(axis=1)
         assert np.any(np.sum(d == d.min(axis=1, keepdims=True), axis=1) > 1)
+
+    def test_samples_must_fit_the_points(self, grid):
+        cb = product_quantizer_bm(4, 20, Grid.uniform(33))
+        paths = sample_batch(BrownianKL(20, grid), SeedSpec(1), 3)
+        for codebook in (cb, dataclasses.replace(cb, product=None)):
+            with pytest.raises(ConfigurationError, match="do not fit"):
+                min_dist_batch(paths, codebook)
+        with pytest.raises(ConfigurationError, match="do not fit"):
+            min_dist_batch(np.zeros((3, 2)), uniform_midpoint_codebook(1, 4))
+
+
+def _point_search(codebook, values, monkeypatch=None):
+    """The same points searched one by one, without their product structure.
+
+    With ``monkeypatch`` the direct (exact difference) path runs at any size.
+    """
+    plain = dataclasses.replace(codebook, product=None)
+    assert plain.product is None and codebook.product is not None
+    if monkeypatch is None:
+        return min_dist_batch(values, plain)
+    with monkeypatch.context() as patch:
+        patch.setattr(quantize, "_DIRECT_LIMIT", math.inf)
+        return min_dist_batch(values, plain)
+
+
+class TestProductSearch:
+    @pytest.mark.parametrize("d, per_axis", [(1, 64), (2, 16), (3, 8)])
+    def test_cube_grid_matches_point_search(self, d, per_axis, monkeypatch):
+        cb = uniform_midpoint_codebook(d, per_axis)
+        values = sample_batch(UniformCube(d), SeedSpec(30 + d), 2000)
+        got = min_dist_batch(values, cb)
+        want = _point_search(cb, values, monkeypatch)
+        np.testing.assert_array_equal(got[1], want[1])
+        np.testing.assert_array_equal(got[0], want[0])
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_cube_ties_go_to_the_lowest_index(self, d, monkeypatch):
+        # Every combination of cell boundaries k/4 and midpoints (2k+1)/8,
+        # all exact binary fractions, so boundary samples tie exactly.
+        per_axis = 4
+        cb = uniform_midpoint_codebook(d, per_axis)
+        coords = np.unique(np.r_[np.arange(5) / 4.0, (2 * np.arange(4) + 1) / 8.0])
+        values = np.array(list(itertools.product(coords, repeat=d)))
+        got = min_dist_batch(values, cb)
+        want = _point_search(cb, values, monkeypatch)
+        np.testing.assert_array_equal(got[1], want[1])
+        np.testing.assert_array_equal(got[0], want[0])
+        for row, x in enumerate(values):
+            assert got[1][row] == brute_nearest(cb.points, x)[0]
+        on_boundary = np.any((values * per_axis) % 1 == 0, axis=1)
+        assert np.any(on_boundary & (values > 0).all(axis=1) & (values < 1).all(axis=1))
+
+    @pytest.mark.parametrize("n", [2, 16, 2**10])
+    def test_brownian_matches_point_search(self, n, grid, monkeypatch):
+        cb = product_quantizer_bm(n, 200, grid)
+        values = sample_batch(BrownianKL(200, grid), SeedSpec(40), 2000)
+        got = min_dist_batch(values, cb)
+        # Indices against the search the size selects (Gram above 2^24
+        # entries); indices and exact distances against the direct path.
+        np.testing.assert_array_equal(got[1], _point_search(cb, values)[1])
+        head = values[:256]
+        want = _point_search(cb, head, monkeypatch)
+        np.testing.assert_array_equal(got[1][:256], want[1])
+        np.testing.assert_array_equal(got[0][:256], want[0])
+
+    @pytest.mark.parametrize("make", [
+        lambda grid: product_quantizer_bm(16, 200, grid),
+        lambda grid: uniform_midpoint_codebook(2, 8),
+    ], ids=["brownian", "cube"])
+    def test_saved_codebook_drops_the_structure(self, make, grid, tmp_path):
+        cb = make(grid)
+        path = str(tmp_path / "cb.csv")
+        save_codebook(cb, path)
+        loaded = load_codebook(path)
+        assert loaded.product is None
+        measure = UniformCube(2) if cb.grid is None else BrownianKL(200, grid)
+        values = sample_batch(measure, SeedSpec(41), 500)
+        np.testing.assert_array_equal(
+            min_dist_batch(values, loaded)[1], min_dist_batch(values, cb)[1]
+        )
+
+    def test_structure_only_on_orthonormal_rows(self):
+        assert product_quantizer_bm(16, 20, Grid.uniform(33)).product is not None
+        warped = Grid(np.linspace(0.0, 1.0, 65) ** 2)
+        cb = product_quantizer_bm(16, 20, warped)
+        assert cb.product is None
+        assert cb.n == 16
 
 
 class TestDistortion:
@@ -551,6 +678,21 @@ class TestProductQuantizer:
         d, _ = min_dist_batch(batch, cb)
         assert math.sqrt(np.mean(d**2)) == pytest.approx(oracle, rel=1e-10)
 
+    @pytest.mark.parametrize("n", [2**4, 2**10, 2**14])
+    def test_distortion_matches_closed_form(self, n, grid):
+        # D^2 = sum over active l of lambda_l D2(n_l) plus the lambda_l of
+        # every other term of the 200-term measure (criterion 10's seed).
+        k_terms = 200
+        cb = product_quantizer_bm(n, k_terms, grid)
+        lam = kl_eigenvalues(k_terms)
+        levels = cb.meta["levels"]
+        d2 = lam.copy()
+        for ell, n_ell in enumerate(levels):
+            d2[ell] *= scalar_quantizer_distortion2(n_ell)
+        exact = math.sqrt(math.fsum(d2))
+        est = distortion(cb, BrownianKL(k_terms, grid), 2, 2 * 10**4, SeedSpec(110))
+        assert abs(est.value - exact) <= 4.0 * est.stderr
+
     def test_nested_budgets_monotone(self, grid):
         seed = SeedSpec(21)
         measure = BrownianKL(50, grid)
@@ -570,6 +712,15 @@ class TestMidpointCodebook:
         assert sorted(map(tuple, cb.points.tolist())) == [
             (0.25, 0.25), (0.25, 0.75), (0.75, 0.25), (0.75, 0.75),
         ]
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_distortion_matches_closed_form(self, d):
+        # Each axis contributes the uniform cell variance 1 / (12 p^2).
+        per_axis = 4
+        cb = uniform_midpoint_codebook(d, per_axis)
+        est = distortion(cb, UniformCube(d), 2, 10**5, SeedSpec(50 + d))
+        exact = math.sqrt(d / (12.0 * per_axis**2))
+        assert abs(est.value - exact) <= 4.0 * est.stderr
 
 
 class TestDistToCodebookFunctional:
