@@ -315,7 +315,7 @@ def subspace_blind_functional(sub: Subspace) -> Functional:
     """
 
     def fn(batch):
-        _, resid = batch_project(batch[:, :, 0], sub)
+        resid = batch_project(batch[:, :, 0], sub)[1]
         norms = batch_norm(resid[:, :, None], NormKind.L2, sub.grid)
         norms[norms < _BLIND_SNAP_TOL] = 0.0
         return norms

@@ -35,7 +35,7 @@ from .paths import (
     Subspace,
     batch_norm,
     batch_project,
-    make_kl_subspace,
+    check_kl_dim,
 )
 from .quadrature import (
     SmallBallProfile,
@@ -146,7 +146,7 @@ def width_estimate(
         raise ConfigurationError("width_estimate expects a path measure")
     moments = _Moments()
     for _, batch in _blocks(measure, seed.child(0), M):
-        _, resid = batch_project(batch[:, :, 0], sub)
+        resid = batch_project(batch[:, :, 0], sub)[1]
         norms = batch_norm(resid[:, :, None], norm_kind, sub.grid)
         moments.add(norms**p)
     value, stderr = moments.root(p)
@@ -260,8 +260,8 @@ def _run_one_size(config: RateExperimentConfig, size: int, stream: SeedSpec):
         measure = Diffusion(config.diffusion, k, grid)
     else:
         n, k = subspace_mc_schedule(size, config.profile)
-        sub = make_kl_subspace(k, grid)
-        measure = BrownianKL(sub.dim, sub.grid)
+        check_kl_dim(k, grid)
+        measure = BrownianKL(k, grid)
     est = classical_mc_replicated(
         measure, config.functional, n, config.replications, stream
     )

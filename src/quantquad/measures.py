@@ -23,6 +23,9 @@ from .paths import Grid, kl_basis_on_grid, kl_eigenvalues
 # consecutive rows of one stream, so their size moves no draw: it bounds
 # memory and nothing else.
 _BLOCK_BYTES = 2**26
+# Side of the squares in which the Euler kernel turns its increments from
+# sample-major to step-major order.
+_TILE = 64
 
 
 @dataclass(frozen=True)
@@ -68,11 +71,18 @@ CoeffFn = Callable[[np.ndarray], np.ndarray]
 
 @dataclass(frozen=True)
 class ConstantCoeff:
-    """a(x) = c (drift) or b(x) = c * I (diffusion)."""
+    """a(x) = c (drift) or b(x) = c * I (diffusion).
+
+    ``diagonal`` gives the diffusion matrix's diagonal, (B, m) for a batch
+    (B, m); the Euler kernel reads it instead of the (B, m, m) matrix.
+    """
 
     value: float
 
     def drift(self, x: np.ndarray) -> np.ndarray:
+        return np.full_like(x, self.value)
+
+    def diagonal(self, x: np.ndarray) -> np.ndarray:
         return np.full_like(x, self.value)
 
     def diffusion(self, x: np.ndarray) -> np.ndarray:
@@ -85,7 +95,11 @@ class ConstantCoeff:
 
 @dataclass(frozen=True)
 class AffineCoeff:
-    """a(x) = c0 + c1 x elementwise; as diffusion, diag(c0 + c1 x)."""
+    """a(x) = c0 + c1 x elementwise; as diffusion, diag(c0 + c1 x).
+
+    ``diagonal`` gives that diagonal, c0 + c1 x as (B, m) for a batch
+    (B, m); the Euler kernel reads it instead of the (B, m, m) matrix.
+    """
 
     intercept: float
     slope: float
@@ -93,11 +107,14 @@ class AffineCoeff:
     def drift(self, x: np.ndarray) -> np.ndarray:
         return self.intercept + self.slope * x
 
+    def diagonal(self, x: np.ndarray) -> np.ndarray:
+        return self.intercept + self.slope * x
+
     def diffusion(self, x: np.ndarray) -> np.ndarray:
         b, m = x.shape
         out = np.zeros((b, m, m))
         idx = np.arange(m)
-        out[:, idx, idx] = self.intercept + self.slope * x
+        out[:, idx, idx] = self.diagonal(x)
         return out
 
     def tag(self) -> str:
@@ -253,20 +270,26 @@ def _kl_matrix(measure: BrownianKL) -> np.ndarray:
     return np.sqrt(lam)[:, None] * kl_basis_on_grid(measure.k_terms, measure.grid)
 
 
-def _interp_breakpoints_to_grid(states: np.ndarray, k: int, grid: Grid) -> np.ndarray:
-    # states: (B, k, m) at breakpoints l/(k-1); evaluate the piecewise-linear
-    # interpolant at the grid points.  Breakpoints need not lie on the grid.
-    pos = grid.points * (k - 1)
-    j = np.minimum(pos.astype(int), k - 2)
-    lam = pos - j
-    # In place on the two gathered copies, so a block holds two arrays of
-    # its output's size rather than four.
-    out = states[:, j, :]
-    out *= (1.0 - lam)[None, :, None]
-    upper = states[:, j + 1, :]
-    upper *= lam[None, :, None]
-    out += upper
-    return out
+def _diagonal_of(spec: DiffusionSpec) -> Optional[CoeffFn]:
+    # x -> the (B, m) diagonal of b(x) when b(x) is known to be diagonal:
+    # for a built-in coefficient, and for every coefficient when m = 1.
+    # None otherwise; such a coefficient keeps the (B, m, m) contract.
+    owner = getattr(spec.diffusion, "__self__", None)
+    if type(owner) in (ConstantCoeff, AffineCoeff) and spec.diffusion == owner.diffusion:
+        return owner.diagonal
+    if spec.m == 1:
+        return lambda x: np.asarray(spec.diffusion(x), dtype=float)[:, :, 0]
+    return None
+
+
+def _steps_first(block: np.ndarray, tile: np.ndarray) -> None:
+    # Copy the (n, T, m) increments of T steps into tile[:T] as (T, n, m).
+    # One step's column reads a float from every row, and long rows lie a
+    # memory page or more apart; copying _TILE x _TILE squares reads each
+    # row's page once per tile instead of once per step.
+    steps = block.shape[1]
+    for r in range(0, block.shape[0], _TILE):
+        np.copyto(tile[:steps, r : r + _TILE], block[r : r + _TILE].transpose(1, 0, 2))
 
 
 def euler_values(
@@ -276,7 +299,14 @@ def euler_values(
 
     Increment vectors are drawn for every step even when the diffusion
     coefficient vanishes, so stream consumption does not depend on the
-    coefficients.
+    coefficients.  A step is x + dt a(x) + sqrt(dt) b(x) z.  When
+    ``spec.diffusion`` is the ``diffusion`` method of a ConstantCoeff or
+    AffineCoeff, b(x) z is the elementwise product of its ``diagonal`` and
+    z, which equals the matrix product bit for bit (the other terms are
+    exact zeros).  The grid points between breakpoints l and l+1 are
+    filled as x_l (1 - lam) + x_{l+1} lam as soon as x_{l+1} is known, so
+    the breakpoint values are never stored; the large arrays are the
+    increments and the output.
     """
     if k < 2:
         raise ConfigurationError("breakpoint count k must be >= 2")
@@ -284,27 +314,57 @@ def euler_values(
     dt = 1.0 / (k - 1)
     sq = math.sqrt(dt)
     increments = rng.standard_normal((n, k - 1, m))
-    states = np.empty((n, k, m))
+    out = np.empty((n, grid.size, m))
+    # Grid point g lies between breakpoints j[g] and j[g] + 1 at weight
+    # lam[g] on the upper one.  The grid increases, so step l fills the
+    # slice edges[l] : edges[l + 1].
+    pos = grid.points * (k - 1)
+    j = np.minimum(pos.astype(int), k - 2)
+    lam = pos - j
+    lower = (1.0 - lam)[None, :, None]
+    upper = lam[None, :, None]
+    edges = np.searchsorted(j, np.arange(k)).tolist()
+    diagonal = _diagonal_of(spec)
     x = np.tile(spec.u0_array(), (n, 1))
-    states[:, 0, :] = x
-    scalar = m == 1
+    nxt = np.empty_like(x)
+    noise = np.empty_like(x)
+    tile = np.empty((min(_TILE, k - 1), n, m))
     for step in range(k - 1):
+        if step % _TILE == 0:
+            _steps_first(increments[:, step : step + _TILE, :], tile)
+        z = tile[step % _TILE]
         a = np.asarray(spec.drift(x), dtype=float)
-        b = np.asarray(spec.diffusion(x), dtype=float)
-        z = increments[:, step, :]
-        if scalar:
-            x = x + dt * a + sq * b[:, :, 0] * z
+        # The float operations run in the order of x + dt*a + (sq*b)*z for
+        # m = 1 and of x + dt*a + sq*(b z) for m > 1.
+        if diagonal is None:
+            b = np.asarray(spec.diffusion(x), dtype=float)
+            np.einsum("bij,bj->bi", b, z, out=noise)
+            noise *= sq
+        elif m == 1:
+            np.multiply(diagonal(x), sq, out=noise)
+            noise *= z
         else:
-            x = x + dt * a + sq * np.einsum("bij,bj->bi", b, z)
-        if not np.all(np.isfinite(x)):
-            bad = int(np.argwhere(~np.isfinite(x).all(axis=1))[0, 0])
+            np.multiply(diagonal(x), z, out=noise)
+            noise *= sq
+        np.multiply(a, dt, out=nxt)
+        nxt += x
+        nxt += noise
+        if not np.isfinite(nxt).all():
+            bad = int(np.argwhere(~np.isfinite(nxt).all(axis=1))[0, 0])
             raise NumericError(
                 f"euler recursion produced a non-finite state at step {step + 1}",
                 step=step + 1,
                 sample=bad,
             )
-        states[:, step + 1, :] = x
-    return _interp_breakpoints_to_grid(states, k, grid)
+        lo, hi = edges[step], edges[step + 1]
+        if hi > lo:
+            # Summed in a contiguous array and written once: consecutive
+            # rows of the output lie G * m floats apart.
+            seg = x[:, None, :] * lower[:, lo:hi]
+            seg += nxt[:, None, :] * upper[:, lo:hi]
+            out[:, lo:hi, :] = seg
+        x, nxt = nxt, x
+    return out
 
 
 def sample_batch(
@@ -342,7 +402,7 @@ def _blocks(measure: MeasureSpec, seed: SeedSpec, total: int):
     """(start, batch) over draws 0 .. total of ``seed``'s stream, in row blocks.
 
     A block is sized by the largest array one draw makes: its vector, its
-    path, its expansion coefficients or its Euler states.  Generators fill
+    path, its expansion coefficients or its Euler increments.  Generators fill
     rows in order, so the draws do not depend on the block size (BrownianKL
     paths move at BLAS rounding only).
 

@@ -209,24 +209,30 @@ def make_pl_subspace(breakpoints, grid: Optional[Grid] = None) -> Subspace:
     return Subspace(grid, basis, "piecewise-linear", detail=tuple(bp))
 
 
-def make_kl_subspace(k: int, grid: Optional[Grid] = None) -> Subspace:
-    """Span of the first k Brownian eigenfunctions, re-orthonormalized on the grid."""
+def check_kl_dim(k: int, grid: Grid) -> None:
+    """Raise unless a k-dimensional expansion subspace fits on the grid."""
     if k < 1:
         raise ConfigurationError("subspace dimension must be >= 1")
-    grid = grid or Grid.uniform()
     if k >= grid.size:
         raise ConfigurationError(
             f"a {k}-dimensional expansion subspace needs a grid with more "
             f"than {k} points (got {grid.size}); use a finer grid"
         )
+
+
+def make_kl_subspace(k: int, grid: Optional[Grid] = None) -> Subspace:
+    """Span of the first k Brownian eigenfunctions, re-orthonormalized on the grid."""
+    grid = grid or Grid.uniform()
+    check_kl_dim(k, grid)
     basis = _orthonormalize_rows(kl_basis_on_grid(k, grid), grid)
     return Subspace(grid, basis, "karhunen-loeve", detail=(k,))
 
 
 def batch_project(values: np.ndarray, sub: Subspace):
     """Project (B, G) scalar path values; returns (projection, residual)."""
-    wv = values * sub.grid.weights[None, :]
-    coeff = wv @ sub.basis.T  # (B, k)
+    # The weighted copy is a temporary of the product, so it is freed
+    # before the projection is made.
+    coeff = (values * sub.grid.weights[None, :]) @ sub.basis.T  # (B, k)
     proj = coeff @ sub.basis  # (B, G)
     return proj, values - proj
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,7 +14,8 @@ from quantquad.experiments import (
     width_estimate,
 )
 from quantquad.measures import BrownianKL, SeedSpec, UniformCube
-from quantquad.paths import Functional, Grid, make_kl_subspace
+from quantquad.paths import Functional, Grid, make_kl_subspace, sup_norm_functional
+from quantquad.quadrature import SmallBallProfile
 from quantquad.quantize import uniform_midpoint_codebook
 
 
@@ -94,6 +96,21 @@ class TestWidthEstimate:
             errors.append(width_estimate(measure, sub, 2.0, 4000, seed).error)
         assert all(b < a for a, b in zip(errors, errors[1:]))
 
+    def test_memory_is_three_path_blocks(self):
+        # One block of 20 000 paths: the paths, the projection and the
+        # residual; the weighted copy dies inside the product.
+        grid = Grid.uniform()
+        sub = make_kl_subspace(4, grid)
+        M = 20_000
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            width_estimate(BrownianKL(200, grid), sub, 2.0, M, SeedSpec(4))
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.2 * (8 * M * grid.size)
+
     def test_vector_measure_rejected(self):
         sub = make_kl_subspace(2, Grid.uniform())
         with pytest.raises(ConfigurationError):
@@ -160,3 +177,13 @@ class TestRunRateExperiment:
     def test_bad_algorithm_rejected(self):
         with pytest.raises(ConfigurationError):
             self._config(algorithm="importance-sampling")
+
+    def test_gauss_sub_rung_beyond_the_grid_rejected(self):
+        # The budget 3000 asks for 438 expansion terms; the grid has 257 points.
+        config = self._config(
+            algorithm="gauss-sub", ladder=(300, 3000), measure=None,
+            functional=sup_norm_functional(), profile=SmallBallProfile(2.0),
+            reference=("analytic", 1.0),
+        )
+        with pytest.raises(ConfigurationError, match="use a finer grid"):
+            run_rate_experiment(config)

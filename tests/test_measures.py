@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -158,6 +159,150 @@ class TestEuler:
         p = _one_euler_path(spec, 4, SeedSpec(6))
         assert p[0, 0] == 0.5
         assert p[-1, 0] == pytest.approx(1.5, abs=1e-12)
+
+
+def _euler_with_states(spec, k, rng, n, grid):
+    # The Euler kernel written the plain way: every breakpoint state kept in
+    # an (n, k, m) array, then interpolated to the grid in one gather.  The
+    # oracle for the step-by-step kernel, which must match it bit for bit.
+    m = spec.m
+    dt = 1.0 / (k - 1)
+    sq = math.sqrt(dt)
+    increments = rng.standard_normal((n, k - 1, m))
+    states = np.empty((n, k, m))
+    x = np.tile(spec.u0_array(), (n, 1))
+    states[:, 0, :] = x
+    for step in range(k - 1):
+        a = np.asarray(spec.drift(x), dtype=float)
+        b = np.asarray(spec.diffusion(x), dtype=float)
+        z = increments[:, step, :]
+        if m == 1:
+            x = x + dt * a + sq * b[:, :, 0] * z
+        else:
+            x = x + dt * a + sq * np.einsum("bij,bj->bi", b, z)
+        if not np.all(np.isfinite(x)):
+            bad = int(np.argwhere(~np.isfinite(x).all(axis=1))[0, 0])
+            raise NumericError("non-finite state", step=step + 1, sample=bad)
+        states[:, step + 1, :] = x
+    pos = grid.points * (k - 1)
+    j = np.minimum(pos.astype(int), k - 2)
+    lam = pos - j
+    out = states[:, j, :]
+    out *= (1.0 - lam)[None, :, None]
+    upper = states[:, j + 1, :]
+    upper *= lam[None, :, None]
+    out += upper
+    return out
+
+
+def _coupled_noise(x):
+    # A non-diagonal (B, 2, 2) diffusion matrix: the kernel's general path.
+    b = np.empty((x.shape[0], 2, 2))
+    b[:, 0, 0] = 0.2 + 0.1 * x[:, 0]
+    b[:, 0, 1] = 0.05 * x[:, 1]
+    b[:, 1, 0] = 0.1
+    b[:, 1, 1] = 0.3
+    return b
+
+
+_DRIFT = AffineCoeff(0.1, -0.3)
+
+EULER_CASES = {
+    # m = 1: breakpoints on the grid (every 8th), off it, and fewer than G.
+    "k2049-on-grid": (gbm_spec(0.1, 0.2), 2049, Grid.uniform(), 70),
+    "k4-off-grid": (gbm_spec(0.1, 0.2), 4, Grid.uniform(), 300),
+    "k100-off-grid": (gbm_spec(0.05, 0.3), 100, Grid.uniform(), 300),
+    "k100-fine-grid": (gbm_spec(0.05, 0.3), 100, Grid.uniform(1025), 130),
+    "m2-affine": (
+        DiffusionSpec(_DRIFT.drift, AffineCoeff(0.2, 0.1).diffusion, (1.0, 0.5), 2),
+        65, Grid.uniform(33), 200,
+    ),
+    "m3-constant": (
+        DiffusionSpec(
+            _DRIFT.drift, ConstantCoeff(0.3).diffusion, (1.0, 0.5, -1.0), 3
+        ),
+        50, Grid.uniform(), 200,
+    ),
+    "m2-custom": (
+        DiffusionSpec(_DRIFT.drift, _coupled_noise, (1.0, 0.5), 2),
+        65, Grid.uniform(33), 200,
+    ),
+    "m1-custom": (
+        DiffusionSpec(_DRIFT.drift, lambda x: (0.2 * x)[:, :, None], (1.0,), 1),
+        65, Grid.uniform(), 200,
+    ),
+}
+
+
+def _blows_up_at(step, sample):
+    # A zero drift that is infinite on one sample at the given step.
+    calls = []
+
+    def drift(x):
+        calls.append(step)
+        a = np.zeros_like(x)
+        if len(calls) == step:
+            a[sample, -1] = np.inf
+        return a
+
+    return drift
+
+
+class TestEulerKernel:
+    @pytest.mark.parametrize("case", list(EULER_CASES))
+    def test_equals_the_kernel_with_states(self, case):
+        spec, k, grid, n = EULER_CASES[case]
+        got = euler_values(spec, k, SeedSpec(7).rng(), n, grid)
+        want = _euler_with_states(spec, k, SeedSpec(7).rng(), n, grid)
+        assert got.shape == (n, grid.size, spec.m)
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize(
+        "diffusion, m",
+        [
+            (AffineCoeff(0.2, 0.1).diffusion, 1),
+            (AffineCoeff(0.2, 0.1).diffusion, 2),
+            (ConstantCoeff(0.3).diffusion, 2),
+            (lambda x: np.full((x.shape[0], 1, 1), 0.2), 1),
+            (_coupled_noise, 2),
+        ],
+        ids=["affine-1", "affine-2", "constant-2", "custom-1", "custom-2"],
+    )
+    def test_nonfinite_state_located(self, diffusion, m):
+        spec = DiffusionSpec(_blows_up_at(3, 5), diffusion, (1.0,) * m, m)
+        with pytest.raises(NumericError) as got:
+            euler_values(spec, 9, SeedSpec(8).rng(), 12, Grid.uniform(17))
+        spec = DiffusionSpec(_blows_up_at(3, 5), diffusion, (1.0,) * m, m)
+        with pytest.raises(NumericError) as want:
+            _euler_with_states(spec, 9, SeedSpec(8).rng(), 12, Grid.uniform(17))
+        assert (got.value.step, got.value.sample) == (3, 5)
+        assert (want.value.step, want.value.sample) == (3, 5)
+
+    @pytest.mark.parametrize(
+        "coeff", [ConstantCoeff(0.3), AffineCoeff(0.2, -0.1)], ids=["constant", "affine"]
+    )
+    def test_diagonal_is_the_diffusion_diagonal(self, coeff):
+        x = np.random.default_rng(9).standard_normal((6, 3))
+        full = coeff.diffusion(x)
+        assert np.array_equal(np.diagonal(full, axis1=1, axis2=2), coeff.diagonal(x))
+        assert np.count_nonzero(full) == np.count_nonzero(coeff.diagonal(x))
+        spec = DiffusionSpec(coeff.drift, coeff.diffusion, (1.0, 2.0, 3.0), 3)
+        assert measures._diagonal_of(spec) == coeff.diagonal
+        custom = DiffusionSpec(coeff.drift, _coupled_noise, (1.0, 2.0), 2)
+        assert measures._diagonal_of(custom) is None
+
+    def test_memory_is_increments_and_output(self):
+        n, k, grid = 1000, 2049, Grid.uniform()
+        rng = SeedSpec(10).rng()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            euler_values(gbm_spec(0.1, 0.2), k, rng, n, grid)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        needed = 8 * n * ((k - 1) + grid.size)
+        assert peak <= 1.1 * needed
 
 
 class TestReferenceValue:
