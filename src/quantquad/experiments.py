@@ -147,8 +147,9 @@ def width_estimate(
     moments = _Moments()
     for _, batch in _blocks(measure, seed.child(0), M):
         resid = batch_project(batch[:, :, 0], sub)[1]
-        norms = batch_norm(resid[:, :, None], norm_kind, sub.grid)
-        moments.add(norms**p)
+        del batch  # each block is freed before the next one is drawn
+        moments.add(batch_norm(resid[:, :, None], norm_kind, sub.grid) ** p)
+        del resid
     value, stderr = moments.root(p)
     return RatePoint(size=float(sub.dim), error=value, stderr=stderr)
 

@@ -504,6 +504,7 @@ def reference_value(
                 f"[{start}, {start + b}): {exc}",
                 sample=start,
             ) from exc
+        del batch  # each block is freed before the next one is drawn
         if not np.all(np.isfinite(vals)):
             bad = int(np.argmax(~np.isfinite(vals)))
             raise NumericError(

@@ -8,7 +8,9 @@ increases from one iteration to the next.  The scalar N(0,1) quantizers
 behind the Brownian product quantizer need no pool: they are exact
 Lloyd-Max fixed points.  Product codebooks (the cube's midpoint grid and
 the Brownian product quantizer) keep their per-axis levels, and their
-nearest search runs axis by axis.
+nearest search runs axis by axis.  Other L2 and euclidean codebooks are
+searched by Gram scores with near ties rescored.  Every nearest distance
+is the norm of an exact difference, so it does not depend on the batch.
 """
 from __future__ import annotations
 
@@ -42,12 +44,8 @@ from .paths import (
     kl_eigenvalues,
 )
 
-_DIRECT_LIMIT = 2**24  # switch to the Gram identity above this many diff entries
-_GRAM_SAMPLE_CHUNK = 2048
-_GRAM_CB_CHUNK = 8192
-# Bytes of the buffer that holds a run of gathered winners in a product
-# search: small enough to stay in cache between the gather, the difference
-# and the norm.
+# Bytes of the buffer that holds a run of gathered points whose exact
+# distances are taken: small enough to stay in cache.
 _GATHER_BYTES = 2**19
 # Largest entry of |rows W rows^T - I| for rows that count as orthonormal
 # under the grid weights W.  Uniform grids give the KL rows about 1e-14.
@@ -201,6 +199,28 @@ def _check_fits(values: np.ndarray, codebook: Codebook):
         )
 
 
+def _pair_distances(values: np.ndarray, codebook: Codebook, cols, rows=None):
+    """Distances from sample rows[i] (sample i if rows is None) to point cols[i].
+
+    Each is ``batch_norm`` of the exact difference, as in a direct search.
+    One buffer of _GATHER_BYTES holds each run of gathered points, then
+    their differences, so it stays in cache between the gather, the
+    difference and the norm; norms are summed per sample, so runs move
+    nothing.
+    """
+    k = cols.size
+    out = np.empty(k)
+    step = max(1, _GATHER_BYTES // (8 * math.prod(values.shape[1:])))
+    buf = np.empty((min(step, k),) + values.shape[1:])
+    for a in range(0, k, step):
+        run = buf[: min(step, k - a)]
+        np.take(codebook.points, cols[a : a + step], axis=0, out=run)
+        x = values[a : a + step] if rows is None else values[rows[a : a + step]]
+        np.subtract(x, run, out=run)
+        out[a : a + step] = batch_norm(run, codebook.norm, codebook.grid)
+    return out
+
+
 def _product_search(values: np.ndarray, codebook: Codebook):
     # With orthonormal rows e_l and coordinates xi_l = <x, e_l>,
     # |x - y|^2 = |x - Px|^2 + sum_l (xi_l - y_l)^2 for every point y, so
@@ -210,11 +230,10 @@ def _product_search(values: np.ndarray, codebook: Codebook):
     # lower flat index.  O(B (a G + sum_l log n_l)) for a axes.
     product = codebook.product
     b = values.shape[0]
-    x2d = values.reshape(b, -1)
-    xi = x2d
+    xi = values.reshape(b, math.prod(values.shape[1:]))
     if product.basis is not None:
         w = np.repeat(codebook.grid.weights, codebook.points.shape[2])
-        xi = x2d @ (product.basis * w).T
+        xi = xi @ (product.basis * w).T
     idx = np.zeros(b, dtype=np.intp)
     for axis, lv in enumerate(product.levels):
         x = xi[:, axis]
@@ -222,77 +241,124 @@ def _product_search(values: np.ndarray, codebook: Codebook):
         lo = np.maximum(hi - 1, 0)
         nearest = np.where(np.abs(x - lv[lo]) <= np.abs(lv[hi] - x), lo, hi)
         idx = idx * lv.size + nearest
-    # The winner's distance is the norm of the exact difference, as on the
-    # direct path.  One buffer holds each run of gathered winners, then
-    # their differences; norms are summed per sample, so runs move nothing.
+    return _pair_distances(values, codebook, idx), idx
+
+
+def _gram_search(values: np.ndarray, codebook: Codebook):
+    # Exact L2/euclidean search through scores s_j = |c_j|^2 - 2<x, c_j>
+    # (grid-weighted on paths), which order the points as
+    # D_j = |x - c_j|^2 = |x|^2 + s_j does: one BLAS product per tile.
+    # Every point whose score lies within a proven margin of its row's best
+    # is then rescored by batch_norm of its exact difference, the smallest
+    # distance winning and the lowest index on a tie, so the result is that
+    # of a search over every exact difference, bit for bit, in any tile
+    # layout.
+    #
+    # The margin.  With u = eps/2 and gamma_k = k u / (1 - k u), a sum of
+    # products of k-fold rounded terms, in any order, errs by at most
+    # gamma_k times the sum of the terms' magnitudes (Higham, Accuracy and
+    # Stability of Numerical Algorithms, 3.1).  Let F = flat and
+    # A = |x|^2 + max_j |c_j|^2 (``scale``), so D_j <= 2A.
+    # - Scores round the weighting x*w, each product, the sum and the
+    #   final subtraction: |s^_j - s_j| <= gamma_{F+2} (|c_j|^2 +
+    #   2 sum w|x||c_j|) <= 2 gamma_{F+2} A.
+    # - batch_norm rounds each difference (2, as it is squared), the sum of
+    #   m squares and its square root when m > 1 (m + 2), the weight
+    #   products (2), the sum over G points and the final square root (2):
+    #   d^_j^2 is D_j to within gamma_{G+m+7} D_j <= 2 gamma_{F+8} A, as
+    #   G + m <= F + 1.
+    # If j wins on d^ and k on s^, then d^_j <= d^_k gives
+    # D_j - D_k <= 4 gamma_{F+8} A, hence s^_j - s^_k <=
+    # 4 (gamma_{F+8} + gamma_{F+2}) A <= 4.1 (F+5) eps A.  The margin
+    # 8 (F+5) eps A is twice that, which covers A's own rounding.  Rows
+    # where the best score or 4A is not finite (non-finite samples,
+    # overflow) rescore every point, as a score itself may have overflowed.
+    b = values.shape[0]
+    flat = math.prod(values.shape[1:])
+    x2d = values.reshape(b, flat)
+    c2d = codebook.flat_points()
+    w = None
+    if codebook.grid is not None:
+        w = np.repeat(codebook.grid.weights, codebook.points.shape[2])
+    c_sq = np.einsum("nd,nd->n", c2d if w is None else c2d * w, c2d)
+    c_twice = 2.0 * c2d  # exact, so x @ c_twice.T is exactly 2 <x, c>
+    c_max = c_sq.max()
+    ulps = 8.0 * (flat + 5) * np.finfo(float).eps
     dist = np.empty(b)
-    rows = max(1, _GATHER_BYTES // (8 * x2d.shape[1]))
-    buf = np.empty((min(rows, b),) + values.shape[1:])
-    for b0 in range(0, b, rows):
-        run = buf[: min(rows, b - b0)]
-        np.take(codebook.points, idx[b0 : b0 + rows], axis=0, out=run)
-        np.subtract(values[b0 : b0 + rows], run, out=run)
-        dist[b0 : b0 + rows] = batch_norm(run, codebook.norm, codebook.grid)
+    idx = np.empty(b, dtype=np.intp)
+    step = _block_rows(max(codebook.n, flat))  # scores and xw fill <= a block
+    for b0 in range(0, b, step):
+        x = x2d[b0 : b0 + step]
+        t = x.shape[0]
+        xw = x if w is None else x * w
+        # Scores are (points, samples): the reductions then run over
+        # contiguous rows of samples, which is fastest for few points.
+        scores = c_twice @ xw.T
+        np.subtract(c_sq[:, None], scores, out=scores)
+        scale = np.einsum("bd,bd->b", xw, x) + c_max
+        del xw
+        with np.errstate(invalid="ignore"):  # inf - inf on overflowed rows
+            limit = scores.min(axis=0) + ulps * scale
+            unsafe = ~np.isfinite(limit + 4.0 * scale)
+        near = scores <= limit
+        del scores
+        near[:, unsafe] = True
+        cols, rows = np.divmod(np.flatnonzero(near), t)
+        del near
+        d = _pair_distances(values[b0 : b0 + step], codebook, cols, rows)
+        if rows.size > t:
+            # Keep each row's smallest distance, its lowest index on a tie.
+            keep = np.lexsort((cols, d, rows))
+            keep = keep[np.r_[0, np.flatnonzero(np.diff(rows[keep])) + 1]]
+            rows, cols, d = rows[keep], cols[keep], d[keep]
+        dist[b0 + rows] = d
+        idx[b0 + rows] = cols
+    return dist, idx
+
+
+def _direct_search(values: np.ndarray, codebook: Codebook):
+    # Sup and L1 have no Gram identity: each block of samples takes its
+    # distances to every point from a (samples, points, flat) difference
+    # array of one block; the first minimum is the lowest index.
+    b = values.shape[0]
+    dist = np.empty(b)
+    idx = np.empty(b, dtype=np.intp)
+    step = _block_rows(codebook.n * math.prod(values.shape[1:]))
+    for b0 in range(0, b, step):
+        diff = values[b0 : b0 + step, None] - codebook.points[None]
+        d = batch_norm(diff, codebook.norm, codebook.grid)
+        near = np.argmin(d, axis=1)
+        dist[b0 : b0 + step] = d[np.arange(near.size), near]
+        idx[b0 : b0 + step] = near
     return dist, idx
 
 
 def min_dist_batch(values: np.ndarray, codebook: Codebook):
     """Distance to and index of the nearest codebook point for each sample.
 
-    Ties go to the lowest index.  Returns (distances, indices).  A product
-    codebook is searched axis by axis; any other is searched point by
-    point.  Raises ``ConfigurationError`` when a sample's shape is not a
-    point's shape.
+    Returns (distances, indices); ties go to the lowest index.  Every
+    distance is ``batch_norm`` of the exact difference to the returned
+    point, so neither depends on how many samples share the call.  A
+    product codebook is searched axis by axis; any other L2 or euclidean
+    codebook by Gram scores with near ties rescored; sup and L1 codebooks
+    point by point.  Raises ``ConfigurationError`` when a sample's shape is
+    not a point's shape, and ``NumericError`` (``sample`` the first bad
+    row) when a distance is not finite: a non-finite sample or overflow.
     """
     _check_fits(values, codebook)
     if codebook.product is not None:
-        return _product_search(values, codebook)
-    n = codebook.n
-    b_total = values.shape[0]
-    flat_dim = int(np.prod(values.shape[1:]))
-    kind = codebook.norm
-    use_gram = (
-        kind in (NormKind.L2, NormKind.EUCLIDEAN)
-        and b_total * n * flat_dim > _DIRECT_LIMIT
-    )
-    best = np.full(b_total, np.inf)
-    idx = np.zeros(b_total, dtype=int)
-    if use_gram:
-        grid = codebook.grid  # set exactly when the norm is L2
-        w = None if grid is None else np.repeat(grid.weights, codebook.points.shape[2])
-        x2d = values.reshape(b_total, flat_dim)
-        c2d = codebook.flat_points()
-        xw = x2d if w is None else x2d * w[None, :]
-        x_sq = np.einsum("bd,bd->b", xw, x2d)
-        for c0 in range(0, n, _GRAM_CB_CHUNK):
-            cc = c2d[c0 : c0 + _GRAM_CB_CHUNK]
-            ccw = cc if w is None else cc * w[None, :]
-            c_sq = np.einsum("nd,nd->n", ccw, cc)
-            for b0 in range(0, b_total, _GRAM_SAMPLE_CHUNK):
-                b1 = min(b0 + _GRAM_SAMPLE_CHUNK, b_total)
-                d2 = x_sq[b0:b1, None] + c_sq[None, :] - 2.0 * (xw[b0:b1] @ cc.T)
-                np.maximum(d2, 0.0, out=d2)
-                local = np.argmin(d2, axis=1)
-                dloc = np.sqrt(d2[np.arange(b1 - b0), local])
-                better = dloc < best[b0:b1]
-                best[b0:b1][better] = dloc[better]
-                idx[b0:b1][better] = local[better] + c0
-        return best, idx
-    # The (samples, points, flat) difference array fills one block.
-    cb_chunk = min(n, _block_rows(flat_dim * 64))
-    s_chunk = _block_rows(flat_dim * cb_chunk)
-    for b0 in range(0, b_total, s_chunk):
-        b1 = min(b0 + s_chunk, b_total)
-        xb = values[b0:b1]
-        for c0 in range(0, n, cb_chunk):
-            cbp = codebook.points[c0 : c0 + cb_chunk]
-            d = batch_norm(xb[:, None] - cbp[None], kind, codebook.grid)
-            local = np.argmin(d, axis=1)
-            dloc = d[np.arange(b1 - b0), local]
-            better = dloc < best[b0:b1]
-            best[b0:b1][better] = dloc[better]
-            idx[b0:b1][better] = local[better] + c0
-    return best, idx
+        search = _product_search
+    elif codebook.norm in (NormKind.L2, NormKind.EUCLIDEAN):
+        search = _gram_search
+    else:
+        search = _direct_search
+    dist, idx = search(values, codebook)
+    if not np.all(np.isfinite(dist)):
+        bad = int(np.argmin(np.isfinite(dist)))
+        raise NumericError(
+            f"distance to the codebook is not finite at sample {bad}", sample=bad
+        )
+    return dist, idx
 
 
 def dist_to_codebook_functional(codebook: Codebook) -> Functional:
@@ -320,6 +386,7 @@ def distortion(
     moments = _Moments()
     for _, batch in _blocks(measure, seed.child(0), M):
         d, _ = min_dist_batch(batch, codebook)
+        del batch  # each block is freed before the next one is drawn
         moments.add(d**r)
     value, stderr = moments.root(r)
     return DistortionEstimate(value, stderr, M, r)
@@ -338,6 +405,7 @@ def voronoi_weights(
     counts = np.zeros(codebook.n, dtype=np.int64)
     for _, batch in _blocks(measure, seed.child(0), M):
         _, idx = min_dist_batch(batch, codebook)
+        del batch  # each block is freed before the next one is drawn
         counts += np.bincount(idx, minlength=codebook.n)
     w = counts / float(M)
     # Force an exact unit sum; the correction is at the rounding level.

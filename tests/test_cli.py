@@ -345,6 +345,23 @@ class TestCliBadInput:
         assert not out.exists()
 
 
+class TestCliNumeric:
+    def test_overflowing_distance_exits_2(self, tmp_path, capsys):
+        # |x - (+-1e300)|^2 overflows, so no sample has a finite distance.
+        cb = Codebook(np.array([[-1e300], [1e300]]), 2.0, NormKind.EUCLIDEAN,
+                      "uniform_cube:1", weights=np.array([0.5, 0.5]))
+        cb_path = str(tmp_path / "far.csv")
+        save_codebook(cb, cb_path)
+        out = tmp_path / "out"
+        code = run("quad", "--algo", "vrmc", "--codebook", cb_path,
+                   "--measure", "uniform_cube:1", "--functional", "coord_at(0)",
+                   "--n", "100", "--seed", "1", "--out", str(out))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "quantquad: numeric failure: " in err and "sample 0" in err
+        assert not out.exists()
+
+
 class TestCliInfo:
     def test_version_exit_zero(self, capsys):
         assert run("info", "--version") == 0

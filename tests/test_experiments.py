@@ -13,7 +13,7 @@ from quantquad.experiments import (
     run_rate_experiment,
     width_estimate,
 )
-from quantquad.measures import BrownianKL, SeedSpec, UniformCube
+from quantquad.measures import BrownianKL, SeedSpec, UniformCube, _block_rows
 from quantquad.paths import Functional, Grid, make_kl_subspace, sup_norm_functional
 from quantquad.quadrature import SmallBallProfile
 from quantquad.quantize import uniform_midpoint_codebook
@@ -110,6 +110,21 @@ class TestWidthEstimate:
         finally:
             tracemalloc.stop()
         assert peak <= 3.2 * (8 * M * grid.size)
+
+    def test_memory_over_three_blocks_is_three_path_blocks(self):
+        # A block is freed before the next one is drawn, so three blocks
+        # peak no higher than one.
+        grid = Grid.uniform()
+        sub = make_kl_subspace(4, grid)
+        rows = _block_rows(grid.size)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            width_estimate(BrownianKL(200, grid), sub, 2.0, 3 * rows, SeedSpec(4))
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.2 * (8 * rows * grid.size)
 
     def test_vector_measure_rejected(self):
         sub = make_kl_subspace(2, Grid.uniform())

@@ -160,6 +160,14 @@ class TestNearest:
         d = np.abs(values[:, :, 0, None] - cb.points[None, :, 0, 0]).max(axis=1)
         assert np.any(np.sum(d == d.min(axis=1, keepdims=True), axis=1) > 1)
 
+    def test_empty_batch(self, grid):
+        paths = sample_batch(BrownianKL(20, grid), SeedSpec(1), 3)
+        for cb in (uniform_midpoint_codebook(2, 3), product_quantizer_bm(4, 20, grid),
+                   Codebook(paths, 2.0, NormKind.L2, "b", grid=grid),
+                   Codebook(paths, 2.0, NormKind.SUP, "b", grid=grid)):
+            d, idx = min_dist_batch(np.zeros((0,) + cb.points.shape[1:]), cb)
+            assert d.shape == idx.shape == (0,)
+
     def test_samples_must_fit_the_points(self, grid):
         cb = product_quantizer_bm(4, 20, Grid.uniform(33))
         paths = sample_batch(BrownianKL(20, grid), SeedSpec(1), 3)
@@ -170,32 +178,25 @@ class TestNearest:
             min_dist_batch(np.zeros((3, 2)), uniform_midpoint_codebook(1, 4))
 
 
-def _point_search(codebook, values, monkeypatch=None):
-    """The same points searched one by one, without their product structure.
-
-    With ``monkeypatch`` the direct (exact difference) path runs at any size.
-    """
+def _point_search(codebook, values):
+    """The same points searched one by one, without their product structure."""
     plain = dataclasses.replace(codebook, product=None)
     assert plain.product is None and codebook.product is not None
-    if monkeypatch is None:
-        return min_dist_batch(values, plain)
-    with monkeypatch.context() as patch:
-        patch.setattr(quantize, "_DIRECT_LIMIT", math.inf)
-        return min_dist_batch(values, plain)
+    return min_dist_batch(values, plain)
 
 
 class TestProductSearch:
     @pytest.mark.parametrize("d, per_axis", [(1, 64), (2, 16), (3, 8)])
-    def test_cube_grid_matches_point_search(self, d, per_axis, monkeypatch):
+    def test_cube_grid_matches_point_search(self, d, per_axis):
         cb = uniform_midpoint_codebook(d, per_axis)
         values = sample_batch(UniformCube(d), SeedSpec(30 + d), 2000)
         got = min_dist_batch(values, cb)
-        want = _point_search(cb, values, monkeypatch)
+        want = _point_search(cb, values)
         np.testing.assert_array_equal(got[1], want[1])
         np.testing.assert_array_equal(got[0], want[0])
 
     @pytest.mark.parametrize("d", [1, 2, 3])
-    def test_cube_ties_go_to_the_lowest_index(self, d, monkeypatch):
+    def test_cube_ties_go_to_the_lowest_index(self, d):
         # Every combination of cell boundaries k/4 and midpoints (2k+1)/8,
         # all exact binary fractions, so boundary samples tie exactly.
         per_axis = 4
@@ -203,7 +204,7 @@ class TestProductSearch:
         coords = np.unique(np.r_[np.arange(5) / 4.0, (2 * np.arange(4) + 1) / 8.0])
         values = np.array(list(itertools.product(coords, repeat=d)))
         got = min_dist_batch(values, cb)
-        want = _point_search(cb, values, monkeypatch)
+        want = _point_search(cb, values)
         np.testing.assert_array_equal(got[1], want[1])
         np.testing.assert_array_equal(got[0], want[0])
         for row, x in enumerate(values):
@@ -212,17 +213,13 @@ class TestProductSearch:
         assert np.any(on_boundary & (values > 0).all(axis=1) & (values < 1).all(axis=1))
 
     @pytest.mark.parametrize("n", [2, 16, 2**10])
-    def test_brownian_matches_point_search(self, n, grid, monkeypatch):
+    def test_brownian_matches_point_search(self, n, grid):
         cb = product_quantizer_bm(n, 200, grid)
         values = sample_batch(BrownianKL(200, grid), SeedSpec(40), 2000)
         got = min_dist_batch(values, cb)
-        # Indices against the search the size selects (Gram above 2^24
-        # entries); indices and exact distances against the direct path.
-        np.testing.assert_array_equal(got[1], _point_search(cb, values)[1])
-        head = values[:256]
-        want = _point_search(cb, head, monkeypatch)
-        np.testing.assert_array_equal(got[1][:256], want[1])
-        np.testing.assert_array_equal(got[0][:256], want[0])
+        want = _point_search(cb, values)
+        np.testing.assert_array_equal(got[1], want[1])
+        np.testing.assert_array_equal(got[0], want[0])
 
     @pytest.mark.parametrize("make", [
         lambda grid: product_quantizer_bm(16, 200, grid),
@@ -246,6 +243,165 @@ class TestProductSearch:
         cb = product_quantizer_bm(16, 20, warped)
         assert cb.product is None
         assert cb.n == 16
+
+
+# Difference entries (samples x points x flat) above which the search once
+# switched from exact differences to the Gram identity.
+_OLD_SWITCH = 2**24
+
+
+def _brute_search(values, codebook):
+    """Per-pair batch_norm of every exact difference; first minimum wins."""
+    from quantquad.adversary import _all_point_distances
+
+    d = _all_point_distances(values, codebook)
+    idx = np.argmin(d, axis=1)
+    return d[np.arange(d.shape[0]), idx], idx, d
+
+
+def _lattice_cases(large):
+    # Quarter-lattice samples around half-lattice points, all shifted into
+    # [512, 1024): every value and difference is exact, so distances to two
+    # points tie exactly and often, while the scores |c|^2 - 2<x, c> of a
+    # Gram search round.
+    rng = np.random.default_rng(17)
+    shift = 700.1
+    axis = np.arange(8) * 0.5 + shift
+    square = Codebook(np.stack(np.meshgrid(axis, axis, indexing="ij"), -1).reshape(-1, 2),
+                      2.0, NormKind.EUCLIDEAN, "lattice")
+    grid = Grid.uniform(5)
+    levels = Codebook(np.arange(12.0)[:, None, None] * 0.5 + np.zeros((1, 5, 1)) + shift,
+                      2.0, NormKind.L2, "lattice", grid=grid)
+    cases = []
+    for cb in (square, levels):
+        flat = math.prod(cb.points.shape[1:])
+        b = _OLD_SWITCH // (cb.n * flat) + 1000 if large else 1000
+        values = np.round(4.0 * rng.standard_normal((b,) + cb.points.shape[1:])) / 4.0
+        cases.append((values + 1.75 + shift, cb))
+    return cases
+
+
+class TestGramSearch:
+    def test_self_distance_is_exactly_zero(self, grid):
+        paths = sample_batch(BrownianKL(200, grid), SeedSpec(50), 300)
+        cb = Codebook(paths, 2.0, NormKind.L2, "brownian_kl:200", grid=grid)
+        d, idx = min_dist_batch(paths, cb)
+        np.testing.assert_array_equal(idx, np.arange(300))
+        np.testing.assert_array_equal(d, np.zeros(300))
+
+    def test_voronoi_quadrature_of_the_distance_vanishes(self, grid):
+        from quantquad.quadrature import voronoi_quadrature
+
+        paths = sample_batch(BrownianKL(200, grid), SeedSpec(50), 300)
+        weights = np.full(300, 1.0 / 300)
+        weights[0] += 1.0 - weights.sum()
+        cb = Codebook(paths, 2.0, NormKind.L2, "brownian_kl:200", grid=grid,
+                      weights=weights)
+        assert voronoi_quadrature(cb, dist_to_codebook_functional(cb)).estimate == 0.0
+
+    @pytest.mark.parametrize("large", [False, True], ids=["small", "above-old-switch"])
+    def test_lattice_ties_match_brute_force(self, large):
+        for values, cb in _lattice_cases(large):
+            assert (values.shape[0] * cb.n * math.prod(values.shape[1:])
+                    > _OLD_SWITCH) == large
+            want_d, want_idx, all_d = _brute_search(values, cb)
+            got_d, got_idx = min_dist_batch(values, cb)
+            np.testing.assert_array_equal(got_idx, want_idx)
+            np.testing.assert_array_equal(got_d, want_d)
+            ties = np.sum(all_d == want_d[:, None], axis=1) > 1
+            assert ties.sum() > values.shape[0] // 50
+
+    def test_near_ties_match_brute_force(self):
+        # Samples on and near segments between points, far from the origin
+        # and at small spreads, where Gram scores round most; vectors and
+        # paths with m = 1..3 on uniform and warped grids.
+        rng = np.random.default_rng(19)
+        for trial in range(60):
+            offset, spread = 10.0 ** rng.uniform(-3, 6), 10.0 ** rng.uniform(-6, 1)
+            grid = None
+            shape = (int(rng.integers(1, 20)),)
+            if trial % 3:
+                shape = (int(rng.integers(2, 9)), int(rng.integers(1, 4)))
+                inner = np.sort(rng.uniform(0.0, 1.0, shape[0] - 2))
+                grid = Grid(np.r_[0.0, inner, 1.0]) if trial % 3 == 2 else Grid.uniform(shape[0])
+            pts = rng.standard_normal((30,) + shape)
+            if trial % 2:
+                pts = np.round(2.0 * pts) / 2.0
+            pts = np.unique(offset + spread * pts.reshape(30, -1), axis=0)
+            pts = pts.reshape((-1,) + shape)
+            i, j = rng.integers(pts.shape[0], size=(2, 400))
+            lam = rng.choice([0.0, 0.25, 0.5, 1.0, rng.uniform()],
+                             size=(400,) + (1,) * len(shape))
+            values = pts[i] * lam + pts[j] * (1.0 - lam)
+            values += rng.choice([0.0, 1e-16, 1e-12], size=values.shape) * offset
+            norm = NormKind.EUCLIDEAN if grid is None else NormKind.L2
+            cb = Codebook(pts, 2.0, norm, "near", grid=grid)
+            want_d, want_idx, _ = _brute_search(values, cb)
+            got_d, got_idx = min_dist_batch(values, cb)
+            np.testing.assert_array_equal(got_idx, want_idx)
+            np.testing.assert_array_equal(got_d, want_d)
+
+    def test_tile_layout_does_not_matter(self, grid, monkeypatch):
+        rng = np.random.default_rng(18)
+        paths = sample_batch(BrownianKL(200, grid), SeedSpec(51), 2040)
+        cases = [
+            (paths[40:], Codebook(paths[:40], 2.0, NormKind.L2, "brownian_kl:200",
+                                  grid=grid)),
+            (rng.standard_normal((5000, 2)),
+             Codebook(rng.standard_normal((64, 2)), 2.0, NormKind.EUCLIDEAN, "n:2")),
+            *_lattice_cases(False),
+        ]
+        whole = [min_dist_batch(x, cb) for x, cb in cases]
+        for (x, cb), want in zip(cases, whole):
+            cuts = np.sort(rng.choice(np.arange(1, x.shape[0]), 7, replace=False))
+            parts = [min_dist_batch(part, cb) for part in np.split(x, cuts)]
+            for got, exp in zip(map(np.concatenate, zip(*parts)), want):
+                np.testing.assert_array_equal(got, exp)
+        monkeypatch.setattr(measures, "_BLOCK_BYTES", 4096)
+        for (x, cb), want in zip(cases, whole):
+            for got, exp in zip(min_dist_batch(x, cb), want):
+                np.testing.assert_array_equal(got, exp)
+
+
+class TestNonFiniteDistances:
+    # Every search raises NumericError at the first row whose distance is
+    # not finite: a NaN or infinite sample, or an overflowing difference.
+    def _raises_at(self, values, cb, row):
+        with pytest.raises(NumericError, match="not finite") as info:
+            min_dist_batch(values, cb)
+        assert info.value.sample == row
+
+    def test_product_search(self, grid):
+        cb = uniform_midpoint_codebook(2, 4)
+        values = sample_batch(UniformCube(2), SeedSpec(60), 50)
+        values[7, 1] = np.nan
+        values[9, 0] = np.inf
+        self._raises_at(values, cb, 7)
+        paths = sample_batch(BrownianKL(200, grid), SeedSpec(61), 20)
+        paths[3, 100, 0] = np.nan
+        self._raises_at(paths, product_quantizer_bm(16, 200, grid), 3)
+
+    def test_gram_search(self, grid):
+        rng = np.random.default_rng(62)
+        cb = Codebook(rng.standard_normal((9, 3)), 2.0, NormKind.EUCLIDEAN, "n:3")
+        for bad in (np.nan, np.inf, -np.inf, 1e300):
+            values = rng.standard_normal((40, 3))
+            values[11, 2] = bad
+            self._raises_at(values, cb, 11)
+        far = Codebook(np.array([[-1e300], [1e300]]), 2.0, NormKind.EUCLIDEAN, "u")
+        self._raises_at(np.array([[0.5], [0.25]]), far, 0)
+        paths = sample_batch(BrownianKL(200, grid), SeedSpec(63), 30)
+        paths[21, 0, 0] = np.nan
+        self._raises_at(paths, Codebook(paths[:5], 2.0, NormKind.L2, "b", grid=grid), 21)
+
+    def test_direct_search(self, grid):
+        paths = sample_batch(BrownianKL(200, grid), SeedSpec(64), 30)
+        cb = Codebook(paths[:5], 2.0, NormKind.SUP, "brownian_kl:200", grid=grid)
+        paths[17, 5, 0] = np.nan
+        self._raises_at(paths, cb, 17)
+        paths[17, 5, 0] = 0.0
+        paths[23, 8, 0] = -np.inf
+        self._raises_at(paths, dataclasses.replace(cb, norm=NormKind.L1), 23)
 
 
 class TestDistortion:
