@@ -33,6 +33,7 @@ from .measures import (
     _block_rows,
     _blocks,
     _Moments,
+    _stream,
     measure_grid,
 )
 from .paths import Functional, Grid, NormKind, Subspace, batch_norm, batch_project
@@ -118,7 +119,7 @@ def gap_identity_check(
 
     f_m is the fooling functional of the last codebook point and q is the
     order-1 quantization error.  Both sides are averaged over the same
-    samples, so the difference is fully paired.
+    samples, so the difference is fully paired.  Needs M >= 100.
     """
     if codebook.n < 2:
         raise ConfigurationError("gap_identity_check needs at least 2 points")
@@ -134,13 +135,13 @@ def gap_identity_check(
     family = fooling_family(codebook)
     f_last = family.functionals[m - 1]
 
-    moments = _Moments((3,))
-    for _, batch in _blocks(measure, seed.child(0), M):
+    def sides(batch):
         lhs = f_last(batch)
-        d_full, _ = min_dist_batch(batch, codebook)
-        d_red, _ = min_dist_batch(batch, reduced)
-        rhs = 0.5 * (d_red - d_full)
-        moments.add(np.stack((lhs, rhs, lhs - rhs)))
+        d_full = min_dist_batch(batch, codebook)[0]
+        rhs = 0.5 * (min_dist_batch(batch, reduced)[0] - d_full)
+        return np.stack((lhs, rhs, lhs - rhs))
+
+    moments = _Moments(_stream(measure, seed.child(0), M, sides, 100), (3,))
     means = moments.mean()
     stderrs = moments.stderr()
     combined = math.sqrt(stderrs[0] ** 2 + stderrs[1] ** 2)
@@ -246,10 +247,8 @@ def event_probability(
     the exact value p^segments with p = 1/2 - (Phi(1/segments) - 1/2):
     each increment has standard deviation sqrt(window/segments), so the
     threshold is the (1/segments)-quantile away from zero, and the
-    increments are independent.
+    increments are independent.  Needs M >= 10^4.
     """
-    if M < 10_000:
-        raise ConfigurationError("event_probability needs M >= 10^4")
     if segments < 1:
         raise ConfigurationError("segments must be >= 1")
     grid = grid or Grid.uniform()
@@ -258,10 +257,10 @@ def event_probability(
     indices = np.array([grid.index_of(t) for t in spec.times()])
     measure = BrownianKL(k_terms, grid)
 
-    hits = 0
-    for _, batch in _blocks(measure, seed.child(0), M):
-        increments = np.diff(batch[:, indices, 0], axis=1)
-        hits += int(np.all(increments >= threshold, axis=1).sum())
+    def cleared(batch):
+        return np.all(np.diff(batch[:, indices, 0], axis=1) >= threshold, axis=1)
+
+    hits = sum(int(c.sum()) for c in _stream(measure, seed.child(0), M, cleared, 10**4))
     p_hat = hits / M
     stderr = math.sqrt(max(p_hat * (1.0 - p_hat), 1e-300) / M)
     p = 1.0 - NormalDist().cdf(1.0 / segments)

@@ -32,6 +32,7 @@ from .experiments import kl_tail_width, run_rate_experiment, width_estimate
 from .measures import (
     BrownianKL,
     Diffusion,
+    UniformCube,
     is_path_measure,
     measure_tag,
     reference_value,
@@ -189,8 +190,10 @@ def _cmd_quad(args) -> int:
     grid = Grid.uniform(args.grid) if args.grid else None
     codebook = load_codebook(args.codebook) if args.codebook else None
     functional_measure = measure
-    if functional_measure is None and codebook is not None and codebook.grid is not None:
-        functional_measure = BrownianKL(200, codebook.grid)
+    if functional_measure is None and codebook is not None:  # the codebook's space
+        functional_measure = UniformCube(codebook.points.shape[1])
+        if codebook.grid is not None:
+            functional_measure = BrownianKL(200, codebook.grid)
     f = parse_functional(args.functional, functional_measure)
 
     echo_extra = {}

@@ -23,8 +23,8 @@ from .measures import (
     DiffusionSpec,
     MeasureSpec,
     SeedSpec,
-    _blocks,
     _Moments,
+    _stream,
     is_path_measure,
     reference_value,
 )
@@ -136,21 +136,20 @@ def width_estimate(
     The distance is the norm of the L2-projection residual, so for L2
     this is the exact subspace distance and for sup/L1 an upper bound.
     Since the subspace is given rather than optimized, the result is an
-    upper estimate of the k-th average width.
+    upper estimate of the k-th average width.  Needs M >= 1000.
     """
-    if M < 1000:
-        raise ConfigurationError("width_estimate needs M >= 1000")
     if p <= 0:
         raise ConfigurationError("order p must be positive")
     if not is_path_measure(measure):
         raise ConfigurationError("width_estimate expects a path measure")
-    moments = _Moments()
-    for _, batch in _blocks(measure, seed.child(0), M):
+
+    def distances(batch):
         resid = batch_project(batch[:, :, 0], sub)[1]
-        del batch  # each block is freed before the next one is drawn
-        moments.add(batch_norm(resid[:, :, None], norm_kind, sub.grid) ** p)
-        del resid
-    value, stderr = moments.root(p)
+        del batch  # the block is freed before its residual's norms are taken
+        return batch_norm(resid[:, :, None], norm_kind, sub.grid) ** p
+
+    blocks = _stream(measure, seed.child(0), M, distances, 1000)
+    value, stderr = _Moments(blocks).root(p)
     return RatePoint(size=float(sub.dim), error=value, stderr=stderr)
 
 

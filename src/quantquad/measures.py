@@ -406,10 +406,9 @@ def _blocks(measure: MeasureSpec, seed: SeedSpec, total: int):
     rows in order, so the draws do not depend on the block size (BrownianKL
     paths move at BLAS rounding only).
 
-    The streamed estimators draw from ``seed.child(0)``: that was the
-    stream of their first chunk when each chunk of draws (65536, fewer for
-    widths) had a stream of its own, so every estimate that fit in one
-    chunk kept its draws.
+    The streamed estimators draw from ``seed.child(0)``, the stream of their
+    first chunk when each chunk of draws had a stream of its own, so every
+    estimate that fit in one chunk kept its draws.
     """
     if isinstance(measure, (UniformCube, StdNormal)):
         floats = measure.d
@@ -423,21 +422,57 @@ def _blocks(measure: MeasureSpec, seed: SeedSpec, total: int):
         yield start, sample_batch(measure, rng, min(rows, total - start))
 
 
+def _stream(measure: MeasureSpec, seed: SeedSpec, total: int, evaluate, minimum: int):
+    """``evaluate`` of each block of draws 0 .. total of ``seed``'s stream.
+
+    The driver of every streamed estimate.  ``evaluate`` maps a block of b
+    draws (its only reference) to (b,) or (columns, b) values.  Fewer than
+    ``minimum`` draws raise ``ConfigurationError``, which also passes
+    through from drawing or evaluating.  Any other failure, and a non-finite
+    value, raise ``NumericError`` at the failing draw's stream index: a
+    located error's row plus its block's start, its ``step`` kept.
+    """
+    if total < minimum:
+        raise ConfigurationError(f"at least {minimum} samples needed, got {total}")
+    blocks = _blocks(measure, seed, total)
+    start = 0
+    while start < total:
+        try:
+            values = evaluate(next(blocks)[1])
+        except ConfigurationError:
+            raise
+        except NumericError as exc:
+            bad = start + (exc.sample or 0)
+            raise NumericError(f"sample {bad}: {exc}", step=exc.step, sample=bad) from exc
+        except Exception as exc:
+            message = f"sample {start}: {type(exc).__name__}: {exc}"
+            raise NumericError(message, sample=start) from exc
+        finite = np.isfinite(values).reshape(-1, values.shape[-1]).all(axis=0)
+        if not finite.all():
+            bad = start + int(np.argmin(finite))
+            raise NumericError(f"sample {bad}: non-finite value", sample=bad)
+        yield values
+        start += values.shape[-1]
+
+
 class _Moments:
     """Running mean and CLT stderr of streamed values, per column.
 
-    ``add`` takes one chunk, (b,) for a single column or (columns, b).
-    Each mean is (sum of chunk sums) / count.  The second moment is kept
-    centred: each chunk's sum of squared deviations from its own mean is
-    merged by the pairwise update of Chan, Golub & LeVeque (1983), so no
-    stderr suffers the cancellation of E[y^2] - mean^2 at large means.
+    Each of ``blocks`` is one chunk, (b,) for a single column or
+    (columns, b).  Each mean is (sum of chunk sums) / count.  The second
+    moment is kept centred: each chunk's sum of squared deviations from its
+    own mean is merged by the pairwise update of Chan, Golub & LeVeque
+    (1983), so no stderr suffers the cancellation of E[y^2] - mean^2 at
+    large means.
     """
 
-    def __init__(self, shape=()):
+    def __init__(self, blocks, shape=()):
         self.count = 0
         self.total = np.zeros(shape)
         self.center = np.zeros(shape)
         self.m2 = np.zeros(shape)
+        for values in blocks:
+            self.add(values)
 
     def add(self, values: np.ndarray):
         b = values.shape[-1]
@@ -484,32 +519,10 @@ def reference_value(
 ) -> MonteCarloEstimate:
     """Plain Monte Carlo estimate of the mean of a functional with CLT stderr.
 
-    Used as the ground-truth oracle by tests and the rate harness.  A
-    ``ConfigurationError`` from the functional (say, a wrong output shape)
-    passes through; any other failure is reported as a ``NumericError``
-    carrying the first sample of the failing block.
+    Used as the ground-truth oracle by tests and the rate harness.  Needs
+    a budget of at least 100.  A ``ConfigurationError`` from the functional
+    (say, a wrong output shape) passes through; any other failure, and a
+    non-finite value, raise ``NumericError`` at the failing draw's index.
     """
-    if budget < 100:
-        raise ConfigurationError("reference budget must be >= 100")
-    moments = _Moments()
-    for start, batch in _blocks(measure, seed.child(0), budget):
-        b = batch.shape[0]
-        try:
-            vals = functional(batch)
-        except ConfigurationError:
-            raise
-        except Exception as exc:  # locate the failing draw for the caller
-            raise NumericError(
-                f"functional evaluation failed on samples "
-                f"[{start}, {start + b}): {exc}",
-                sample=start,
-            ) from exc
-        del batch  # each block is freed before the next one is drawn
-        if not np.all(np.isfinite(vals)):
-            bad = int(np.argmax(~np.isfinite(vals)))
-            raise NumericError(
-                f"functional returned a non-finite value at sample {start + bad}",
-                sample=start + bad,
-            )
-        moments.add(vals)
+    moments = _Moments(_stream(measure, seed.child(0), budget, functional, 100))
     return MonteCarloEstimate(float(moments.mean()), float(moments.stderr()), budget)

@@ -84,7 +84,7 @@ class Grid:
         """Index of a grid point matching t exactly (within 1e-12)."""
         i = int(np.argmin(np.abs(self.points - t)))
         if abs(self.points[i] - t) > _GRID_MATCH_TOL:
-            raise ConfigurationError(f"t={t!r} does not lie on the grid")
+            raise ConfigurationError(f"t={float(t)!r} does not lie on the grid")
         return i
 
 

@@ -34,7 +34,7 @@ from .measures import (
     DiffusionSpec,
     MeasureSpec,
     SeedSpec,
-    _blocks,
+    _stream,
     oracle_dim,
     rng_calls_per_sample,
 )
@@ -138,34 +138,44 @@ def _mean_and_stderr(values: np.ndarray) -> Tuple[float, float]:
     return float(values.mean()), float(values.std(ddof=1) / math.sqrt(values.size))
 
 
-def _draws(
-    measure: MeasureSpec, f: Functional, n: int, replications: int, seed: SeedSpec
-):
-    """Checked draws 0 .. n * replications of ``seed``'s stream, in blocks."""
-    if n < 2:
-        raise ConfigurationError(f"Monte Carlo needs n >= 2 draws, got {n}")
-    _check_oracle_dim(f, oracle_dim(measure))
-    return (batch for _, batch in _blocks(measure, seed, n * replications))
-
-
 def _draw_cost(measure: MeasureSpec) -> int:
     """Arithmetic units per draw: one per Euler step for a Diffusion, else one."""
     return measure.k_steps if isinstance(measure, Diffusion) else 1
 
 
 def _mc_values(
-    measure: MeasureSpec, f: Functional, n: int, replications: int, seed: SeedSpec
-) -> np.ndarray:
-    """f at n * replications draws of ``seed``'s stream; (replications, n)."""
-    values = [f(batch) for batch in _draws(measure, f, n, replications, seed)]
-    return np.concatenate(values).reshape(replications, n)
+    measure: MeasureSpec,
+    f: Functional,
+    n: int,
+    replications: int,
+    seed: SeedSpec,
+    codebook: Optional[Codebook] = None,
+) -> Tuple[float, np.ndarray]:
+    """Voronoi part and (replications, n) values over ``seed``'s stream.
+
+    The values are f, or given a codebook the residuals f - J(f) with
+    S(J(f)) as the Voronoi part (else 0).  Each run needs n >= 2 draws.
+    """
+    _check_oracle_dim(f, oracle_dim(measure))
+    evaluate, voronoi_part = f, 0.0
+    if codebook is not None:
+        if codebook.weights is None:
+            raise ConfigurationError("vr_mc needs codebook weights")
+        f_at_points = f(codebook.points)
+        voronoi_part = float(f_at_points @ codebook.weights)
+
+        def evaluate(batch):
+            return f(batch) - f_at_points[min_dist_batch(batch, codebook)[1]]
+
+    values = _stream(measure, seed, n * replications, evaluate, 2 * replications)
+    return voronoi_part, np.concatenate(list(values)).reshape(replications, n)
 
 
 def classical_mc(
     measure: MeasureSpec, f: Functional, n: int, seed: SeedSpec
 ) -> QuadratureResult:
     """Mean of f over n independent draws with CLT standard error."""
-    estimate, stderr = _mean_and_stderr(_mc_values(measure, f, n, 1, seed)[0])
+    estimate, stderr = _mean_and_stderr(_mc_values(measure, f, n, 1, seed)[1][0])
     k = oracle_dim(measure)
     ledger = CostLedger(
         oracle_calls=n,
@@ -180,32 +190,11 @@ def classical_mc_replicated(
     measure: MeasureSpec, f: Functional, n: int, replications: int, seed: SeedSpec
 ) -> np.ndarray:
     """Estimates of ``replications`` independent classical_mc runs; (R,)."""
-    return _mc_values(measure, f, n, replications, seed).mean(axis=1)
+    return _mc_values(measure, f, n, replications, seed)[1].mean(axis=1)
 
 
 # ---------------------------------------------------------------------------
 # Quantization-based variance reduction
-
-
-def _vr_residuals(
-    codebook: Codebook,
-    measure: MeasureSpec,
-    f: Functional,
-    n: int,
-    replications: int,
-    seed: SeedSpec,
-) -> Tuple[float, np.ndarray]:
-    """Voronoi part and the (replications, n) residuals f - J(f) at the draws."""
-    if codebook.weights is None:
-        raise ConfigurationError("vr_mc needs codebook weights")
-    batches = _draws(measure, f, n, replications, seed)
-    f_at_points = f(codebook.points)
-    voronoi_part = float(f_at_points @ codebook.weights)
-    residuals = [
-        f(batch) - f_at_points[min_dist_batch(batch, codebook)[1]]
-        for batch in batches
-    ]
-    return voronoi_part, np.concatenate(residuals).reshape(replications, n)
 
 
 def vr_mc(
@@ -223,7 +212,7 @@ def vr_mc(
     comes from the residual sample alone (the weights are taken as
     exact, their estimation error is reported by the codebook).
     """
-    voronoi_part, residuals = _vr_residuals(codebook, measure, f, n, 1, seed)
+    voronoi_part, residuals = _mc_values(measure, f, n, 1, seed, codebook)
     correction, stderr = _mean_and_stderr(residuals[0])
     k = oracle_dim(measure)
     ledger = CostLedger(
@@ -246,7 +235,7 @@ def vr_mc_replicated(
     seed: SeedSpec,
 ) -> np.ndarray:
     """Estimates of ``replications`` independent vr_mc runs; (R,)."""
-    voronoi_part, residuals = _vr_residuals(codebook, measure, f, n, replications, seed)
+    voronoi_part, residuals = _mc_values(measure, f, n, replications, seed, codebook)
     return voronoi_part + residuals.mean(axis=1)
 
 

@@ -27,8 +27,8 @@ from .measures import (
     MeasureSpec,
     SeedSpec,
     _block_rows,
-    _blocks,
     _Moments,
+    _stream,
     measure_grid,
     measure_tag,
     oracle_dim,
@@ -356,7 +356,7 @@ def min_dist_batch(values: np.ndarray, codebook: Codebook):
     if not np.all(np.isfinite(dist)):
         bad = int(np.argmin(np.isfinite(dist)))
         raise NumericError(
-            f"distance to the codebook is not finite at sample {bad}", sample=bad
+            f"distance to the codebook is not finite at row {bad}", sample=bad
         )
     return dist, idx
 
@@ -378,17 +378,16 @@ def dist_to_codebook_functional(codebook: Codebook) -> Functional:
 def distortion(
     codebook: Codebook, measure: MeasureSpec, r: float, M: int, seed: SeedSpec
 ) -> DistortionEstimate:
-    """Monte Carlo estimate of the order-r quantization error of the codebook."""
-    if M < 100:
-        raise ConfigurationError("distortion sample count must be >= 100")
+    """Monte Carlo estimate of the order-r quantization error of the codebook.
+
+    Needs M >= 100; a non-finite distance raises ``NumericError`` at its draw.
+    """
     if r <= 0:
         raise ConfigurationError("order r must be positive")
-    moments = _Moments()
-    for _, batch in _blocks(measure, seed.child(0), M):
-        d, _ = min_dist_batch(batch, codebook)
-        del batch  # each block is freed before the next one is drawn
-        moments.add(d**r)
-    value, stderr = moments.root(r)
+    powers = _stream(
+        measure, seed.child(0), M, lambda x: min_dist_batch(x, codebook)[0] ** r, 100
+    )
+    value, stderr = _Moments(powers).root(r)
     return DistortionEstimate(value, stderr, M, r)
 
 
@@ -397,15 +396,13 @@ def voronoi_weights(
 ) -> np.ndarray:
     """Estimate cell masses by nearest-point counting; stores them on the codebook.
 
-    The returned weights sum to 1 exactly; empty cells get weight 0 and are
-    flagged with a warning.
+    Needs M >= 100.  The returned weights sum to 1 exactly; empty cells get
+    weight 0 and are flagged with a warning.
     """
-    if M < 100:
-        raise ConfigurationError("weight sample count must be >= 100")
     counts = np.zeros(codebook.n, dtype=np.int64)
-    for _, batch in _blocks(measure, seed.child(0), M):
-        _, idx = min_dist_batch(batch, codebook)
-        del batch  # each block is freed before the next one is drawn
+    for idx in _stream(
+        measure, seed.child(0), M, lambda x: min_dist_batch(x, codebook)[1], 100
+    ):
         counts += np.bincount(idx, minlength=codebook.n)
     w = counts / float(M)
     # Force an exact unit sum; the correction is at the rounding level.

@@ -369,3 +369,67 @@ class TestCliInfo:
 
     def test_bare_version_flag(self, capsys):
         assert run("--version") == 0
+
+
+def _exit_code_rows():
+    # (argv, exit code, stderr fragment); {cb} is a weighted two-point
+    # codebook on [0, 1] and {cb4} a four-point one.
+    gap = ("adversary", "--check", "gap-identity", "--codebook", "{cb}",
+           "--measure", "uniform_cube:1", "--samples")
+    events = ("adversary", "--check", "events", "--samples")
+    bakhvalov = ("adversary", "--check", "bakhvalov", "--codebook", "{cb4}",
+                 "--measure", "uniform_cube:1", "--n", "1", "--samples")
+    mc = ("quad", "--algo", "mc", "--measure", "uniform_cube:1",
+          "--functional", "coord_at(0)", "--n")
+    vrmc = ("quad", "--algo", "vrmc", "--codebook", "{cb}", "--measure",
+            "uniform_cube:1", "--functional", "coord_at(0)", "--n")
+    rows = []
+    for count in ("0", "1", "-1"):
+        rows += [
+            (gap + (count,), 1, f"at least 100 samples needed, got {count}"),
+            (events + (count,), 1, f"at least 10000 samples needed, got {count}"),
+            (bakhvalov + (count,), 1, f"at least 100 samples needed, got {count}"),
+        ]
+    rows += [
+        (gap + ("-3",), 1, "at least 100 samples needed, got -3"),
+        (("widths", "--measure", "brownian_kl:20", "--dims", "1", "--samples", "5"),
+         1, "at least 1000 samples needed, got 5"),
+        (("quantize", "--measure", "uniform_cube:1", "--n", "2", "--pool", "1000",
+          "--weight-samples", "0"), 1, "at least 100 samples needed, got 0"),
+        (mc + ("0",), 1, "at least 2 samples needed, got 0"),
+        (mc + ("1",), 1, "at least 2 samples needed, got 1"),
+        (vrmc + ("0",), 1, "at least 2 samples needed, got 0"),
+        (vrmc + ("1",), 1, "at least 2 samples needed, got 1"),
+        (("adversary", "--check", "lipschitz", "--measure", "uniform_cube:1",
+          "--functional", "coord_at(0)", "--pairs", "0"), 1, "at least 100 pairs"),
+        (("quad", "--algo", "voronoi", "--codebook", "{cb}",
+          "--functional", "coord_at(3)"), 1, "integer coordinate index in [0, 1)"),
+        (("adversary", "--check", "events", "--segments", "1000"),
+         1, "t=0.001 does not lie on the grid"),
+    ]
+    return rows
+
+
+class TestCliExitCodes:
+    # Exit codes: 0 ok, 1 configuration, 2 numeric, 3 check failed; no
+    # invocation ends in a traceback.
+    @pytest.mark.parametrize(
+        "argv, code, fragment", _exit_code_rows(),
+        ids=[" ".join(row[0]) for row in _exit_code_rows()],
+    )
+    def test_exit_code_and_message(self, tmp_path, capsys, argv, code, fragment):
+        files = {}
+        for name, points in (("cb", [[0.25], [0.75]]),
+                             ("cb4", [[0.1], [0.35], [0.6], [0.85]])):
+            n = len(points)
+            cb = Codebook(np.array(points), 1.0, NormKind.EUCLIDEAN, "uniform_cube:1",
+                          weights=np.full(n, 1.0 / n))
+            files[name] = str(tmp_path / f"{name}.csv")
+            save_codebook(cb, files[name])
+        out = tmp_path / "out"
+        argv = [arg.format(**files) for arg in argv]
+        assert run(*argv, "--out", str(out)) == code
+        err = capsys.readouterr().err
+        assert fragment in err
+        assert "Traceback" not in err
+        assert not out.exists()

@@ -511,3 +511,130 @@ class TestBlocks:
         ]
         assert len(sizes) >= 3
         assert max(sizes + states) <= measures._BLOCK_BYTES
+
+
+def _explodes_above(level):
+    # Paths of dX = a(X) dt + dW from 0 whose drift is infinite above ``level``.
+    drift = lambda x: np.where(x > level, np.inf, 0.0)  # noqa: E731
+    spec = DiffusionSpec(drift, ConstantCoeff(1.0).diffusion, (0.0,))
+    return Diffusion(spec, 33, Grid.uniform(33))
+
+
+def _sites():
+    # Every streamed estimate as (minimum sample count, call taking a count).
+    from quantquad.adversary import event_probability, gap_identity_check
+    from quantquad.experiments import width_estimate
+    from quantquad.paths import make_kl_subspace, vector_coord_functional
+    from quantquad.quadrature import classical_mc, vr_mc
+    from quantquad.quantize import distortion, uniform_midpoint_codebook, voronoi_weights
+
+    cube, seed, f = UniformCube(1), SeedSpec(3), vector_coord_functional(0)
+    grid = Grid.uniform(17)
+
+    def weighted():
+        cb = uniform_midpoint_codebook(1, 2)
+        cb.weights = np.array([0.5, 0.5])
+        return cb
+
+    sites = {
+        "reference_value": (100, lambda M: reference_value(f, cube, M, seed)),
+        "distortion": (
+            100,
+            lambda M: distortion(uniform_midpoint_codebook(1, 2), cube, 2.0, M, seed),
+        ),
+        "voronoi_weights": (
+            100, lambda M: voronoi_weights(uniform_midpoint_codebook(1, 2), cube, M, seed)
+        ),
+        "width_estimate": (
+            1000,
+            lambda M: width_estimate(
+                BrownianKL(8, grid), make_kl_subspace(2, grid), 2.0, M, seed
+            ),
+        ),
+        "gap_identity_check": (
+            100, lambda M: gap_identity_check(uniform_midpoint_codebook(1, 2), cube, M, seed)
+        ),
+        "event_probability": (
+            10_000, lambda M: event_probability(2, 1.0, M, seed, 8, grid)
+        ),
+        "classical_mc": (2, lambda n: classical_mc(cube, f, n, seed)),
+        "vr_mc": (2, lambda n: vr_mc(weighted(), cube, f, n, seed)),
+    }
+    return [pytest.param(*site, id=name) for name, site in sites.items()]
+
+
+class TestStream:
+    # Every streamed estimate runs on measures._stream: one minimum-count
+    # rule, failures located by their index in the stream, and non-finite
+    # values rejected.
+
+    @pytest.mark.parametrize("minimum, call", _sites())
+    def test_minimum_count(self, minimum, call):
+        with pytest.raises(ConfigurationError, match=f"at least {minimum} samples"):
+            call(minimum - 1)
+        call(minimum)
+
+    @pytest.mark.parametrize("M", [0, 1, -3, 99])
+    def test_gap_identity_needs_100_samples(self, M):
+        # M = 0 and 1 would give NaN means and stderrs.
+        from quantquad.adversary import gap_identity_check
+        from quantquad.quantize import Codebook
+        from quantquad.paths import NormKind
+
+        cb = Codebook(np.array([[0.25], [0.75]]), 1.0, NormKind.EUCLIDEAN, "u")
+        with pytest.raises(ConfigurationError):
+            gap_identity_check(cb, UniformCube(1), M, SeedSpec(4))
+
+    @pytest.mark.parametrize("site", ["reference_value", "distortion", "classical_mc"])
+    def test_failed_draw_is_named_by_its_stream_index(self, site, monkeypatch):
+        # 62-row blocks.  reference_value and distortion read seed.child(0),
+        # whose paths first blow up at draw 124 (row 0 of the third block);
+        # classical_mc reads the seed's own stream, where the recursion
+        # fails at row 18 of that block, draw 142.
+        from quantquad.paths import sup_norm_functional
+        from quantquad.quadrature import classical_mc
+        from quantquad.quantize import distortion, product_quantizer_bm
+
+        monkeypatch.setattr(measures, "_BLOCK_BYTES", 2**14)
+        measure, sup, seed = _explodes_above(2.5), sup_norm_functional(), SeedSpec(1)
+        assert measures._block_rows(33) == 62
+        codebook = product_quantizer_bm(4, 20, measure.grid)
+        call, expected = {
+            "reference_value": (lambda: reference_value(sup, measure, 5000, seed), 124),
+            "distortion": (lambda: distortion(codebook, measure, 2.0, 5000, seed), 124),
+            "classical_mc": (lambda: classical_mc(measure, sup, 5000, seed), 142),
+        }[site]
+        with pytest.raises(NumericError) as info:
+            call()
+        assert info.value.sample == expected
+        assert info.value.step is not None
+        # One-row blocks fail at the same draw: it is each stream's first.
+        monkeypatch.setattr(measures, "_BLOCK_BYTES", 8)
+        with pytest.raises(NumericError) as info:
+            call()
+        assert info.value.sample == expected
+
+    @pytest.mark.parametrize("raises", [False, True], ids=["nan", "raises"])
+    def test_monte_carlo_failure_is_named_by_its_draw(self, raises, monkeypatch):
+        # classical_mc checks its values like every streamed estimate: a NaN
+        # is named by its draw, a functional that raises by the first draw
+        # of its block.
+        from quantquad.paths import Functional
+        from quantquad.quadrature import classical_mc
+
+        monkeypatch.setattr(measures, "_BLOCK_BYTES", 8 * 10)  # 10-row blocks
+        seed = SeedSpec(5)
+        draws = sample_batch(UniformCube(1), seed, 1000)[:, 0]
+        first = int(np.argmax(draws > 0.99))
+        assert first % 10 != 0 and first > 10  # not in the first block's first row
+
+        def fn(v):
+            high = v[:, 0] > 0.99
+            if raises and high.any():
+                return 1 / 0
+            return np.where(high, np.nan, v[:, 0])
+
+        match = "ZeroDivisionError" if raises else "non-finite"
+        with pytest.raises(NumericError, match=match) as info:
+            classical_mc(UniformCube(1), Functional(fn, name="high"), 1000, seed)
+        assert info.value.sample == (first - first % 10 if raises else first)
