@@ -32,6 +32,7 @@ from .measures import (
     SeedSpec,
     _block_rows,
     _blocks,
+    _located,
     _Moments,
     _stream,
     measure_grid,
@@ -350,7 +351,9 @@ def lipschitz_check(
     The norm is ``norm_kind``: by default sup on paths and euclidean on
     vectors.  Pairs are independent draws plus locally perturbed copies
     (small random bumps), which probe local Lipschitz violations.
-    Coincident pairs are skipped.
+    Coincident pairs are skipped.  A failure while drawing or evaluating
+    raises ``NumericError`` at the draw's index in its stream, which the
+    message names (``ConfigurationError`` passes through).
     """
     if pairs < 100:
         raise ConfigurationError("lipschitz_check needs at least 100 pairs")
@@ -359,15 +362,24 @@ def lipschitz_check(
         norm_kind = NormKind.EUCLIDEAN if grid is None else NormKind.SUP
     bump_rng = seed.child(2).rng()
     max_ratio = 0.0
-    for (_, xs), (_, ys) in zip(
-        _blocks(measure, seed.child(0), pairs), _blocks(measure, seed.child(1), pairs)
-    ):
-        bumps = bump_scale * bump_rng.standard_normal(xs.shape)
-        for a, b in ((xs, ys), (xs, xs + bumps)):
-            fa, fb = f(a), f(b)
-            dist = batch_norm(a - b, norm_kind, grid)
+    x_blocks = _blocks(measure, seed.child(0), pairs)
+    y_blocks = _blocks(measure, seed.child(1), pairs)
+    start = 0
+    while start < pairs:
+        with _located(start, "seed.child(0)"):
+            xs = next(x_blocks)[1]
+            fx = f(xs)
+        with _located(start, "seed.child(1)"):
+            ys = next(y_blocks)[1]
+            fy = f(ys)
+        bumped = xs + bump_scale * bump_rng.standard_normal(xs.shape)
+        with _located(start, "seed.child(0), bumped"):
+            fbumped = f(bumped)
+        for b, fb in ((ys, fy), (bumped, fbumped)):
+            dist = batch_norm(xs - b, norm_kind, grid)
             ok = dist > 0
             if np.any(ok):
-                ratios = np.abs(fa[ok] - fb[ok]) / dist[ok]
+                ratios = np.abs(fx[ok] - fb[ok]) / dist[ok]
                 max_ratio = max(max_ratio, float(ratios.max()))
+        start += xs.shape[0]
     return LipschitzReport(max_ratio, f.lip_claim, pairs)

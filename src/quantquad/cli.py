@@ -30,6 +30,7 @@ from .config import (
 from .errors import ConfigurationError, NumericError
 from .experiments import kl_tail_width, run_rate_experiment, width_estimate
 from .measures import (
+    _check_count,
     BrownianKL,
     Diffusion,
     UniformCube,
@@ -48,7 +49,7 @@ from .quadrature import (
     voronoi_quadrature,
     vr_mc,
 )
-from .quantize import LloydOptions, lloyd, voronoi_weights
+from .quantize import _MIN_SAMPLES, LloydOptions, lloyd, voronoi_weights
 from .storage import (
     atomic_write,
     load_codebook,
@@ -173,6 +174,7 @@ def _cmd_quantize(args) -> int:
     seed = parse_seed(args.seed)
     norm = parse_norm(args.norm) if args.norm else None
     opts = LloydOptions(iters=args.iters, restarts=args.restarts, pool_size=args.pool)
+    _check_count(args.weight_samples, _MIN_SAMPLES)  # before the fit, not after
     codebook = lloyd(measure, args.n, args.r, opts, seed, norm)
     voronoi_weights(codebook, measure, args.weight_samples, seed.child(999))
     extra = {"seed": seed.tag()}

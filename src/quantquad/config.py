@@ -13,6 +13,7 @@ from typing import Optional
 
 from .errors import ConfigurationError
 from .measures import (
+    _check_count,
     AffineCoeff,
     BrownianKL,
     ConstantCoeff,
@@ -190,7 +191,7 @@ def load_experiment_config(path: str, seed: Optional[SeedSpec] = None):
     """
     from .experiments import RateExperimentConfig
     from .quadrature import SmallBallProfile
-    from .quantize import lloyd, uniform_midpoint_codebook, voronoi_weights
+    from .quantize import _MIN_SAMPLES, lloyd, uniform_midpoint_codebook, voronoi_weights
     from .storage import load_codebook
 
     with open(path) as handle:
@@ -247,6 +248,7 @@ def load_experiment_config(path: str, seed: Optional[SeedSpec] = None):
                 codebooks[n] = load_codebook(cb_raw["paths"][str(n)])
         elif cb_raw["kind"] == "lloyd":
             w_samples = int(cb_raw.get("weight_samples", 200_000))
+            _check_count(w_samples, _MIN_SAMPLES)  # before the fits, not after
             for i, n in enumerate(ladder):
                 cb = lloyd(measure, n, int(cb_raw.get("r", 2)),
                            seed=seed.child(900_000 + i))

@@ -11,6 +11,7 @@ is partitioned.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
@@ -26,6 +27,10 @@ _BLOCK_BYTES = 2**26
 # Side of the squares in which the Euler kernel turns its increments from
 # sample-major to step-major order.
 _TILE = 64
+# The last one-block stream a codebook search read, as (key, read-only
+# block), or None.  sample_batch drops it before drawing anything, so it
+# never lives beside another stream's draws.
+_held = None
 
 
 @dataclass(frozen=True)
@@ -372,8 +377,11 @@ def sample_batch(
 ) -> np.ndarray:
     """n independent draws as one array: (n, d) vectors or (n, G, m) paths.
 
-    ``seed`` is a SeedSpec, or a Generator whose stream continues.
+    ``seed`` is a SeedSpec, or a Generator whose stream continues.  Drops
+    the stream a codebook search holds (see ``_blocks``).
     """
+    global _held
+    _held = None
     if n < 1:
         raise ConfigurationError("sample count must be >= 1")
     rng = seed.rng() if isinstance(seed, SeedSpec) else seed
@@ -398,7 +406,7 @@ def _block_rows(floats: int) -> int:
     return max(1, _BLOCK_BYTES // (8 * max(1, floats)))
 
 
-def _blocks(measure: MeasureSpec, seed: SeedSpec, total: int):
+def _blocks(measure: MeasureSpec, seed: SeedSpec, total: int, replay: bool = False):
     """(start, batch) over draws 0 .. total of ``seed``'s stream, in row blocks.
 
     A block is sized by the largest array one draw makes: its vector, its
@@ -409,7 +417,14 @@ def _blocks(measure: MeasureSpec, seed: SeedSpec, total: int):
     The streamed estimators draw from ``seed.child(0)``, the stream of their
     first chunk when each chunk of draws had a stream of its own, so every
     estimate that fit in one chunk kept its draws.
+
+    With ``replay``, a stream that fits in one block is drawn read-only and
+    held after the call; the next ``replay`` call on the same key (measure,
+    seed, total, block rows) gets the held block instead of drawing it
+    again.  Vector measures compare by value, path measures by identity.
+    Any other call drops the held block before it draws.
     """
+    global _held
     if isinstance(measure, (UniformCube, StdNormal)):
         floats = measure.d
     elif isinstance(measure, BrownianKL):
@@ -417,12 +432,51 @@ def _blocks(measure: MeasureSpec, seed: SeedSpec, total: int):
     else:
         floats = measure.spec.m * max(measure.k_steps, measure.grid.size)
     rows = _block_rows(floats)
+    if replay and total <= rows:
+        key = (measure, seed, total, rows)
+        if _held is None or _held[0] != key:
+            batch = sample_batch(measure, seed, total)
+            batch.flags.writeable = False
+            _held = (key, batch)
+        yield 0, _held[1]
+        return
     rng = seed.rng()
     for start in range(0, total, rows):
         yield start, sample_batch(measure, rng, min(rows, total - start))
 
 
-def _stream(measure: MeasureSpec, seed: SeedSpec, total: int, evaluate, minimum: int):
+def _check_count(total: int, minimum: int) -> None:
+    """Raise ``ConfigurationError`` when fewer than ``minimum`` draws are asked."""
+    if total < minimum:
+        raise ConfigurationError(f"at least {minimum} samples needed, got {total}")
+
+
+@contextmanager
+def _located(start: int, stream: str = ""):
+    """Raise a failure in the block of draws from ``start`` at its stream index.
+
+    ``ConfigurationError`` passes through.  A ``NumericError`` keeps its
+    ``step`` and gets its row (0 if unset) plus ``start`` as ``sample``; any
+    other exception becomes a ``NumericError`` at ``start``.  A non-empty
+    ``stream`` is named in the message.
+    """
+    where = f" of {stream}" if stream else ""
+    try:
+        yield
+    except ConfigurationError:
+        raise
+    except NumericError as exc:
+        bad = start + (exc.sample or 0)
+        raise NumericError(f"sample {bad}{where}: {exc}", step=exc.step, sample=bad) from exc
+    except Exception as exc:
+        message = f"sample {start}{where}: {type(exc).__name__}: {exc}"
+        raise NumericError(message, sample=start) from exc
+
+
+def _stream(
+    measure: MeasureSpec, seed: SeedSpec, total: int, evaluate, minimum: int,
+    replay: bool = False,
+):
     """``evaluate`` of each block of draws 0 .. total of ``seed``'s stream.
 
     The driver of every streamed estimate.  ``evaluate`` maps a block of b
@@ -431,22 +485,15 @@ def _stream(measure: MeasureSpec, seed: SeedSpec, total: int, evaluate, minimum:
     through from drawing or evaluating.  Any other failure, and a non-finite
     value, raise ``NumericError`` at the failing draw's stream index: a
     located error's row plus its block's start, its ``step`` kept.
+    ``replay`` is for an ``evaluate`` that only reads its block: a one-block
+    stream is then held and replayed (see ``_blocks``).
     """
-    if total < minimum:
-        raise ConfigurationError(f"at least {minimum} samples needed, got {total}")
-    blocks = _blocks(measure, seed, total)
+    _check_count(total, minimum)
+    blocks = _blocks(measure, seed, total, replay)
     start = 0
     while start < total:
-        try:
+        with _located(start):
             values = evaluate(next(blocks)[1])
-        except ConfigurationError:
-            raise
-        except NumericError as exc:
-            bad = start + (exc.sample or 0)
-            raise NumericError(f"sample {bad}: {exc}", step=exc.step, sample=bad) from exc
-        except Exception as exc:
-            message = f"sample {start}: {type(exc).__name__}: {exc}"
-            raise NumericError(message, sample=start) from exc
         finite = np.isfinite(values).reshape(-1, values.shape[-1]).all(axis=0)
         if not finite.all():
             bad = start + int(np.argmin(finite))

@@ -50,6 +50,8 @@ _GATHER_BYTES = 2**19
 # Largest entry of |rows W rows^T - I| for rows that count as orthonormal
 # under the grid weights W.  Uniform grids give the KL rows about 1e-14.
 _ORTHONORMAL_TOL = 1e-12
+# Fewest draws a distortion or Voronoi-weight estimate takes.
+_MIN_SAMPLES = 100
 
 
 def _is_orthonormal(rows: np.ndarray, w: np.ndarray) -> bool:
@@ -381,11 +383,15 @@ def distortion(
     """Monte Carlo estimate of the order-r quantization error of the codebook.
 
     Needs M >= 100; a non-finite distance raises ``NumericError`` at its draw.
+    Draws that fit in one block are held after the call, and the next
+    distortion or Voronoi-weight estimate on the same measure, seed and M
+    replays them instead of drawing them again.
     """
     if r <= 0:
         raise ConfigurationError("order r must be positive")
     powers = _stream(
-        measure, seed.child(0), M, lambda x: min_dist_batch(x, codebook)[0] ** r, 100
+        measure, seed.child(0), M, lambda x: min_dist_batch(x, codebook)[0] ** r,
+        _MIN_SAMPLES, replay=True,
     )
     value, stderr = _Moments(powers).root(r)
     return DistortionEstimate(value, stderr, M, r)
@@ -397,11 +403,13 @@ def voronoi_weights(
     """Estimate cell masses by nearest-point counting; stores them on the codebook.
 
     Needs M >= 100.  The returned weights sum to 1 exactly; empty cells get
-    weight 0 and are flagged with a warning.
+    weight 0 and are flagged with a warning.  Draws are held and replayed as
+    in ``distortion``.
     """
     counts = np.zeros(codebook.n, dtype=np.int64)
     for idx in _stream(
-        measure, seed.child(0), M, lambda x: min_dist_batch(x, codebook)[1], 100
+        measure, seed.child(0), M, lambda x: min_dist_batch(x, codebook)[1],
+        _MIN_SAMPLES, replay=True,
     ):
         counts += np.bincount(idx, minlength=codebook.n)
     w = counts / float(M)

@@ -9,6 +9,7 @@ import math
 import numpy as np
 import pytest
 
+from quantquad import measures
 from quantquad.paths import Grid
 
 
@@ -39,3 +40,11 @@ def brute_nearest(points, x):
 @pytest.fixture(scope="session")
 def grid():
     return Grid.uniform()
+
+
+@pytest.fixture(autouse=True)
+def cold_stream():
+    """Each test starts with no held stream, as a fresh process does."""
+    measures._held = None
+    yield
+    measures._held = None

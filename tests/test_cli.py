@@ -114,6 +114,51 @@ class TestCliQuantize:
         assert not out.exists()
 
 
+class TestWeightSamplesBeforeFit:
+    # A bad Voronoi sample count is rejected before any Lloyd fit runs.
+
+    @staticmethod
+    def _record_fits(monkeypatch, module):
+        from quantquad.quantize import uniform_midpoint_codebook
+
+        fits = []
+
+        def fake_lloyd(measure, n, *args, **kwargs):
+            fits.append(n)
+            return uniform_midpoint_codebook(measure.d, 4)
+
+        monkeypatch.setattr(module, "lloyd", fake_lloyd)
+        return fits
+
+    def test_cli_never_fits(self, tmp_path, capsys, monkeypatch):
+        from quantquad import cli
+
+        fits = self._record_fits(monkeypatch, cli)
+        out = tmp_path / "cb.csv"
+        code = run(
+            "quantize", "--measure", "uniform_cube:2", "--n", "16",
+            "--weight-samples", "0", "--out", str(out),
+        )
+        assert code == 1
+        assert "at least 100 samples needed, got 0" in capsys.readouterr().err
+        assert fits == []
+
+    def test_config_never_fits(self, tmp_path, monkeypatch):
+        from quantquad import quantize
+        from quantquad.config import load_experiment_config
+
+        fits = self._record_fits(monkeypatch, quantize)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "algorithm": "vrmc", "measure": "uniform_cube:2",
+            "functional": "coord_at(0)", "ladder": [16, 64],
+            "codebooks": {"kind": "lloyd", "weight_samples": 0},
+        }))
+        with pytest.raises(ConfigurationError, match="at least 100 samples needed, got 0"):
+            load_experiment_config(str(cfg))
+        assert fits == []
+
+
 class TestCliQuad:
     def test_euler_budget_echoes_schedule(self, tmp_path):
         out = str(tmp_path / "res.json")

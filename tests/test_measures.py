@@ -638,3 +638,51 @@ class TestStream:
         with pytest.raises(NumericError, match=match) as info:
             classical_mc(UniformCube(1), Functional(fn, name="high"), 1000, seed)
         assert info.value.sample == (first - first % 10 if raises else first)
+
+    @pytest.mark.parametrize(
+        "level, seed, stream, expected", [(2.5, 2, 0, 160), (3.0, 3, 1, 487)]
+    )
+    def test_lipschitz_failure_is_named_by_stream_and_index(
+        self, level, seed, stream, expected, monkeypatch
+    ):
+        # lipschitz_check draws pairs from seed.child(0) and seed.child(1).
+        # With 62-row blocks the first blow-up lies in a later block: draw 160
+        # of the first stream (row 36 of its third block), draw 487 of the
+        # second (row 53 of its eighth); one-row blocks fail at the same draw.
+        from quantquad.adversary import lipschitz_check
+        from quantquad.paths import sup_norm_functional
+
+        measure = _explodes_above(level)
+        for block_bytes in (2**14, 8):
+            monkeypatch.setattr(measures, "_BLOCK_BYTES", block_bytes)
+            with pytest.raises(
+                NumericError, match=rf"sample {expected} of seed\.child\({stream}\): "
+            ) as info:
+                lipschitz_check(sup_norm_functional(), measure, 5000, SeedSpec(seed))
+            assert info.value.sample == expected
+            assert info.value.step is not None
+
+    @pytest.mark.parametrize(
+        "failing_call, where", [(2, "sample 0 of seed.child(1)"), (4, "sample 10 of seed.child(0)")]
+    )
+    def test_lipschitz_raising_functional_is_a_numeric_error(
+        self, failing_call, where, monkeypatch
+    ):
+        # Each block evaluates f on the first stream, the second stream and
+        # the bumped first stream, in that order; 10-row blocks.
+        from quantquad.adversary import lipschitz_check
+        from quantquad.paths import Functional
+
+        monkeypatch.setattr(measures, "_BLOCK_BYTES", 8 * 10)
+        calls = []
+
+        def fn(v):
+            calls.append(1)
+            if len(calls) == failing_call:
+                raise RuntimeError("boom")
+            return v[:, 0]
+
+        with pytest.raises(NumericError) as info:
+            lipschitz_check(Functional(fn, name="boom"), UniformCube(1), 100, SeedSpec(6))
+        assert str(info.value) == f"{where}: RuntimeError: boom"
+        assert info.value.sample == int(where.split()[1])

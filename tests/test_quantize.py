@@ -2,6 +2,7 @@ import dataclasses
 import functools
 import itertools
 import math
+import tracemalloc
 from functools import reduce
 from statistics import NormalDist
 
@@ -504,6 +505,130 @@ class TestVoronoiWeights:
             w = voronoi_weights(cb, UniformCube(1), 1000, SeedSpec(13))
         assert w[1] == 0.0
         assert w.sum() == 1.0
+
+
+class TestReplay:
+    # distortion and voronoi_weights hold a one-block stream, read-only, and
+    # replay it for the next search on the same (measure, seed, M, block
+    # rows); any draw drops it first.
+
+    @staticmethod
+    def _count_draws(monkeypatch):
+        calls = []
+
+        def counted(measure, seed, n):
+            calls.append(n)
+            return sample_batch(measure, seed, n)
+
+        monkeypatch.setattr(measures, "sample_batch", counted)
+        return calls
+
+    def test_ladder_draws_once_and_matches_cold_calls(self, monkeypatch):
+        grid = Grid.uniform(33)
+        measure, seed, M = BrownianKL(20, grid), SeedSpec(70), 3000
+        codebooks = [product_quantizer_bm(2**j, 20, grid) for j in range(1, 6)]
+
+        def ladder(cold):
+            out = []
+            for cb in codebooks:
+                if cold:
+                    measures._held = None
+                est = distortion(cb, measure, 2.0, M, seed)
+                out += [est.value, est.stderr]
+            if cold:
+                measures._held = None
+            return out + list(voronoi_weights(codebooks[-1], measure, M, seed))
+
+        calls = self._count_draws(monkeypatch)
+        cold = ladder(cold=True)
+        assert calls == [M] * 6
+        calls.clear()
+        measures._held = None
+        warm = ladder(cold=False)
+        assert calls == [M]
+        np.testing.assert_array_equal(warm, cold)
+
+    def test_another_key_draws_afresh(self, monkeypatch):
+        grid = Grid.uniform(17)
+        kl, seed, M = BrownianKL(8, grid), SeedSpec(71), 500
+        cube_cb, kl_cb = uniform_midpoint_codebook(2, 3), product_quantizer_bm(4, 8, grid)
+        calls = self._count_draws(monkeypatch)
+
+        def draws(*call):
+            calls.clear()
+            value = distortion(*call).value
+            return len(calls), value
+
+        assert draws(kl_cb, kl, 2.0, M, seed)[0] == 1
+        assert draws(kl_cb, kl, 1.0, M, seed)[0] == 0  # same key, other order r
+        assert draws(kl_cb, kl, 2.0, M, SeedSpec(72))[0] == 1  # seed
+        assert draws(kl_cb, kl, 2.0, M + 1, SeedSpec(72))[0] == 1  # M
+        # Path measures compare by identity, vector measures by value.
+        assert draws(kl_cb, BrownianKL(8, grid), 2.0, M + 1, SeedSpec(72))[0] == 1
+        assert draws(cube_cb, UniformCube(2), 2.0, M, seed)[0] == 1
+        assert draws(cube_cb, UniformCube(2), 2.0, M, seed)[0] == 0
+        # Block rows: a smaller block that still holds M draws.
+        monkeypatch.setattr(measures, "_BLOCK_BYTES", 8 * 2 * 4 * M)
+        n, value = draws(cube_cb, UniformCube(2), 2.0, M, seed)
+        assert n == 1
+        assert value == distortion(cube_cb, UniformCube(2), 2.0, M, seed).value
+        # A stream over more than one block is never held.
+        monkeypatch.setattr(measures, "_BLOCK_BYTES", 8)
+        distortion(cube_cb, UniformCube(2), 2.0, M, seed)
+        assert measures._held is None
+
+    def test_held_block_is_read_only_and_dropped_by_any_draw(self):
+        cb, cube, seed = uniform_midpoint_codebook(2, 3), UniformCube(2), SeedSpec(73)
+        distortion(cb, cube, 2.0, 400, seed)
+        held = measures._held[1]
+        assert held.shape == (400, 2)
+        with pytest.raises(ValueError, match="read-only"):
+            held[0, 0] = 0.5
+        sample_batch(cube, seed, 3)
+        assert measures._held is None
+
+    def test_held_block_never_meets_another_draw(self):
+        # Three seeds peak no higher than one: each call drops the last
+        # call's block before it draws its own.
+        grid = Grid.uniform()
+        measure, M = BrownianKL(200, grid), 4000
+        cb = product_quantizer_bm(8, 200, grid)
+        distortion(cb, measure, 2.0, M, SeedSpec(80))  # fills the caches
+
+        def peak(seeds):
+            measures._held = None
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                for s in seeds:
+                    distortion(cb, measure, 2.0, M, SeedSpec(s))
+                return tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+
+        one = peak([81])
+        assert one >= 8 * M * grid.size  # the traced peak holds a block
+        assert peak([81, 82, 83]) <= one + 64 * 1024
+
+    def test_width_after_distortion_meets_its_block_bound(self):
+        # width_estimate's three path blocks do not meet a held one.
+        from quantquad.experiments import width_estimate
+        from quantquad.paths import make_kl_subspace
+
+        grid = Grid.uniform()
+        measure, seed, M = BrownianKL(200, grid), SeedSpec(4), 20_000
+        sub = make_kl_subspace(4, grid)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            distortion(product_quantizer_bm(8, 200, grid), measure, 2.0, M, seed)
+            assert measures._held is not None
+            tracemalloc.reset_peak()
+            width_estimate(measure, sub, 2.0, M, seed)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.2 * (8 * M * grid.size)
 
 
 class TestLloyd:
