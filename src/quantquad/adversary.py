@@ -32,6 +32,7 @@ from .measures import (
     SeedSpec,
     _block_rows,
     _blocks,
+    _check_finite,
     _located,
     _Moments,
     _stream,
@@ -250,11 +251,9 @@ def event_probability(
     threshold is the (1/segments)-quantile away from zero, and the
     increments are independent.  Needs M >= 10^4.
     """
-    if segments < 1:
-        raise ConfigurationError("segments must be >= 1")
+    spec = IncrementFamilySpec(segments, window, signs=(0,) * segments)
     grid = grid or Grid.uniform()
     threshold = math.sqrt(window) / segments**1.5
-    spec = IncrementFamilySpec(segments, window, signs=(0,) * segments)
     indices = np.array([grid.index_of(t) for t in spec.times()])
     measure = BrownianKL(k_terms, grid)
 
@@ -351,12 +350,15 @@ def lipschitz_check(
     The norm is ``norm_kind``: by default sup on paths and euclidean on
     vectors.  Pairs are independent draws plus locally perturbed copies
     (small random bumps), which probe local Lipschitz violations.
-    Coincident pairs are skipped.  A failure while drawing or evaluating
-    raises ``NumericError`` at the draw's index in its stream, which the
-    message names (``ConfigurationError`` passes through).
+    Coincident pairs are skipped.  A failure while drawing or evaluating,
+    and a non-finite value of f, raise ``NumericError`` at the draw's index
+    in its stream, which the message names (``ConfigurationError`` passes
+    through).
     """
     if pairs < 100:
         raise ConfigurationError("lipschitz_check needs at least 100 pairs")
+    if not math.isfinite(f.lip_claim):
+        raise ConfigurationError("Lipschitz claim must be finite")
     grid = measure_grid(measure)
     if norm_kind is None:
         norm_kind = NormKind.EUCLIDEAN if grid is None else NormKind.SUP
@@ -369,12 +371,15 @@ def lipschitz_check(
         with _located(start, "seed.child(0)"):
             xs = next(x_blocks)[1]
             fx = f(xs)
+            _check_finite(fx)
         with _located(start, "seed.child(1)"):
             ys = next(y_blocks)[1]
             fy = f(ys)
+            _check_finite(fy)
         bumped = xs + bump_scale * bump_rng.standard_normal(xs.shape)
         with _located(start, "seed.child(0), bumped"):
             fbumped = f(bumped)
+            _check_finite(fbumped)
         for b, fb in ((ys, fy), (bumped, fbumped)):
             dist = batch_norm(xs - b, norm_kind, grid)
             ok = dist > 0

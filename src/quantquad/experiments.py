@@ -138,14 +138,13 @@ def width_estimate(
     Since the subspace is given rather than optimized, the result is an
     upper estimate of the k-th average width.  Needs M >= 1000.
     """
-    if p <= 0:
-        raise ConfigurationError("order p must be positive")
+    if not 0 < p < math.inf:
+        raise ConfigurationError("order p must be positive and finite")
     if not is_path_measure(measure):
         raise ConfigurationError("width_estimate expects a path measure")
 
     def distances(batch):
         resid = batch_project(batch[:, :, 0], sub)[1]
-        del batch  # the block is freed before its residual's norms are taken
         return batch_norm(resid[:, :, None], norm_kind, sub.grid) ** p
 
     blocks = _stream(measure, seed.child(0), M, distances, 1000)

@@ -24,6 +24,12 @@ from .paths import Grid, kl_basis_on_grid, kl_eigenvalues
 # consecutive rows of one stream, so their size moves no draw: it bounds
 # memory and nothing else.
 _BLOCK_BYTES = 2**26
+# Bytes of the row tiles in which a block is evaluated and a BrownianKL
+# block is built.  Evaluating and building make tile-sized temporaries, so
+# a streamed estimate holds one block plus a few tiles.  At 512 KiB the
+# tile temporaries were page-faulted afresh (about 40 times the minor
+# faults of 2 MiB tiles), which doubled the time of a distortion ladder.
+_TILE_BYTES = 2**21
 # Side of the squares in which the Euler kernel turns its increments from
 # sample-major to step-major order.
 _TILE = 64
@@ -390,8 +396,15 @@ def sample_batch(
     if isinstance(measure, StdNormal):
         return rng.standard_normal((n, measure.d))
     if isinstance(measure, BrownianKL):
-        coeff = rng.standard_normal((n, measure.k_terms))
-        return (coeff @ _kl_matrix(measure))[:, :, None]
+        # Each tile's coefficient rows are drawn in stream order, so the
+        # draws are those of one (n, k_terms) array that is never made.
+        basis = _kl_matrix(measure)
+        out = np.empty((n, measure.grid.size))
+        step = _block_rows(max(basis.shape), _TILE_BYTES)
+        for r in range(0, n, step):
+            coeff = rng.standard_normal((min(step, n - r), measure.k_terms))
+            np.matmul(coeff, basis, out=out[r : r + step])
+        return out[:, :, None]
     if isinstance(measure, Diffusion):
         return euler_values(measure.spec, measure.k_steps, rng, n, measure.grid)
     raise ConfigurationError(f"unknown measure {measure!r}")
@@ -401,9 +414,12 @@ def sample_batch(
 # Streamed estimation
 
 
-def _block_rows(floats: int) -> int:
-    """Rows of ``floats`` floats each that fit in _BLOCK_BYTES (at least 1)."""
-    return max(1, _BLOCK_BYTES // (8 * max(1, floats)))
+def _block_rows(floats: int, limit: int = 0) -> int:
+    """Rows of ``floats`` floats each that fit in ``limit`` bytes (at least 1).
+
+    The limit defaults to _BLOCK_BYTES.
+    """
+    return max(1, (limit or _BLOCK_BYTES) // (8 * max(1, floats)))
 
 
 def _blocks(measure: MeasureSpec, seed: SeedSpec, total: int, replay: bool = False):
@@ -479,27 +495,49 @@ def _stream(
 ):
     """``evaluate`` of each block of draws 0 .. total of ``seed``'s stream.
 
-    The driver of every streamed estimate.  ``evaluate`` maps a block of b
-    draws (its only reference) to (b,) or (columns, b) values.  Fewer than
-    ``minimum`` draws raise ``ConfigurationError``, which also passes
-    through from drawing or evaluating.  Any other failure, and a non-finite
-    value, raise ``NumericError`` at the failing draw's stream index: a
-    located error's row plus its block's start, its ``step`` kept.
-    ``replay`` is for an ``evaluate`` that only reads its block: a one-block
-    stream is then held and replayed (see ``_blocks``).
+    The driver of every streamed estimate.  ``evaluate`` maps b draws to
+    (b,) or (columns, b) values.  It is handed each block in row tiles of
+    _TILE_BYTES, so its temporaries stay tile-sized, and the block's values
+    are the tiles' joined along the last axis.  Fewer than ``minimum``
+    draws raise ``ConfigurationError``, which also passes through from
+    drawing or evaluating.  Any other failure, and a non-finite value,
+    raise ``NumericError`` at the failing draw's stream index: a located
+    error's row plus its tile's start, its ``step`` kept.  ``replay`` is
+    for an ``evaluate`` that only reads its draws: a one-block stream is
+    then held and replayed (see ``_blocks``).
     """
     _check_count(total, minimum)
     blocks = _blocks(measure, seed, total, replay)
     start = 0
     while start < total:
+        values = _evaluate_block(blocks, start, evaluate)
         with _located(start):
-            values = evaluate(next(blocks)[1])
-        finite = np.isfinite(values).reshape(-1, values.shape[-1]).all(axis=0)
-        if not finite.all():
-            bad = start + int(np.argmin(finite))
-            raise NumericError(f"sample {bad}: non-finite value", sample=bad)
+            _check_finite(values)
         yield values
         start += values.shape[-1]
+
+
+def _evaluate_block(blocks, start: int, evaluate) -> np.ndarray:
+    """``evaluate`` of the next block of ``blocks``, from draw ``start``, by tiles.
+
+    The block is referenced only here, so it dies before the next one is
+    drawn.
+    """
+    with _located(start):
+        batch = next(blocks)[1]
+    step = _block_rows(math.prod(batch.shape[1:]), _TILE_BYTES)
+    parts = []
+    for r in range(0, batch.shape[0], step):
+        with _located(start + r):
+            parts.append(evaluate(batch[r : r + step]))
+    return np.concatenate(parts, axis=-1)
+
+
+def _check_finite(values: np.ndarray) -> None:
+    """Raise ``NumericError`` at the first draw (last axis) with a non-finite value."""
+    finite = np.isfinite(values).reshape(-1, values.shape[-1]).all(axis=0)
+    if not finite.all():
+        raise NumericError("non-finite value", sample=int(np.argmin(finite)))
 
 
 class _Moments:

@@ -230,8 +230,6 @@ def make_kl_subspace(k: int, grid: Optional[Grid] = None) -> Subspace:
 
 def batch_project(values: np.ndarray, sub: Subspace):
     """Project (B, G) scalar path values; returns (projection, residual)."""
-    # The weighted copy is a temporary of the product, so it is freed
-    # before the projection is made.
     coeff = (values * sub.grid.weights[None, :]) @ sub.basis.T  # (B, k)
     proj = coeff @ sub.basis  # (B, G)
     return proj, values - proj

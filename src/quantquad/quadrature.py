@@ -89,8 +89,10 @@ class SmallBallProfile:
     beta: float = 0.0
 
     def __post_init__(self):
-        if self.alpha <= 0:
-            raise ConfigurationError("alpha must be positive")
+        if not 0 < self.alpha < math.inf:
+            raise ConfigurationError("alpha must be positive and finite")
+        if not math.isfinite(self.beta):
+            raise ConfigurationError("beta must be finite")
 
 
 def _check_oracle_dim(f: Functional, k: int):

@@ -134,8 +134,8 @@ class Codebook:
             # Strictly increasing levels along orthonormal rows give
             # pairwise distinct points, so no unique() pass is needed.
             self._check_product(pts)
-        if self.order_r <= 0:
-            raise ConfigurationError("order r must be positive")
+        if not 0 < self.order_r < math.inf:
+            raise ConfigurationError("order r must be positive and finite")
         self.points = pts
         if self.weights is not None:
             w = np.asarray(self.weights, dtype=float)
@@ -387,8 +387,8 @@ def distortion(
     distortion or Voronoi-weight estimate on the same measure, seed and M
     replays them instead of drawing them again.
     """
-    if r <= 0:
-        raise ConfigurationError("order r must be positive")
+    if not 0 < r < math.inf:
+        raise ConfigurationError("order r must be positive and finite")
     powers = _stream(
         measure, seed.child(0), M, lambda x: min_dist_batch(x, codebook)[0] ** r,
         _MIN_SAMPLES, replay=True,

@@ -5,6 +5,7 @@ nearest-point code: dense midpoint integration for one-dimensional
 expectations, and a brute-force python nearest-point loop.
 """
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -35,6 +36,17 @@ def brute_nearest(points, x):
         if best is None or d < best:
             best, best_i = d, i
     return best_i, best
+
+
+def traced_peak(fn):
+    """Bytes by which the traced peak during ``fn()`` exceeds the memory before it."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
 
 
 @pytest.fixture(scope="session")

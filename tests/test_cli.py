@@ -418,7 +418,8 @@ class TestCliInfo:
 
 def _exit_code_rows():
     # (argv, exit code, stderr fragment); {cb} is a weighted two-point
-    # codebook on [0, 1] and {cb4} a four-point one.
+    # codebook on [0, 1], {cbinf} the same with order r = inf, and {cb4} a
+    # four-point one.
     gap = ("adversary", "--check", "gap-identity", "--codebook", "{cb}",
            "--measure", "uniform_cube:1", "--samples")
     events = ("adversary", "--check", "events", "--samples")
@@ -428,6 +429,10 @@ def _exit_code_rows():
           "--functional", "coord_at(0)", "--n")
     vrmc = ("quad", "--algo", "vrmc", "--codebook", "{cb}", "--measure",
             "uniform_cube:1", "--functional", "coord_at(0)", "--n")
+    widths = ("widths", "--measure", "brownian_kl:200", "--dims", "1,2",
+              "--samples", "2000", "--p")
+    gauss = ("quad", "--algo", "gauss-sub", "--functional", "sup_norm",
+             "--budget", "1000")
     rows = []
     for count in ("0", "1", "-1"):
         rows += [
@@ -451,6 +456,20 @@ def _exit_code_rows():
           "--functional", "coord_at(3)"), 1, "integer coordinate index in [0, 1)"),
         (("adversary", "--check", "events", "--segments", "1000"),
          1, "t=0.001 does not lie on the grid"),
+        (("adversary", "--check", "events", "--window", "-1", "--samples", "10000"),
+         1, "window must lie in (0, 1]"),
+        (("adversary", "--check", "events", "--window", "nan", "--samples", "10000"),
+         1, "window must lie in (0, 1]"),
+        # Orders, exponents and claims must be finite.
+        (widths + ("inf",), 1, "order p must be positive and finite"),
+        (widths + ("nan",), 1, "order p must be positive and finite"),
+        (("quad", "--algo", "voronoi", "--codebook", "{cbinf}",
+          "--functional", "coord_at(0)"), 1, "order r must be positive and finite"),
+        (gauss + ("--alpha", "inf"), 1, "alpha must be positive and finite"),
+        (gauss + ("--beta", "nan"), 1, "beta must be finite"),
+        (("adversary", "--check", "lipschitz", "--measure", "uniform_cube:1",
+          "--functional", "coord_at(0)", "--lip-claim", "nan"),
+         1, "Lipschitz claim must be finite"),
     ]
     return rows
 
@@ -471,6 +490,9 @@ class TestCliExitCodes:
                           weights=np.full(n, 1.0 / n))
             files[name] = str(tmp_path / f"{name}.csv")
             save_codebook(cb, files[name])
+        files["cbinf"] = str(tmp_path / "cbinf.csv")
+        with open(files["cb"]) as src, open(files["cbinf"], "w") as dst:
+            dst.write(src.read().replace("r=1.0", "r=inf"))
         out = tmp_path / "out"
         argv = [arg.format(**files) for arg in argv]
         assert run(*argv, "--out", str(out)) == code

@@ -1,8 +1,8 @@
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
+from conftest import traced_peak
 
 from quantquad.errors import ConfigurationError
 from quantquad.experiments import (
@@ -97,18 +97,14 @@ class TestWidthEstimate:
         assert all(b < a for a, b in zip(errors, errors[1:]))
 
     def test_memory_is_three_path_blocks(self):
-        # One block of 20 000 paths: the paths, the projection and the
-        # residual; the weighted copy dies inside the product.
+        # One block of 20 000 paths; its projection and residual are made
+        # per tile (test_measures.TestTiles holds this peak to 1.25 blocks).
         grid = Grid.uniform()
         sub = make_kl_subspace(4, grid)
         M = 20_000
-        tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
-            width_estimate(BrownianKL(200, grid), sub, 2.0, M, SeedSpec(4))
-            peak = tracemalloc.get_traced_memory()[1] - base
-        finally:
-            tracemalloc.stop()
+        peak = traced_peak(
+            lambda: width_estimate(BrownianKL(200, grid), sub, 2.0, M, SeedSpec(4))
+        )
         assert peak <= 3.2 * (8 * M * grid.size)
 
     def test_memory_over_three_blocks_is_three_path_blocks(self):
@@ -117,13 +113,9 @@ class TestWidthEstimate:
         grid = Grid.uniform()
         sub = make_kl_subspace(4, grid)
         rows = _block_rows(grid.size)
-        tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
-            width_estimate(BrownianKL(200, grid), sub, 2.0, 3 * rows, SeedSpec(4))
-            peak = tracemalloc.get_traced_memory()[1] - base
-        finally:
-            tracemalloc.stop()
+        peak = traced_peak(
+            lambda: width_estimate(BrownianKL(200, grid), sub, 2.0, 3 * rows, SeedSpec(4))
+        )
         assert peak <= 3.2 * (8 * rows * grid.size)
 
     def test_vector_measure_rejected(self):

@@ -1,8 +1,8 @@
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
+from conftest import traced_peak
 
 from quantquad import measures
 from quantquad.errors import ConfigurationError, NumericError
@@ -294,13 +294,7 @@ class TestEulerKernel:
     def test_memory_is_increments_and_output(self):
         n, k, grid = 1000, 2049, Grid.uniform()
         rng = SeedSpec(10).rng()
-        tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
-            euler_values(gbm_spec(0.1, 0.2), k, rng, n, grid)
-            peak = tracemalloc.get_traced_memory()[1] - base
-        finally:
-            tracemalloc.stop()
+        peak = traced_peak(lambda: euler_values(gbm_spec(0.1, 0.2), k, rng, n, grid))
         needed = 8 * n * ((k - 1) + grid.size)
         assert peak <= 1.1 * needed
 
@@ -686,3 +680,161 @@ class TestStream:
             lipschitz_check(Functional(fn, name="boom"), UniformCube(1), 100, SeedSpec(6))
         assert str(info.value) == f"{where}: RuntimeError: boom"
         assert info.value.sample == int(where.split()[1])
+
+    @pytest.mark.parametrize(
+        "failing_call, where",
+        [
+            (2, "sample 3 of seed.child(1)"),
+            (4, "sample 13 of seed.child(0)"),
+            (6, "sample 13 of seed.child(0), bumped"),
+        ],
+    )
+    def test_lipschitz_nan_is_named_by_stream_and_index(
+        self, failing_call, where, monkeypatch
+    ):
+        # A NaN in row 3 of one call (10-row blocks, calls ordered as
+        # above) is named by its stream and its draw, not skipped.
+        from quantquad.adversary import lipschitz_check
+        from quantquad.paths import Functional
+
+        monkeypatch.setattr(measures, "_BLOCK_BYTES", 8 * 10)
+        calls = []
+
+        def fn(v):
+            calls.append(1)
+            out = v[:, 0].copy()
+            if len(calls) == failing_call:
+                out[3] = np.nan
+            return out
+
+        with pytest.raises(NumericError) as info:
+            lipschitz_check(Functional(fn, name="nan"), UniformCube(1), 100, SeedSpec(6))
+        assert str(info.value) == f"{where}: non-finite value"
+        assert info.value.sample == int(where.split()[1])
+
+    def test_lipschitz_nan_half_of_the_cube(self):
+        # NaN above 0.5 used to leave max_ratio at 0.0, unflagged.
+        from quantquad.adversary import lipschitz_check
+        from quantquad.paths import Functional
+
+        seed = SeedSpec(3)
+        f = Functional(lambda v: np.where(v[:, 0] > 0.5, np.nan, v[:, 0]))
+        first = int(np.argmax(sample_batch(UniformCube(1), seed.child(0), 1000)[:, 0] > 0.5))
+        with pytest.raises(NumericError, match=rf"sample {first} of seed\.child\(0\): ") as info:
+            lipschitz_check(f, UniformCube(1), 1000, seed)
+        assert info.value.sample == first
+
+
+class TestTiles:
+    # _stream hands each block to its evaluator in row tiles of _TILE_BYTES,
+    # and sample_batch builds BrownianKL blocks tile by tile.  Tiles move no
+    # draw, no located failure and no seeded result; they bound memory.
+
+    @pytest.mark.parametrize("site", ["reference_value", "gap_identity_check"])
+    @pytest.mark.parametrize("raises", [False, True], ids=["nan", "raises"])
+    def test_failure_in_a_later_tile_is_named_by_its_stream_index(
+        self, site, raises, monkeypatch
+    ):
+        # 40-row blocks of 7-row tiles.  Draw 79 of seed.child(0) is the
+        # first above 0.99: the last row of the second block, in its tile
+        # from 75.  A NaN is named by its draw, a raise by its tile's first.
+        from quantquad import adversary
+        from quantquad.paths import Functional
+        from quantquad.quantize import uniform_midpoint_codebook
+
+        monkeypatch.setattr(measures, "_BLOCK_BYTES", 8 * 40)
+        monkeypatch.setattr(measures, "_TILE_BYTES", 8 * 7)
+        cube, seed = UniformCube(1), SeedSpec(6)
+        draws = sample_batch(cube, seed.child(0), 1000)[:, 0]
+        assert int(np.argmax(draws > 0.99)) == 79
+
+        def fn(v):
+            high = v[:, 0] > 0.99
+            if raises and high.any():
+                raise RuntimeError("boom")
+            return np.where(high, np.nan, v[:, 0])
+
+        if site == "reference_value":
+            call = lambda: reference_value(Functional(fn), cube, 1000, seed)  # noqa: E731
+        else:
+            # The reduced codebook's distances fail, so the half-gap and
+            # difference columns do and the fooling column does not.
+            search = adversary.min_dist_batch
+
+            def failing(batch, codebook):
+                d, idx = search(batch, codebook)
+                return (d + 0.0 * fn(batch) if codebook.n == 1 else d), idx
+
+            monkeypatch.setattr(adversary, "min_dist_batch", failing)
+            cb = uniform_midpoint_codebook(1, 2)
+            call = lambda: adversary.gap_identity_check(cb, cube, 1000, seed)  # noqa: E731
+        with pytest.raises(NumericError, match="RuntimeError" if raises else "non-finite") as info:
+            call()
+        assert info.value.sample == (75 if raises else 79)
+
+    def test_one_row_tiles_move_no_result(self, monkeypatch):
+        from quantquad.paths import NormKind, sup_norm_functional, vector_coord_functional
+        from quantquad.quantize import (
+            Codebook,
+            distortion,
+            product_quantizer_bm,
+            uniform_midpoint_codebook,
+            voronoi_weights,
+        )
+
+        grid, seed = Grid.uniform(17), SeedSpec(43)
+        bm = DiffusionSpec(ConstantCoeff(0.0).drift, ConstantCoeff(1.0).diffusion, (0.0,))
+        cube, euler = UniformCube(2), Diffusion(bm, 9, grid)
+        searches = [
+            (uniform_midpoint_codebook(2, 3), cube),
+            (Codebook(sample_batch(cube, SeedSpec(44), 7), 2.0, NormKind.EUCLIDEAN, "u"), cube),
+            (product_quantizer_bm(4, 8, grid), euler),
+            (Codebook(sample_batch(euler, SeedSpec(45), 5), 2.0, NormKind.L2, "e", grid=grid),
+             euler),
+        ]
+
+        def results():
+            out = []
+            for f, measure in ((sup_norm_functional(), _affine_2d(9)),
+                               (vector_coord_functional(1), cube)):
+                ref = reference_value(f, measure, 300, seed)
+                out += [ref.value, ref.stderr]
+            for cb, measure in searches:
+                measures._held = None
+                for _ in range(2):  # drawn, then replayed
+                    est = distortion(cb, measure, 2.0, 300, seed)
+                    out += [est.value, est.stderr, *voronoi_weights(cb, measure, 300, seed)]
+            return out
+
+        default = results()
+        monkeypatch.setattr(measures, "_TILE_BYTES", 8)
+        np.testing.assert_array_equal(results(), default)
+
+    def test_kl_tiles_draw_the_coefficients_in_stream_order(self, monkeypatch):
+        monkeypatch.setattr(measures, "_TILE_BYTES", 8 * 3 * 33)  # 3-row tiles
+        measure, n = BrownianKL(20, Grid.uniform(33)), 10
+        rng, whole = SeedSpec(46).rng(), SeedSpec(46).rng()
+        paths = sample_batch(measure, rng, n)
+        coeff = whole.standard_normal((n, measure.k_terms))
+        assert rng.bit_generator.state == whole.bit_generator.state
+        expected = coeff @ measures._kl_matrix(measure)
+        np.testing.assert_allclose(paths[:, :, 0], expected, rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("site", ["width_estimate", "reference_value", "sample_batch"])
+    def test_memory_is_one_path_block(self, site):
+        # A block and a few tiles: no block-sized temporary of evaluation
+        # and no (n, k_terms) coefficient array.
+        from quantquad.experiments import width_estimate
+        from quantquad.paths import make_kl_subspace, sup_norm_functional
+
+        grid = Grid.uniform(1025) if site == "reference_value" else Grid.uniform()
+        measure, seed = BrownianKL(200, grid), SeedSpec(47)
+        M = measures._block_rows(grid.size) if site == "reference_value" else 20_000
+        call = {
+            "width_estimate": lambda: width_estimate(
+                measure, make_kl_subspace(4, grid), 2.0, M, seed
+            ),
+            "reference_value": lambda: reference_value(sup_norm_functional(), measure, M, seed),
+            "sample_batch": lambda: sample_batch(measure, seed, M),
+        }[site]
+        assert traced_peak(call) <= 1.25 * (8 * M * grid.size)

@@ -233,6 +233,9 @@ class TestSchedules:
     def test_profile_validation(self):
         with pytest.raises(ConfigurationError):
             SmallBallProfile(0.0)
+        for alpha, beta in ((math.inf, 0.0), (math.nan, 0.0), (2.0, math.nan), (2.0, -math.inf)):
+            with pytest.raises(ConfigurationError, match="finite"):
+                SmallBallProfile(alpha, beta)
 
 
 class TestGaussianSubspaceMC:

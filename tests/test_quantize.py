@@ -8,7 +8,7 @@ from statistics import NormalDist
 
 import numpy as np
 import pytest
-from conftest import brute_nearest, dense_integral, normal_expectation
+from conftest import brute_nearest, dense_integral, normal_expectation, traced_peak
 
 from quantquad import measures, quantize
 from quantquad.errors import ConfigurationError, NumericError
@@ -597,14 +597,9 @@ class TestReplay:
 
         def peak(seeds):
             measures._held = None
-            tracemalloc.start()
-            try:
-                base = tracemalloc.get_traced_memory()[0]
-                for s in seeds:
-                    distortion(cb, measure, 2.0, M, SeedSpec(s))
-                return tracemalloc.get_traced_memory()[1] - base
-            finally:
-                tracemalloc.stop()
+            return traced_peak(
+                lambda: [distortion(cb, measure, 2.0, M, SeedSpec(s)) for s in seeds]
+            )
 
         one = peak([81])
         assert one >= 8 * M * grid.size  # the traced peak holds a block
@@ -618,17 +613,26 @@ class TestReplay:
         grid = Grid.uniform()
         measure, seed, M = BrownianKL(200, grid), SeedSpec(4), 20_000
         sub = make_kl_subspace(4, grid)
-        tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
+
+        def run():
             distortion(product_quantizer_bm(8, 200, grid), measure, 2.0, M, seed)
             assert measures._held is not None
             tracemalloc.reset_peak()
             width_estimate(measure, sub, 2.0, M, seed)
-            peak = tracemalloc.get_traced_memory()[1] - base
-        finally:
-            tracemalloc.stop()
+
+        peak = traced_peak(run)
         assert peak <= 3.2 * (8 * M * grid.size)
+
+
+class TestOrder:
+    @pytest.mark.parametrize("r", [0.0, math.inf, math.nan])
+    def test_order_must_be_positive_and_finite(self, r):
+        # r = inf gave a distortion of exactly 1.0.
+        cb = uniform_midpoint_codebook(1, 2)
+        with pytest.raises(ConfigurationError, match="positive and finite"):
+            distortion(cb, UniformCube(1), r, 1000, SeedSpec(5))
+        with pytest.raises(ConfigurationError, match="positive and finite"):
+            Codebook(cb.points, r, NormKind.EUCLIDEAN, "uniform_cube:1")
 
 
 class TestLloyd:
