@@ -44,6 +44,8 @@ from .quantize import Codebook, _check_fits, min_dist_batch
 # Residuals below this are snapped to exactly 0, so that membership in the
 # subspace is decided, not approximated.
 _BLIND_SNAP_TOL = 1e-9
+# Standard deviation of the random bumps lipschitz_check adds to its draws.
+_BUMP_SCALE = 1e-3
 
 
 # ---------------------------------------------------------------------------
@@ -53,8 +55,6 @@ _BLIND_SNAP_TOL = 1e-9
 @dataclass
 class FoolingFamily:
     functionals: List[Functional]
-    kind: str
-    codebook: Optional[Codebook] = None
 
     def __len__(self):
         return len(self.functionals)
@@ -94,7 +94,7 @@ def fooling_family(codebook: Codebook) -> FoolingFamily:
         return Functional(fn, 1.0, None, f"fooling[{i}]")
 
     members = [member(i) for i in range(codebook.n)]
-    return FoolingFamily(members, "voronoi-fooling", codebook)
+    return FoolingFamily(members)
 
 
 @dataclass(frozen=True)
@@ -342,26 +342,22 @@ def lipschitz_check(
     measure: MeasureSpec,
     pairs: int,
     seed: SeedSpec,
-    norm_kind: Optional[NormKind] = None,
-    bump_scale: float = 1e-3,
 ) -> LipschitzReport:
     """Largest observed |f(x)-f(y)| / ||x - y|| over sampled pairs.
 
-    The norm is ``norm_kind``: by default sup on paths and euclidean on
-    vectors.  Pairs are independent draws plus locally perturbed copies
-    (small random bumps), which probe local Lipschitz violations.
-    Coincident pairs are skipped.  A failure while drawing or evaluating,
-    and a non-finite value of f, raise ``NumericError`` at the draw's index
-    in its stream, which the message names (``ConfigurationError`` passes
-    through).
+    The norm is sup on paths and euclidean on vectors.  Pairs are
+    independent draws plus locally perturbed copies (small random bumps),
+    which probe local Lipschitz violations.  Coincident pairs are skipped.
+    A failure while drawing or evaluating, and a non-finite value of f,
+    raise ``NumericError`` at the draw's index in its stream, which the
+    message names (``ConfigurationError`` passes through).
     """
     if pairs < 100:
         raise ConfigurationError("lipschitz_check needs at least 100 pairs")
     if not math.isfinite(f.lip_claim):
         raise ConfigurationError("Lipschitz claim must be finite")
     grid = measure_grid(measure)
-    if norm_kind is None:
-        norm_kind = NormKind.EUCLIDEAN if grid is None else NormKind.SUP
+    norm_kind = NormKind.EUCLIDEAN if grid is None else NormKind.SUP
     bump_rng = seed.child(2).rng()
     max_ratio = 0.0
     x_blocks = _blocks(measure, seed.child(0), pairs)
@@ -376,7 +372,7 @@ def lipschitz_check(
             ys = next(y_blocks)[1]
             fy = f(ys)
             _check_finite(fy)
-        bumped = xs + bump_scale * bump_rng.standard_normal(xs.shape)
+        bumped = xs + _BUMP_SCALE * bump_rng.standard_normal(xs.shape)
         with _located(start, "seed.child(0), bumped"):
             fbumped = f(bumped)
             _check_finite(fbumped)

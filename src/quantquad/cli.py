@@ -38,13 +38,11 @@ from .measures import (
     measure_tag,
     reference_value,
 )
-from .paths import Grid, make_kl_subspace
+from .paths import Grid, check_kl_dim, make_kl_subspace
 from .quadrature import (
     SmallBallProfile,
     classical_mc,
-    euler_mc,
     euler_mc_schedule,
-    gaussian_subspace_mc,
     subspace_mc_schedule,
     voronoi_quadrature,
     vr_mc,
@@ -223,7 +221,7 @@ def _cmd_quad(args) -> int:
             k = k if k is not None else measure.k_steps
             if n is None:
                 raise ConfigurationError("euler needs --n (or --budget)")
-        result = euler_mc(measure.spec, f, k, n, seed, grid or measure.grid)
+        result = classical_mc(Diffusion(measure.spec, k, grid or measure.grid), f, n, seed)
     else:  # gauss-sub
         profile = SmallBallProfile(args.alpha, args.beta)
         n, k = args.n, args.k
@@ -242,8 +240,8 @@ def _cmd_quad(args) -> int:
                 size = 2 * (size - 1) + 1
             grid = Grid.uniform(size)
             echo_extra["grid"] = size
-        sub = make_kl_subspace(k, grid)
-        result = gaussian_subspace_mc(sub, f, n, seed)
+        check_kl_dim(k, grid)
+        result = classical_mc(BrownianKL(k, grid), f, n, seed)
 
     payload = {
         "estimate": result.estimate,

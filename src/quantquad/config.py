@@ -38,9 +38,9 @@ from .paths import (
 from .quantize import dist_to_codebook_functional
 
 
-def parse_seed(text, stream_index: int = 0) -> SeedSpec:
+def parse_seed(text) -> SeedSpec:
     try:
-        return SeedSpec(int(text), stream_index)
+        return SeedSpec(int(text))
     except (TypeError, ValueError):
         raise ConfigurationError(f"seed must be an integer, got {text!r}") from None
 

@@ -81,30 +81,6 @@ CoeffFn = Callable[[np.ndarray], np.ndarray]
 
 
 @dataclass(frozen=True)
-class ConstantCoeff:
-    """a(x) = c (drift) or b(x) = c * I (diffusion).
-
-    ``diagonal`` gives the diffusion matrix's diagonal, (B, m) for a batch
-    (B, m); the Euler kernel reads it instead of the (B, m, m) matrix.
-    """
-
-    value: float
-
-    def drift(self, x: np.ndarray) -> np.ndarray:
-        return np.full_like(x, self.value)
-
-    def diagonal(self, x: np.ndarray) -> np.ndarray:
-        return np.full_like(x, self.value)
-
-    def diffusion(self, x: np.ndarray) -> np.ndarray:
-        b, m = x.shape
-        return np.broadcast_to(self.value * np.eye(m), (b, m, m))
-
-    def tag(self) -> str:
-        return f"constant:{self.value!r}"
-
-
-@dataclass(frozen=True)
 class AffineCoeff:
     """a(x) = c0 + c1 x elementwise; as diffusion, diag(c0 + c1 x).
 
@@ -115,11 +91,14 @@ class AffineCoeff:
     intercept: float
     slope: float
 
+    def __post_init__(self):
+        if not (math.isfinite(self.intercept) and math.isfinite(self.slope)):
+            raise ConfigurationError(f"coefficients must be finite, got {self!r}")
+
     def drift(self, x: np.ndarray) -> np.ndarray:
         return self.intercept + self.slope * x
 
-    def diagonal(self, x: np.ndarray) -> np.ndarray:
-        return self.intercept + self.slope * x
+    diagonal = drift
 
     def diffusion(self, x: np.ndarray) -> np.ndarray:
         b, m = x.shape
@@ -128,10 +107,10 @@ class AffineCoeff:
         out[:, idx, idx] = self.diagonal(x)
         return out
 
-    def tag(self) -> str:
-        if self.intercept == 0.0:
-            return f"linear:{self.slope!r}"
-        return f"affine:{self.intercept!r},{self.slope!r}"
+
+def ConstantCoeff(value: float) -> AffineCoeff:
+    """a(x) = value (drift) or b(x) = value * I (diffusion)."""
+    return AffineCoeff(value, 0.0)
 
 
 def LinearCoeff(rate: float) -> AffineCoeff:
@@ -286,7 +265,7 @@ def _diagonal_of(spec: DiffusionSpec) -> Optional[CoeffFn]:
     # for a built-in coefficient, and for every coefficient when m = 1.
     # None otherwise; such a coefficient keeps the (B, m, m) contract.
     owner = getattr(spec.diffusion, "__self__", None)
-    if type(owner) in (ConstantCoeff, AffineCoeff) and spec.diffusion == owner.diffusion:
+    if type(owner) is AffineCoeff and spec.diffusion == owner.diffusion:
         return owner.diagonal
     if spec.m == 1:
         return lambda x: np.asarray(spec.diffusion(x), dtype=float)[:, :, 0]
@@ -311,13 +290,13 @@ def euler_values(
     Increment vectors are drawn for every step even when the diffusion
     coefficient vanishes, so stream consumption does not depend on the
     coefficients.  A step is x + dt a(x) + sqrt(dt) b(x) z.  When
-    ``spec.diffusion`` is the ``diffusion`` method of a ConstantCoeff or
-    AffineCoeff, b(x) z is the elementwise product of its ``diagonal`` and
-    z, which equals the matrix product bit for bit (the other terms are
-    exact zeros).  The grid points between breakpoints l and l+1 are
-    filled as x_l (1 - lam) + x_{l+1} lam as soon as x_{l+1} is known, so
-    the breakpoint values are never stored; the large arrays are the
-    increments and the output.
+    ``spec.diffusion`` is the ``diffusion`` method of an AffineCoeff (which
+    ConstantCoeff and LinearCoeff return), b(x) z is the elementwise
+    product of its ``diagonal`` and z, which equals the matrix product bit
+    for bit (the other terms are exact zeros).  The grid points between
+    breakpoints l and l+1 are filled as x_l (1 - lam) + x_{l+1} lam as soon
+    as x_{l+1} is known, so the breakpoint values are never stored; the
+    large arrays are the increments and the output.
     """
     if k < 2:
         raise ConfigurationError("breakpoint count k must be >= 2")

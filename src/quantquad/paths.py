@@ -159,7 +159,6 @@ class Subspace:
     grid: Grid
     basis: np.ndarray  # (k, G)
     kind: str  # "piecewise-linear" or "karhunen-loeve"
-    detail: tuple = ()
 
     @property
     def dim(self) -> int:
@@ -206,7 +205,7 @@ def make_pl_subspace(breakpoints, grid: Optional[Grid] = None) -> Subspace:
             xp, fp = [left, bp[-1]], [0.0, 1.0]
         raw[j] = np.interp(grid.points, xp, fp)
     basis = _orthonormalize_rows(raw, grid)
-    return Subspace(grid, basis, "piecewise-linear", detail=tuple(bp))
+    return Subspace(grid, basis, "piecewise-linear")
 
 
 def check_kl_dim(k: int, grid: Grid) -> None:
@@ -225,7 +224,7 @@ def make_kl_subspace(k: int, grid: Optional[Grid] = None) -> Subspace:
     grid = grid or Grid.uniform()
     check_kl_dim(k, grid)
     basis = _orthonormalize_rows(kl_basis_on_grid(k, grid), grid)
-    return Subspace(grid, basis, "karhunen-loeve", detail=(k,))
+    return Subspace(grid, basis, "karhunen-loeve")
 
 
 def batch_project(values: np.ndarray, sub: Subspace):

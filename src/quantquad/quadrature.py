@@ -260,44 +260,52 @@ def euler_mc(
     return classical_mc(Diffusion(spec, k, grid), f, n, seed)
 
 
-def _schedule_minimum(formula) -> int:
-    for candidate in range(3, 10_000):
+def _balanced_schedule(N: int, a: float, b: float, name: str) -> Tuple[int, int]:
+    """The (n, k) of ``subspace_mc_schedule`` at exponents (a, b).
+
+    Errors name the ``name`` schedule.  A budget whose powers leave float
+    range raises ``ConfigurationError``, as does one too small.
+    """
+
+    def formula(budget):
+        # (n, k), or None when a power leaves float range.
+        log = math.log(budget) if budget > 0 else 0.0
+        if log <= 1.0:
+            return 0, 0
         try:
-            n, k = formula(candidate)
-        except (ValueError, OverflowError):
-            continue
-        if n >= 2 and k >= 2:
-            return candidate
-    raise ConfigurationError("no feasible budget below 10000")
+            lf = log ** (2.0 * (a + b) / (2.0 + a))
+            n = int(budget ** (2.0 / (2.0 + a)) / lf)
+            return n, int(budget ** (a / (2.0 + a)) * lf)
+        except (OverflowError, ZeroDivisionError):
+            return None
+
+    schedule = formula(N)
+    if schedule is None:
+        raise ConfigurationError(f"the {name} schedule leaves float range at N={N}")
+    n, k = schedule
+    if n < 2 or k < 2:
+        feasible = (c for c in range(3, 10_000) if min(formula(c) or (0,)) >= 2)
+        minimum = next(feasible, None)
+        if minimum is None:
+            raise ConfigurationError("no feasible budget below 10000")
+        raise ConfigurationError(
+            f"budget N={N} too small for the {name} schedule; minimum feasible "
+            f"N is {minimum}"
+        )
+    assert k * n <= N
+    return n, k
 
 
 def euler_mc_schedule(N: int) -> Tuple[int, int]:
     """Cost-balanced (n, k) for the Euler Monte Carlo budget N.
 
     n = floor(sqrt(N / ln N)) repetitions and k = floor(sqrt(N ln N))
-    breakpoints, so that k*n <= N.  Requires ln N > 1 and a budget large
-    enough that both floors reach 2.
+    breakpoints, so that k*n <= N.  This is the subspace schedule at the
+    small-ball exponents (a, b) = (2, -1), where both powers of N are 1/2
+    and both powers of ln N are -1/2 and +1/2.  Requires ln N > 1 and a
+    budget large enough that both floors reach 2.
     """
-
-    def formula(budget):
-        log = math.log(budget)
-        if log <= 1.0:
-            raise ValueError
-        root = math.sqrt(budget)
-        return int(root / math.sqrt(log)), int(root * math.sqrt(log))
-
-    try:
-        n, k = formula(N)
-    except ValueError:
-        n = k = 0
-    if n < 2 or k < 2:
-        minimum = _schedule_minimum(formula)
-        raise ConfigurationError(
-            f"budget N={N} too small for the Euler schedule; minimum feasible "
-            f"N is {minimum}"
-        )
-    assert k * n <= N
-    return n, k
+    return _balanced_schedule(N, 2.0, -1.0, "Euler")
 
 
 def subspace_mc_schedule(N: int, profile: SmallBallProfile) -> Tuple[int, int]:
@@ -307,29 +315,7 @@ def subspace_mc_schedule(N: int, profile: SmallBallProfile) -> Tuple[int, int]:
     k = floor(N^(a/(2+a)) (ln N)^(+2(a+b)/(2+a))) for a small-ball profile
     (a, b); their product is at most N.
     """
-    a, b = profile.alpha, profile.beta
-
-    def formula(budget):
-        log = math.log(budget)
-        if log <= 1.0:
-            raise ValueError
-        lf = log ** (2.0 * (a + b) / (2.0 + a))
-        n = int(budget ** (2.0 / (2.0 + a)) / lf)
-        k = int(budget ** (a / (2.0 + a)) * lf)
-        return n, k
-
-    try:
-        n, k = formula(N)
-    except ValueError:
-        n = k = 0
-    if n < 2 or k < 2:
-        minimum = _schedule_minimum(formula)
-        raise ConfigurationError(
-            f"budget N={N} too small for the subspace schedule; minimum "
-            f"feasible N is {minimum}"
-        )
-    assert k * n <= N
-    return n, k
+    return _balanced_schedule(N, profile.alpha, profile.beta, "subspace")
 
 
 # ---------------------------------------------------------------------------

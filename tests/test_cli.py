@@ -433,6 +433,9 @@ def _exit_code_rows():
               "--samples", "2000", "--p")
     gauss = ("quad", "--algo", "gauss-sub", "--functional", "sup_norm",
              "--budget", "1000")
+    euler = ("quad", "--algo", "euler", "--functional", "coord_at(1.0)", "--measure")
+    sde = "kind=diffusion drift={} diffusion={} u0=1 k_steps=11"
+    huge = "1" + "0" * 400
     rows = []
     for count in ("0", "1", "-1"):
         rows += [
@@ -470,6 +473,19 @@ def _exit_code_rows():
         (("adversary", "--check", "lipschitz", "--measure", "uniform_cube:1",
           "--functional", "coord_at(0)", "--lip-claim", "nan"),
          1, "Lipschitz claim must be finite"),
+        # Coefficients of every family must be finite.
+        (euler + (sde.format("constant:nan", "linear:0.2"), "--n", "100"),
+         1, "must be finite"),
+        (euler + (sde.format("linear:inf", "linear:0.2"), "--n", "100"),
+         1, "must be finite"),
+        (euler + (sde.format("affine:1,nan", "linear:0.2"), "--n", "100"),
+         1, "must be finite"),
+        # Budgets beyond float range are configuration errors.
+        (euler + (sde.format("linear:0.1", "linear:0.2"), "--budget", huge),
+         1, "Euler schedule leaves float range"),
+        (gauss[:-1] + (huge,), 1, "subspace schedule leaves float range"),
+        (gauss + ("--beta", "1e300"), 1, "subspace schedule leaves float range"),
+        (gauss + ("--beta=-1e300",), 1, "subspace schedule leaves float range"),
     ]
     return rows
 

@@ -217,6 +217,10 @@ EULER_CASES = {
         DiffusionSpec(_DRIFT.drift, AffineCoeff(0.2, 0.1).diffusion, (1.0, 0.5), 2),
         65, Grid.uniform(33), 200,
     ),
+    "m1-constant": (
+        DiffusionSpec(ConstantCoeff(0.4).drift, ConstantCoeff(0.3).diffusion, (1.0,), 1),
+        65, Grid.uniform(), 200,
+    ),
     "m3-constant": (
         DiffusionSpec(
             _DRIFT.drift, ConstantCoeff(0.3).diffusion, (1.0, 0.5, -1.0), 3
@@ -290,6 +294,13 @@ class TestEulerKernel:
         assert measures._diagonal_of(spec) == coeff.diagonal
         custom = DiffusionSpec(coeff.drift, _coupled_noise, (1.0, 2.0), 2)
         assert measures._diagonal_of(custom) is None
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_coefficient_rejected(self, bad):
+        for make in (ConstantCoeff, LinearCoeff, lambda c: AffineCoeff(c, 0.1),
+                     lambda c: AffineCoeff(0.1, c)):
+            with pytest.raises(ConfigurationError, match="must be finite"):
+                make(bad)
 
     def test_memory_is_increments_and_output(self):
         n, k, grid = 1000, 2049, Grid.uniform()

@@ -212,6 +212,37 @@ class TestSchedules:
             assert n >= prev_n and k >= prev_k
             prev_n, prev_k = n, k
 
+    @staticmethod
+    def _check_closed_form(schedule, closed_form, budgets):
+        # The schedule is the closed form where both entries reach 2 and
+        # raises where one does not.
+        for N in budgets:
+            want = closed_form(N, math.log(N))
+            if min(want) >= 2:
+                assert schedule(N) == want, N
+            else:
+                with pytest.raises(ConfigurationError, match="minimum feasible N"):
+                    schedule(N)
+
+    def test_euler_schedule_is_its_closed_form(self):
+        # n = floor(sqrt(N / ln N)), k = floor(sqrt(N ln N)) at every budget
+        # up to 10^5 and at a few near 10^12.
+        self._check_closed_form(
+            euler_mc_schedule,
+            lambda N, log: (int(math.sqrt(N / log)), int(math.sqrt(N * log))),
+            list(range(3, 10**5 + 1)) + [10**12 + d for d in range(-3, 4)],
+        )
+
+    def test_subspace_schedule_at_the_brownian_profile(self):
+        # At (alpha, beta) = (2, 0): n = floor(sqrt(N) / ln N) and
+        # k = floor(sqrt(N) ln N).
+        bm = SmallBallProfile(2.0, 0.0)
+        self._check_closed_form(
+            lambda N: subspace_mc_schedule(N, bm),
+            lambda N, log: (int(math.sqrt(N) / log), int(math.sqrt(N) * log)),
+            list(range(3, 10**4)) + [10**12 + d for d in range(-3, 4)],
+        )
+
     def test_euler_schedule_minimum_named(self):
         with pytest.raises(ConfigurationError, match="minimum feasible N is"):
             euler_mc_schedule(8)
