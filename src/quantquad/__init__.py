@@ -54,7 +54,6 @@ from .quadrature import (
     vr_mc,
 )
 from .adversary import (
-    FoolingFamily,
     IncrementFamilySpec,
     bakhvalov_lower_bound,
     event_probability,

@@ -30,7 +30,6 @@ from .measures import (
     BrownianKL,
     MeasureSpec,
     SeedSpec,
-    _block_rows,
     _blocks,
     _check_finite,
     _located,
@@ -39,7 +38,7 @@ from .measures import (
     measure_grid,
 )
 from .paths import Functional, Grid, NormKind, Subspace, batch_norm, batch_project
-from .quantize import Codebook, _check_fits, min_dist_batch
+from .quantize import Codebook, _all_point_distances, min_dist_batch
 
 # Residuals below this are snapped to exactly 0, so that membership in the
 # subspace is decided, not approximated.
@@ -52,49 +51,41 @@ _BUMP_SCALE = 1e-3
 # Fooling families from codebooks
 
 
-@dataclass
-class FoolingFamily:
-    functionals: List[Functional]
-
-    def __len__(self):
-        return len(self.functionals)
-
-
-def _all_point_distances(batch: np.ndarray, codebook: Codebook) -> np.ndarray:
-    # (B, n) distances to every codebook point, in runs of samples whose
-    # (samples, n, flat) difference array fills one block.
-    _check_fits(batch, codebook)
-    b = batch.shape[0]
-    n = codebook.n
-    out = np.empty((b, n))
-    step = _block_rows(n * int(np.prod(batch.shape[1:])))
-    for b0 in range(0, b, step):
-        diff = batch[b0 : b0 + step, None] - codebook.points[None]
-        out[b0 : b0 + step] = batch_norm(diff, codebook.norm, codebook.grid)
+def _fooling_values(
+    batch: np.ndarray, codebook: Codebook, i: int, nearest: np.ndarray
+) -> np.ndarray:
+    # f_i on samples whose distances to the codebook are ``nearest``.  f_i
+    # is positive only where d_i < d_j for every j != i; a row with
+    # d_i > nearest has some d_j < d_i, so f_i is exactly 0 there, and only
+    # the other rows take their distances to every point.
+    out = np.zeros(batch.shape[0])
+    own = batch_norm(batch - codebook.points[i], codebook.norm, codebook.grid)
+    rows = np.flatnonzero(own <= nearest)
+    d = _all_point_distances(batch[rows], codebook)
+    d[:, i] = np.inf
+    out[rows] = 0.5 * np.maximum(0.0, d.min(axis=1) - own[rows])
     return out
 
 
-def fooling_family(codebook: Codebook) -> FoolingFamily:
+def fooling_family(codebook: Codebook) -> List[Functional]:
     """One fooling functional per codebook point; disjoint supports.
 
     f_i is positive exactly on the interior of the i-th Voronoi cell and
-    is 1-Lipschitz for the codebook norm.
+    is 1-Lipschitz for the codebook norm.  Evaluating f_i costs one nearest
+    search, one distance to x_i per sample, and distances to every point
+    only for the samples nearest to x_i.
     """
     if codebook.n < 2:
         raise ConfigurationError("fooling_family needs at least 2 points")
 
     def member(i: int) -> Functional:
         def fn(batch):
-            d = _all_point_distances(batch, codebook)
-            own = d[:, i].copy()
-            d[:, i] = np.inf
-            others = d.min(axis=1)
-            return 0.5 * np.maximum(0.0, others - own)
+            nearest = min_dist_batch(batch, codebook)[0]
+            return _fooling_values(batch, codebook, i, nearest)
 
         return Functional(fn, 1.0, None, f"fooling[{i}]")
 
-    members = [member(i) for i in range(codebook.n)]
-    return FoolingFamily(members)
+    return [member(i) for i in range(codebook.n)]
 
 
 @dataclass(frozen=True)
@@ -134,12 +125,10 @@ def gap_identity_check(
         grid=codebook.grid,
         oracle_dim=codebook.oracle_dim,
     )
-    family = fooling_family(codebook)
-    f_last = family.functionals[m - 1]
 
     def sides(batch):
-        lhs = f_last(batch)
         d_full = min_dist_batch(batch, codebook)[0]
+        lhs = _fooling_values(batch, codebook, m - 1, d_full)
         rhs = 0.5 * (min_dist_batch(batch, reduced)[0] - d_full)
         return np.stack((lhs, rhs, lhs - rhs))
 
@@ -280,6 +269,17 @@ def event_probability(
 # Lower-bound certificate
 
 
+def _check_certificate_size(n: int, m: int) -> None:
+    """Raise ``ConfigurationError`` unless n >= 1 and the family size m >= 4n."""
+    if n < 1:
+        raise ConfigurationError("n must be >= 1")
+    if m < 4 * n:
+        raise ConfigurationError(
+            f"fooling family of size m={m} is too small: the certificate "
+            f"requires m >= 4n = {4 * n}"
+        )
+
+
 def bakhvalov_lower_bound(n: int, family_means: Sequence[Tuple[float, float]]) -> float:
     """Conservative minimal-error certificate from a fooling family.
 
@@ -288,14 +288,7 @@ def bakhvalov_lower_bound(n: int, family_means: Sequence[Tuple[float, float]]) -
     certificate is (1/4) sqrt(n) min_i (estimate_i - 3 stderr_i), clamped
     at 0; it requires m >= 4n.
     """
-    if n < 1:
-        raise ConfigurationError("n must be >= 1")
-    m = len(family_means)
-    if m < 4 * n:
-        raise ConfigurationError(
-            f"fooling family of size m={m} is too small: the certificate "
-            f"requires m >= 4n = {4 * n}"
-        )
+    _check_certificate_size(n, len(family_means))
     haircut = min(est - 3.0 * se for est, se in family_means)
     return max(0.0, 0.25 * math.sqrt(n) * haircut)
 

@@ -14,6 +14,7 @@ import sys
 
 from . import __version__
 from .adversary import (
+    _check_certificate_size,
     bakhvalov_lower_bound,
     event_probability,
     fooling_family,
@@ -247,7 +248,7 @@ def _cmd_quad(args) -> int:
         "estimate": result.estimate,
         "stderr": result.stderr,
         "n": result.cardinality,
-        "k": result.subspace_dim,
+        "k": result.cost.subspace_dim,
         "oracle_cost": result.cost.oracle_cost,
         "rng_calls": result.cost.rng_calls,
         "arithmetic_proxy": result.cost.arithmetic_proxy,
@@ -257,7 +258,7 @@ def _cmd_quad(args) -> int:
     write_result_json(args.out, payload)
     print(
         f"{args.algo}: estimate={result.estimate!r} stderr={result.stderr!r} "
-        f"n={result.cardinality} k={result.subspace_dim} "
+        f"n={result.cardinality} k={result.cost.subspace_dim} "
         f"oracle_cost={result.cost.oracle_cost}"
     )
     return EXIT_OK
@@ -316,8 +317,9 @@ def _cmd_adversary(args) -> int:
         codebook = load_codebook(args.codebook)
         measure = parse_measure(args.measure)
         family = fooling_family(codebook)
+        _check_certificate_size(args.n, len(family))  # before any estimate
         means = []
-        for i, member in enumerate(family.functionals):
+        for i, member in enumerate(family):
             est = reference_value(member, measure, args.samples, seed.child(i))
             means.append((est.value, est.stderr))
         bound = bakhvalov_lower_bound(args.n, means)

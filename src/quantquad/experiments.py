@@ -222,23 +222,14 @@ def _resolve_reference(config: RateExperimentConfig) -> Tuple[float, float]:
     if kind == "analytic":
         return float(config.reference[1]), 0.0
     if kind == "mc":
-        est = reference_value(
-            config.functional,
-            config.measure,
-            int(config.reference[1]),
-            config.seed.child(1_000_000),
-        )
-        return est.value, est.stderr
-    if kind == "euler":
+        measure, n_ref, stream = config.measure, int(config.reference[1]), 1_000_000
+    elif kind == "euler":
         _, k_ref, n_ref = config.reference
-        est = reference_value(
-            config.functional,
-            Diffusion(config.diffusion, k_ref, config.grid),
-            n_ref,
-            config.seed.child(1_000_001),
-        )
-        return est.value, est.stderr
-    raise ConfigurationError(f"unknown reference kind {kind!r}")
+        measure, stream = Diffusion(config.diffusion, k_ref, config.grid), 1_000_001
+    else:
+        raise ConfigurationError(f"unknown reference kind {kind!r}")
+    est = reference_value(config.functional, measure, n_ref, config.seed.child(stream))
+    return est.value, est.stderr
 
 
 def _run_one_size(config: RateExperimentConfig, size: int, stream: SeedSpec):

@@ -271,11 +271,6 @@ def sup_norm_functional() -> Functional:
     )
 
 
-def running_max_functional() -> Functional:
-    """f(x) = max_t x(t) (signed maximum of the first coordinate)."""
-    return Functional(lambda v: v[..., 0].max(axis=-1), 1.0, None, "running_max")
-
-
 def l1_integral_functional(grid: Grid) -> Functional:
     """f(x) = integral of |x(t)| dt by the grid trapezoid rule."""
     return Functional(

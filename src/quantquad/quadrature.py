@@ -61,22 +61,12 @@ class CostLedger:
     def oracle_cost(self) -> int:
         return self.subspace_dim * self.oracle_calls
 
-    def as_row(self) -> dict:
-        return {
-            "oracle_calls": self.oracle_calls,
-            "subspace_dim": self.subspace_dim,
-            "oracle_cost": self.oracle_cost,
-            "rng_calls": self.rng_calls,
-            "arithmetic_proxy": self.arithmetic_proxy,
-        }
-
 
 @dataclass(frozen=True)
 class QuadratureResult:
     estimate: float
     stderr: float  # 0 for deterministic rules
     cardinality: int  # functional evaluations
-    subspace_dim: int
     cost: CostLedger
 
 
@@ -129,7 +119,7 @@ def voronoi_quadrature(codebook: Codebook, f: Functional) -> QuadratureResult:
         rng_calls=0,
         arithmetic_proxy=codebook.n,
     )
-    return QuadratureResult(estimate, 0.0, codebook.n, k, ledger)
+    return QuadratureResult(estimate, 0.0, codebook.n, ledger)
 
 
 # ---------------------------------------------------------------------------
@@ -185,7 +175,7 @@ def classical_mc(
         rng_calls=n * rng_calls_per_sample(measure),
         arithmetic_proxy=n * _draw_cost(measure),
     )
-    return QuadratureResult(estimate, stderr, n, k, ledger)
+    return QuadratureResult(estimate, stderr, n, ledger)
 
 
 def classical_mc_replicated(
@@ -224,7 +214,7 @@ def vr_mc(
         arithmetic_proxy=n * _draw_cost(measure) + codebook.n,
     )
     return QuadratureResult(
-        voronoi_part + correction, stderr, n + codebook.n, k, ledger
+        voronoi_part + correction, stderr, n + codebook.n, ledger
     )
 
 

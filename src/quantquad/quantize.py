@@ -318,20 +318,33 @@ def _gram_search(values: np.ndarray, codebook: Codebook):
     return dist, idx
 
 
-def _direct_search(values: np.ndarray, codebook: Codebook):
-    # Sup and L1 have no Gram identity: each block of samples takes its
-    # distances to every point from a (samples, points, flat) difference
-    # array of one block; the first minimum is the lowest index.
-    b = values.shape[0]
-    dist = np.empty(b)
-    idx = np.empty(b, dtype=np.intp)
+def _all_point_runs(values: np.ndarray, codebook: Codebook):
+    # (start, distances to every point) for each run of samples whose
+    # (samples, points, flat) difference array fills one block.
     step = _block_rows(codebook.n * math.prod(values.shape[1:]))
-    for b0 in range(0, b, step):
+    for b0 in range(0, values.shape[0], step):
         diff = values[b0 : b0 + step, None] - codebook.points[None]
-        d = batch_norm(diff, codebook.norm, codebook.grid)
+        yield b0, batch_norm(diff, codebook.norm, codebook.grid)
+
+
+def _all_point_distances(values: np.ndarray, codebook: Codebook) -> np.ndarray:
+    """(B, n) ``batch_norm`` of every exact difference: the brute-force search."""
+    _check_fits(values, codebook)
+    out = np.empty((values.shape[0], codebook.n))
+    for b0, d in _all_point_runs(values, codebook):
+        out[b0 : b0 + d.shape[0]] = d
+    return out
+
+
+def _direct_search(values: np.ndarray, codebook: Codebook):
+    # Sup and L1 have no Gram identity: each run of samples takes its
+    # distances to every point; the first minimum is the lowest index.
+    dist = np.empty(values.shape[0])
+    idx = np.empty(values.shape[0], dtype=np.intp)
+    for b0, d in _all_point_runs(values, codebook):
         near = np.argmin(d, axis=1)
-        dist[b0 : b0 + step] = d[np.arange(near.size), near]
-        idx[b0 : b0 + step] = near
+        dist[b0 : b0 + near.size] = d[np.arange(near.size), near]
+        idx[b0 : b0 + near.size] = near
     return dist, idx
 
 
@@ -839,11 +852,6 @@ def scalar_gaussian_quantizer(levels: int) -> Codebook:
         weights=weights,
         oracle_dim=1,
     )
-
-
-def scalar_quantizer_distortion2(levels: int) -> float:
-    """Exact squared quadratic distortion E min_i (Z - c_i)^2 of the quantizer."""
-    return _lloyd_max(levels)[2]
 
 
 def product_quantizer_bm(

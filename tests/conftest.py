@@ -2,7 +2,9 @@
 
 The oracles here deliberately avoid the library's own quadrature and
 nearest-point code: dense midpoint integration for one-dimensional
-expectations, and a brute-force python nearest-point loop.
+expectations, and a brute-force python nearest-point loop.  Two
+test-only functions ride along: a running-maximum functional and the
+exact distortion of the scalar N(0,1) quantizer.
 """
 import math
 import tracemalloc
@@ -11,7 +13,8 @@ import numpy as np
 import pytest
 
 from quantquad import measures
-from quantquad.paths import Grid
+from quantquad.paths import Functional, Grid
+from quantquad.quantize import _lloyd_max
 
 
 def dense_integral(fn, a=0.0, b=1.0, n=2**19):
@@ -36,6 +39,16 @@ def brute_nearest(points, x):
         if best is None or d < best:
             best, best_i = d, i
     return best_i, best
+
+
+def running_max_functional():
+    """f(x) = max_t x(t) (signed maximum of the first coordinate)."""
+    return Functional(lambda v: v[..., 0].max(axis=-1), 1.0, None, "running_max")
+
+
+def scalar_quantizer_distortion2(levels):
+    """Exact E min_i (Z - c_i)^2 of the N(0,1) quantizer with ``levels`` points."""
+    return _lloyd_max(levels)[2]
 
 
 def traced_peak(fn):

@@ -307,7 +307,7 @@ def test_criterion_12_property_suites(tmp_path):
     )
     family = fooling_family(cb_u)
     flagged = 0
-    for member in family.functionals:
+    for member in family:
         flagged += lipschitz_check(member, UniformCube(1), 10**4, seed.child(1)).flagged
     for segments in (1, 2, 4):
         spec = IncrementFamilySpec(segments, 1.0, 0.0, (0,) * segments)
@@ -325,7 +325,7 @@ def test_criterion_12_property_suites(tmp_path):
 
     # disjoint supports and signed combinations
     xs = sample_batch(UniformCube(1), seed.child(5), 10**4)
-    member_values = np.stack([f(xs) for f in family.functionals])
+    member_values = np.stack([f(xs) for f in family])
     disjoint = bool(np.all((member_values > 0).sum(axis=0) <= 1))
     ok &= disjoint
     rng = seed.child(6).rng()
@@ -333,7 +333,7 @@ def test_criterion_12_property_suites(tmp_path):
     for _ in range(10):
         signs = rng.choice([-1.0, 1.0], size=len(family))
         combo = Functional(
-            lambda v, s=signs: sum(si * fi(v) for si, fi in zip(s, family.functionals)),
+            lambda v, s=signs: sum(si * fi(v) for si, fi in zip(s, family)),
             1.0, None, "combo",
         )
         combo_ok &= not lipschitz_check(combo, UniformCube(1), 2000, seed.child(7)).flagged

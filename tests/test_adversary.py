@@ -14,7 +14,8 @@ from quantquad.adversary import (
     lipschitz_check,
     subspace_blind_functional,
 )
-from quantquad.errors import ConfigurationError
+from quantquad import measures
+from quantquad.errors import ConfigurationError, NumericError
 from quantquad.measures import (
     BrownianKL,
     SeedSpec,
@@ -25,26 +26,108 @@ from quantquad.measures import (
 )
 from quantquad.paths import (
     Functional,
+    Grid,
     NormKind,
     make_kl_subspace,
     sup_norm_functional,
 )
-from quantquad.quantize import Codebook
+from quantquad.quantize import (
+    Codebook,
+    _all_point_distances,
+    product_quantizer_bm,
+    uniform_midpoint_codebook,
+)
 
 
 def unit_pair_codebook():
     return Codebook(np.array([[0.0], [1.0]]), 1.0, NormKind.EUCLIDEAN, "u")
 
 
+def _fooling_by_definition(codebook, i, batch):
+    # f_i(x) = 1/2 max(0, min_{j != i} d_j - d_i) from the distances to
+    # every point.
+    d = _all_point_distances(batch, codebook)
+    own = d[:, i].copy()
+    d[:, i] = np.inf
+    return 0.5 * np.maximum(0.0, d.min(axis=1) - own)
+
+
+def _member_cases():
+    # (codebook, samples) for every search: sup and L1 (direct), L2 and
+    # euclidean (Gram), and product codebooks on paths and vectors.  Values
+    # on a 0.5 lattice tie exactly and often; the midpoint samples include
+    # the cell boundaries 1/3 and 2/3.
+    rng = np.random.default_rng(23)
+    grid, fine = Grid.uniform(5), Grid.uniform(65)
+    lattice = np.arange(12.0)[:, None, None] * 0.5 + np.zeros((1, 5, 1))
+    on_lattice = np.round(2.0 * rng.standard_normal((300, 5, 1))) / 2.0 + 2.75
+    paths = sample_batch(BrownianKL(30, fine), SeedSpec(24), 212)
+    ticks = np.arange(13) / 12.0
+    square = np.stack(np.meshgrid(ticks, ticks), axis=-1).reshape(-1, 2)
+    cases = {}
+    for kind in (NormKind.SUP, NormKind.L1, NormKind.L2):
+        cases[f"lattice-{kind.value}"] = (
+            Codebook(lattice, 2.0, kind, "lattice", grid=grid), on_lattice
+        )
+        cases[f"paths-{kind.value}"] = (
+            Codebook(paths[:12], 2.0, kind, "brownian_kl:30", grid=fine), paths[12:]
+        )
+    cases["gram-vectors"] = (
+        Codebook(rng.standard_normal((9, 3)), 2.0, NormKind.EUCLIDEAN, "std_normal:3"),
+        rng.standard_normal((500, 3)),
+    )
+    cases["product-paths"] = (product_quantizer_bm(16, 30, fine), paths[12:])
+    cases["midpoint"] = (
+        uniform_midpoint_codebook(2, 3), np.concatenate((square, rng.random((300, 2))))
+    )
+    return cases
+
+
 class TestFoolingFamily:
+    @pytest.mark.parametrize("block_bytes", [None, 8], ids=["blocks", "one-row-runs"])
+    @pytest.mark.parametrize("case", sorted(_member_cases()))
+    def test_members_match_the_definition_bit_for_bit(
+        self, case, block_bytes, monkeypatch
+    ):
+        codebook, xs = _member_cases()[case]
+        want = [_fooling_by_definition(codebook, i, xs) for i in range(codebook.n)]
+        if block_bytes:
+            monkeypatch.setattr(measures, "_BLOCK_BYTES", block_bytes)
+        family = fooling_family(codebook)
+        for i, member in enumerate(family):
+            np.testing.assert_array_equal(member(xs), want[i])
+        assert np.any(np.stack(want) > 0)
+
+    def test_nan_sample_in_a_member_mean_is_named_by_its_draw(self, monkeypatch):
+        # 10-row blocks; every draw above 0.99 becomes NaN.  The member's
+        # nearest search fails at the first one, named by its stream index.
+        monkeypatch.setattr(measures, "_BLOCK_BYTES", 8 * 10)
+        seed = SeedSpec(5)
+        draws = sample_batch(UniformCube(1), seed.child(0), 1000)[:, 0]
+        first = int(np.argmax(draws > 0.99))
+        assert first % 10 != 0 and first > 10  # not in the first block's first row
+        draw = measures.sample_batch
+
+        def with_nan(measure, rng, n):
+            x = draw(measure, rng, n)
+            x[x > 0.99] = np.nan
+            return x
+
+        monkeypatch.setattr(measures, "sample_batch", with_nan)
+        member = fooling_family(unit_pair_codebook())[1]
+        with pytest.raises(NumericError, match="distance to the codebook is not finite") as info:
+            reference_value(member, UniformCube(1), 1000, seed)
+        assert info.value.sample == first
+        assert f"sample {first}:" in str(info.value)
+
     def test_formula_at_far_point(self):
         family = fooling_family(unit_pair_codebook())
         # f_1(0) = 1/2 max(0, |0-1| - |0-0|) = 1/2
-        assert family.functionals[0](np.array([[0.0]]))[0] == 0.5
+        assert family[0](np.array([[0.0]]))[0] == 0.5
 
     def test_equidistant_point_vanishes(self):
         family = fooling_family(unit_pair_codebook())
-        assert family.functionals[0](np.array([[0.5]]))[0] == 0.0
+        assert family[0](np.array([[0.5]]))[0] == 0.0
 
     def test_disjoint_supports(self):
         rng = np.random.default_rng(1)
@@ -52,7 +135,7 @@ class TestFoolingFamily:
         cb = Codebook(points, 1.0, NormKind.EUCLIDEAN, "std_normal:2")
         family = fooling_family(cb)
         xs = rng.standard_normal((10**4, 2))
-        values = np.stack([f(xs) for f in family.functionals])
+        values = np.stack([f(xs) for f in family])
         assert np.all((values > 0).sum(axis=0) <= 1)
         # pairwise products vanish identically
         assert np.all(values[0] * values[1] == 0.0)
@@ -67,7 +150,7 @@ class TestFoolingFamily:
             signs = rng.choice([-1.0, 1.0], size=len(family))
             combo = Functional(
                 lambda v, s=signs: sum(
-                    si * fi(v) for si, fi in zip(s, family.functionals)
+                    si * fi(v) for si, fi in zip(s, family)
                 ),
                 1.0,
                 None,
@@ -247,7 +330,7 @@ class TestLipschitzCheck:
             rng.random((4, 2)), 1.0, NormKind.EUCLIDEAN, "uniform_cube:2"
         )
         family = fooling_family(cb)
-        for member in family.functionals:
+        for member in family:
             report = lipschitz_check(member, UniformCube(2), 2000, SeedSpec(18))
             assert not report.flagged
 

@@ -283,6 +283,31 @@ class TestCliAdversary:
         assert code == 0
         assert "lower_bound=" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("n, fragment", [("0", "n must be >= 1"),
+                                             ("2", "requires m >= 4n = 8")])
+    def test_bakhvalov_size_rule_before_any_estimate(
+        self, tmp_path, capsys, monkeypatch, n, fragment
+    ):
+        import quantquad.cli as cli
+
+        calls, estimate = [], cli.reference_value
+        monkeypatch.setattr(
+            cli, "reference_value", lambda *a: calls.append(a) or estimate(*a)
+        )
+        cb = Codebook(
+            np.array([[0.1], [0.35], [0.6], [0.85]]), 1.0, NormKind.EUCLIDEAN,
+            "uniform_cube:1",
+        )
+        cb_path = str(tmp_path / "cb4.csv")
+        save_codebook(cb, cb_path)
+        code = run(
+            "adversary", "--check", "bakhvalov", "--codebook", cb_path,
+            "--measure", "uniform_cube:1", "--n", n,
+        )
+        assert code == 1
+        assert fragment in capsys.readouterr().err
+        assert calls == []
+
 
 class TestCliRatesAndWidths:
     def test_rates_run_writes_reports(self, tmp_path):
@@ -486,6 +511,13 @@ def _exit_code_rows():
         (gauss[:-1] + (huge,), 1, "subspace schedule leaves float range"),
         (gauss + ("--beta", "1e300"), 1, "subspace schedule leaves float range"),
         (gauss + ("--beta=-1e300",), 1, "subspace schedule leaves float range"),
+        # The certificate's size rule holds before any member is estimated.
+        (bakhvalov[:-2] + ("0",), 1, "n must be >= 1"),
+        (bakhvalov[:-2] + ("2",), 1, "requires m >= 4n = 8"),
+        # Missing input files are i/o errors.
+        (vrmc[:4] + ("{cb}.missing",) + vrmc[5:] + ("100",), 1, "i/o error: [Errno 2]"),
+        (("rates", "--config", "{cb}.missing", "--out-dir", "{out}"),
+         1, "i/o error: [Errno 2]"),
     ]
     return rows
 
@@ -510,8 +542,10 @@ class TestCliExitCodes:
         with open(files["cb"]) as src, open(files["cbinf"], "w") as dst:
             dst.write(src.read().replace("r=1.0", "r=inf"))
         out = tmp_path / "out"
-        argv = [arg.format(**files) for arg in argv]
-        assert run(*argv, "--out", str(out)) == code
+        if "{out}" not in argv:
+            argv += ("--out", "{out}")
+        argv = [arg.format(out=out, **files) for arg in argv]
+        assert run(*argv) == code
         err = capsys.readouterr().err
         assert fragment in err
         assert "Traceback" not in err

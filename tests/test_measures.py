@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from conftest import traced_peak
+from conftest import running_max_functional, traced_peak
 
 from quantquad import measures
 from quantquad.errors import ConfigurationError, NumericError
@@ -21,7 +21,7 @@ from quantquad.measures import (
     reference_value,
     sample_batch,
 )
-from quantquad.paths import Grid, path_coord_functional, running_max_functional
+from quantquad.paths import Grid, path_coord_functional
 
 SQRT_2_OVER_PI = 0.7978845608028654
 # Measured mean of max_t W(t) for the 200-term expansion on the 257-point

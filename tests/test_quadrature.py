@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from conftest import dense_integral
+from conftest import dense_integral, running_max_functional
 
 from quantquad import measures
 from quantquad.errors import ConfigurationError
@@ -284,8 +284,6 @@ class TestGaussianSubspaceMC:
         assert abs(res.estimate) <= 3.0 * res.stderr
 
     def test_running_max_with_allowance(self, grid):
-        from quantquad.paths import running_max_functional
-
         res = gaussian_subspace_mc(
             make_kl_subspace(200, grid), running_max_functional(), 10**5, SeedSpec(17)
         )
@@ -295,7 +293,7 @@ class TestGaussianSubspaceMC:
     def test_cost_ledger(self, grid):
         f = path_coord_functional(1.0, grid)
         res = gaussian_subspace_mc(make_kl_subspace(7, grid), f, 100, SeedSpec(18))
-        assert res.subspace_dim == 7
+        assert res.cost.subspace_dim == 7
         assert res.cost.oracle_cost == 700
         assert res.cost.rng_calls == 700
 

@@ -8,7 +8,13 @@ from statistics import NormalDist
 
 import numpy as np
 import pytest
-from conftest import brute_nearest, dense_integral, normal_expectation, traced_peak
+from conftest import (
+    brute_nearest,
+    dense_integral,
+    normal_expectation,
+    scalar_quantizer_distortion2,
+    traced_peak,
+)
 
 from quantquad import measures, quantize
 from quantquad.errors import ConfigurationError, NumericError
@@ -24,7 +30,6 @@ from quantquad.quantize import (
     min_dist_batch,
     product_quantizer_bm,
     scalar_gaussian_quantizer,
-    scalar_quantizer_distortion2,
     uniform_midpoint_codebook,
     voronoi_weights,
 )
