@@ -355,25 +355,29 @@ def lipschitz_check(
     max_ratio = 0.0
     x_blocks = _blocks(measure, seed.child(0), pairs)
     y_blocks = _blocks(measure, seed.child(1), pairs)
-    start = 0
-    while start < pairs:
-        with _located(start, "seed.child(0)"):
-            xs = next(x_blocks)[1]
-            fx = f(xs)
-            _check_finite(fx)
-        with _located(start, "seed.child(1)"):
-            ys = next(y_blocks)[1]
-            fy = f(ys)
-            _check_finite(fy)
-        bumped = xs + _BUMP_SCALE * bump_rng.standard_normal(xs.shape)
-        with _located(start, "seed.child(0), bumped"):
-            fbumped = f(bumped)
-            _check_finite(fbumped)
-        for b, fb in ((ys, fy), (bumped, fbumped)):
-            dist = batch_norm(xs - b, norm_kind, grid)
-            ok = dist > 0
-            if np.any(ok):
-                ratios = np.abs(fx[ok] - fb[ok]) / dist[ok]
-                max_ratio = max(max_ratio, float(ratios.max()))
-        start += xs.shape[0]
+    try:
+        start = 0
+        while start < pairs:
+            with _located(start, "seed.child(0)"):
+                xs = next(x_blocks)[1]
+                fx = f(xs)
+                _check_finite(fx)
+            with _located(start, "seed.child(1)"):
+                ys = next(y_blocks)[1]
+                fy = f(ys)
+                _check_finite(fy)
+            bumped = xs + _BUMP_SCALE * bump_rng.standard_normal(xs.shape)
+            with _located(start, "seed.child(0), bumped"):
+                fbumped = f(bumped)
+                _check_finite(fbumped)
+            for b, fb in ((ys, fy), (bumped, fbumped)):
+                dist = batch_norm(xs - b, norm_kind, grid)
+                ok = dist > 0
+                if np.any(ok):
+                    ratios = np.abs(fx[ok] - fb[ok]) / dist[ok]
+                    max_ratio = max(max_ratio, float(ratios.max()))
+            start += xs.shape[0]
+    finally:
+        x_blocks.close()
+        y_blocks.close()
     return LipschitzReport(max_ratio, f.lip_claim, pairs)

@@ -11,6 +11,7 @@ is partitioned.
 from __future__ import annotations
 
 import math
+import os
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable, Optional, Union
@@ -31,12 +32,16 @@ _BLOCK_BYTES = 2**26
 # faults of 2 MiB tiles), which doubled the time of a distortion ladder.
 _TILE_BYTES = 2**21
 # Side of the squares in which the Euler kernel turns its increments from
-# sample-major to step-major order.
+# sample-major to step-major order.  The kernel runs n >= 2 _TILE paths as
+# two halves (see _halves).
 _TILE = 64
 # The last one-block stream a codebook search read, as (key, read-only
 # block), or None.  sample_batch drops it before drawing anything, so it
 # never lives beside another stream's draws.
 _held = None
+# The one thread that draws Euler increments ahead of the step loop (see
+# _Increments), started by the first stream that needs it.
+_drawer = None
 
 
 @dataclass(frozen=True)
@@ -85,7 +90,8 @@ class AffineCoeff:
     """a(x) = c0 + c1 x elementwise; as diffusion, diag(c0 + c1 x).
 
     ``diagonal`` gives that diagonal, c0 + c1 x as (B, m) for a batch
-    (B, m); the Euler kernel reads it instead of the (B, m, m) matrix.
+    (B, m); the Euler kernel reads it instead of the (B, m, m) matrix,
+    through ``into``, which writes the same floats into a given array.
     """
 
     intercept: float
@@ -99,6 +105,11 @@ class AffineCoeff:
         return self.intercept + self.slope * x
 
     diagonal = drift
+
+    def into(self, x: np.ndarray, out: np.ndarray) -> None:
+        """``drift(x)`` written into ``out``: the same two roundings, no temporary."""
+        np.multiply(x, self.slope, out=out)
+        out += self.intercept
 
     def diffusion(self, x: np.ndarray) -> np.ndarray:
         b, m = x.shape
@@ -272,6 +283,16 @@ def _diagonal_of(spec: DiffusionSpec) -> Optional[CoeffFn]:
     return None
 
 
+def _into(fn: CoeffFn) -> Callable[[np.ndarray, np.ndarray], None]:
+    # (x, out) -> None, writing fn(x) into out.  An AffineCoeff's drift (and
+    # its diagonal, the same function) writes in place with no temporary;
+    # any other coefficient's values are copied.
+    owner = getattr(fn, "__self__", None)
+    if type(owner) is AffineCoeff and fn == owner.drift:
+        return owner.into
+    return lambda x, out: np.copyto(out, fn(x))
+
+
 def _steps_first(block: np.ndarray, tile: np.ndarray) -> None:
     # Copy the (n, T, m) increments of T steps into tile[:T] as (T, n, m).
     # One step's column reads a float from every row, and long rows lie a
@@ -282,28 +303,64 @@ def _steps_first(block: np.ndarray, tile: np.ndarray) -> None:
         np.copyto(tile[:steps, r : r + _TILE], block[r : r + _TILE].transpose(1, 0, 2))
 
 
+def _first_nonfinite(states: np.ndarray):
+    # (step, row) of the first non-finite state in (steps, rows, m), the
+    # lowest row at that step, or None.
+    bad = ~np.isfinite(states).all(axis=2)
+    if not bad.any():
+        return None
+    step, row = np.argwhere(bad)[0]
+    return int(step), int(row)
+
+
+def _halves(n: int) -> list:
+    """Row counts of the parts in which the Euler kernel runs n paths, in order."""
+    return [n - n // 2, n // 2] if n >= 2 * _TILE else [n]
+
+
 def euler_values(
-    spec: DiffusionSpec, k: int, rng: np.random.Generator, n: int, grid: Grid
+    spec: DiffusionSpec,
+    k: int,
+    rng: Union[np.random.Generator, _Increments],
+    n: int,
+    grid: Grid,
 ) -> np.ndarray:
     """n Euler paths with step 1/(k-1), interpolated to the grid; (n, G, m).
 
+    ``rng`` is a Generator, or the ``_Increments`` of a streamed block.
     Increment vectors are drawn for every step even when the diffusion
     coefficient vanishes, so stream consumption does not depend on the
     coefficients.  A step is x + dt a(x) + sqrt(dt) b(x) z.  When
     ``spec.diffusion`` is the ``diffusion`` method of an AffineCoeff (which
     ConstantCoeff and LinearCoeff return), b(x) z is the elementwise
     product of its ``diagonal`` and z, which equals the matrix product bit
-    for bit (the other terms are exact zeros).  The grid points between
-    breakpoints l and l+1 are filled as x_l (1 - lam) + x_{l+1} lam as soon
-    as x_{l+1} is known, so the breakpoint values are never stored; the
-    large arrays are the increments and the output.
+    for bit (the other terms are exact zeros); an AffineCoeff's drift and
+    diagonal are written in place (``AffineCoeff.into``).  The grid points
+    between breakpoints l and l+1 are filled as x_l (1 - lam) + x_{l+1} lam
+    as soon as x_{l+1} is known, so the breakpoint values are never
+    stored; the large arrays are the increments and the output.
+
+    From n = 2 _TILE the rows run as two halves (``_halves``), each drawn
+    and stepped in turn, so that a stream's next half can be drawn while
+    this one steps (see ``_Increments``).  Every row's floats are those of
+    one run over all rows.  A state that is not finite raises
+    ``NumericError`` at its step and row: the earliest step over both
+    halves, and the lowest row at that step.  A coefficient that raises
+    while computing a step's state is raised unless a non-finite state comes
+    at an earlier step.  A tile of _TILE steps keeps all its states and
+    checks them when it ends, which names the same step and row as a check
+    after every step.  The kernel reports non-finite states itself, so
+    numpy's overflow and invalid warnings are silenced.
     """
     if k < 2:
         raise ConfigurationError("breakpoint count k must be >= 2")
     m = spec.m
     dt = 1.0 / (k - 1)
     sq = math.sqrt(dt)
-    increments = rng.standard_normal((n, k - 1, m))
+    if isinstance(rng, _Increments):
+        take = rng.take
+    else:
+        take = lambda rows: rng.standard_normal((rows, k - 1, m))  # noqa: E731
     out = np.empty((n, grid.size, m))
     # Grid point g lies between breakpoints j[g] and j[g] + 1 at weight
     # lam[g] on the upper one.  The grid increases, so step l fills the
@@ -314,47 +371,149 @@ def euler_values(
     lower = (1.0 - lam)[None, :, None]
     upper = lam[None, :, None]
     edges = np.searchsorted(j, np.arange(k)).tolist()
+    drift = _into(spec.drift)
     diagonal = _diagonal_of(spec)
-    x = np.tile(spec.u0_array(), (n, 1))
-    nxt = np.empty_like(x)
-    noise = np.empty_like(x)
-    tile = np.empty((min(_TILE, k - 1), n, m))
-    for step in range(k - 1):
-        if step % _TILE == 0:
-            _steps_first(increments[:, step : step + _TILE, :], tile)
-        z = tile[step % _TILE]
-        a = np.asarray(spec.drift(x), dtype=float)
-        # The float operations run in the order of x + dt*a + (sq*b)*z for
-        # m = 1 and of x + dt*a + sq*(b z) for m > 1.
-        if diagonal is None:
-            b = np.asarray(spec.diffusion(x), dtype=float)
-            np.einsum("bij,bj->bi", b, z, out=noise)
-            noise *= sq
-        elif m == 1:
-            np.multiply(diagonal(x), sq, out=noise)
-            noise *= z
+    scale = None if diagonal is None else _into(diagonal)
+
+    def run(increments, start, steps):
+        # The first ``steps`` steps of the rows from ``start`` whose
+        # increments are given.  Returns the first failure as (step, row) of
+        # a non-finite state, lowest row first, or (step, exception) of a
+        # coefficient that raised while computing that step's state; None if
+        # there is none.  The states of one tile of steps are kept,
+        # states[i + 1] after its step i, and checked when the tile ends.
+        rows = increments.shape[0]
+        rows_out = out[start : start + rows]
+        noise = np.empty((rows, m))
+        tile = np.empty((min(_TILE, k - 1), rows, m))
+        states = np.empty((len(tile) + 1, rows, m))
+        states[0] = spec.u0_array()
+        for first in range(0, steps, _TILE):
+            _steps_first(increments[:, first : first + _TILE, :], tile)
+            count = min(_TILE, steps - first)
+            try:
+                for i in range(count):
+                    x, nxt, z = states[i], states[i + 1], tile[i]
+                    drift(x, nxt)
+                    # The float operations run in the order of x + dt*a +
+                    # (sq*b)*z for m = 1 and of x + dt*a + sq*(b z) for m > 1.
+                    if scale is None:
+                        b = np.asarray(spec.diffusion(x), dtype=float)
+                        np.einsum("bij,bj->bi", b, z, out=noise)
+                        noise *= sq
+                    elif m == 1:
+                        scale(x, noise)
+                        noise *= sq
+                        noise *= z
+                    else:
+                        scale(x, noise)
+                        noise *= z
+                        noise *= sq
+                    nxt *= dt
+                    nxt += x
+                    nxt += noise
+                    lo, hi = edges[first + i], edges[first + i + 1]
+                    if hi > lo:
+                        # Summed in a contiguous array and written once:
+                        # consecutive rows of the output lie G * m floats apart.
+                        seg = x[:, None, :] * lower[:, lo:hi]
+                        seg += nxt[:, None, :] * upper[:, lo:hi]
+                        rows_out[:, lo:hi, :] = seg
+            except Exception as exc:
+                # The states before the call that raised come first.
+                hit = _first_nonfinite(states[1 : i + 1])
+                if hit is None:
+                    return first + i + 1, exc
+            else:
+                hit = _first_nonfinite(states[1 : count + 1])
+            if hit is not None:
+                return first + hit[0] + 1, start + hit[1]
+            states[0] = states[count]
+        return None
+
+    failure = None
+    start = 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for rows in _halves(n):
+            # After a failure in lower rows only an earlier step can win.
+            steps = k - 1 if failure is None else failure[0] - 1
+            failure = run(take(rows), start, steps) or failure
+            start += rows
+    if failure is None:
+        return out
+    step, where = failure
+    if isinstance(where, Exception):
+        raise where
+    raise NumericError(
+        f"euler recursion produced a non-finite state at step {step}", step=step, sample=where
+    )
+
+
+class _Increments:
+    """The Euler increments of one stream of blocks, drawn a half ahead.
+
+    The stream's ``total`` draws come in blocks of ``rows``, and the kernel
+    takes each block's halves (``_halves``) in stream order.  While it
+    steps through one half, the one worker thread draws the next, across
+    block edges too, into the other slot of a (2, half rows, k-1, m)
+    buffer: as many bytes as one block's increments.  The buffer is
+    allocated here, on the caller's thread, and only
+    ``Generator.standard_normal`` runs on the worker; one stream's draws
+    never overlap, so they are those of one call.  A part too large for a
+    slot (a short last block, not split) is drawn on the caller.
+    """
+
+    def __init__(self, rng: np.random.Generator, total: int, rows: int, k: int, m: int):
+        self.rng = rng
+        self.parts = (
+            part
+            for start in range(0, total, rows)
+            for part in _halves(min(rows, total - start))
+        )
+        self.buffer = np.empty((2, _halves(min(rows, total))[0], k - 1, m))
+        self.slot = 0
+        self.pending = None
+        self._ahead()
+
+    def _ahead(self):
+        # Start drawing the next part into the free slot, if it fits one.
+        global _drawer
+        self.pending = None
+        rows = next(self.parts, 0)
+        if 0 < rows <= self.buffer.shape[1]:
+            if _drawer is None:
+                # Imported here: a run that never draws ahead never loads it.
+                from concurrent.futures import ThreadPoolExecutor
+
+                _drawer = ThreadPoolExecutor(1, thread_name_prefix="quantquad-draws")
+            part = self.buffer[self.slot, :rows]
+            self.pending = (_drawer.submit(self.rng.standard_normal, out=part), part)
+
+    def take(self, rows: int) -> np.ndarray:
+        """(rows, k-1, m) increments of the stream's next part."""
+        if self.pending is None:
+            part = self.rng.standard_normal((rows,) + self.buffer.shape[2:])
         else:
-            np.multiply(diagonal(x), z, out=noise)
-            noise *= sq
-        np.multiply(a, dt, out=nxt)
-        nxt += x
-        nxt += noise
-        if not np.isfinite(nxt).all():
-            bad = int(np.argwhere(~np.isfinite(nxt).all(axis=1))[0, 0])
-            raise NumericError(
-                f"euler recursion produced a non-finite state at step {step + 1}",
-                step=step + 1,
-                sample=bad,
-            )
-        lo, hi = edges[step], edges[step + 1]
-        if hi > lo:
-            # Summed in a contiguous array and written once: consecutive
-            # rows of the output lie G * m floats apart.
-            seg = x[:, None, :] * lower[:, lo:hi]
-            seg += nxt[:, None, :] * upper[:, lo:hi]
-            out[:, lo:hi, :] = seg
-        x, nxt = nxt, x
-    return out
+            future, part = self.pending
+            future.result()
+            self.slot ^= 1
+        self._ahead()
+        return part
+
+    def close(self):
+        """Cancel the pending draw, or wait for it if it has begun."""
+        if self.pending is not None and not self.pending[0].cancel():
+            self.pending[0].exception()  # waits; the stream's own error wins
+        self.pending = None
+
+
+def _forget_drawer():
+    # A forked child has no worker thread; its first stream starts one.
+    global _drawer
+    _drawer = None
+
+
+os.register_at_fork(after_in_child=_forget_drawer)
 
 
 def sample_batch(
@@ -362,7 +521,8 @@ def sample_batch(
 ) -> np.ndarray:
     """n independent draws as one array: (n, d) vectors or (n, G, m) paths.
 
-    ``seed`` is a SeedSpec, or a Generator whose stream continues.  Drops
+    ``seed`` is a SeedSpec, or a Generator whose stream continues (for a
+    Diffusion block of ``_blocks``, the stream's ``_Increments``).  Drops
     the stream a codebook search holds (see ``_blocks``).
     """
     global _held
@@ -413,6 +573,10 @@ def _blocks(measure: MeasureSpec, seed: SeedSpec, total: int, replay: bool = Fal
     first chunk when each chunk of draws had a stream of its own, so every
     estimate that fit in one chunk kept its draws.
 
+    A Diffusion stream whose blocks are split in halves (see ``euler_values``)
+    draws each half's increments while the half before it steps (see
+    ``_Increments``); closing the generator cancels or waits for that draw.
+
     With ``replay``, a stream that fits in one block is drawn read-only and
     held after the call; the next ``replay`` call on the same key (measure,
     seed, total, block rows) gets the held block instead of drawing it
@@ -436,8 +600,14 @@ def _blocks(measure: MeasureSpec, seed: SeedSpec, total: int, replay: bool = Fal
         yield 0, _held[1]
         return
     rng = seed.rng()
-    for start in range(0, total, rows):
-        yield start, sample_batch(measure, rng, min(rows, total - start))
+    if isinstance(measure, Diffusion) and min(rows, total) >= 2 * _TILE:
+        rng = _Increments(rng, total, rows, measure.k_steps, measure.spec.m)
+    try:
+        for start in range(0, total, rows):
+            yield start, sample_batch(measure, rng, min(rows, total - start))
+    finally:
+        if isinstance(rng, _Increments):
+            rng.close()
 
 
 def _check_count(total: int, minimum: int) -> None:
@@ -487,13 +657,16 @@ def _stream(
     """
     _check_count(total, minimum)
     blocks = _blocks(measure, seed, total, replay)
-    start = 0
-    while start < total:
-        values = _evaluate_block(blocks, start, evaluate)
-        with _located(start):
-            _check_finite(values)
-        yield values
-        start += values.shape[-1]
+    try:
+        start = 0
+        while start < total:
+            values = _evaluate_block(blocks, start, evaluate)
+            with _located(start):
+                _check_finite(values)
+            yield values
+            start += values.shape[-1]
+    finally:
+        blocks.close()
 
 
 def _evaluate_block(blocks, start: int, evaluate) -> np.ndarray:

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -519,7 +520,19 @@ def _exit_code_rows():
         (("rates", "--config", "{cb}.missing", "--out-dir", "{out}"),
          1, "i/o error: [Errno 2]"),
     ]
+    # A diffusion that blows up is a numeric failure; 300 paths run as two
+    # halves, and the pool's paths blow up in the Lloyd fit.
+    rows += [(argv, 2, "non-finite state at step 2") for argv in _blow_up_argvs()]
     return rows
+
+
+def _blow_up_argvs():
+    sde = "kind=diffusion drift=linear:1e300 diffusion=linear:0.2 u0=1 k_steps=11"
+    return [
+        ("quad", "--algo", "euler", "--functional", "coord_at(1.0)", "--measure", sde,
+         "--n", "300"),
+        ("quantize", "--measure", sde, "--n", "2", "--pool", "1000"),
+    ]
 
 
 class TestCliExitCodes:
@@ -550,3 +563,11 @@ class TestCliExitCodes:
         assert fragment in err
         assert "Traceback" not in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("argv", _blow_up_argvs(), ids=lambda argv: argv[0])
+    def test_a_blow_up_warns_nothing(self, tmp_path, argv):
+        # The Euler kernel reports the overflow itself; numpy warned of it too.
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run(*argv, "--out", str(tmp_path / "out")) == 2
+        assert [str(w.message) for w in caught] == []

@@ -1,4 +1,7 @@
 import math
+import threading
+import time
+import warnings
 
 import numpy as np
 import pytest
@@ -235,6 +238,17 @@ EULER_CASES = {
         DiffusionSpec(_DRIFT.drift, lambda x: (0.2 * x)[:, :, None], (1.0,), 1),
         65, Grid.uniform(), 200,
     ),
+    # n = 257 >= 2 _TILE runs as halves of 129 and 128 rows, over two tiles
+    # of steps when k > G and one when k < G.
+    "halves-m1-k-above-grid": (gbm_spec(0.1, 0.2), 100, Grid.uniform(33), 257),
+    "halves-m1-k-below-grid": (gbm_spec(0.05, 0.3), 9, Grid.uniform(), 257),
+    "halves-m2-k-above-grid": (
+        DiffusionSpec(_DRIFT.drift, AffineCoeff(0.2, 0.1).diffusion, (1.0, 0.5), 2),
+        100, Grid.uniform(33), 257,
+    ),
+    "halves-m2-k-below-grid": (
+        DiffusionSpec(_DRIFT.drift, _coupled_noise, (1.0, 0.5), 2), 9, Grid.uniform(), 257,
+    ),
 }
 
 
@@ -249,6 +263,22 @@ def _blows_up_at(step, sample):
             a[sample, -1] = np.inf
         return a
 
+    return drift
+
+
+def _blows_up_in_calls(at):
+    # A zero drift that is infinite on one row when called for the
+    # ``count``-th time on a batch of ``rows`` rows: at[(rows, count)] = row.
+    # The kernel calls it once per step of each half.
+    def drift(x):
+        drift.calls.append(len(x))
+        a = np.zeros_like(x)
+        row = at.get((len(x), drift.calls.count(len(x))))
+        if row is not None:
+            a[row, -1] = np.inf
+        return a
+
+    drift.calls = []
     return drift
 
 
@@ -308,6 +338,77 @@ class TestEulerKernel:
         peak = traced_peak(lambda: euler_values(gbm_spec(0.1, 0.2), k, rng, n, grid))
         needed = 8 * n * ((k - 1) + grid.size)
         assert peak <= 1.1 * needed
+
+    @pytest.mark.parametrize("coeff", [AffineCoeff(0.2, -0.1), AffineCoeff(-3.0, 1e300)])
+    def test_into_writes_the_drift_bit_for_bit(self, coeff):
+        x = np.random.default_rng(11).standard_normal((50, 2)) * 1e5
+        x[0, 0], x[1, 1] = -0.0, np.inf
+        out = np.empty_like(x)
+        with np.errstate(over="ignore", invalid="ignore"):
+            coeff.into(x, out)
+            np.testing.assert_array_equal(out, coeff.drift(x))
+
+    @pytest.mark.parametrize(
+        "blow_ups, expected",
+        [
+            ({(129, 5): 3, (128, 2): 7}, (2, 129 + 7)),  # the second half's earlier step
+            ({(129, 3): 100, (128, 3): 0}, (3, 100)),  # the same step: the lower row
+            ({(129, 2): 5, (128, 6): 1}, (2, 5)),
+            ({(129, 8): 128, (128, 8): 127}, (8, 128)),
+        ],
+        ids=["second-half-earlier", "same-step", "first-half-earlier", "last-step"],
+    )
+    def test_failure_across_halves(self, blow_ups, expected):
+        # n = 257 runs as halves of 129 and 128 rows.
+        spec = DiffusionSpec(_blows_up_in_calls(blow_ups), ConstantCoeff(0.2).diffusion, (1.0,))
+        with pytest.raises(NumericError, match=f"at step {expected[0]}$") as info:
+            euler_values(spec, 9, SeedSpec(8).rng(), 257, Grid.uniform(17))
+        assert (info.value.step, info.value.sample) == expected
+
+    @pytest.mark.parametrize(
+        "raise_at, blow_up_at, raises", [(5, 3, False), (3, 5, True), (3, 3, True)]
+    )
+    def test_a_raising_coefficient_against_the_other_half(self, raise_at, blow_up_at, raises):
+        # The first half's drift raises while computing step ``raise_at``; the
+        # second half's state at step ``blow_up_at`` is not finite.  The
+        # raise wins unless the state's step is earlier.
+        blow_up = _blows_up_in_calls({(128, blow_up_at): 4})
+
+        def drift(x):
+            a = blow_up(x)
+            if len(x) == 129 and len(blow_up.calls) == raise_at:
+                raise ValueError("drift failed")
+            return a
+
+        spec = DiffusionSpec(drift, ConstantCoeff(0.2).diffusion, (1.0,))
+        with pytest.raises(ValueError if raises else NumericError) as info:
+            euler_values(spec, 9, SeedSpec(8).rng(), 257, Grid.uniform(17))
+        if not raises:
+            assert (info.value.step, info.value.sample) == (blow_up_at, 129 + 4)
+
+    def test_a_nonfinite_state_comes_before_the_raise_it_causes(self):
+        # States are checked when a tile of steps ends, so a coefficient can
+        # see a non-finite state first; if it then raises, the state is still
+        # what is reported, as when every step was checked.
+        blow_up = _blows_up_in_calls({(12, 4): 2})
+
+        def drift(x):
+            if not np.isfinite(x).all():
+                raise ValueError("non-finite input")
+            return blow_up(x)
+
+        spec = DiffusionSpec(drift, ConstantCoeff(0.2).diffusion, (1.0,))
+        with pytest.raises(NumericError) as info:
+            euler_values(spec, 9, SeedSpec(8).rng(), 12, Grid.uniform(17))
+        assert (info.value.step, info.value.sample) == (4, 2)
+
+    def test_overflow_is_reported_without_a_warning(self):
+        spec = DiffusionSpec(LinearCoeff(1e300).drift, LinearCoeff(0.2).diffusion, (1.0,))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericError, match="at step 2$") as info:
+                euler_values(spec, 11, SeedSpec(8).rng(), 300, Grid.uniform())
+        assert (info.value.step, info.value.sample) == (2, 0)
 
 
 class TestReferenceValue:
@@ -849,3 +950,149 @@ class TestTiles:
             "sample_batch": lambda: sample_batch(measure, seed, M),
         }[site]
         assert traced_peak(call) <= 1.25 * (8 * M * grid.size)
+
+
+class _RecordedDraws:
+    # A Generator whose standard_normal calls are logged as ("start" or
+    # "end", thread id), each taking at least ``delay`` seconds.
+    def __init__(self, rng, log, delay):
+        self.rng, self.log, self.delay = rng, log, delay
+
+    def standard_normal(self, *args, **kwargs):
+        self.log.append(("start", threading.get_ident()))
+        time.sleep(self.delay)
+        try:
+            return self.rng.standard_normal(*args, **kwargs)
+        finally:
+            self.log.append(("end", threading.get_ident()))
+
+
+def _record_draws(monkeypatch, delay=0.0):
+    log = []
+    rng = SeedSpec.rng
+    monkeypatch.setattr(SeedSpec, "rng", lambda seed: _RecordedDraws(rng(seed), log, delay))
+    return log
+
+
+class TestDrawAhead:
+    # A Diffusion stream whose blocks run as halves draws each half's
+    # increments on one worker thread while the half before it steps.  The
+    # measures are 33-step paths on 33 grid points.
+
+    @staticmethod
+    def _measure(m):
+        return Diffusion(gbm_spec(0.1, 0.2), 33, Grid.uniform(33)) if m == 1 else _affine_2d(33)
+
+    @pytest.mark.parametrize(
+        "rows, total", [(300, 1000), (200, 520)], ids=["tail-drawn-ahead", "tail-on-caller"]
+    )
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_joined_blocks_are_the_one_shot_batch(self, rows, total, m, monkeypatch):
+        # 300-row blocks run as halves of 150, and their 100-row tail is not
+        # split but fits a slot.  200-row blocks have 100-row slots, so their
+        # unsplit 120-row tail is drawn on the caller.
+        measure = self._measure(m)
+        monkeypatch.setattr(measures, "_BLOCK_BYTES", 8 * 33 * m * rows)
+        assert measures._block_rows(33 * m) == rows
+        log = _record_draws(monkeypatch)
+        blocks = list(measures._blocks(measure, SeedSpec(49), total))
+        assert [start for start, _ in blocks] == list(range(0, total, rows))
+        tail_thread = log[-1][1]
+        assert (tail_thread == threading.get_ident()) == (rows == 200)
+        joined = np.concatenate([batch for _, batch in blocks])
+        np.testing.assert_array_equal(joined, sample_batch(measure, SeedSpec(49), total))
+
+    def test_failure_is_named_by_its_stream_index(self, monkeypatch):
+        # In the second 300-row block of seed(23).child(0) the first half
+        # blows up at step 32 and the second at step 28, which wins.  The
+        # oracle runs the plain kernel block by block on one generator.
+        from quantquad.paths import sup_norm_functional
+
+        monkeypatch.setattr(measures, "_BLOCK_BYTES", 8 * 33 * 300)
+        measure, seed = _explodes_above(3.0), SeedSpec(23)
+        with pytest.raises(NumericError) as info:
+            reference_value(sup_norm_functional(), measure, 3000, seed)
+        rng = seed.child(0).rng()
+        for start in range(0, 3000, 300):
+            try:
+                _euler_with_states(measure.spec, 33, rng, 300, measure.grid)
+            except NumericError as failure:
+                want = failure
+                break
+        assert (start, want.step, want.sample) == (300, 28, 258)
+        assert (info.value.sample, info.value.step) == (start + want.sample, want.step)
+        assert str(info.value).startswith(f"sample {start + want.sample}: ")
+
+    @pytest.mark.parametrize("how", ["kernel-error", "functional-error", "consumer-stops"])
+    def test_a_closed_stream_leaves_no_draw_running(self, how, monkeypatch):
+        # Each draw takes 50 ms, so a draw started ahead is still running
+        # when the stream closes; closing cancels it or waits for it.  The
+        # error's traceback is kept to the end, and with it the stream's frames.
+        from quantquad.paths import Functional, sup_norm_functional
+
+        monkeypatch.setattr(measures, "_BLOCK_BYTES", 8 * 33 * 300)
+        log = _record_draws(monkeypatch, delay=0.05)
+        seed, sup = SeedSpec(23), sup_norm_functional()
+        if how == "kernel-error":
+            with pytest.raises(NumericError, match="non-finite state") as kept:
+                reference_value(sup, _explodes_above(3.0), 3000, seed)
+        elif how == "functional-error":
+            rows = []
+
+            def fail_second_block(batch):
+                rows.append(len(batch))
+                if sum(rows) > 300:
+                    raise RuntimeError("boom")
+                return batch[:, 0, 0]
+
+            with pytest.raises(NumericError, match="sample 300: RuntimeError: boom") as kept:
+                reference_value(Functional(fail_second_block), self._measure(1), 3000, seed)
+        else:
+            kept = measures._stream(self._measure(1), seed, 3000, sup, 100)
+            next(kept)
+            kept.close()
+        events = [event for event, _ in log]
+        assert events.count("start") == events.count("end") > 0
+        time.sleep(0.15)
+        assert len(log) == len(events)
+        del kept
+
+    def test_only_the_draws_leave_the_callers_thread(self, monkeypatch):
+        # sample_batch, euler_values and the functional run on the caller's
+        # thread, as the span tracer of bench/ assumes; every draw of every
+        # stream runs on one other thread.
+        from quantquad.paths import Functional
+
+        monkeypatch.setattr(measures, "_BLOCK_BYTES", 8 * 33 * 300)
+        log = _record_draws(monkeypatch)
+        threads = []
+
+        def recorded(fn):
+            def call(*args):
+                threads.append(threading.get_ident())
+                return fn(*args)
+
+            return call
+
+        monkeypatch.setattr(measures, "sample_batch", recorded(measures.sample_batch))
+        monkeypatch.setattr(measures, "euler_values", recorded(measures.euler_values))
+        f = Functional(recorded(lambda v: v[:, -1, 0]))
+        for seed in (SeedSpec(50), SeedSpec(51)):
+            reference_value(f, self._measure(1), 1000, seed)
+        assert set(threads) == {threading.get_ident()}
+        assert len(threads) == 2 * (4 + 4 + 4)  # per stream: 4 blocks, 4 kernels, 4 tiles
+        workers = {thread for _, thread in log}
+        assert len(workers) == 1 and threading.get_ident() not in workers
+
+    def test_memory_is_one_increments_block_and_one_output_block(self):
+        # Three blocks of 2049-step paths: the (2, half, k-1, 1) buffer holds
+        # one block's increments, beside one output block and a few tiles.
+        from quantquad.paths import sup_norm_functional
+
+        measure = Diffusion(gbm_spec(0.1, 0.2), 2049)
+        rows = measures._block_rows(2049)
+        increments, output = 8 * rows * 2048, 8 * rows * measure.grid.size
+        peak = traced_peak(
+            lambda: reference_value(sup_norm_functional(), measure, 3 * rows, SeedSpec(48))
+        )
+        assert peak <= 1.1 * (increments + output + 2 * measures._TILE_BYTES)
