@@ -469,7 +469,16 @@ _DEFAULT_POOL_PATH = 20_000
 # to its own first sample, so the rounding of a cell's power sum scales
 # with the spread of a block, not with |x|; a block must stay narrow next
 # to a cell, while an iteration costs O(M / _BLOCK) besides its searches.
+# A block keeps its running sums only between runs of _CHECKPOINT
+# samples, so the sums of y and y^2 take 2 / _CHECKPOINT + 2 / _BLOCK of
+# the pool (17/128), and a prefix inside a block costs at most
+# _CHECKPOINT - 1 additions.
 _BLOCK = 256
+_CHECKPOINT = 16
+_RUN = np.arange(_CHECKPOINT)[:, None]  # offsets within a run of samples
+# Samples per tile of a d=1 pass over the pool: each of its float
+# temporaries takes 1 MiB.
+_POOL_TILE = 2**17
 
 
 def _cell_update(flat_pool: np.ndarray, labels: np.ndarray, n: int, r: int):
@@ -493,15 +502,33 @@ def _cell_update(flat_pool: np.ndarray, labels: np.ndarray, n: int, r: int):
     return centers, counts
 
 
-def _reseed_empty(centers, counts, pool_flat, dists):
-    empty = np.flatnonzero(counts == 0)
-    if not empty.size:
-        return centers
+def _farthest(size: int, e: int, distances) -> np.ndarray:
+    """Indices of the e samples farthest from the codebook.
+
+    Samples are ordered by distance descending, then index ascending;
+    ``distances(lo, hi)`` gives those of samples lo .. hi - 1.  Each tile
+    keeps its own first e, and a stable sort merges them, so no temporary
+    is the size of the pool.
+    """
+    index, dist = [], []
+    for lo in range(0, size, _POOL_TILE):
+        d = distances(lo, min(lo + _POOL_TILE, size))
+        keep = np.arange(d.size)
+        if e < d.size:
+            keep = np.flatnonzero(d >= np.partition(d, d.size - e)[d.size - e])
+        keep = keep[np.argsort(-d[keep], kind="stable")[:e]]
+        index.append(lo + keep)
+        dist.append(d[keep])
+    index, dist = np.concatenate(index), np.concatenate(dist)
+    return index[np.argsort(-dist, kind="stable")[:e]]
+
+
+def _reseed_empty(centers, counts, pool_flat, distances):
     # Deterministic rule: move each empty point to the pool sample farthest
     # from the current codebook, taking distinct samples in distance order.
-    order = np.argsort(-dists, kind="stable")
-    for e, src in zip(empty, order[: empty.size]):
-        centers[e] = pool_flat[src]
+    empty = np.flatnonzero(counts == 0)
+    if empty.size:
+        centers[empty] = pool_flat[_farthest(pool_flat.shape[0], empty.size, distances)]
     return centers
 
 
@@ -534,92 +561,181 @@ def _lloyd_run_general(pool, codebook, init_flat, opts, r):
         prev, prev_centers = cur, centers
         centers, counts = _cell_update(flat_pool, labels, centers.shape[0], r)
         reseeds += int(np.count_nonzero(counts == 0))
-        centers = _reseed_empty(centers, counts, flat_pool, dists)
+        centers = _reseed_empty(centers, counts, flat_pool, lambda lo, hi: dists[lo:hi])
     return centers.reshape((-1,) + shape), history, stop, reseeds
 
 
-def _block_sums(flat: np.ndarray):
-    """In-block prefix sums of y = x - pivot and y^2 over a sorted pool.
+@dataclass(frozen=True)
+class _BlockSums:
+    """Checkpointed in-block prefix sums of y = x - pivot and y^2.
 
-    Block k holds samples k*_BLOCK .. (k+1)*_BLOCK - 1 (the last may be
-    shorter) and its pivot is its first sample.  Entry j of each sum runs
-    from the start of j's block through j.  Built in place: no temporary
-    the size of the pool.  Returns (pivots, sums of y, sums of y^2).
+    Block k of the sorted pool holds samples k*_BLOCK .. (k+1)*_BLOCK - 1
+    (the last may be shorter) and its pivot is its first sample.  Its
+    running sums (numpy's sequential cumsum) are kept only before each
+    run of _CHECKPOINT samples and at its end: checkpoint j of a block is
+    the sum through in-block offset j _CHECKPOINT - 1, so checkpoint 0 is
+    0.0 and the last one, of the shorter block too, is the block's total.
+    The checkpoints of y and y^2 are stacked as
+    (2, blocks, _BLOCK // _CHECKPOINT + 1).
     """
-    s1, s2 = flat.copy(), flat.copy()
+
+    flat: np.ndarray
+    pivots: np.ndarray
+    checkpoints: np.ndarray
+
+    def totals(self, r):
+        """Block totals of y (row 0) and, for r=2, y^2 (row 1)."""
+        return self.checkpoints[:r, :, -1]
+
+    def prefix(self, at, r):
+        """In-block prefix sums of y (row 0) and, for r=2, y^2 (row 1)
+        through samples ``at``.
+
+        Each resumes its block's running sum at the checkpoint just
+        before the run of _CHECKPOINT samples that holds it and adds that
+        run's samples in order, so it repeats the block's cumsum float for
+        float.  The first run of a block starts from 0.0, which adds
+        exactly.  An index outside the pool gives a value but no error.
+        """
+        run, block = at // _CHECKPOINT, at // _BLOCK
+        # Row j of folds runs through sample j of each run; a run that
+        # passes the end of the pool repeats its last sample, after ``at``.
+        folds = np.empty((_CHECKPOINT, r, at.size))
+        samples = self.flat.take(run * _CHECKPOINT + _RUN, mode="clip")
+        np.subtract(samples, self.pivots.take(block, mode="clip"), out=folds[:, 0])
+        if r == 2:
+            np.square(folds[:, 0], out=folds[:, 1])
+        # A block's checkpoints are its runs' starts and its total.
+        folds[0] += self.checkpoints.reshape(2, -1)[:r].take(run + block, axis=1, mode="clip")
+        rows = list(folds)
+        for prev, row in zip(rows, rows[1:]):
+            row += prev
+        pick = (at - run * _CHECKPOINT) * (r * at.size) + np.arange(r * at.size).reshape(r, -1)
+        return folds.reshape(-1).take(pick)
+
+
+def _block_sums(flat: np.ndarray) -> _BlockSums:
+    """The checkpointed in-block sums of a sorted pool, built in tiles of
+    _POOL_TILE samples."""
     full = flat.size - flat.size % _BLOCK
-    for y, y2 in ((s1[:full], s2[:full]), (s1[full:], s2[full:])):
-        if not y.size:
-            continue
-        width = min(_BLOCK, y.size)
-        y, y2 = y.reshape(-1, width), y2.reshape(-1, width)
-        pivot = y[:, :1].copy()
-        y -= pivot
-        y2 -= pivot
-        np.square(y2, out=y2)
+    tiles = [(lo, min(lo + _POOL_TILE, full)) for lo in range(0, full, _POOL_TILE)]
+    tiles += [(full, flat.size)] if full < flat.size else []
+    checkpoints = np.zeros((2, -(-flat.size // _BLOCK), _BLOCK // _CHECKPOINT + 1))
+    for lo, hi in tiles:
+        width = min(_BLOCK, hi - lo)
+        y = flat[lo:hi].reshape(-1, width)
+        y = y - y[:, :1]
+        y2 = np.square(y)
         np.cumsum(y, axis=1, out=y)
         np.cumsum(y2, axis=1, out=y2)
-    return flat[::_BLOCK].copy(), s1, s2
+        kept = np.minimum(np.arange(_CHECKPOINT - 1, _BLOCK, _CHECKPOINT), width - 1)
+        rows = slice(lo // _BLOCK, lo // _BLOCK + y.shape[0])
+        checkpoints[0, rows, 1:], checkpoints[1, rows, 1:] = y[:, kept], y2[:, kept]
+    return _BlockSums(flat, flat[::_BLOCK].copy(), checkpoints)
 
 
-def _pieces(flat, splits, cuts=()):
+class _EdgeSums:
+    """In-block prefix sums before the cell edges of one d=1 Lloyd run.
+
+    Called with the same number of edges each iteration; an edge that
+    has not moved since the last call keeps its sums.
+    """
+
+    def __init__(self, sums, r):
+        self.sums, self.r = sums, r
+        self.edges = self.values = None
+
+    def __call__(self, edges):
+        if self.edges is None:
+            self.values = self.sums.prefix(edges - 1, self.r)
+        else:
+            moved = np.flatnonzero(edges != self.edges)
+            self.values[:, moved] = self.sums.prefix(edges[moved] - 1, self.r)
+        self.edges = edges
+        return self.values
+
+
+def _pieces(edge_sums, splits, cuts=()):
     """Pieces of the cells of a sorted pool that each lie in one block.
 
     Cell i is flat[splits[i]:splits[i+1]].  Cutting the cells at block
-    edges (and at any extra ``cuts``) leaves pieces flat[a:b] that lie in
-    one block and one cell.  Returns (a, b, cell, piece), where piece(s)
-    is each piece's sum taken from the in-block prefix sums s.
+    edges (and at the extra ``cuts``) leaves pieces flat[a:a+count] that
+    lie in one block and one cell.  Returns (a, count, cell, pivot, piece):
+    per piece its block's pivot and its sums of y (row 0 of piece) and,
+    for r=2, y^2 (row 1).  A piece that ends at its block's end reads the
+    block total; only the edges inside a block read in-block prefixes,
+    each shared by the pieces on either side.
     """
-    edges = np.sort(np.concatenate([splits, np.arange(0, flat.size, _BLOCK), *cuts]))
-    keep = edges[1:] > edges[:-1]
-    a, b = edges[:-1][keep], edges[1:][keep]
-    cell = np.searchsorted(splits, a, side="right") - 1
-    inner = np.flatnonzero(a % _BLOCK)  # pieces that start inside a block
+    sums, r = edge_sums.sums, edge_sums.r
+    size = sums.flat.size
+    inner = np.concatenate([splits[1:-1], *cuts])
+    if cuts:
+        inner.sort()
+    prefix = edge_sums(inner)
+    block = inner // _BLOCK
+    keep = (inner > block * _BLOCK) & (inner < size)
+    keep[1:] &= inner[1:] != inner[:-1]
+    keep = np.flatnonzero(keep)
+    inner, block, prefix = inner.take(keep), block.take(keep), prefix.take(keep, axis=1)
+    pos = block + np.arange(1, inner.size + 1)  # the pieces starting there
+    per_block = np.bincount(block, minlength=sums.pivots.size) + 1
+    blocks = np.repeat(np.arange(sums.pivots.size), per_block)  # of each piece
+    a = blocks * _BLOCK
+    a[pos] = inner
+    count = np.append(a[1:], size) - a
+    first = np.searchsorted(a, splits)  # each cell's first piece
+    cell = np.repeat(np.arange(splits.size - 1), first[1:] - first[:-1])
+    piece = sums.totals(r).take(blocks, axis=1)
+    ends = pos - 1  # the pieces ending there
+    for row, edge in zip(piece, prefix):
+        row[ends] = edge
+        row[pos] -= edge
+    return a, count, cell, sums.pivots.take(blocks), piece
 
-    def piece(s):
-        out = s[b - 1]
-        out[inner] -= s[a[inner] - 1]
-        return out
 
-    return a, b, cell, piece
-
-
-def _pool_power_sum(flat, sums, splits, centers, r):
+def _pool_power_sum(flat, pieces, centers, at, r):
     """Sum of |x - c|^r over a sorted pool, x in the cell of center c.
 
-    For r=1 the cells are also cut at their centers, so each piece lies
-    on one side of its center; each piece's sum comes from its block's
-    prefix sums with d = c - pivot.
+    For r=1 the pieces are also cut at the centers ``at``, so each lies
+    on one side of its center; each piece's sum comes from its in-block
+    sums with d = c - pivot.
     """
-    pivots, s1, s2 = sums
-    at = np.searchsorted(flat, centers) if r == 1 else None
-    a, b, cell, piece = _pieces(flat, splits, [at] if r == 1 else [])
-    d = centers[cell] - pivots[a // _BLOCK]
-    count = b - a
+    a, count, cell, pivot, piece = pieces
+    d = centers[cell] - pivot
     if r == 2:  # sum (y - d)^2 = S2 - d (2 S1 - count d)
-        total = piece(s2) - d * (2.0 * piece(s1) - count * d)
+        total = piece[1] - d * (2.0 * piece[0] - count * d)
     else:
-        total = np.where(a >= at[cell], 1.0, -1.0) * (piece(s1) - count * d)
+        total = np.where(a >= at[cell], 1.0, -1.0) * (piece[0] - count * d)
     # A one-sample piece is taken from its sample, so a cell holding only
     # its center costs exactly 0; no piece sum can be negative.
     one = np.flatnonzero(count == 1)
-    total[one] = np.abs(flat[a[one]] - centers[cell[one]]) ** r
+    if one.size:
+        total[one] = np.abs(flat[a[one]] - centers[cell[one]]) ** r
     return float(np.sum(np.maximum(total, 0.0)))
 
 
-def _cell_means(flat, sums, splits, filled):
+def _cell_means(flat, pieces, splits, counts, filled):
     """Means of the filled cells of a sorted pool.
 
     Each mean is the cell's first sample p plus the mean of x - p.  A
     piece's sum of x - p is its in-block sum of y = x - pivot plus
     count (pivot - p), so no partial sum grows with |x|.
     """
-    pivots, s1, _ = sums
-    a, b, cell, piece = _pieces(flat, splits)
+    _, count, cell, pivot, piece = pieces
     first = flat[np.minimum(splits[:-1], flat.size - 1)]
-    offsets = piece(s1) + (b - a) * (pivots[a // _BLOCK] - first[cell])
-    sizes = np.diff(splits)[filled]
-    return first[filled] + np.bincount(cell, offsets, splits.size - 1)[filled] / sizes
+    offsets = piece[0] + count * (pivot - first[cell])
+    return first[filled] + np.bincount(cell, offsets, counts.size)[filled] / counts[filled]
+
+
+def _cell_distances(flat, splits, centers):
+    # Distances of samples lo .. hi - 1 of a sorted pool to their cells'
+    # centers; a tile's centers repeat by the cells' counts inside it.
+    def distances(lo, hi):
+        d = np.repeat(centers, np.diff(np.clip(splits, lo, hi)))
+        np.subtract(flat[lo:hi], d, out=d)
+        return np.abs(d, out=d)
+
+    return distances
 
 
 def _lloyd_run_1d(flat, sums, init, opts, r):
@@ -627,6 +743,7 @@ def _lloyd_run_1d(flat, sums, init, opts, r):
     # of the sorted pool, so an iteration costs O(n log M + M / _BLOCK).
     M = flat.size
     centers = np.sort(init)
+    edge_sums = _EdgeSums(sums, r)
     history = []
     reseeds = 0
     prev = None
@@ -634,7 +751,9 @@ def _lloyd_run_1d(flat, sums, init, opts, r):
     for it in range(opts.iters + 1):
         bounds = (centers[1:] + centers[:-1]) / 2.0
         splits = np.concatenate(([0], np.searchsorted(flat, bounds, side="right"), [M]))
-        cur = _pool_power_sum(flat, sums, splits, centers, r) / M
+        at = np.searchsorted(flat, centers) if r == 1 else None
+        pieces = _pieces(edge_sums, splits, [at] if r == 1 else [])
+        cur = _pool_power_sum(flat, pieces, centers, at, r) / M
         if prev is not None and cur > prev:
             centers, stop = prev_centers, "revert"
             break
@@ -643,22 +762,19 @@ def _lloyd_run_1d(flat, sums, init, opts, r):
         if stop:
             break
         prev, prev_centers = cur, centers
-        counts = np.diff(splits)
+        counts = splits[1:] - splits[:-1]
         filled = counts > 0
-        lo, size = splits[:-1][filled], counts[filled]
         new = np.empty_like(centers)
         if r == 2:
-            new[filled] = _cell_means(flat, sums, splits, filled)
+            new[filled] = _cell_means(flat, pieces, splits, counts, filled)
         else:
-            mid = lo + (size - 1) // 2
-            upper = flat[np.minimum(mid + 1, M - 1)]
-            new[filled] = np.where(size % 2 == 1, flat[mid], (flat[mid] + upper) / 2.0)
+            size = counts[filled]
+            mid = splits[:-1][filled] + (size - 1) // 2
+            low, upper = flat.take(mid), flat.take(mid + 1, mode="clip")
+            new[filled] = np.where(size % 2 == 1, low, (low + upper) / 2.0)
         if not filled.all():
-            # Only a reseed needs each sample's distance to its center.
-            labels = np.repeat(np.arange(centers.size), counts)
-            absd = np.abs(flat - centers[labels])
             reseeds += centers.size - int(np.count_nonzero(filled))
-            _reseed_empty(new[:, None], counts, flat[:, None], absd)
+            _reseed_empty(new, counts, flat, _cell_distances(flat, splits, centers))
         centers = np.sort(new)
     return centers[:, None], history, stop, reseeds
 

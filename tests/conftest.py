@@ -2,9 +2,10 @@
 
 The oracles here deliberately avoid the library's own quadrature and
 nearest-point code: dense midpoint integration for one-dimensional
-expectations, and a brute-force python nearest-point loop.  Two
-test-only functions ride along: a running-maximum functional and the
-exact distortion of the scalar N(0,1) quantizer.
+expectations, a brute-force python nearest-point loop, and the d=1
+Lloyd range sums kept for every sample.  Two test-only functions ride
+along: a running-maximum functional and the exact distortion of the
+scalar N(0,1) quantizer.
 """
 import math
 import tracemalloc
@@ -12,7 +13,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from quantquad import measures
+from quantquad import measures, quantize
 from quantquad.paths import Functional, Grid
 from quantquad.quantize import _lloyd_max
 
@@ -49,6 +50,40 @@ def running_max_functional():
 def scalar_quantizer_distortion2(levels):
     """Exact E min_i (Z - c_i)^2 of the N(0,1) quantizer with ``levels`` points."""
     return _lloyd_max(levels)[2]
+
+
+class FullBlockSums:
+    """Reference d=1 range sums: every sample's in-block prefix sums.
+
+    Holds the sums of y = x - pivot and y^2 through every sample of a
+    sorted pool in two pool-sized rows, each block one numpy cumsum, and
+    answers as the checkpointed ``quantize._BlockSums`` does.
+    """
+
+    def __init__(self, flat):
+        block = quantize._BLOCK
+        self.flat, self.pivots = flat, flat[::block].copy()
+        self.sums = np.stack([flat, flat])
+        s1, s2 = self.sums
+        full = flat.size - flat.size % block
+        for y, y2 in ((s1[:full], s2[:full]), (s1[full:], s2[full:])):
+            if not y.size:
+                continue
+            width = min(block, y.size)
+            y, y2 = y.reshape(-1, width), y2.reshape(-1, width)
+            pivot = y[:, :1].copy()
+            y -= pivot
+            y2 -= pivot
+            np.square(y2, out=y2)
+            np.cumsum(y, axis=1, out=y)
+            np.cumsum(y2, axis=1, out=y2)
+
+    def totals(self, r):
+        ends = np.minimum(np.arange(1, self.pivots.size + 1) * quantize._BLOCK, self.flat.size)
+        return self.sums[:r, ends - 1]
+
+    def prefix(self, at, r):
+        return self.sums[:r, at]
 
 
 def traced_peak(fn):

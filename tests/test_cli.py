@@ -521,7 +521,8 @@ def _exit_code_rows():
          1, "i/o error: [Errno 2]"),
     ]
     # A diffusion that blows up is a numeric failure; 300 paths run as two
-    # halves, and the pool's paths blow up in the Lloyd fit.
+    # halves, the pool's paths blow up in the Lloyd fit, the widths in the
+    # first block and the Lipschitz check in its first stream.
     rows += [(argv, 2, "non-finite state at step 2") for argv in _blow_up_argvs()]
     return rows
 
@@ -532,6 +533,9 @@ def _blow_up_argvs():
         ("quad", "--algo", "euler", "--functional", "coord_at(1.0)", "--measure", sde,
          "--n", "300"),
         ("quantize", "--measure", sde, "--n", "2", "--pool", "1000"),
+        ("widths", "--measure", sde, "--dims", "1,2", "--samples", "1000"),
+        ("adversary", "--check", "lipschitz", "--measure", sde,
+         "--functional", "coord_at(1.0)", "--samples", "300"),
     ]
 
 

@@ -9,6 +9,7 @@ from statistics import NormalDist
 import numpy as np
 import pytest
 from conftest import (
+    FullBlockSums,
     brute_nearest,
     dense_integral,
     normal_expectation,
@@ -764,6 +765,79 @@ class TestLloydFastPath:
         cuts = np.searchsorted(flat, (init[1:] + init[:-1]) / 2.0, side="right")
         exact = [math.fsum(cell) / cell.size for cell in np.split(flat, cuts)]
         assert np.all(np.abs(pts - exact) <= 4 * np.spacing(exact))
+
+
+class TestBlockSums:
+    # The d=1 fast path keeps each block's running sums at every
+    # _CHECKPOINT-th sample and resumes the rest from there.
+    @pytest.mark.parametrize("size", [1, 255, 256, 257, 513, 10**4 + 3])
+    def test_every_prefix_matches_the_full_arrays(self, size):
+        flat = np.sort(1e3 + np.random.default_rng(size).standard_normal(size))
+        sums, full = quantize._block_sums(flat), FullBlockSums(flat)
+        at = np.arange(size)
+        assert np.array_equal(sums.pivots, full.pivots)
+        for r in (1, 2):
+            assert np.array_equal(sums.prefix(at, r), full.prefix(at, r))
+            assert np.array_equal(sums.totals(r), full.totals(r))
+
+    @pytest.mark.parametrize("r", [1, 2])
+    def test_run_is_the_same_on_the_full_arrays(self, r):
+        # Near-duplicate starting points leave a cell empty, so the run
+        # reseeds as well.
+        rng = np.random.default_rng(6)
+        flat = np.sort(rng.standard_normal(10**4 + 3))
+        init = np.concatenate([rng.choice(flat, 37, replace=False), 0.1 + 1e-13 * np.arange(3)])
+        opts = LloydOptions(iters=40, restarts=1)
+        fast = quantize._lloyd_run_1d(flat, quantize._block_sums(flat), init, opts, r)
+        full = quantize._lloyd_run_1d(flat, FullBlockSums(flat), init, opts, r)
+        assert np.array_equal(fast[0], full[0])
+        assert fast[1:] == full[1:]
+        assert fast[3] >= 1
+
+    @pytest.mark.parametrize("r", [1, 2])
+    def test_fit_holds_little_besides_its_pool(self, r):
+        # The pool plus its checkpointed sums (17/128 of it) and tile-sized
+        # temporaries; keeping every sample's sums held three pools.
+        opts = LloydOptions(pool_size=10**6, restarts=2)
+        peak = traced_peak(lambda: lloyd(UniformCube(1), 2, r, opts, SeedSpec(14)))
+        assert peak <= 1.8 * 8 * 10**6
+
+
+class TestReseed:
+    @pytest.mark.parametrize("e", [1, 3, 7, 8, 50])
+    def test_tiles_pick_as_one_stable_sort(self, monkeypatch, e):
+        # Many ties, and tiles of 7 samples: each keeps its own first e.
+        monkeypatch.setattr(quantize, "_POOL_TILE", 7)
+        d = np.random.default_rng(8).integers(0, 5, 50).astype(float)
+        got = quantize._farthest(d.size, e, lambda lo, hi: d[lo:hi])
+        assert np.array_equal(got, np.argsort(-d, kind="stable")[:e])
+
+    @pytest.mark.parametrize(
+        "r, points",
+        [
+            (1, [0.13676089683148496, 0.3866834962544673, 0.6010989240423324,
+                 0.7918085048960779, 0.9408047263500813]),
+            (2, [0.13712384489167517, 0.3869952446372608, 0.6015015916480004,
+                 0.7920112930363459, 0.9406883644712156]),
+        ],
+    )
+    def test_fast_path_reseeds_without_pool_sized_temporaries(self, r, points):
+        # The cell of 0.5 + 2e-12 is empty.  The points are those of the
+        # pool-sized distance array and argsort this replaced; that held
+        # 4 pools besides the pool and its sums.
+        flat = np.sort(np.random.default_rng(23).random(10**6))
+        sums = quantize._block_sums(flat)
+        init = np.array([0.2, 0.5, 0.5 + 2e-12, 0.5 + 4e-12, 0.8])
+        runs = []
+        peak = traced_peak(
+            lambda: runs.append(
+                quantize._lloyd_run_1d(flat, sums, init, LloydOptions(iters=3), r)
+            )
+        )
+        pts, _, _, reseeds = runs[0]
+        assert reseeds == 1
+        assert pts[:, 0].tolist() == points
+        assert peak <= 0.5 * 8 * 10**6
 
 
 class TestLloydMeta:
