@@ -30,11 +30,10 @@ from .measures import (
     BrownianKL,
     MeasureSpec,
     SeedSpec,
-    _blocks,
-    _check_finite,
-    _located,
+    _evaluated,
     _Moments,
     _stream,
+    _tiles,
     measure_grid,
 )
 from .paths import Functional, Grid, NormKind, Subspace, batch_norm, batch_project
@@ -353,31 +352,25 @@ def lipschitz_check(
     norm_kind = NormKind.EUCLIDEAN if grid is None else NormKind.SUP
     bump_rng = seed.child(2).rng()
     max_ratio = 0.0
-    x_blocks = _blocks(measure, seed.child(0), pairs)
-    y_blocks = _blocks(measure, seed.child(1), pairs)
+    # The two streams of one measure have the same tiles; the bumps are
+    # drawn tile by tile in row order, so they are those of one call.
+    x_tiles = _tiles(measure, seed.child(0), pairs, stream="seed.child(0)")
+    y_tiles = _tiles(measure, seed.child(1), pairs, stream="seed.child(1)")
     try:
-        start = 0
-        while start < pairs:
-            with _located(start, "seed.child(0)"):
-                xs = next(x_blocks)[1]
-                fx = f(xs)
-                _check_finite(fx)
-            with _located(start, "seed.child(1)"):
-                ys = next(y_blocks)[1]
-                fy = f(ys)
-                _check_finite(fy)
+        for start, xs in x_tiles:
+            fx = _evaluated(f, xs, start, "seed.child(0)")
+            ys = next(y_tiles)[1]
+            fy = _evaluated(f, ys, start, "seed.child(1)")
             bumped = xs + _BUMP_SCALE * bump_rng.standard_normal(xs.shape)
-            with _located(start, "seed.child(0), bumped"):
-                fbumped = f(bumped)
-                _check_finite(fbumped)
+            fbumped = _evaluated(f, bumped, start, "seed.child(0), bumped")
             for b, fb in ((ys, fy), (bumped, fbumped)):
                 dist = batch_norm(xs - b, norm_kind, grid)
                 ok = dist > 0
                 if np.any(ok):
                     ratios = np.abs(fx[ok] - fb[ok]) / dist[ok]
                     max_ratio = max(max_ratio, float(ratios.max()))
-            start += xs.shape[0]
+            del xs, ys, bumped, b  # no block outlives its tiles into the next draw
     finally:
-        x_blocks.close()
-        y_blocks.close()
+        x_tiles.close()
+        y_tiles.close()
     return LipschitzReport(max_ratio, f.lip_claim, pairs)

@@ -32,6 +32,7 @@ from .errors import ConfigurationError, NumericError
 from .experiments import kl_tail_width, run_rate_experiment, width_estimate
 from .measures import (
     _check_count,
+    _check_kl_basis,
     BrownianKL,
     Diffusion,
     UniformCube,
@@ -234,11 +235,13 @@ def _cmd_quad(args) -> int:
             raise ConfigurationError("gauss-sub needs --n and --k (or --budget)")
         if grid is None and isinstance(measure, BrownianKL):
             grid = measure.grid
+        size = grid.size if grid is not None else 257
         if grid is None:
             # a k-term subspace needs more than k grid points; double up
-            size = 257
             while size <= 2 * k:
                 size = 2 * (size - 1) + 1
+        _check_kl_basis(k, size)
+        if grid is None:
             grid = Grid.uniform(size)
             echo_extra["grid"] = size
         check_kl_dim(k, grid)

@@ -10,6 +10,8 @@ is partitioned.
 """
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 import os
 from contextlib import contextmanager
@@ -25,22 +27,21 @@ from .paths import Grid, kl_basis_on_grid, kl_eigenvalues
 # consecutive rows of one stream, so their size moves no draw: it bounds
 # memory and nothing else.
 _BLOCK_BYTES = 2**26
-# Bytes of the row tiles in which a block is evaluated and a BrownianKL
-# block is built.  Evaluating and building make tile-sized temporaries, so
-# a streamed estimate holds one block plus a few tiles.  At 512 KiB the
-# tile temporaries were page-faulted afresh (about 40 times the minor
+# Bytes of the row tiles in which a stream's draws reach an estimate (see
+# _tiles).  Evaluating and building make tile-sized temporaries.  At 512 KiB
+# the tile temporaries were page-faulted afresh (about 40 times the minor
 # faults of 2 MiB tiles), which doubled the time of a distortion ladder.
 _TILE_BYTES = 2**21
 # Side of the squares in which the Euler kernel turns its increments from
-# sample-major to step-major order.  The kernel runs n >= 2 _TILE paths as
-# two halves (see _halves).
+# sample-major to step-major order.  The kernel runs n >= 2 _TILE paths in
+# parts of at most 16 _TILE rows (see _euler_parts).
 _TILE = 64
 # The last one-block stream a codebook search read, as (key, read-only
 # block), or None.  sample_batch drops it before drawing anything, so it
 # never lives beside another stream's draws.
 _held = None
-# The one thread that draws Euler increments ahead of the step loop (see
-# _Increments), started by the first stream that needs it.
+# The one thread that draws a stream's normals ahead of their use (see
+# _DrawAhead), started by the first stream that needs it.
 _drawer = None
 
 
@@ -265,10 +266,27 @@ def rng_calls_per_sample(measure: MeasureSpec) -> int:
 # Sampling
 
 
+@functools.lru_cache(maxsize=1)
 def _kl_matrix(measure: BrownianKL) -> np.ndarray:
-    # (k_terms, G) rows sqrt(lambda_l) e_l(t).
+    # (k_terms, G) rows sqrt(lambda_l) e_l(t), read-only.  The last measure's
+    # matrix is kept, so a stream that builds its tiles one sample_batch call
+    # at a time computes it once.
     lam = kl_eigenvalues(measure.k_terms)
-    return np.sqrt(lam)[:, None] * kl_basis_on_grid(measure.k_terms, measure.grid)
+    basis = np.sqrt(lam)[:, None] * kl_basis_on_grid(measure.k_terms, measure.grid)
+    basis.flags.writeable = False
+    return basis
+
+
+def _check_kl_basis(k_terms: int, size: int) -> None:
+    """Raise ``ConfigurationError`` when a k_terms-term basis on ``size`` grid
+    points would exceed _BLOCK_BYTES: a BrownianKL stream holds that basis
+    (``_kl_matrix``) for its whole life.  Needs no grid to be built."""
+    needed = 8 * k_terms * size
+    if needed > _BLOCK_BYTES:
+        raise ConfigurationError(
+            f"a {k_terms}-term expansion on a {size}-point grid needs a "
+            f"{needed}-byte basis, more than the {_BLOCK_BYTES}-byte limit"
+        )
 
 
 def _diagonal_of(spec: DiffusionSpec) -> Optional[CoeffFn]:
@@ -306,28 +324,36 @@ def _steps_first(block: np.ndarray, tile: np.ndarray) -> None:
 def _first_nonfinite(states: np.ndarray):
     # (step, row) of the first non-finite state in (steps, rows, m), the
     # lowest row at that step, or None.
-    bad = ~np.isfinite(states).all(axis=2)
-    if not bad.any():
+    if np.isfinite(states).all():
         return None
+    bad = ~np.isfinite(states).all(axis=2)
     step, row = np.argwhere(bad)[0]
     return int(step), int(row)
 
 
-def _halves(n: int) -> list:
-    """Row counts of the parts in which the Euler kernel runs n paths, in order."""
-    return [n - n // 2, n // 2] if n >= 2 * _TILE else [n]
+def _euler_parts(n: int) -> list:
+    """Row counts of the parts in which the Euler kernel runs n paths, in order.
+
+    One part below 2 _TILE rows.  From there the fewest parts of at most
+    16 _TILE rows, but at least two, whose sizes differ by at most one,
+    the larger first: two halves up to 2048 rows.
+    """
+    if n < 2 * _TILE:
+        return [n]
+    count = max(2, -(-n // (16 * _TILE)))
+    return [(n + i) // count for i in range(count - 1, -1, -1)]
 
 
 def euler_values(
     spec: DiffusionSpec,
     k: int,
-    rng: Union[np.random.Generator, _Increments],
+    rng: Union[np.random.Generator, _DrawAhead],
     n: int,
     grid: Grid,
 ) -> np.ndarray:
     """n Euler paths with step 1/(k-1), interpolated to the grid; (n, G, m).
 
-    ``rng`` is a Generator, or the ``_Increments`` of a streamed block.
+    ``rng`` is a Generator, or the ``_DrawAhead`` of a streamed block.
     Increment vectors are drawn for every step even when the diffusion
     coefficient vanishes, so stream consumption does not depend on the
     coefficients.  A step is x + dt a(x) + sqrt(dt) b(x) z.  When
@@ -340,27 +366,24 @@ def euler_values(
     as soon as x_{l+1} is known, so the breakpoint values are never
     stored; the large arrays are the increments and the output.
 
-    From n = 2 _TILE the rows run as two halves (``_halves``), each drawn
-    and stepped in turn, so that a stream's next half can be drawn while
-    this one steps (see ``_Increments``).  Every row's floats are those of
-    one run over all rows.  A state that is not finite raises
-    ``NumericError`` at its step and row: the earliest step over both
-    halves, and the lowest row at that step.  A coefficient that raises
-    while computing a step's state is raised unless a non-finite state comes
-    at an earlier step.  A tile of _TILE steps keeps all its states and
-    checks them when it ends, which names the same step and row as a check
-    after every step.  The kernel reports non-finite states itself, so
-    numpy's overflow and invalid warnings are silenced.
+    From n = 2 _TILE the rows run as parts of at most 16 _TILE rows
+    (``_euler_parts``), each drawn and stepped in turn, so that a stream's
+    next part can be drawn while this one steps (see ``_DrawAhead``).
+    Every row's floats are those of one run over all rows.  A state that
+    is not finite raises ``NumericError`` at its step and row: the
+    earliest step over all parts, and the lowest row at that step.  A
+    coefficient that raises while computing a step's state is raised unless
+    a non-finite state comes at an earlier step.  A tile of _TILE steps
+    keeps all its states and checks them when it ends, which names the same
+    step and row as a check after every step.  The kernel reports
+    non-finite states itself, so numpy's overflow and invalid warnings are
+    silenced.
     """
     if k < 2:
         raise ConfigurationError("breakpoint count k must be >= 2")
     m = spec.m
     dt = 1.0 / (k - 1)
     sq = math.sqrt(dt)
-    if isinstance(rng, _Increments):
-        take = rng.take
-    else:
-        take = lambda rows: rng.standard_normal((rows, k - 1, m))  # noqa: E731
     out = np.empty((n, grid.size, m))
     # Grid point g lies between breakpoints j[g] and j[g] + 1 at weight
     # lam[g] on the upper one.  The grid increases, so step l fills the
@@ -388,12 +411,13 @@ def euler_values(
         tile = np.empty((min(_TILE, k - 1), rows, m))
         states = np.empty((len(tile) + 1, rows, m))
         states[0] = spec.u0_array()
+        rows_of_states, rows_of_tile = list(states), list(tile)
         for first in range(0, steps, _TILE):
             _steps_first(increments[:, first : first + _TILE, :], tile)
             count = min(_TILE, steps - first)
             try:
                 for i in range(count):
-                    x, nxt, z = states[i], states[i + 1], tile[i]
+                    x, nxt, z = rows_of_states[i], rows_of_states[i + 1], rows_of_tile[i]
                     drift(x, nxt)
                     # The float operations run in the order of x + dt*a +
                     # (sq*b)*z for m = 1 and of x + dt*a + sq*(b z) for m > 1.
@@ -434,10 +458,10 @@ def euler_values(
     failure = None
     start = 0
     with np.errstate(over="ignore", invalid="ignore"):
-        for rows in _halves(n):
+        for rows in _euler_parts(n):
             # After a failure in lower rows only an earlier step can win.
             steps = k - 1 if failure is None else failure[0] - 1
-            failure = run(take(rows), start, steps) or failure
+            failure = run(rng.standard_normal((rows, k - 1, m)), start, steps) or failure
             start += rows
     if failure is None:
         return out
@@ -449,33 +473,32 @@ def euler_values(
     )
 
 
-class _Increments:
-    """The Euler increments of one stream of blocks, drawn a half ahead.
+class _DrawAhead:
+    """The standard normals of one stream, each part drawn while the last is used.
 
-    The stream's ``total`` draws come in blocks of ``rows``, and the kernel
-    takes each block's halves (``_halves``) in stream order.  While it
-    steps through one half, the one worker thread draws the next, across
-    block edges too, into the other slot of a (2, half rows, k-1, m)
-    buffer: as many bytes as one block's increments.  The buffer is
-    allocated here, on the caller's thread, and only
-    ``Generator.standard_normal`` runs on the worker; one stream's draws
-    never overlap, so they are those of one call.  A part too large for a
-    slot (a short last block, not split) is drawn on the caller.
+    ``parts`` gives the row counts of the parts in which the stream's
+    consumer asks for its normals, in order; a part is (rows,) + ``shape``.
+    While the caller uses one part, the one worker thread draws the next,
+    across block edges too, into the other slot of a (2, rows of the first
+    part) + ``shape`` buffer.  The buffer is allocated here, on the
+    caller's thread, and only ``Generator.standard_normal`` runs on the
+    worker; one stream's draws never overlap, so they are those of one
+    call.  A part too large for a slot (a short last block, not split) is
+    drawn on the caller.  The consumer reads the parts through
+    ``standard_normal``, as it would read a Generator.
     """
 
-    def __init__(self, rng: np.random.Generator, total: int, rows: int, k: int, m: int):
+    def __init__(self, rng: np.random.Generator, parts, shape: tuple):
         self.rng = rng
-        self.parts = (
-            part
-            for start in range(0, total, rows)
-            for part in _halves(min(rows, total - start))
-        )
-        self.buffer = np.empty((2, _halves(min(rows, total))[0], k - 1, m))
+        parts = iter(parts)
+        first = next(parts)
+        self.parts = itertools.chain((first,), parts)
+        self.buffer = np.empty((2, first) + shape)
         self.slot = 0
         self.pending = None
-        self._ahead()
+        self._submit()
 
-    def _ahead(self):
+    def _submit(self):
         # Start drawing the next part into the free slot, if it fits one.
         global _drawer
         self.pending = None
@@ -489,15 +512,16 @@ class _Increments:
             part = self.buffer[self.slot, :rows]
             self.pending = (_drawer.submit(self.rng.standard_normal, out=part), part)
 
-    def take(self, rows: int) -> np.ndarray:
-        """(rows, k-1, m) increments of the stream's next part."""
+    def standard_normal(self, size: tuple) -> np.ndarray:
+        """The stream's next part, of shape ``size``; valid until the next call."""
         if self.pending is None:
-            part = self.rng.standard_normal((rows,) + self.buffer.shape[2:])
+            part = self.rng.standard_normal(size)
         else:
             future, part = self.pending
             future.result()
             self.slot ^= 1
-        self._ahead()
+        assert part.shape == size
+        self._submit()
         return part
 
     def close(self):
@@ -517,13 +541,13 @@ os.register_at_fork(after_in_child=_forget_drawer)
 
 
 def sample_batch(
-    measure: MeasureSpec, seed: Union[SeedSpec, np.random.Generator], n: int
+    measure: MeasureSpec, seed: Union[SeedSpec, np.random.Generator, _DrawAhead], n: int
 ) -> np.ndarray:
     """n independent draws as one array: (n, d) vectors or (n, G, m) paths.
 
     ``seed`` is a SeedSpec, or a Generator whose stream continues (for a
-    Diffusion block of ``_blocks``, the stream's ``_Increments``).  Drops
-    the stream a codebook search holds (see ``_blocks``).
+    Diffusion block of ``_tiles``, the stream's ``_DrawAhead``).  Drops the
+    stream a codebook search holds (see ``_tiles``).
     """
     global _held
     _held = None
@@ -561,53 +585,107 @@ def _block_rows(floats: int, limit: int = 0) -> int:
     return max(1, (limit or _BLOCK_BYTES) // (8 * max(1, floats)))
 
 
-def _blocks(measure: MeasureSpec, seed: SeedSpec, total: int, replay: bool = False):
-    """(start, batch) over draws 0 .. total of ``seed``'s stream, in row blocks.
+def _draw_floats(measure: MeasureSpec) -> int:
+    """Floats of the largest array one draw makes: its vector, its path, its
+    expansion coefficients or its Euler increments."""
+    if isinstance(measure, (UniformCube, StdNormal)):
+        return measure.d
+    if isinstance(measure, BrownianKL):
+        return max(measure.k_terms, measure.grid.size)
+    return measure.spec.m * max(measure.k_steps, measure.grid.size)
 
-    A block is sized by the largest array one draw makes: its vector, its
-    path, its expansion coefficients or its Euler increments.  Generators fill
-    rows in order, so the draws do not depend on the block size (BrownianKL
-    paths move at BLAS rounding only).
+
+def _tiles(
+    measure: MeasureSpec, seed: SeedSpec, total: int, replay: bool = False, stream: str = ""
+):
+    """(start, tile) over draws 0 .. total of ``seed``'s stream, in row tiles.
+
+    The one source of a stream's draws.  They come in row blocks of
+    ``_block_rows(_draw_floats(measure))``, each handed out in tiles that
+    never cross a block edge.  Generators fill rows in order, so the draws
+    do not depend on the block or tile size.
+
+    A BrownianKL tile is built when it is asked for, by ``sample_batch`` on
+    the caller's thread, so the stream holds a few tiles and its basis,
+    never a block.  Its tiles have the rows of _TILE_BYTES of the largest
+    array one draw makes, as its blocks do, and so the rows in which
+    ``sample_batch`` builds a block.  (Drawing the next tile's coefficients
+    on the drawer thread slowed the stream: the product and most
+    functionals are BLAS calls that already keep every core busy.)  Any
+    other block is drawn whole and handed out in tiles of _TILE_BYTES of
+    its rows; a Diffusion block runs as Euler parts (``_euler_parts``), each
+    drawn on the drawer thread while the one before it steps
+    (``_DrawAhead``).  Closing the generator cancels or waits for a draw
+    made ahead.  A failure while drawing raises at its stream index, naming
+    ``stream`` (``_located``).
 
     The streamed estimators draw from ``seed.child(0)``, the stream of their
     first chunk when each chunk of draws had a stream of its own, so every
     estimate that fit in one chunk kept its draws.
 
-    A Diffusion stream whose blocks are split in halves (see ``euler_values``)
-    draws each half's increments while the half before it steps (see
-    ``_Increments``); closing the generator cancels or waits for that draw.
-
     With ``replay``, a stream that fits in one block is drawn read-only and
-    held after the call; the next ``replay`` call on the same key (measure,
-    seed, total, block rows) gets the held block instead of drawing it
-    again.  Vector measures compare by value, path measures by identity.
-    Any other call drops the held block before it draws.
+    held after the call, as ``sample_batch`` builds it; the next ``replay``
+    call on the same key (measure, seed, total, block rows) gets the held
+    block instead of drawing it again.  Vector measures compare by value,
+    path measures by identity.  Any other draw drops the held block first.
     """
     global _held
-    if isinstance(measure, (UniformCube, StdNormal)):
-        floats = measure.d
-    elif isinstance(measure, BrownianKL):
-        floats = max(measure.k_terms, measure.grid.size)
-    else:
-        floats = measure.spec.m * max(measure.k_steps, measure.grid.size)
-    rows = _block_rows(floats)
+    rows = _block_rows(_draw_floats(measure))
+
+    def draw(start, n, rng):
+        with _located(start, stream):
+            return sample_batch(measure, rng, n)
+
     if replay and total <= rows:
         key = (measure, seed, total, rows)
         if _held is None or _held[0] != key:
-            batch = sample_batch(measure, seed, total)
+            batch = draw(0, total, seed)
             batch.flags.writeable = False
             _held = (key, batch)
-        yield 0, _held[1]
+        yield from _split(0, _held[1])
         return
     rng = seed.rng()
-    if isinstance(measure, Diffusion) and min(rows, total) >= 2 * _TILE:
-        rng = _Increments(rng, total, rows, measure.k_steps, measure.spec.m)
+    ahead = isinstance(measure, Diffusion) and len(_euler_parts(min(rows, total))) > 1
+    if ahead:
+        parts = (p for s in range(0, total, rows) for p in _euler_parts(min(rows, total - s)))
+        rng = _DrawAhead(rng, parts, (measure.k_steps - 1, measure.spec.m))
     try:
         for start in range(0, total, rows):
-            yield start, sample_batch(measure, rng, min(rows, total - start))
+            n = min(rows, total - start)
+            if isinstance(measure, BrownianKL):
+                step = _block_rows(_draw_floats(measure), _TILE_BYTES)
+                for r in range(start, start + n, step):
+                    yield r, draw(r, min(step, start + n - r), rng)
+            else:
+                yield from _split(start, draw(start, n, rng))
     finally:
-        if isinstance(rng, _Increments):
+        if ahead:
             rng.close()
+
+
+def _split(start: int, batch: np.ndarray):
+    # (start + r, rows r ...) of a drawn block, in tiles of _TILE_BYTES.
+    step = _block_rows(math.prod(batch.shape[1:]), _TILE_BYTES)
+    for r in range(0, batch.shape[0], step):
+        yield start + r, batch[r : r + step]
+
+
+def _blocks(measure: MeasureSpec, seed: SeedSpec, total: int):
+    """(start, batch) over draws 0 .. total of ``seed``'s stream, in row blocks.
+
+    Each block is its tiles of ``_tiles`` joined: the draws a streamed
+    estimate reads, a block at a time.
+    """
+    rows = _block_rows(_draw_floats(measure))
+    tiles = _tiles(measure, seed, total)
+    try:
+        for start in range(0, total, rows):
+            parts = []
+            while sum(map(len, parts)) < min(rows, total - start):
+                parts.append(next(tiles)[1])
+            yield start, np.concatenate(parts)
+    finally:
+        tiles.close()
 
 
 def _check_count(total: int, minimum: int) -> None:
@@ -618,7 +696,7 @@ def _check_count(total: int, minimum: int) -> None:
 
 @contextmanager
 def _located(start: int, stream: str = ""):
-    """Raise a failure in the block of draws from ``start`` at its stream index.
+    """Raise a failure in the draws from ``start`` at its stream index.
 
     ``ConfigurationError`` passes through.  A ``NumericError`` keeps its
     ``step`` and gets its row (0 if unset) plus ``start`` as ``sample``; any
@@ -645,44 +723,49 @@ def _stream(
     """``evaluate`` of each block of draws 0 .. total of ``seed``'s stream.
 
     The driver of every streamed estimate.  ``evaluate`` maps b draws to
-    (b,) or (columns, b) values.  It is handed each block in row tiles of
-    _TILE_BYTES, so its temporaries stay tile-sized, and the block's values
-    are the tiles' joined along the last axis.  Fewer than ``minimum``
-    draws raise ``ConfigurationError``, which also passes through from
-    drawing or evaluating.  Any other failure, and a non-finite value,
-    raise ``NumericError`` at the failing draw's stream index: a located
-    error's row plus its tile's start, its ``step`` kept.  ``replay`` is
-    for an ``evaluate`` that only reads its draws: a one-block stream is
-    then held and replayed (see ``_blocks``).
+    (b,) or (columns, b) values.  It is handed the tiles of ``_tiles``, so
+    its temporaries stay tile-sized, and a block's values are its tiles'
+    joined along the last axis.  Fewer than ``minimum`` draws raise
+    ``ConfigurationError``, which also passes through from drawing or
+    evaluating.  Any other failure, and a non-finite value, raise
+    ``NumericError`` at the failing draw's stream index (``_evaluated``).
+    ``replay`` is for an ``evaluate`` that only reads its draws: a one-block
+    stream is then held and replayed (see ``_tiles``).
     """
     _check_count(total, minimum)
-    blocks = _blocks(measure, seed, total, replay)
+    rows = _block_rows(_draw_floats(measure))
+    tiles = _tiles(measure, seed, total, replay)
     try:
-        start = 0
-        while start < total:
-            values = _evaluate_block(blocks, start, evaluate)
-            with _located(start):
-                _check_finite(values)
-            yield values
-            start += values.shape[-1]
+        for start in range(0, total, rows):
+            yield _evaluate_block(tiles, min(rows, total - start), evaluate)
     finally:
-        blocks.close()
+        tiles.close()
 
 
-def _evaluate_block(blocks, start: int, evaluate) -> np.ndarray:
-    """``evaluate`` of the next block of ``blocks``, from draw ``start``, by tiles.
+def _evaluate_block(tiles, rows: int, evaluate) -> np.ndarray:
+    """``evaluate`` of the next ``rows`` draws of ``tiles``, tile by tile, joined.
 
-    The block is referenced only here, so it dies before the next one is
-    drawn.
+    No tile is referenced after the call, so a drawn block dies before the
+    next one is drawn.
     """
-    with _located(start):
-        batch = next(blocks)[1]
-    step = _block_rows(math.prod(batch.shape[1:]), _TILE_BYTES)
     parts = []
-    for r in range(0, batch.shape[0], step):
-        with _located(start + r):
-            parts.append(evaluate(batch[r : r + step]))
+    while rows > 0:
+        start, tile = next(tiles)
+        parts.append(_evaluated(evaluate, tile, start))
+        rows -= tile.shape[0]
     return np.concatenate(parts, axis=-1)
+
+
+def _evaluated(evaluate, tile: np.ndarray, start: int, stream: str = "") -> np.ndarray:
+    """``evaluate(tile)`` of the draws from ``start``, raised at its stream index.
+
+    A failure, or a non-finite value, raises ``NumericError`` at the failing
+    draw (a raise at the tile's first), naming ``stream`` (``_located``).
+    """
+    with _located(start, stream):
+        values = evaluate(tile)
+        _check_finite(values)
+    return values
 
 
 def _check_finite(values: np.ndarray) -> None:

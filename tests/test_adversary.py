@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from conftest import dense_integral
+from conftest import dense_integral, traced_peak
 
 from quantquad.adversary import (
     IncrementFamilySpec,
@@ -18,9 +18,11 @@ from quantquad import measures
 from quantquad.errors import ConfigurationError, NumericError
 from quantquad.measures import (
     BrownianKL,
+    Diffusion,
     SeedSpec,
     StdNormal,
     UniformCube,
+    gbm_spec,
     reference_value,
     sample_batch,
 )
@@ -337,3 +339,38 @@ class TestLipschitzCheck:
     def test_pair_minimum(self):
         with pytest.raises(ConfigurationError):
             lipschitz_check(sup_norm_functional(), BrownianKL(10), 10, SeedSpec(0))
+
+
+class TestLipschitzTiles:
+    # lipschitz_check walks its three streams (two draws and the bumps) in
+    # aligned row tiles; the largest ratio does not depend on the walk.
+
+    def test_the_largest_ratio_of_the_one_shot_pairs(self, monkeypatch):
+        # 7-row tiles over 100 pairs against whole batches drawn at once.  f
+        # is steep, so the largest ratio is a bumped pair's and reads the bumps.
+        grid = Grid.uniform(33)
+        measure, seed = BrownianKL(20, grid), SeedSpec(19)
+        f = Functional(lambda v: np.sin(1e3 * v[:, -1, 0]), 1.0, None, "steep")
+        monkeypatch.setattr(measures, "_TILE_BYTES", 8 * 33 * 7)
+        got = lipschitz_check(f, measure, 100, seed).max_ratio
+        xs = sample_batch(measure, seed.child(0), 100)
+        ys = sample_batch(measure, seed.child(1), 100)
+        bumped = xs + 1e-3 * seed.child(2).rng().standard_normal(xs.shape)
+        want = max(
+            float((np.abs(f(xs) - f(b)) / np.abs(xs - b).max(axis=(1, 2))).max())
+            for b in (ys, bumped)
+        )
+        assert got == want
+
+    @pytest.mark.parametrize(
+        "measure",
+        [BrownianKL(200), Diffusion(gbm_spec(0.1, 0.2), 2049)],
+        ids=["kl", "diffusion-2049"],
+    )
+    def test_memory_is_under_one_and_a_half_path_blocks(self, measure):
+        # 20000 pairs: KL tiles only; on the diffusion, per stream one output
+        # block and two Euler parts of increments.
+        peak = traced_peak(
+            lambda: lipschitz_check(sup_norm_functional(), measure, 20000, SeedSpec(3))
+        )
+        assert peak <= 1.5 * measures._BLOCK_BYTES

@@ -519,6 +519,13 @@ def _exit_code_rows():
         (vrmc[:4] + ("{cb}.missing",) + vrmc[5:] + ("100",), 1, "i/o error: [Errno 2]"),
         (("rates", "--config", "{cb}.missing", "--out-dir", "{out}"),
          1, "i/o error: [Errno 2]"),
+        # Sizes are checked before anything of that size is allocated: the
+        # grids these would double up to hold 2**28 + 1 and 2**30 + 1 points.
+        (gauss[:-2] + ("--n", "10", "--k", "100000000"), 1, "on a 268435457-point grid"),
+        (gauss[:-1] + ("100000000000000",), 1, "on a 1073741825-point grid"),
+        # {blowup} is an Euler ladder on the drift of _blow_up_argvs.
+        (("rates", "--config", "{blowup}", "--out-dir", "{out}"),
+         2, "non-finite state at step 2"),
     ]
     # A diffusion that blows up is a numeric failure; 300 paths run as two
     # halves, the pool's paths blow up in the Lloyd fit, the widths in the
@@ -558,6 +565,14 @@ class TestCliExitCodes:
         files["cbinf"] = str(tmp_path / "cbinf.csv")
         with open(files["cb"]) as src, open(files["cbinf"], "w") as dst:
             dst.write(src.read().replace("r=1.0", "r=inf"))
+        files["blowup"] = str(tmp_path / "blowup.json")
+        with open(files["blowup"], "w") as dst:
+            json.dump({
+                "name": "blow-up", "algorithm": "euler", "functional": "sup_norm",
+                "ladder": [100, 1000], "replications": 10,
+                "reference": {"kind": "euler", "k_ref": 11, "n_ref": 300},
+                "diffusion": {"drift": "linear:1e300", "diffusion": "linear:0.2", "u0": 1},
+            }, dst)
         out = tmp_path / "out"
         if "{out}" not in argv:
             argv += ("--out", "{out}")

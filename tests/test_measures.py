@@ -1096,3 +1096,191 @@ class TestDrawAhead:
             lambda: reference_value(sup_norm_functional(), measure, 3 * rows, SeedSpec(48))
         )
         assert peak <= 1.1 * (increments + output + 2 * measures._TILE_BYTES)
+
+
+def _blows_up_in_parts(at):
+    # A zero drift that is infinite on one row at a given step of a given
+    # part: at[(part, step)] = row.  A part starts where every state is u0 = 1.
+    seen = {"part": -1, "step": 0}
+
+    def drift(x):
+        if (x == 1.0).all():
+            seen["part"], seen["step"] = seen["part"] + 1, 1
+        else:
+            seen["step"] += 1
+        a = np.zeros_like(x)
+        row = at.get((seen["part"], seen["step"]))
+        if row is not None:
+            a[row, -1] = np.inf
+        return a
+
+    return drift
+
+
+class _LoggedSizes:
+    # A Generator whose standard_normal sizes are logged.
+    def __init__(self, rng, sizes):
+        self.rng, self.sizes = rng, sizes
+
+    def standard_normal(self, size):
+        self.sizes.append(size)
+        return self.rng.standard_normal(size)
+
+
+class TestEulerParts:
+    # From 2 _TILE rows the kernel runs a block as parts of at most 16 _TILE
+    # = 1024 rows, two halves up to 2048 rows, each part's increments drawn
+    # in turn; every row is that of one run over all rows.
+
+    @pytest.mark.parametrize(
+        "n, parts",
+        [
+            (127, [127]),
+            (128, [64, 64]),
+            (257, [129, 128]),
+            (2047, [1024, 1023]),
+            (2048, [1024, 1024]),
+            (2049, [683, 683, 683]),
+            (4094, [1024, 1024, 1023, 1023]),
+        ],
+    )
+    def test_parts(self, n, parts):
+        assert measures._euler_parts(n) == parts
+        assert sum(parts) == n and max(parts) <= 16 * measures._TILE
+
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_a_block_of_more_than_2048_rows_is_one_run(self, m):
+        spec = gbm_spec(0.1, 0.2) if m == 1 else _affine_2d(9).spec
+        sizes = []
+        got = euler_values(spec, 9, _LoggedSizes(SeedSpec(60).rng(), sizes), 2100, Grid.uniform(17))
+        assert sizes == [(700, 8, m)] * 3
+        want = _euler_with_states(spec, 9, SeedSpec(60).rng(), 2100, Grid.uniform(17))
+        np.testing.assert_array_equal(got, want)
+
+    def test_a_stream_of_three_part_blocks_is_the_one_shot_batch(self, monkeypatch):
+        # 2100-row blocks of 33-step paths run as three parts of 700 rows,
+        # each drawn ahead on the worker; the 300-row tail runs as halves.
+        measure = TestDrawAhead._measure(1)
+        monkeypatch.setattr(measures, "_BLOCK_BYTES", 8 * 33 * 2100)
+        log = _record_draws(monkeypatch)
+        blocks = list(measures._blocks(measure, SeedSpec(65), 4500))
+        assert [start for start, _ in blocks] == [0, 2100, 4200]
+        assert len(log) == 2 * 8 and threading.get_ident() not in {t for _, t in log}
+        joined = np.concatenate([batch for _, batch in blocks])
+        np.testing.assert_array_equal(joined, sample_batch(measure, SeedSpec(65), 4500))
+
+    @pytest.mark.parametrize(
+        "blow_ups, expected",
+        [
+            ({(0, 5): 3, (1, 2): 7, (2, 4): 1}, (2, 683 + 7)),  # a middle part's earlier step
+            ({(1, 3): 100, (2, 3): 0}, (3, 683 + 100)),  # the same step: the lower row
+            ({(0, 6): 5, (1, 4): 9, (2, 2): 50}, (2, 1366 + 50)),  # the last part's
+            ({(0, 2): 5, (2, 2): 0}, (2, 5)),  # the first part's
+        ],
+        ids=["middle-earlier", "same-step", "last-earlier", "first-earlier"],
+    )
+    def test_failure_across_three_parts(self, blow_ups, expected):
+        # n = 2049 runs as three parts of 683 rows.
+        spec = DiffusionSpec(_blows_up_in_parts(blow_ups), ConstantCoeff(0.2).diffusion, (1.0,))
+        with pytest.raises(NumericError, match=f"at step {expected[0]}$") as info:
+            euler_values(spec, 9, SeedSpec(8).rng(), 2049, Grid.uniform(17))
+        assert (info.value.step, info.value.sample) == expected
+
+    def test_memory_is_two_parts_of_increments_and_one_output_block(self):
+        # Two blocks of 2049-step paths (4094 rows, four parts of at most 1024
+        # rows): the two-slot buffer holds 2 x 1024 rows of increments.
+        from quantquad.paths import sup_norm_functional
+
+        measure = Diffusion(gbm_spec(0.1, 0.2), 2049)
+        rows = measures._block_rows(2049)
+        increments, output = 8 * 2 * 1024 * 2048, 8 * rows * measure.grid.size
+        peak = traced_peak(
+            lambda: reference_value(sup_norm_functional(), measure, 2 * rows, SeedSpec(48))
+        )
+        assert peak <= 1.1 * (increments + output + 2 * measures._TILE_BYTES)
+
+
+def _block_built(measure, seed, total):
+    # The stream as blocks of sample_batch calls on one generator: how every
+    # block was built before a streamed BrownianKL estimate held only tiles.
+    rng, rows = seed.rng(), measures._block_rows(measures._draw_floats(measure))
+    return [sample_batch(measure, rng, min(rows, total - s)) for s in range(0, total, rows)]
+
+
+class TestKLTiles:
+    # A streamed BrownianKL estimate builds each tile when it needs it and
+    # never holds a block.  Tiles have the rows in which sample_batch builds
+    # a block, so every path, value and moment is that of the block-built
+    # stream bit for bit.
+
+    @pytest.mark.parametrize(
+        "k_terms, G", [(20, 33), (40, 17)], ids=["k-below-grid", "k-above-grid"]
+    )
+    def test_tiles_are_the_block_built_stream(self, k_terms, G, monkeypatch):
+        # 10-row blocks of 3-row tiles (3, 3, 3, 1); 25 draws end in a
+        # 5-row block of tiles 3 and 2.
+        from quantquad.paths import sup_norm_functional
+
+        measure, seed, f = BrownianKL(k_terms, Grid.uniform(G)), SeedSpec(61), sup_norm_functional()
+        width = max(k_terms, G)
+        monkeypatch.setattr(measures, "_BLOCK_BYTES", 8 * width * 10)
+        monkeypatch.setattr(measures, "_TILE_BYTES", 8 * width * 3)
+        tiles = list(measures._tiles(measure, seed, 25))
+        assert [(s, len(t)) for s, t in tiles] == [
+            (0, 3), (3, 3), (6, 3), (9, 1), (10, 3), (13, 3), (16, 3), (19, 1), (20, 3), (23, 2)
+        ]
+        blocks = _block_built(measure, seed, 25)
+        np.testing.assert_array_equal(np.concatenate([t for _, t in tiles]), np.concatenate(blocks))
+        streamed = measures._Moments(measures._stream(measure, seed, 25, f, 2))
+        built = measures._Moments(f(block) for block in blocks)
+        assert (streamed.mean(), streamed.stderr()) == (built.mean(), built.stderr())
+        assert np.array_equal(streamed.m2, built.m2)
+
+    def test_the_basis_is_computed_once_per_stream(self, monkeypatch):
+        from quantquad import paths
+
+        calls = []
+
+        def counted(k, grid):
+            calls.append(k)
+            return paths.kl_basis_on_grid(k, grid)
+
+        monkeypatch.setattr(measures, "kl_basis_on_grid", counted)
+        monkeypatch.setattr(measures, "_TILE_BYTES", 8 * 33 * 3)
+        from quantquad.paths import sup_norm_functional
+
+        reference_value(sup_norm_functional(), BrownianKL(20, Grid.uniform(33)), 300, SeedSpec(62))
+        assert calls == [20]
+
+    def test_tiles_are_drawn_and_built_on_the_callers_thread(self, monkeypatch):
+        # Each 3-row tile is one sample_batch call, whose coefficients are
+        # drawn on the caller's thread: the product is a BLAS call that
+        # already keeps every core busy, so nothing is drawn ahead.
+        from quantquad.paths import Functional
+
+        monkeypatch.setattr(measures, "_TILE_BYTES", 8 * 33 * 3)
+        log = _record_draws(monkeypatch)
+        threads = []
+        batch = measures.sample_batch
+
+        def recorded(*args):
+            threads.append(threading.get_ident())
+            return batch(*args)
+
+        monkeypatch.setattr(measures, "sample_batch", recorded)
+        f = Functional(lambda v: v[:, -1, 0])
+        reference_value(f, BrownianKL(20, Grid.uniform(33)), 100, SeedSpec(63))
+        assert threads == [threading.get_ident()] * 34
+        assert log == [(event, threading.get_ident()) for _ in range(34) for event in ("start", "end")]
+
+    def test_memory_is_a_few_tiles(self):
+        # Three blocks of 1025-point paths: a tile, its coefficients, the
+        # basis and the functional's temporaries, never a block.
+        from quantquad.paths import sup_norm_functional
+
+        measure = BrownianKL(200, Grid.uniform(1025))
+        rows = measures._block_rows(1025)
+        peak = traced_peak(
+            lambda: reference_value(sup_norm_functional(), measure, 3 * rows, SeedSpec(47))
+        )
+        assert peak <= 6 * measures._TILE_BYTES
