@@ -132,8 +132,7 @@ def gap_identity_check(
         return np.stack((lhs, rhs, lhs - rhs))
 
     moments = _Moments(_stream(measure, seed.child(0), M, sides, 100), (3,))
-    means = moments.mean()
-    stderrs = moments.stderr()
+    means, stderrs = moments.mean(), moments.stderr()
     combined = math.sqrt(stderrs[0] ** 2 + stderrs[1] ** 2)
     return GapIdentityReport(
         mean_f_last=float(means[0]),

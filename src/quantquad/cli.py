@@ -37,6 +37,7 @@ from .measures import (
     Diffusion,
     UniformCube,
     is_path_measure,
+    measure_grid,
     measure_tag,
     reference_value,
 )
@@ -49,7 +50,7 @@ from .quadrature import (
     voronoi_quadrature,
     vr_mc,
 )
-from .quantize import _MIN_SAMPLES, LloydOptions, lloyd, voronoi_weights
+from .quantize import _MIN_SAMPLES, LloydOptions, _check_fits, lloyd, voronoi_weights
 from .storage import (
     atomic_write,
     load_codebook,
@@ -196,6 +197,10 @@ def _cmd_quad(args) -> int:
         functional_measure = UniformCube(codebook.points.shape[1])
         if codebook.grid is not None:
             functional_measure = BrownianKL(200, codebook.grid)
+    if codebook is not None and measure is not None:  # f reads draws and points
+        grid = measure_grid(measure)
+        m = measure.spec.m if isinstance(measure, Diffusion) else 1
+        _check_fits((measure.d,) if grid is None else (grid.size, m), codebook)
     f = parse_functional(args.functional, functional_measure)
 
     echo_extra = {}

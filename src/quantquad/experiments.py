@@ -147,8 +147,7 @@ def width_estimate(
         resid = batch_project(batch[:, :, 0], sub)[1]
         return batch_norm(resid[:, :, None], norm_kind, sub.grid) ** p
 
-    blocks = _stream(measure, seed.child(0), M, distances, 1000)
-    value, stderr = _Moments(blocks).root(p)
+    value, stderr = _Moments(_stream(measure, seed.child(0), M, distances, 1000)).root(p)
     return RatePoint(size=float(sub.dim), error=value, stderr=stderr)
 
 

@@ -43,6 +43,8 @@ _held = None
 # The one thread that draws a stream's normals ahead of their use (see
 # _DrawAhead), started by the first stream that needs it.
 _drawer = None
+# Draws per chunk in which _Moments folds each run of a stream's values.
+_CHUNK = 2**12
 
 
 @dataclass(frozen=True)
@@ -578,10 +580,7 @@ def sample_batch(
 
 
 def _block_rows(floats: int, limit: int = 0) -> int:
-    """Rows of ``floats`` floats each that fit in ``limit`` bytes (at least 1).
-
-    The limit defaults to _BLOCK_BYTES.
-    """
+    """Rows of ``floats`` floats that fit in ``limit`` (or _BLOCK_BYTES) bytes, >= 1."""
     return max(1, (limit or _BLOCK_BYTES) // (8 * max(1, floats)))
 
 
@@ -618,10 +617,6 @@ def _tiles(
     (``_DrawAhead``).  Closing the generator cancels or waits for a draw
     made ahead.  A failure while drawing raises at its stream index, naming
     ``stream`` (``_located``).
-
-    The streamed estimators draw from ``seed.child(0)``, the stream of their
-    first chunk when each chunk of draws had a stream of its own, so every
-    estimate that fit in one chunk kept its draws.
 
     With ``replay``, a stream that fits in one block is drawn read-only and
     held after the call, as ``sample_batch`` builds it; the next ``replay``
@@ -670,24 +665,6 @@ def _split(start: int, batch: np.ndarray):
         yield start + r, batch[r : r + step]
 
 
-def _blocks(measure: MeasureSpec, seed: SeedSpec, total: int):
-    """(start, batch) over draws 0 .. total of ``seed``'s stream, in row blocks.
-
-    Each block is its tiles of ``_tiles`` joined: the draws a streamed
-    estimate reads, a block at a time.
-    """
-    rows = _block_rows(_draw_floats(measure))
-    tiles = _tiles(measure, seed, total)
-    try:
-        for start in range(0, total, rows):
-            parts = []
-            while sum(map(len, parts)) < min(rows, total - start):
-                parts.append(next(tiles)[1])
-            yield start, np.concatenate(parts)
-    finally:
-        tiles.close()
-
-
 def _check_count(total: int, minimum: int) -> None:
     """Raise ``ConfigurationError`` when fewer than ``minimum`` draws are asked."""
     if total < minimum:
@@ -720,40 +697,25 @@ def _stream(
     measure: MeasureSpec, seed: SeedSpec, total: int, evaluate, minimum: int,
     replay: bool = False,
 ):
-    """``evaluate`` of each block of draws 0 .. total of ``seed``'s stream.
+    """``evaluate`` of each tile of draws 0 .. total of ``seed``'s stream, in order.
 
-    The driver of every streamed estimate.  ``evaluate`` maps b draws to
-    (b,) or (columns, b) values.  It is handed the tiles of ``_tiles``, so
-    its temporaries stay tile-sized, and a block's values are its tiles'
-    joined along the last axis.  Fewer than ``minimum`` draws raise
-    ``ConfigurationError``, which also passes through from drawing or
-    evaluating.  Any other failure, and a non-finite value, raise
-    ``NumericError`` at the failing draw's stream index (``_evaluated``).
-    ``replay`` is for an ``evaluate`` that only reads its draws: a one-block
-    stream is then held and replayed (see ``_tiles``).
+    The driver of every streamed estimate.  ``evaluate`` maps the b draws of
+    a tile of ``_tiles`` to (b,) or (columns, b) values.  Fewer than
+    ``minimum`` draws raise ``ConfigurationError``, which also passes
+    through from drawing or evaluating.  Any other failure, and a non-finite
+    value, raise ``NumericError`` at the failing draw's stream index
+    (``_evaluated``).  ``replay`` is for an ``evaluate`` that only reads its
+    draws (see ``_tiles``).  Values may view their block: a consumer drops
+    them before it asks for the next, so each block dies before the next.
     """
     _check_count(total, minimum)
-    rows = _block_rows(_draw_floats(measure))
     tiles = _tiles(measure, seed, total, replay)
     try:
-        for start in range(0, total, rows):
-            yield _evaluate_block(tiles, min(rows, total - start), evaluate)
+        for start, tile in tiles:
+            yield _evaluated(evaluate, tile, start)
+            del tile
     finally:
         tiles.close()
-
-
-def _evaluate_block(tiles, rows: int, evaluate) -> np.ndarray:
-    """``evaluate`` of the next ``rows`` draws of ``tiles``, tile by tile, joined.
-
-    No tile is referenced after the call, so a drawn block dies before the
-    next one is drawn.
-    """
-    parts = []
-    while rows > 0:
-        start, tile = next(tiles)
-        parts.append(_evaluated(evaluate, tile, start))
-        rows -= tile.shape[0]
-    return np.concatenate(parts, axis=-1)
 
 
 def _evaluated(evaluate, tile: np.ndarray, start: int, stream: str = "") -> np.ndarray:
@@ -776,47 +738,85 @@ def _check_finite(values: np.ndarray) -> None:
 
 
 class _Moments:
-    """Running mean and CLT stderr of streamed values, per column.
+    """Running means and CLT stderrs of a stream's values, per column.
 
-    Each of ``blocks`` is one chunk, (b,) for a single column or
-    (columns, b).  Each mean is (sum of chunk sums) / count.  The second
-    moment is kept centred: each chunk's sum of squared deviations from its
-    own mean is merged by the pairwise update of Chan, Golub & LeVeque
-    (1983), so no stderr suffers the cancellation of E[y^2] - mean^2 at
-    large means.
+    ``values`` yields the values in draw order, in pieces of any size:
+    shape + (b,), or (b,) with ``run``, column j being draws j*run ..
+    (j+1)*run.  Columns are folded in chunks of _CHUNK draws from their
+    run's first draw (from draw 0 without ``run``); each mean is the sum of
+    the chunks' pairwise sums over the count, and the chunks' centred sums
+    of squares merge by Chan, Golub & LeVeque (1983), free of the
+    cancellation of E[y^2] - mean^2.  No mean or stderr depends on how the
+    stream is cut, and one chunk has numpy's mean and std(ddof=1)/sqrt(n).
     """
 
-    def __init__(self, blocks, shape=()):
-        self.count = 0
-        self.total = np.zeros(shape)
-        self.center = np.zeros(shape)
-        self.m2 = np.zeros(shape)
-        for values in blocks:
-            self.add(values)
+    def __init__(self, values, shape=(), run=None):
+        self.run = run
+        # Per column: count, sum of chunk sums, centre, centred second moment.
+        self.columns = [[0, 0.0, 0.0, 0.0] for _ in range(math.prod(shape))]
+        self.carry = np.empty((1 if run else len(self.columns), _CHUNK))
+        self.filled = self.position = 0  # the chunk in progress: carry[:, :filled]
+        for piece in values:
+            self._add(piece.reshape(-1, piece.shape[-1]))
+            del piece  # a view of a drawn block dies before the next is drawn
+        if self.filled:  # the stream's last chunk
+            self._fold(self.carry[:, None, : self.filled], self.position - self.filled)
+        arrays = (np.array(column).reshape(shape) for column in zip(*self.columns))
+        self.count, self.total, self.center, self.m2 = arrays
 
-    def add(self, values: np.ndarray):
-        b = values.shape[-1]
-        chunk_sum = values.sum(axis=-1)
+    def _add(self, values: np.ndarray):
+        b, i = values.shape[1], 0
+        while i < b:
+            first = self.position + i - self.filled  # of the chunk in progress
+            left = self.run - first % self.run if self.run else math.inf  # in its run
+            length = min(_CHUNK, left)
+            whole = (b - i if length == self.run else min(b - i, left)) // length
+            if self.filled or not whole:
+                take = min(length - self.filled, b - i)
+                self.carry[:, self.filled : self.filled + take] = values[:, i : i + take]
+                self.filled += take
+                i += take
+                if self.filled == length:
+                    self._fold(self.carry[:, None, :length], first)
+                    self.filled = 0
+            else:
+                self._fold(values[:, i : i + whole * length].reshape(-1, whole, length), first)
+                i += whole * length
+        self.position += b
+
+    def _fold(self, chunks: np.ndarray, first: int):
+        # Merge chunks (rows, k, L) of L draws from draw ``first``, in order:
+        # with ``run``, each into its run's column; else row i into column i.
+        # Python floats round as numpy's do, at a tenth of the cost.
+        length = chunks.shape[-1]
+        sums = chunks.sum(axis=-1)
         # Clipping to the chunk's range keeps a constant chunk exactly centred.
-        chunk_mean = np.clip(chunk_sum / b, values.min(axis=-1), values.max(axis=-1))
-        dev = values - np.expand_dims(chunk_mean, -1)
-        delta = chunk_mean - self.center
-        n = self.count + b
-        self.m2 += (dev * dev).sum(axis=-1) + delta * delta * (self.count * b / n)
-        self.center += delta * (b / n)
-        self.total += chunk_sum
-        self.count = n
+        means = np.clip(sums / length, chunks.min(axis=-1), chunks.max(axis=-1))
+        dev = chunks - means[..., None]
+        dev *= dev
+        stats = zip(sums.T.tolist(), means.T.tolist(), dev.sum(axis=-1).T.tolist())
+        for c, chunk in enumerate(stats):
+            run = (first + c * length) // self.run if self.run else None
+            columns = self.columns if run is None else [self.columns[run]]
+            for column, chunk_sum, chunk_mean, squares in zip(columns, *chunk):
+                count, total, center, m2 = column
+                n = count + length
+                delta = chunk_mean - center
+                if count == 0:  # the column's first chunk
+                    column[:] = n, chunk_sum, chunk_mean, squares
+                else:
+                    column[:] = (n, total + chunk_sum, center + delta * (length / n),
+                                 m2 + (squares + delta * delta * (count * length / n)))
 
     def mean(self):
         return self.total / self.count
 
     def stderr(self):
-        return np.sqrt(self.m2 / (self.count - 1) / self.count)
+        return np.sqrt(self.m2 / (self.count - 1)) / np.sqrt(self.count)
 
     def root(self, p: float):
         """(mean^(1/p), its stderr by the delta method) of a single column."""
-        mean = float(self.mean())
-        se_mean = float(self.stderr())
+        mean, se_mean = float(self.mean()), float(self.stderr())
         value = mean ** (1.0 / p)
         # d(mean^(1/p)) = mean^(1/p - 1) / p.
         stderr = se_mean * value / (p * mean) if mean > 0 else se_mean
@@ -839,8 +839,9 @@ def reference_value(
 ) -> MonteCarloEstimate:
     """Plain Monte Carlo estimate of the mean of a functional with CLT stderr.
 
-    Used as the ground-truth oracle by tests and the rate harness.  Needs
-    a budget of at least 100.  A ``ConfigurationError`` from the functional
+    Used as the ground-truth oracle by tests and the rate harness.  This is
+    ``quadrature.classical_mc`` on ``seed.child(0)``, value and stderr, but
+    needs a budget of at least 100.  A ``ConfigurationError`` from the functional
     (say, a wrong output shape) passes through; any other failure, and a
     non-finite value, raise ``NumericError`` at the failing draw's index.
     """

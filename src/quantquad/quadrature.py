@@ -14,7 +14,9 @@ Four estimators of S(f) = E f(X):
 
 Each Monte Carlo estimator has a ``*_replicated`` form returning the
 estimates of R runs at once; replication j uses draws j*n .. (j+1)*n of
-the seed's single stream, so replication 0 equals the single run.
+the seed's single stream, so replication 0 equals the single run.  Each
+run's mean and stderr sqrt(m2 / (n - 1)) / sqrt(n) are folded in block
+memory, whatever n and R are, by the one estimator ``measures._Moments``.
 
 Cost-balanced schedules split a total budget N into (repetitions n,
 subspace dimension k) with k*n <= N.
@@ -34,6 +36,7 @@ from .measures import (
     DiffusionSpec,
     MeasureSpec,
     SeedSpec,
+    _Moments,
     _stream,
     oracle_dim,
     rng_calls_per_sample,
@@ -107,9 +110,7 @@ def voronoi_quadrature(codebook: Codebook, f: Functional) -> QuadratureResult:
         raise ConfigurationError("voronoi_quadrature needs codebook weights")
     k = codebook.oracle_dim
     if k is None:
-        k = codebook.points.shape[1] if codebook.grid is None else (
-            codebook.grid.size * codebook.points.shape[2]
-        )
+        k = math.prod(codebook.points.shape[1:])
     _check_oracle_dim(f, k)
     values = f(codebook.points)
     estimate = float(values @ codebook.weights)
@@ -126,15 +127,6 @@ def voronoi_quadrature(codebook: Codebook, f: Functional) -> QuadratureResult:
 # Classical Monte Carlo
 
 
-def _mean_and_stderr(values: np.ndarray) -> Tuple[float, float]:
-    return float(values.mean()), float(values.std(ddof=1) / math.sqrt(values.size))
-
-
-def _draw_cost(measure: MeasureSpec) -> int:
-    """Arithmetic units per draw: one per Euler step for a Diffusion, else one."""
-    return measure.k_steps if isinstance(measure, Diffusion) else 1
-
-
 def _mc_values(
     measure: MeasureSpec,
     f: Functional,
@@ -142,11 +134,12 @@ def _mc_values(
     replications: int,
     seed: SeedSpec,
     codebook: Optional[Codebook] = None,
-) -> Tuple[float, np.ndarray]:
-    """Voronoi part and (replications, n) values over ``seed``'s stream.
+) -> Tuple[float, _Moments]:
+    """Voronoi part and the per-run moments of values over ``seed``'s stream.
 
     The values are f, or given a codebook the residuals f - J(f) with
-    S(J(f)) as the Voronoi part (else 0).  Each run needs n >= 2 draws.
+    S(J(f)) as the Voronoi part (else 0).  Run j reads draws j*n ..
+    (j+1)*n and is column j of the moments; each needs n >= 2 draws.
     """
     _check_oracle_dim(f, oracle_dim(measure))
     evaluate, voronoi_part = f, 0.0
@@ -160,29 +153,41 @@ def _mc_values(
             return f(batch) - f_at_points[min_dist_batch(batch, codebook)[1]]
 
     values = _stream(measure, seed, n * replications, evaluate, 2 * replications)
-    return voronoi_part, np.concatenate(list(values)).reshape(replications, n)
+    return voronoi_part, _Moments(values, (replications,), run=n)
+
+
+def _mc_result(
+    measure: MeasureSpec, f: Functional, n: int, seed: SeedSpec,
+    codebook: Optional[Codebook] = None,
+) -> QuadratureResult:
+    """``classical_mc``, or given a codebook ``vr_mc``, with its cost: one
+    arithmetic unit per draw (per Euler step) and per codebook point."""
+    voronoi_part, moments = _mc_values(measure, f, n, 1, seed, codebook)
+    mean = float(moments.mean()[0])
+    extra = 0 if codebook is None else codebook.n
+    steps = measure.k_steps if isinstance(measure, Diffusion) else 1
+    ledger = CostLedger(
+        oracle_calls=n + extra,
+        subspace_dim=oracle_dim(measure),
+        rng_calls=n * rng_calls_per_sample(measure),
+        arithmetic_proxy=n * steps + extra,
+    )
+    estimate = mean if codebook is None else voronoi_part + mean
+    return QuadratureResult(estimate, float(moments.stderr()[0]), n + extra, ledger)
 
 
 def classical_mc(
     measure: MeasureSpec, f: Functional, n: int, seed: SeedSpec
 ) -> QuadratureResult:
     """Mean of f over n independent draws with CLT standard error."""
-    estimate, stderr = _mean_and_stderr(_mc_values(measure, f, n, 1, seed)[1][0])
-    k = oracle_dim(measure)
-    ledger = CostLedger(
-        oracle_calls=n,
-        subspace_dim=k,
-        rng_calls=n * rng_calls_per_sample(measure),
-        arithmetic_proxy=n * _draw_cost(measure),
-    )
-    return QuadratureResult(estimate, stderr, n, ledger)
+    return _mc_result(measure, f, n, seed)
 
 
 def classical_mc_replicated(
     measure: MeasureSpec, f: Functional, n: int, replications: int, seed: SeedSpec
 ) -> np.ndarray:
     """Estimates of ``replications`` independent classical_mc runs; (R,)."""
-    return _mc_values(measure, f, n, replications, seed)[1].mean(axis=1)
+    return _mc_values(measure, f, n, replications, seed)[1].mean()
 
 
 # ---------------------------------------------------------------------------
@@ -204,18 +209,7 @@ def vr_mc(
     comes from the residual sample alone (the weights are taken as
     exact, their estimation error is reported by the codebook).
     """
-    voronoi_part, residuals = _mc_values(measure, f, n, 1, seed, codebook)
-    correction, stderr = _mean_and_stderr(residuals[0])
-    k = oracle_dim(measure)
-    ledger = CostLedger(
-        oracle_calls=n + codebook.n,
-        subspace_dim=k,
-        rng_calls=n * rng_calls_per_sample(measure),
-        arithmetic_proxy=n * _draw_cost(measure) + codebook.n,
-    )
-    return QuadratureResult(
-        voronoi_part + correction, stderr, n + codebook.n, ledger
-    )
+    return _mc_result(measure, f, n, seed, codebook)
 
 
 def vr_mc_replicated(
@@ -228,7 +222,7 @@ def vr_mc_replicated(
 ) -> np.ndarray:
     """Estimates of ``replications`` independent vr_mc runs; (R,)."""
     voronoi_part, residuals = _mc_values(measure, f, n, replications, seed, codebook)
-    return voronoi_part + residuals.mean(axis=1)
+    return voronoi_part + residuals.mean()
 
 
 # ---------------------------------------------------------------------------

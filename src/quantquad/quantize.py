@@ -193,10 +193,10 @@ class DistortionEstimate:
 # Nearest-point machinery
 
 
-def _check_fits(values: np.ndarray, codebook: Codebook):
-    if values.shape[1:] != codebook.points.shape[1:]:
+def _check_fits(shape: tuple, codebook: Codebook):
+    if shape != codebook.points.shape[1:]:
         raise ConfigurationError(
-            f"samples of shape {values.shape[1:]} do not fit codebook points "
+            f"samples of shape {shape} do not fit codebook points "
             f"of shape {codebook.points.shape[1:]}"
         )
 
@@ -329,7 +329,7 @@ def _all_point_runs(values: np.ndarray, codebook: Codebook):
 
 def _all_point_distances(values: np.ndarray, codebook: Codebook) -> np.ndarray:
     """(B, n) ``batch_norm`` of every exact difference: the brute-force search."""
-    _check_fits(values, codebook)
+    _check_fits(values.shape[1:], codebook)
     out = np.empty((values.shape[0], codebook.n))
     for b0, d in _all_point_runs(values, codebook):
         out[b0 : b0 + d.shape[0]] = d
@@ -360,7 +360,7 @@ def min_dist_batch(values: np.ndarray, codebook: Codebook):
     not a point's shape, and ``NumericError`` (``sample`` the first bad
     row) when a distance is not finite: a non-finite sample or overflow.
     """
-    _check_fits(values, codebook)
+    _check_fits(values.shape[1:], codebook)
     if codebook.product is not None:
         search = _product_search
     elif codebook.norm in (NormKind.L2, NormKind.EUCLIDEAN):

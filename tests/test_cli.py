@@ -515,6 +515,15 @@ def _exit_code_rows():
         # The certificate's size rule holds before any member is estimated.
         (bakhvalov[:-2] + ("0",), 1, "n must be >= 1"),
         (bakhvalov[:-2] + ("2",), 1, "requires m >= 4n = 8"),
+        # A measure must fit the codebook's points before f reads either.
+        (("quad", "--algo", "voronoi", "--codebook", "{cb}", "--measure", "uniform_cube:2",
+          "--functional", "abs_coord_at(1)"),
+         1, "samples of shape (2,) do not fit codebook points of shape (1,)"),
+        (("quad", "--algo", "voronoi", "--codebook", "{cb}", "--measure", "brownian_kl:200",
+          "--functional", "sup_norm"),
+         1, "samples of shape (257, 1) do not fit codebook points of shape (1,)"),
+        (vrmc[:6] + ("uniform_cube:2", "--functional", "abs_coord_at(1)", "--n", "100"),
+         1, "samples of shape (2,) do not fit codebook points of shape (1,)"),
         # Missing input files are i/o errors.
         (vrmc[:4] + ("{cb}.missing",) + vrmc[5:] + ("100",), 1, "i/o error: [Errno 2]"),
         (("rates", "--config", "{cb}.missing", "--out-dir", "{out}"),

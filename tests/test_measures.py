@@ -510,6 +510,15 @@ def _affine_2d(k):
     return Diffusion(spec, k, Grid.uniform(33))
 
 
+def _joined_blocks(measure, seed, total):
+    # (start, block) over the stream's row blocks: the tiles of _tiles joined.
+    rows = measures._block_rows(measures._draw_floats(measure))
+    blocks = {}
+    for start, tile in measures._tiles(measure, seed, total):
+        blocks.setdefault(start - start % rows, []).append(tile)
+    return [(start, np.concatenate(tiles)) for start, tiles in blocks.items()]
+
+
 class TestBlocks:
     # Streamed estimates take draws 0 .. M of one stream in row blocks of
     # at most _BLOCK_BYTES; the block size moves no draw.
@@ -527,7 +536,7 @@ class TestBlocks:
     def test_one_row_blocks_are_the_one_shot_batch(self, measure, exact, monkeypatch):
         seed = SeedSpec(40)
         monkeypatch.setattr(measures, "_BLOCK_BYTES", 8)
-        blocks = list(measures._blocks(measure, seed, 50))
+        blocks = _joined_blocks(measure, seed, 50)
         assert [start for start, _ in blocks] == list(range(50))
         joined = np.concatenate([batch for _, batch in blocks])
         whole = sample_batch(measure, seed, 50)
@@ -613,7 +622,7 @@ class TestBlocks:
         rows = measures._block_rows(measure.grid.size)
         sizes = [
             batch.nbytes
-            for _, batch in measures._blocks(measure, SeedSpec(42), 2 * rows + 3)
+            for _, batch in _joined_blocks(measure, SeedSpec(42), 2 * rows + 3)
         ]
         assert len(sizes) >= 3
         assert max(sizes + states) <= measures._BLOCK_BYTES
@@ -995,7 +1004,7 @@ class TestDrawAhead:
         monkeypatch.setattr(measures, "_BLOCK_BYTES", 8 * 33 * m * rows)
         assert measures._block_rows(33 * m) == rows
         log = _record_draws(monkeypatch)
-        blocks = list(measures._blocks(measure, SeedSpec(49), total))
+        blocks = _joined_blocks(measure, SeedSpec(49), total)
         assert [start for start, _ in blocks] == list(range(0, total, rows))
         tail_thread = log[-1][1]
         assert (tail_thread == threading.get_ident()) == (rows == 200)
@@ -1163,7 +1172,7 @@ class TestEulerParts:
         measure = TestDrawAhead._measure(1)
         monkeypatch.setattr(measures, "_BLOCK_BYTES", 8 * 33 * 2100)
         log = _record_draws(monkeypatch)
-        blocks = list(measures._blocks(measure, SeedSpec(65), 4500))
+        blocks = _joined_blocks(measure, SeedSpec(65), 4500)
         assert [start for start, _ in blocks] == [0, 2100, 4200]
         assert len(log) == 2 * 8 and threading.get_ident() not in {t for _, t in log}
         joined = np.concatenate([batch for _, batch in blocks])

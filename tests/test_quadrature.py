@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from conftest import dense_integral, running_max_functional
+from conftest import dense_integral, running_max_functional, traced_peak
 
 from quantquad import measures
 from quantquad.errors import ConfigurationError
@@ -36,7 +36,7 @@ from quantquad.quadrature import (
     vr_mc,
     vr_mc_replicated,
 )
-from quantquad.quantize import Codebook, uniform_midpoint_codebook
+from quantquad.quantize import Codebook, min_dist_batch, uniform_midpoint_codebook
 
 
 def exact_two_point():
@@ -411,3 +411,116 @@ class TestReplicationRule:
         )
         assert max(calls) == rows
         assert sum(calls) == 2 * 16 * 10
+
+
+class TestChunkedEstimator:
+    # Every streamed mean and stderr is folded by measures._Moments in
+    # chunks of _CHUNK draws from each run's first draw, so no estimate
+    # depends on the block or tile layout, and a run of one chunk has
+    # numpy's mean and std(ddof=1) / sqrt(n).
+
+    # (block bytes, tile bytes): the default, uneven tiles in blocks a
+    # little over a chunk of 2-D draws, and tiles of a few rows.
+    _LAYOUTS = [None, (8 * 2 * 4099, 8 * 2 * 777), (8 * 2 * 1000, 8 * 2 * 3)]
+
+    @staticmethod
+    def _estimates():
+        from quantquad.adversary import gap_identity_check
+        from quantquad.experiments import width_estimate
+        from quantquad.quantize import distortion
+
+        grid = Grid.uniform(17)
+        cube, kl, seed = UniformCube(2), BrownianKL(8, grid), SeedSpec(70)
+        f = Functional(lambda v: np.abs(v - 0.3).sum(axis=1), name="l1")
+        cb = uniform_midpoint_codebook(2, 2)
+        M = 2 * measures._CHUNK + 123
+        ref = measures.reference_value(f, cube, M, seed)
+        dist = distortion(cb, cube, 2.0, M, seed)
+        width = width_estimate(kl, make_kl_subspace(2, grid), 2.0, 1500, seed)
+        gap = gap_identity_check(cb, cube, M, seed)
+        mc = classical_mc(cube, f, M, seed)
+        vr = vr_mc(cb, cube, f, M, seed)
+        return np.concatenate([
+            [ref.value, ref.stderr, dist.value, dist.stderr, width.error, width.stderr],
+            [gap.mean_f_last, gap.mean_f_last_stderr, gap.half_gap, gap.difference,
+             gap.combined_stderr],
+            [mc.estimate, mc.stderr, vr.estimate, vr.stderr],
+            # Values that view their tile, one float in two.
+            [classical_mc(cube, vector_coord_functional(1), M, seed).stderr],
+            classical_mc_replicated(cube, f, measures._CHUNK + 7, 3, seed),
+            classical_mc_replicated(cube, f, 300, 20, seed),
+            vr_mc_replicated(cb, cube, f, 2 * measures._CHUNK, 2, seed),
+            vr_mc_replicated(cb, cube, f, 50, 30, seed),
+        ])
+
+    @pytest.mark.parametrize("layout", _LAYOUTS[1:], ids=["uneven", "few-rows"])
+    def test_layouts_move_no_estimate(self, layout, monkeypatch):
+        default = self._estimates()
+        monkeypatch.setattr(measures, "_BLOCK_BYTES", layout[0])
+        monkeypatch.setattr(measures, "_TILE_BYTES", layout[1])
+        measures._held = None
+        np.testing.assert_array_equal(self._estimates(), default)
+
+    @pytest.mark.parametrize("n", [100, measures._CHUNK, 3 * measures._CHUNK + 5])
+    @pytest.mark.parametrize("kind", _KINDS)
+    def test_reference_value_is_classical_mc_on_the_first_child(self, kind, n):
+        measure, f, _ = _measure_functional_codebook(kind, Grid.uniform(9))
+        if kind == "diffusion" and n > 100:
+            n //= 8  # the reference's 100 draws cross no chunk; these do
+        seed = SeedSpec(71)
+        ref = measures.reference_value(f, measure, n, seed)
+        mc = classical_mc(measure, f, n, seed.child(0))
+        assert (ref.value, ref.stderr, ref.n) == (mc.estimate, mc.stderr, mc.cardinality)
+
+    @pytest.mark.parametrize("n", [2, 17, 1000, measures._CHUNK])
+    @pytest.mark.parametrize("kind", ["uniform", "normal"])
+    def test_one_chunk_is_numpys_mean_and_stderr(self, kind, n, monkeypatch):
+        # The oracle is the one-shot formula: mean and std(ddof=1)/sqrt(n)
+        # of every value at once.  Small tiles make runs cross tiles.
+        monkeypatch.setattr(measures, "_TILE_BYTES", 8 * 3 * 333)
+        measure, f, cb = _measure_functional_codebook(kind, None)
+        seed, reps = SeedSpec(72), 5
+        draws = measures.sample_batch(measure, seed, n * reps)
+        values = f(draws)
+        residuals = values - f(cb.points)[min_dist_batch(draws, cb)[1]]
+        voronoi = float(f(cb.points) @ cb.weights)
+        mc, vr = classical_mc(measure, f, n, seed), vr_mc(cb, measure, f, n, seed)
+        for got, first, shift in ((mc, values[:n], 0.0), (vr, residuals[:n], voronoi)):
+            assert got.estimate == shift + float(first.mean())
+            assert got.stderr == float(first.std(ddof=1) / math.sqrt(n))
+        np.testing.assert_array_equal(
+            classical_mc_replicated(measure, f, n, reps, seed),
+            values.reshape(reps, n).mean(axis=1),
+        )
+        np.testing.assert_array_equal(
+            vr_mc_replicated(cb, measure, f, n, reps, seed),
+            voronoi + residuals.reshape(reps, n).mean(axis=1),
+        )
+
+    @pytest.mark.parametrize("site", ["classical_mc", "vr_mc", "classical_mc_replicated"])
+    def test_memory_over_four_blocks_is_under_one_and_a_half_blocks(self, site, monkeypatch):
+        # 32 MiB blocks of 2-D draws, and the temporaries of a 2 MiB tile
+        # (a nearest search on one makes 9 MiB).  The values of a run used
+        # to be joined into one array of 8 bytes a draw, then copied.
+        monkeypatch.setattr(measures, "_BLOCK_BYTES", 2**25)
+        cube, seed = UniformCube(2), SeedSpec(73)
+        n = 4 * measures._block_rows(2) + 1000
+        f = vector_coord_functional(0)
+        cb = Codebook(np.array([[0.25, 0.5], [0.75, 0.5]]), 2.0, NormKind.EUCLIDEAN, "u",
+                      weights=np.array([0.5, 0.5]))
+        call = {
+            "classical_mc": lambda: classical_mc(cube, f, n, seed),
+            "vr_mc": lambda: vr_mc(cb, cube, f, n, seed),
+            "classical_mc_replicated": lambda: classical_mc_replicated(
+                cube, f, 1000, n // 1000, seed),
+        }[site]
+        assert traced_peak(call) < 1.5 * measures._BLOCK_BYTES
+
+    def test_reference_value_of_one_block_is_under_a_quarter_more(self, monkeypatch):
+        monkeypatch.setattr(measures, "_BLOCK_BYTES", 2**24)
+        cube = UniformCube(2)
+        M = measures._block_rows(2)
+        peak = traced_peak(
+            lambda: measures.reference_value(vector_coord_functional(1), cube, M, SeedSpec(74))
+        )
+        assert peak < 1.25 * measures._BLOCK_BYTES
