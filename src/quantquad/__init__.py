@@ -32,7 +32,6 @@ from .paths import (
 )
 from .quantize import (
     Codebook,
-    DistortionEstimate,
     LloydOptions,
     distortion,
     lloyd,
@@ -46,9 +45,7 @@ from .quadrature import (
     QuadratureResult,
     SmallBallProfile,
     classical_mc,
-    euler_mc,
     euler_mc_schedule,
-    gaussian_subspace_mc,
     subspace_mc_schedule,
     voronoi_quadrature,
     vr_mc,

@@ -179,6 +179,13 @@ class IncrementFamilySpec:
         return self.window * np.arange(self.segments + 1) / self.segments
 
 
+def _increments(spec: IncrementFamilySpec, grid: Grid):
+    """The map from a (b, G, 1) batch of paths on ``grid`` to their (b,
+    segments) increments x(s_i) - x(s_{i-1}) over ``spec``'s sub-grid."""
+    indices = np.array([grid.index_of(t) for t in spec.times()])
+    return lambda batch: np.diff(batch[:, indices, 0], axis=1)
+
+
 def increment_functional(
     spec: IncrementFamilySpec, grid: Optional[Grid] = None
 ) -> Functional:
@@ -189,15 +196,12 @@ def increment_functional(
     the sup norm: perturbing x by delta moves each increment by at most
     2 delta.
     """
-    grid = grid or Grid.uniform()
-    indices = np.array([grid.index_of(t) for t in spec.times()])
+    increments = _increments(spec, grid or Grid.uniform())
     sigma = np.where(np.array(spec.signs) == 0, 1.0, -1.0)
     theta = spec.threshold
 
     def fn(batch):
-        vals = batch[:, indices, 0]
-        increments = np.diff(vals, axis=1) * sigma[None, :]
-        slack = np.maximum(0.0, increments - theta)
+        slack = np.maximum(0.0, increments(batch) * sigma[None, :] - theta)
         return 0.5 * slack.min(axis=1)
 
     name = f"increment[{spec.segments},{spec.window},{spec.threshold}]"
@@ -237,23 +241,26 @@ def event_probability(
     each increment has standard deviation sqrt(window/segments), so the
     threshold is the (1/segments)-quantile away from zero, and the
     increments are independent.  Needs M >= 10^4.
+
+    The estimate is the fraction of hits and its stderr the CLT stderr of
+    the 0/1 indicators, sqrt(m2 / (M - 1)) / sqrt(M) as for every Monte
+    Carlo mean; both come from ``measures._Moments``.  At an estimate of 0
+    or 1 the stderr is exactly 0, so ``passed`` then needs the estimate to
+    equal the analytic value.
     """
     spec = IncrementFamilySpec(segments, window, signs=(0,) * segments)
     grid = grid or Grid.uniform()
     threshold = math.sqrt(window) / segments**1.5
-    indices = np.array([grid.index_of(t) for t in spec.times()])
-    measure = BrownianKL(k_terms, grid)
+    increments = _increments(spec, grid)
 
     def cleared(batch):
-        return np.all(np.diff(batch[:, indices, 0], axis=1) >= threshold, axis=1)
+        return np.all(increments(batch) >= threshold, axis=1).astype(float)
 
-    hits = sum(int(c.sum()) for c in _stream(measure, seed.child(0), M, cleared, 10**4))
-    p_hat = hits / M
-    stderr = math.sqrt(max(p_hat * (1.0 - p_hat), 1e-300) / M)
+    hits = _Moments(_stream(BrownianKL(k_terms, grid), seed.child(0), M, cleared, 10**4))
     p = 1.0 - NormalDist().cdf(1.0 / segments)
     return EventProbabilityReport(
-        estimate=p_hat,
-        stderr=stderr,
+        estimate=float(hits.mean()),
+        stderr=float(hits.stderr()),
         analytic=p**segments,
         upper_bound=2.0**-segments,
         segments=segments,

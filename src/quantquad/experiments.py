@@ -269,11 +269,7 @@ def run_rate_experiment(config: RateExperimentConfig) -> RateReport:
     for i, size in enumerate(config.ladder):
         estimates, n_used, k_used = _run_one_size(config, size, config.seed.child(i))
         errs = estimates - ref_value
-        sq = errs * errs
-        mse = float(sq.mean())
-        rmse = math.sqrt(mse)
-        se_mse = float(sq.std(ddof=1) / math.sqrt(sq.size))
-        se_rmse = se_mse / (2.0 * rmse) if rmse > 0 else 0.0
+        rmse, se_rmse = _Moments([errs * errs]).root(2)
         points.append(RatePoint(float(size), rmse, se_rmse))
         schedule.append((int(size), int(n_used), int(k_used)))
     smallest = min(p.error for p in points)

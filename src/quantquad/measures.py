@@ -747,7 +747,8 @@ class _Moments:
     the chunks' pairwise sums over the count, and the chunks' centred sums
     of squares merge by Chan, Golub & LeVeque (1983), free of the
     cancellation of E[y^2] - mean^2.  No mean or stderr depends on how the
-    stream is cut, and one chunk has numpy's mean and std(ddof=1)/sqrt(n).
+    stream is cut, and one chunk has numpy's mean and std(ddof=1)/sqrt(n)
+    (a constant chunk has stderr exactly 0, where numpy may not).
     """
 
     def __init__(self, values, shape=(), run=None):

@@ -1,6 +1,6 @@
 """Quadrature algorithms with cardinality and cost accounting.
 
-Four estimators of S(f) = E f(X):
+Three estimators of S(f) = E f(X):
 
 * ``voronoi_quadrature``: the deterministic weighted sum over a codebook,
   sum_i mu(V_i) f(x_i).
@@ -8,9 +8,11 @@ Four estimators of S(f) = E f(X):
 * ``vr_mc``: quantization-based variance reduction; the Voronoi sum plus
   a Monte Carlo correction of the interpolation residual
   f - f(nearest codebook point).
-* ``euler_mc`` / ``gaussian_subspace_mc``: ``classical_mc`` over Euler
-  diffusion paths, resp. truncated Gaussian expansions on a subspace,
-  with cost proportional to (subspace dimension) x (draws).
+
+Euler Monte Carlo and Gaussian-subspace Monte Carlo are ``classical_mc``
+on ``Diffusion(spec, k, grid)`` (Euler paths with k breakpoints), resp.
+``BrownianKL(k, grid)`` (the truncated Karhunen-Loeve expansion), with
+cost proportional to (subspace dimension) x (draws).
 
 Each Monte Carlo estimator has a ``*_replicated`` form returning the
 estimates of R runs at once; replication j uses draws j*n .. (j+1)*n of
@@ -31,9 +33,7 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .measures import (
-    BrownianKL,
     Diffusion,
-    DiffusionSpec,
     MeasureSpec,
     SeedSpec,
     _Moments,
@@ -41,7 +41,7 @@ from .measures import (
     oracle_dim,
     rng_calls_per_sample,
 )
-from .paths import Functional, Grid, Subspace
+from .paths import Functional
 from .quantize import Codebook, min_dist_batch
 
 
@@ -226,22 +226,7 @@ def vr_mc_replicated(
 
 
 # ---------------------------------------------------------------------------
-# Euler Monte Carlo and its budget schedule
-
-
-def euler_mc(
-    spec: DiffusionSpec,
-    f: Functional,
-    k: int,
-    n: int,
-    seed: SeedSpec,
-    grid: Optional[Grid] = None,
-) -> QuadratureResult:
-    """Mean of f over n Euler paths with k breakpoints.
-
-    This is classical_mc on ``Diffusion(spec, k, grid)``.
-    """
-    return classical_mc(Diffusion(spec, k, grid), f, n, seed)
+# Cost-balanced budget schedules
 
 
 def _balanced_schedule(N: int, a: float, b: float, name: str) -> Tuple[int, int]:
@@ -300,22 +285,3 @@ def subspace_mc_schedule(N: int, profile: SmallBallProfile) -> Tuple[int, int]:
     (a, b); their product is at most N.
     """
     return _balanced_schedule(N, profile.alpha, profile.beta, "subspace")
-
-
-# ---------------------------------------------------------------------------
-# Gaussian-subspace Monte Carlo
-
-
-def gaussian_subspace_mc(
-    sub: Subspace, f: Functional, n: int, seed: SeedSpec
-) -> QuadratureResult:
-    """Classical Monte Carlo over the truncated expansion living on ``sub``.
-
-    Draws are sums of the k leading Brownian eigenfunctions with
-    independent N(0, lambda_l) coefficients; every sample lies in the
-    subspace, so a functional vanishing there is estimated as exactly 0.
-    This is classical_mc on ``BrownianKL(sub.dim, sub.grid)``.
-    """
-    if sub.kind != "karhunen-loeve":
-        raise ConfigurationError("gaussian_subspace_mc needs a karhunen-loeve subspace")
-    return classical_mc(BrownianKL(sub.dim, sub.grid), f, n, seed)

@@ -25,6 +25,7 @@ import numpy as np
 from .errors import ConfigurationError, NumericError
 from .measures import (
     MeasureSpec,
+    MonteCarloEstimate,
     SeedSpec,
     _block_rows,
     _Moments,
@@ -173,20 +174,6 @@ class Codebook:
 
     def flat_points(self) -> np.ndarray:
         return self.points.reshape(self.n, -1)
-
-
-@dataclass(frozen=True)
-class DistortionEstimate:
-    """Monte Carlo estimate of a codebook's r-th order quantization error.
-
-    ``stderr`` comes from the CLT on the r-th power of the distance and
-    the delta method for the 1/r-th root.
-    """
-
-    value: float
-    stderr: float
-    sample_count: int
-    order: float
 
 
 # ---------------------------------------------------------------------------
@@ -392,8 +379,11 @@ def dist_to_codebook_functional(codebook: Codebook) -> Functional:
 
 def distortion(
     codebook: Codebook, measure: MeasureSpec, r: float, M: int, seed: SeedSpec
-) -> DistortionEstimate:
+) -> MonteCarloEstimate:
     """Monte Carlo estimate of the order-r quantization error of the codebook.
+
+    The stderr comes from the CLT on the r-th power of the distance and
+    the delta method for the 1/r-th root (``measures._Moments.root``).
 
     Needs M >= 100; a non-finite distance raises ``NumericError`` at its draw.
     Draws that fit in one block are held after the call, and the next
@@ -407,7 +397,7 @@ def distortion(
         _MIN_SAMPLES, replay=True,
     )
     value, stderr = _Moments(powers).root(r)
-    return DistortionEstimate(value, stderr, M, r)
+    return MonteCarloEstimate(value, stderr, M)
 
 
 def voronoi_weights(
@@ -634,28 +624,7 @@ def _block_sums(flat: np.ndarray) -> _BlockSums:
     return _BlockSums(flat, flat[::_BLOCK].copy(), checkpoints)
 
 
-class _EdgeSums:
-    """In-block prefix sums before the cell edges of one d=1 Lloyd run.
-
-    Called with the same number of edges each iteration; an edge that
-    has not moved since the last call keeps its sums.
-    """
-
-    def __init__(self, sums, r):
-        self.sums, self.r = sums, r
-        self.edges = self.values = None
-
-    def __call__(self, edges):
-        if self.edges is None:
-            self.values = self.sums.prefix(edges - 1, self.r)
-        else:
-            moved = np.flatnonzero(edges != self.edges)
-            self.values[:, moved] = self.sums.prefix(edges[moved] - 1, self.r)
-        self.edges = edges
-        return self.values
-
-
-def _pieces(edge_sums, splits, cuts=()):
+def _pieces(sums, r, splits, cuts=()):
     """Pieces of the cells of a sorted pool that each lie in one block.
 
     Cell i is flat[splits[i]:splits[i+1]].  Cutting the cells at block
@@ -666,12 +635,11 @@ def _pieces(edge_sums, splits, cuts=()):
     block total; only the edges inside a block read in-block prefixes,
     each shared by the pieces on either side.
     """
-    sums, r = edge_sums.sums, edge_sums.r
     size = sums.flat.size
     inner = np.concatenate([splits[1:-1], *cuts])
     if cuts:
         inner.sort()
-    prefix = edge_sums(inner)
+    prefix = sums.prefix(inner - 1, r)
     block = inner // _BLOCK
     keep = (inner > block * _BLOCK) & (inner < size)
     keep[1:] &= inner[1:] != inner[:-1]
@@ -743,7 +711,6 @@ def _lloyd_run_1d(flat, sums, init, opts, r):
     # of the sorted pool, so an iteration costs O(n log M + M / _BLOCK).
     M = flat.size
     centers = np.sort(init)
-    edge_sums = _EdgeSums(sums, r)
     history = []
     reseeds = 0
     prev = None
@@ -752,7 +719,7 @@ def _lloyd_run_1d(flat, sums, init, opts, r):
         bounds = (centers[1:] + centers[:-1]) / 2.0
         splits = np.concatenate(([0], np.searchsorted(flat, bounds, side="right"), [M]))
         at = np.searchsorted(flat, centers) if r == 1 else None
-        pieces = _pieces(edge_sums, splits, [at] if r == 1 else [])
+        pieces = _pieces(sums, r, splits, [at] if r == 1 else [])
         cur = _pool_power_sum(flat, pieces, centers, at, r) / M
         if prev is not None and cur > prev:
             centers, stop = prev_centers, "revert"

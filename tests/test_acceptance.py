@@ -28,6 +28,7 @@ from quantquad.experiments import (
 )
 from quantquad.measures import (
     BrownianKL,
+    Diffusion,
     SeedSpec,
     StdNormal,
     UniformCube,
@@ -44,8 +45,7 @@ from quantquad.paths import (
     sup_norm_functional,
 )
 from quantquad.quadrature import (
-    euler_mc,
-    gaussian_subspace_mc,
+    classical_mc,
     vr_mc_replicated,
     voronoi_quadrature,
 )
@@ -212,7 +212,7 @@ def test_criterion_07_euler_bias_ladder():
     details = []
     biases = []
     for k in (6, 11, 21, 41):
-        res = euler_mc(gbm, f, k, 10**5, seed.child(k))
+        res = classical_mc(Diffusion(gbm, k), f, 10**5, seed.child(k))
         exact_mean = (1.0 + 0.1 / (k - 1)) ** (k - 1)
         good = abs(res.estimate - exact_mean) <= 3.0 * res.stderr
         ok &= good
@@ -284,7 +284,7 @@ def test_criterion_10_quantization_rate():
 def test_criterion_11_subspace_blindness():
     sub = make_kl_subspace(8, GRID)
     f0 = subspace_blind_functional(sub)
-    inside = gaussian_subspace_mc(sub, f0, 1000, SeedSpec(111))
+    inside = classical_mc(BrownianKL(8, GRID), f0, 1000, SeedSpec(111))
     outside = reference_value(f0, BrownianKL(200, GRID), 2 * 10**4, SeedSpec(112))
     ok = (
         inside.estimate == 0.0

@@ -265,6 +265,26 @@ class TestEventProbability:
         with pytest.raises(ConfigurationError):
             event_probability(1, 1.0, 100, SeedSpec(0))
 
+    def test_no_hit_has_exactly_zero_stderr(self):
+        # p^16 is about 6.7e-6: no path of 10^4 clears all 16 increments.
+        report = event_probability(16, 1.0, 10**4, SeedSpec(0))
+        assert (report.estimate, report.stderr) == (0.0, 0.0)
+        assert not report.passed  # an estimate off the analytic value fails
+
+    def test_stderr_is_the_one_estimators(self):
+        # The hit indicators, in stream order, folded by measures._Moments:
+        # sqrt(p(1 - p) / (M - 1)), not the plug-in sqrt(p(1 - p) / M).
+        grid, M, seed = Grid.uniform(17), 3 * 10**4, SeedSpec(13)
+        report = event_probability(2, 1.0, M, seed, k_terms=20, grid=grid)
+        paths = sample_batch(BrownianKL(20, grid), seed.child(0), M)
+        increments = np.diff(paths[:, [0, 8, 16], 0], axis=1)
+        hits = np.all(increments >= report.threshold, axis=1).astype(float)
+        moments = measures._Moments([hits])
+        assert report.estimate == float(hits.mean()) == float(moments.mean())
+        assert report.stderr == float(moments.stderr())
+        p = report.estimate
+        assert report.stderr == pytest.approx(math.sqrt(p * (1 - p) / (M - 1)), rel=1e-12)
+
 
 class TestBakhvalovBound:
     def test_exact_uniform_case(self):

@@ -536,15 +536,34 @@ def _exit_code_rows():
         (("rates", "--config", "{blowup}", "--out-dir", "{out}"),
          2, "non-finite state at step 2"),
     ]
+    # A measure must fit the codebook's points before any check draws.
+    rows += [
+        (gap[:6] + ("uniform_cube:2", "--samples", "1000"),
+         1, "samples of shape (2,) do not fit codebook points of shape (1,)"),
+        (bakhvalov[:6] + ("uniform_cube:2",) + bakhvalov[7:] + ("1000",),
+         1, "samples of shape (2,) do not fit codebook points of shape (1,)"),
+    ]
     # A diffusion that blows up is a numeric failure; 300 paths run as two
     # halves, the pool's paths blow up in the Lloyd fit, the widths in the
-    # first block and the Lipschitz check in its first stream.
-    rows += [(argv, 2, "non-finite state at step 2") for argv in _blow_up_argvs()]
+    # first block and the Lipschitz check in its first stream.  {cbpath} is
+    # a two-point codebook of constant paths on the diffusion's grid.
+    rows += [(argv, 2, "non-finite state at step 2") for argv in _blow_up_argvs() + [
+        ("quad", "--algo", "mc", "--measure", _BLOW_UP, "--functional", "coord_at(1.0)",
+         "--n", "300"),
+        ("quad", "--algo", "vrmc", "--codebook", "{cbpath}", "--measure", _BLOW_UP,
+         "--functional", "coord_at(1.0)", "--n", "300"),
+        ("adversary", "--check", "gap-identity", "--codebook", "{cbpath}",
+         "--measure", _BLOW_UP, "--samples", "300"),
+    ]]
     return rows
 
 
+# A diffusion whose Euler states overflow at step 2.
+_BLOW_UP = "kind=diffusion drift=linear:1e300 diffusion=linear:0.2 u0=1 k_steps=11"
+
+
 def _blow_up_argvs():
-    sde = "kind=diffusion drift=linear:1e300 diffusion=linear:0.2 u0=1 k_steps=11"
+    sde = _BLOW_UP
     return [
         ("quad", "--algo", "euler", "--functional", "coord_at(1.0)", "--measure", sde,
          "--n", "300"),
@@ -571,6 +590,11 @@ class TestCliExitCodes:
                           weights=np.full(n, 1.0 / n))
             files[name] = str(tmp_path / f"{name}.csv")
             save_codebook(cb, files[name])
+        grid = Grid.uniform()
+        paths = np.stack([np.zeros((grid.size, 1)), np.ones((grid.size, 1))])
+        files["cbpath"] = str(tmp_path / "cbpath.csv")
+        save_codebook(Codebook(paths, 2.0, NormKind.L2, "diffusion", grid=grid,
+                               weights=np.full(2, 0.5)), files["cbpath"])
         files["cbinf"] = str(tmp_path / "cbinf.csv")
         with open(files["cb"]) as src, open(files["cbinf"], "w") as dst:
             dst.write(src.read().replace("r=1.0", "r=inf"))

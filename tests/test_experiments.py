@@ -13,9 +13,9 @@ from quantquad.experiments import (
     run_rate_experiment,
     width_estimate,
 )
-from quantquad.measures import BrownianKL, SeedSpec, UniformCube, _block_rows
+from quantquad.measures import BrownianKL, SeedSpec, UniformCube, _block_rows, _Moments
 from quantquad.paths import Functional, Grid, make_kl_subspace, sup_norm_functional
-from quantquad.quadrature import SmallBallProfile
+from quantquad.quadrature import SmallBallProfile, classical_mc_replicated
 from quantquad.quantize import uniform_midpoint_codebook
 
 
@@ -174,6 +174,18 @@ class TestRunRateExperiment:
                     reference=("mc", 1000),
                 )
             )
+
+    def test_rung_error_is_the_one_estimators_root(self):
+        # Each rung's RMSE and its stderr are the square root of the mean
+        # squared error and its delta-method stderr, from measures._Moments.
+        config = self._config(replications=300)
+        report = run_rate_experiment(config)
+        for i, (size, point) in enumerate(zip(config.ladder, report.points)):
+            estimates = classical_mc_replicated(
+                config.measure, config.functional, size, 300, config.seed.child(i)
+            )
+            errs = estimates - 5.0 / 18.0
+            assert (point.error, point.stderr) == _Moments([errs * errs]).root(2)
 
     def test_report_reproducible(self):
         a = run_rate_experiment(self._config(replications=50))

@@ -1,0 +1,97 @@
+"""Layout properties of the one Monte Carlo estimator, under hypothesis.
+
+``measures._Moments`` folds a stream's values in chunks of _CHUNK draws
+from each run's first draw, so no mean or stderr depends on how the
+stream is cut into blocks, tiles or pieces, and a run of at most one
+chunk has numpy's mean and std(ddof=1) / sqrt(n).  Layouts and values are
+drawn at random; ``derandomize`` makes every run check the same examples.
+"""
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from quantquad import measures
+from quantquad.measures import SeedSpec, UniformCube
+from quantquad.paths import Functional
+from quantquad.quadrature import classical_mc, classical_mc_replicated
+from quantquad.quantize import distortion, uniform_midpoint_codebook
+
+_CHUNK = measures._CHUNK
+_SEEDS = st.integers(0, 2**32 - 1)
+
+
+def _examples(count):
+    return settings(derandomize=True, max_examples=count, deadline=None, database=None)
+
+
+def _values(seed, n, ratio=0.0, scale=1.0):
+    # Normal draws with mean ratio * scale and standard deviation scale.
+    return scale * (ratio + np.random.default_rng(seed).standard_normal(n))
+
+
+def _cut(values, cuts):
+    edges = [0, *sorted(cuts), values.size]
+    return [values[a:b] for a, b in zip(edges, edges[1:])]
+
+
+@_examples(60)
+@given(_SEEDS, st.data())
+def test_piece_cuts_move_no_mean_or_stderr(seed, data):
+    runs = data.draw(st.integers(1, 3), "runs")
+    run = data.draw(st.integers(2, 2 * _CHUNK + 50), "run")
+    cuts = data.draw(st.lists(st.integers(1, runs * run - 1), unique=True, max_size=8))
+    values = _values(seed, runs * run)
+    cut = measures._Moments(_cut(values, cuts), (runs,), run=run)
+    # Each run is folded as a stream of its own, from its first draw.
+    alone = [measures._Moments([values[j * run : (j + 1) * run]]) for j in range(runs)]
+    np.testing.assert_array_equal(cut.mean(), [float(m.mean()) for m in alone])
+    np.testing.assert_array_equal(cut.stderr(), [float(m.stderr()) for m in alone])
+
+
+@_examples(60)
+@given(
+    _SEEDS,
+    st.integers(2, _CHUNK),
+    st.floats(-1e6, 1e6),
+    st.floats(1e-6, 1e6),
+    st.lists(st.integers(1, _CHUNK - 1), unique=True, max_size=6),
+)
+def test_one_chunk_is_numpys_mean_and_stderr(seed, n, ratio, scale, cuts):
+    values = _values(seed, n, ratio, scale)
+    moments = measures._Moments(_cut(values, [c for c in cuts if c < n]))
+    assert float(moments.mean()) == float(values.mean())
+    assert float(moments.stderr()) == float(values.std(ddof=1) / math.sqrt(n))
+
+
+def _estimates():
+    cube, seed = UniformCube(2), SeedSpec(70)
+    f = Functional(lambda v: np.abs(v - 0.3).sum(axis=1), name="l1")
+    M = 2 * _CHUNK + 123
+    mc = classical_mc(cube, f, M, seed)
+    dist = distortion(uniform_midpoint_codebook(2, 2), cube, 2.0, M, seed)
+    reps = classical_mc_replicated(cube, f, _CHUNK // 2 + 7, 5, seed)
+    return np.concatenate([[mc.estimate, mc.stderr, dist.value, dist.stderr], reps])
+
+
+@pytest.fixture(scope="module")
+def default_layout():
+    measures._held = None
+    return _estimates()
+
+
+@_examples(12)
+@given(block_rows=st.integers(40, 3 * _CHUNK), tile_rows=st.integers(7, 3 * _CHUNK))
+def test_block_and_tile_bytes_move_no_estimate(default_layout, block_rows, tile_rows):
+    # Rows of 2-D draws are 16 bytes.
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(measures, "_BLOCK_BYTES", 16 * block_rows)
+        patch.setattr(measures, "_TILE_BYTES", 16 * tile_rows)
+        measures._held = None
+        try:
+            got = _estimates()
+        finally:
+            measures._held = None
+    np.testing.assert_array_equal(got, default_layout)

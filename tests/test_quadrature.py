@@ -28,9 +28,7 @@ from quantquad.quadrature import (
     SmallBallProfile,
     classical_mc,
     classical_mc_replicated,
-    euler_mc,
     euler_mc_schedule,
-    gaussian_subspace_mc,
     subspace_mc_schedule,
     voronoi_quadrature,
     vr_mc,
@@ -173,7 +171,7 @@ class TestVrMc:
 class TestEulerMC:
     def test_gbm_mean_and_bias(self):
         f = path_coord_functional(1.0, Grid.uniform())
-        res = euler_mc(gbm_spec(0.1, 0.2), f, 11, 10**5, SeedSpec(12))
+        res = classical_mc(Diffusion(gbm_spec(0.1, 0.2), 11), f, 10**5, SeedSpec(12))
         exact_mean = 1.01**10
         assert abs(res.estimate - exact_mean) <= 3.0 * res.stderr
         # the scheme bias against e^0.1 is about 5.5e-4
@@ -181,21 +179,21 @@ class TestEulerMC:
 
     def test_noiseless_value_has_zero_stderr(self):
         f = path_coord_functional(1.0, Grid.uniform())
-        res = euler_mc(gbm_spec(0.1, 0.0), f, 11, 100, SeedSpec(13))
+        res = classical_mc(Diffusion(gbm_spec(0.1, 0.0), 11), f, 100, SeedSpec(13))
         assert res.stderr == 0.0
 
     def test_cost_ledger(self):
         f = path_coord_functional(1.0, Grid.uniform())
-        res = euler_mc(gbm_spec(0.1, 0.2), f, 83, 12, SeedSpec(14))
+        res = classical_mc(Diffusion(gbm_spec(0.1, 0.2), 83), f, 12, SeedSpec(14))
         assert res.cost.oracle_cost == 996
         assert res.cost.rng_calls == 12 * 82
 
     def test_small_k_and_n_rejected(self):
         f = path_coord_functional(1.0, Grid.uniform())
         with pytest.raises(ConfigurationError):
-            euler_mc(gbm_spec(0.1, 0.2), f, 1, 10, SeedSpec(0))
+            classical_mc(Diffusion(gbm_spec(0.1, 0.2), 1), f, 10, SeedSpec(0))
         with pytest.raises(ConfigurationError):
-            euler_mc(gbm_spec(0.1, 0.2), f, 5, 1, SeedSpec(0))
+            classical_mc(Diffusion(gbm_spec(0.1, 0.2), 5), f, 1, SeedSpec(0))
 
 
 class TestSchedules:
@@ -274,36 +272,26 @@ class TestGaussianSubspaceMC:
         from quantquad.adversary import subspace_blind_functional
 
         sub = make_kl_subspace(8, grid)
-        res = gaussian_subspace_mc(sub, subspace_blind_functional(sub), 50, SeedSpec(15))
+        res = classical_mc(BrownianKL(8, grid), subspace_blind_functional(sub), 50, SeedSpec(15))
         assert res.estimate == 0.0
         assert res.stderr == 0.0
 
     def test_terminal_value_zero_mean(self, grid):
         f = path_coord_functional(1.0, grid)
-        res = gaussian_subspace_mc(make_kl_subspace(50, grid), f, 20000, SeedSpec(16))
+        res = classical_mc(BrownianKL(50, grid), f, 20000, SeedSpec(16))
         assert abs(res.estimate) <= 3.0 * res.stderr
 
     def test_running_max_with_allowance(self, grid):
-        res = gaussian_subspace_mc(
-            make_kl_subspace(200, grid), running_max_functional(), 10**5, SeedSpec(17)
-        )
+        res = classical_mc(BrownianKL(200, grid), running_max_functional(), 10**5, SeedSpec(17))
         # documented discretization allowance at G=257, 200 terms
         assert abs(res.estimate - 0.7978845608028654) <= 3.0 * res.stderr + 0.05
 
     def test_cost_ledger(self, grid):
         f = path_coord_functional(1.0, grid)
-        res = gaussian_subspace_mc(make_kl_subspace(7, grid), f, 100, SeedSpec(18))
+        res = classical_mc(BrownianKL(7, grid), f, 100, SeedSpec(18))
         assert res.cost.subspace_dim == 7
         assert res.cost.oracle_cost == 700
         assert res.cost.rng_calls == 700
-
-    def test_requires_kl_subspace(self, grid):
-        from quantquad.paths import make_pl_subspace
-
-        sub = make_pl_subspace([0.0, 0.5, 1.0], grid)
-        f = path_coord_functional(1.0, grid)
-        with pytest.raises(ConfigurationError):
-            gaussian_subspace_mc(sub, f, 10, SeedSpec(19))
 
 
 def _measure_functional_codebook(kind, grid):
@@ -359,18 +347,10 @@ class TestReplicationRule:
         else:
             assert reps[0] == single
 
-    def test_euler_mc_is_classical_mc_on_the_diffusion(self, grid):
-        spec = gbm_spec(0.1, 0.2)
+    def test_euler_cost_counts_every_step(self, grid):
         f = sup_norm_functional()
-        res = euler_mc(spec, f, 21, 300, SeedSpec(32), grid)
-        assert res == classical_mc(Diffusion(spec, 21, grid), f, 300, SeedSpec(32))
+        res = classical_mc(Diffusion(gbm_spec(0.1, 0.2), 21, grid), f, 300, SeedSpec(32))
         assert res.cost.arithmetic_proxy == 300 * 21  # one unit per Euler step
-
-    def test_gaussian_subspace_mc_is_classical_mc_on_the_expansion(self, grid):
-        sub = make_kl_subspace(7, grid)
-        f = sup_norm_functional()
-        res = gaussian_subspace_mc(sub, f, 300, SeedSpec(33))
-        assert res == classical_mc(BrownianKL(7, grid), f, 300, SeedSpec(33))
 
     def test_replicated_forms_check_like_single_runs(self):
         f = vector_coord_functional(0)
@@ -496,6 +476,15 @@ class TestChunkedEstimator:
             vr_mc_replicated(cb, measure, f, n, reps, seed),
             voronoi + residuals.reshape(reps, n).mean(axis=1),
         )
+
+    @pytest.mark.parametrize("value", [0.0, 1.0])
+    def test_constant_indicators_have_exactly_zero_stderr(self, value):
+        # An event probability of 0 or 1 reports stderr 0, whatever the
+        # chunk edges and however the stream is cut.
+        n = 2 * measures._CHUNK + 5
+        pieces = [np.full(3, value), np.full(measures._CHUNK, value), np.full(n - 3 - measures._CHUNK, value)]
+        moments = measures._Moments(pieces)
+        assert (float(moments.mean()), float(moments.stderr())) == (value, 0.0)
 
     @pytest.mark.parametrize("site", ["classical_mc", "vr_mc", "classical_mc_replicated"])
     def test_memory_over_four_blocks_is_under_one_and_a_half_blocks(self, site, monkeypatch):
