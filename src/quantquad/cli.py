@@ -196,7 +196,7 @@ def _cmd_quad(args) -> int:
     if functional_measure is None and codebook is not None:  # the codebook's space
         functional_measure = UniformCube(codebook.points.shape[1])
         if codebook.grid is not None:
-            functional_measure = BrownianKL(200, codebook.grid)
+            functional_measure = BrownianKL(1, codebook.grid)  # f reads only its grid
     if codebook is not None and measure is not None:  # f reads draws and points
         grid = measure_grid(measure)
         m = measure.spec.m if isinstance(measure, Diffusion) else 1
@@ -272,29 +272,17 @@ def _cmd_quad(args) -> int:
     return EXIT_OK
 
 
-def _rows_out(rows, out):
-    text = "\n".join(rows) + "\n"
-    if out:
-        atomic_write(out, text)
-    sys.stdout.write(text)
-
-
 def _cmd_adversary(args) -> int:
     seed = parse_seed(args.seed)
-    rows = []
-    ok = True
     if args.check == "gap-identity":
         if not (args.codebook and args.measure):
             raise ConfigurationError("gap-identity needs --codebook and --measure")
         codebook = load_codebook(args.codebook)
         measure = parse_measure(args.measure)
         report = gap_identity_check(codebook, measure, args.samples, seed)
-        ok = report.passed
-        rows.append(
-            "check=gap-identity "
-            f"passed={str(ok).lower()} difference={report.difference!r} "
-            f"combined_stderr={report.combined_stderr!r} "
-            f"mean_f_last={report.mean_f_last!r} half_gap={report.half_gap!r}"
+        ok, fields = report.passed, dict(
+            difference=report.difference, combined_stderr=report.combined_stderr,
+            mean_f_last=report.mean_f_last, half_gap=report.half_gap,
         )
     elif args.check == "lipschitz":
         if not (args.functional and args.measure):
@@ -304,20 +292,14 @@ def _cmd_adversary(args) -> int:
         if args.lip_claim is not None:
             f.lip_claim = args.lip_claim
         report = lipschitz_check(f, measure, args.pairs, seed)
-        ok = not report.flagged
-        rows.append(
-            "check=lipschitz "
-            f"passed={str(ok).lower()} max_ratio={report.max_ratio!r} "
-            f"claim={report.lip_claim!r} pairs={report.pairs}"
+        ok, fields = not report.flagged, dict(
+            max_ratio=report.max_ratio, claim=report.lip_claim, pairs=report.pairs
         )
     elif args.check == "events":
         report = event_probability(args.segments, args.window, args.samples, seed)
-        ok = report.passed
-        rows.append(
-            "check=events "
-            f"passed={str(ok).lower()} estimate={report.estimate!r} "
-            f"analytic={report.analytic!r} stderr={report.stderr!r} "
-            f"upper_bound={report.upper_bound!r}"
+        ok, fields = report.passed, dict(
+            estimate=report.estimate, analytic=report.analytic,
+            stderr=report.stderr, upper_bound=report.upper_bound,
         )
     else:  # bakhvalov
         if not (args.codebook and args.measure):
@@ -331,13 +313,13 @@ def _cmd_adversary(args) -> int:
             est = reference_value(member, measure, args.samples, seed.child(i))
             means.append((est.value, est.stderr))
         bound = bakhvalov_lower_bound(args.n, means)
-        ok = True
-        rows.append(
-            "check=bakhvalov "
-            f"passed=true lower_bound={bound!r} n={args.n} family={len(means)}"
-        )
-    rows.append(f"seed={seed.tag()}")
-    _rows_out(rows, args.out)
+        ok, fields = True, dict(lower_bound=bound, n=args.n, family=len(means))
+    row = [f"check={args.check}", f"passed={str(ok).lower()}"]
+    row += [f"{key}={value!r}" for key, value in fields.items()]
+    text = " ".join(row) + f"\nseed={seed.tag()}\n"
+    if args.out:
+        atomic_write(args.out, text)
+    sys.stdout.write(text)
     return EXIT_OK if ok else EXIT_CHECK_FAILED
 
 

@@ -73,8 +73,16 @@ def _parse_kv(text: str) -> dict:
     return fields
 
 
+# The fields a shorthand name:a:b gives, in order, and those each kind reads.
+_SHORTHAND = {"uniform_cube": ("d",), "std_normal": ("d",), "brownian_kl": ("k_terms", "grid")}
+_FIELDS = {**_SHORTHAND, "diffusion": ("drift", "diffusion", "u0", "m", "k_steps", "grid")}
+
+
 def parse_measure(text: str) -> MeasureSpec:
-    """Parse 'uniform_cube:2' shorthand or 'kind=... key=value ...' form."""
+    """Parse 'uniform_cube:2' shorthand or 'kind=... key=value ...' form.
+
+    A shorthand's parts are its kind's first fields in order; a part or a
+    field the kind does not read is rejected."""
     text = text.strip()
     if "=" in text:
         fields = _parse_kv(text)
@@ -83,42 +91,36 @@ def parse_measure(text: str) -> MeasureSpec:
             raise ConfigurationError("measure description needs kind=...")
         return _measure_from_fields(kind, fields)
     name, _, rest = text.partition(":")
-    args = rest.split(":") if rest else []
-    try:
-        if name == "uniform_cube":
-            return UniformCube(int(args[0]))
-        if name == "std_normal":
-            return StdNormal(int(args[0]))
-        if name == "brownian_kl":
-            k_terms = int(args[0]) if args else 200
-            grid = Grid.uniform(int(args[1])) if len(args) > 1 else None
-            return BrownianKL(k_terms, grid)
-    except (IndexError, ValueError):
-        raise ConfigurationError(f"bad measure shorthand {text!r}") from None
-    raise ConfigurationError(
-        f"unknown measure {name!r}; use uniform_cube, std_normal, brownian_kl, "
-        f"or the kind=diffusion form"
-    )
+    if name not in _SHORTHAND:
+        raise ConfigurationError(
+            f"unknown measure {name!r}; use uniform_cube, std_normal, brownian_kl, "
+            f"or the kind=diffusion form"
+        )
+    keys, args = _SHORTHAND[name], rest.split(":") if rest else []
+    if len(args) > len(keys):
+        raise ConfigurationError(f"measure {text!r} has the extra part {args[len(keys)]!r}")
+    return _measure_from_fields(name, dict(zip(keys, args)))
 
 
 def _measure_from_fields(kind: str, fields: dict) -> MeasureSpec:
+    if kind not in _FIELDS:
+        raise ConfigurationError(f"unknown measure kind {kind!r}")
+    for key in fields:
+        if key not in _FIELDS[kind]:
+            raise ConfigurationError(f"measure kind={kind} reads no field {key!r}")
     try:
+        grid = Grid.uniform(int(fields["grid"])) if "grid" in fields else None
         if kind == "uniform_cube":
             return UniformCube(int(fields["d"]))
         if kind == "std_normal":
             return StdNormal(int(fields["d"]))
         if kind == "brownian_kl":
-            grid = Grid.uniform(int(fields["grid"])) if "grid" in fields else None
             return BrownianKL(int(fields.get("k_terms", 200)), grid)
-        if kind == "diffusion":
-            spec = diffusion_from_fields(fields)
-            grid = Grid.uniform(int(fields["grid"])) if "grid" in fields else None
-            return Diffusion(spec, int(fields["k_steps"]), grid)
+        return Diffusion(diffusion_from_fields(fields), int(fields["k_steps"]), grid)
     except KeyError as exc:
         raise ConfigurationError(f"measure kind={kind} missing field {exc}") from None
     except ValueError as exc:
         raise ConfigurationError(f"measure kind={kind}: {exc}") from None
-    raise ConfigurationError(f"unknown measure kind {kind!r}")
 
 
 def diffusion_from_fields(fields: dict) -> DiffusionSpec:
@@ -207,8 +209,8 @@ def load_experiment_config(path: str, seed: Optional[SeedSpec] = None):
     if grid is None and measure is not None and is_path_measure(measure):
         grid = measure.grid
     functional_measure = measure
-    if functional_measure is None and grid is not None:
-        functional_measure = BrownianKL(200, grid)
+    if functional_measure is None and grid is not None:  # f reads only its grid
+        functional_measure = BrownianKL(1, grid)
     functional = parse_functional(raw["functional"], functional_measure)
 
     ref_raw = raw.get("reference", {"kind": "mc", "budget": 1_000_000})

@@ -27,6 +27,9 @@ from .paths import Grid, kl_basis_on_grid, kl_eigenvalues
 # consecutive rows of one stream, so their size moves no draw: it bounds
 # memory and nothing else.
 _BLOCK_BYTES = 2**26
+# Bytes of the largest (k_terms, G) basis a BrownianKL may hold; every
+# BrownianKL checks it when it is built (see _check_kl_basis).
+_KL_BASIS_BYTES = 2**26
 # Bytes of the row tiles in which a stream's draws reach an estimate (see
 # _tiles).  Evaluating and building make tile-sized temporaries.  At 512 KiB
 # the tile temporaries were page-faulted afresh (about 40 times the minor
@@ -204,6 +207,7 @@ class BrownianKL:
             raise ConfigurationError("k_terms must be >= 1")
         if self.grid is None:
             object.__setattr__(self, "grid", Grid.uniform())
+        _check_kl_basis(self.k_terms, self.grid.size)
 
 
 @dataclass(frozen=True, eq=False)
@@ -281,13 +285,13 @@ def _kl_matrix(measure: BrownianKL) -> np.ndarray:
 
 def _check_kl_basis(k_terms: int, size: int) -> None:
     """Raise ``ConfigurationError`` when a k_terms-term basis on ``size`` grid
-    points would exceed _BLOCK_BYTES: a BrownianKL stream holds that basis
+    points would exceed _KL_BASIS_BYTES: a BrownianKL stream holds that basis
     (``_kl_matrix``) for its whole life.  Needs no grid to be built."""
     needed = 8 * k_terms * size
-    if needed > _BLOCK_BYTES:
+    if needed > _KL_BASIS_BYTES:
         raise ConfigurationError(
             f"a {k_terms}-term expansion on a {size}-point grid needs a "
-            f"{needed}-byte basis, more than the {_BLOCK_BYTES}-byte limit"
+            f"{needed}-byte basis, more than the {_KL_BASIS_BYTES}-byte limit"
         )
 
 

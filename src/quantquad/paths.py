@@ -193,17 +193,8 @@ def make_pl_subspace(breakpoints, grid: Optional[Grid] = None) -> Subspace:
         raise ConfigurationError("breakpoints must be strictly increasing")
     for b in bp:
         grid.index_of(b)  # raises if off-grid
-    k = bp.size
-    raw = np.empty((k, grid.size))
-    for j in range(k):
-        left = bp[j - 1] if j > 0 else bp[0]
-        right = bp[j + 1] if j < k - 1 else bp[-1]
-        xp, fp = [left, bp[j], right], [0.0, 1.0, 0.0]
-        if j == 0:
-            xp, fp = [bp[0], right], [1.0, 0.0]
-        elif j == k - 1:
-            xp, fp = [left, bp[-1]], [0.0, 1.0]
-        raw[j] = np.interp(grid.points, xp, fp)
+    # Hat j interpolates the j-th unit vector over the breakpoints.
+    raw = np.stack([np.interp(grid.points, bp, np.arange(bp.size) == j) for j in range(bp.size)])
     basis = _orthonormalize_rows(raw, grid)
     return Subspace(grid, basis, "piecewise-linear")
 

@@ -522,36 +522,41 @@ def _reseed_empty(centers, counts, pool_flat, distances):
     return centers
 
 
-def _stop(it, prev, cur, opts):
-    # None while the run goes on, else why it ended.
-    if prev is not None and prev - cur <= opts.tol * max(prev, 1e-300):
-        return "tol"
-    return "iters" if it == opts.iters else None
+def _lloyd_loop(centers, step, opts):
+    """One restart from ``centers``: (centers, history, stop, reseeds).
+
+    ``step(centers)`` gives their pool distortion and an update that
+    returns the next centers, empty cells reseeded, and the cell counts.
+    """
+    history, reseeds, prev = [], 0, None
+    for it in range(opts.iters + 1):
+        cur, update = step(centers)
+        if prev is not None and cur > prev:  # keep the pool distortion non-increasing
+            return prev_centers, history, "revert", reseeds
+        history.append(cur)
+        if prev is not None and prev - cur <= opts.tol * max(prev, 1e-300):
+            return centers, history, "tol", reseeds
+        if it == opts.iters:
+            return centers, history, "iters", reseeds
+        prev, prev_centers = cur, centers
+        centers, counts = update()
+        reseeds += int(np.count_nonzero(counts == 0))
 
 
 def _lloyd_run_general(pool, codebook, init_flat, opts, r):
     shape = pool.shape[1:]
     flat_pool = pool.reshape(pool.shape[0], -1)
-    centers = init_flat.copy()
-    history = []
-    reseeds = 0
-    prev = None
-    prev_centers = centers
-    for it in range(opts.iters + 1):
+
+    def step(centers):
         dists, labels = min_dist_batch(pool, codebook(centers.reshape((-1,) + shape)))
-        cur = float(np.mean(dists**r))
-        if prev is not None and cur > prev:
-            # Keep the pool distortion non-increasing.
-            centers, stop = prev_centers, "revert"
-            break
-        history.append(cur)
-        stop = _stop(it, prev, cur, opts)
-        if stop:
-            break
-        prev, prev_centers = cur, centers
-        centers, counts = _cell_update(flat_pool, labels, centers.shape[0], r)
-        reseeds += int(np.count_nonzero(counts == 0))
-        centers = _reseed_empty(centers, counts, flat_pool, lambda lo, hi: dists[lo:hi])
+
+        def update():
+            new, counts = _cell_update(flat_pool, labels, centers.shape[0], r)
+            return _reseed_empty(new, counts, flat_pool, lambda lo, hi: dists[lo:hi]), counts
+
+        return float(np.mean(dists**r)), update
+
+    centers, history, stop, reseeds = _lloyd_loop(init_flat.copy(), step, opts)
     return centers.reshape((-1,) + shape), history, stop, reseeds
 
 
@@ -710,39 +715,30 @@ def _lloyd_run_1d(flat, sums, init, opts, r):
     # Vector d=1 fast path: the cells of a sorted codebook are index ranges
     # of the sorted pool, so an iteration costs O(n log M + M / _BLOCK).
     M = flat.size
-    centers = np.sort(init)
-    history = []
-    reseeds = 0
-    prev = None
-    prev_centers = centers
-    for it in range(opts.iters + 1):
+
+    def step(centers):
         bounds = (centers[1:] + centers[:-1]) / 2.0
         splits = np.concatenate(([0], np.searchsorted(flat, bounds, side="right"), [M]))
         at = np.searchsorted(flat, centers) if r == 1 else None
         pieces = _pieces(sums, r, splits, [at] if r == 1 else [])
-        cur = _pool_power_sum(flat, pieces, centers, at, r) / M
-        if prev is not None and cur > prev:
-            centers, stop = prev_centers, "revert"
-            break
-        history.append(cur)
-        stop = _stop(it, prev, cur, opts)
-        if stop:
-            break
-        prev, prev_centers = cur, centers
-        counts = splits[1:] - splits[:-1]
-        filled = counts > 0
-        new = np.empty_like(centers)
-        if r == 2:
-            new[filled] = _cell_means(flat, pieces, splits, counts, filled)
-        else:
-            size = counts[filled]
-            mid = splits[:-1][filled] + (size - 1) // 2
-            low, upper = flat.take(mid), flat.take(mid + 1, mode="clip")
-            new[filled] = np.where(size % 2 == 1, low, (low + upper) / 2.0)
-        if not filled.all():
-            reseeds += centers.size - int(np.count_nonzero(filled))
+
+        def update():
+            counts = splits[1:] - splits[:-1]
+            filled = counts > 0
+            new = np.empty_like(centers)
+            if r == 2:
+                new[filled] = _cell_means(flat, pieces, splits, counts, filled)
+            else:
+                size = counts[filled]
+                mid = splits[:-1][filled] + (size - 1) // 2
+                low, upper = flat.take(mid), flat.take(mid + 1, mode="clip")
+                new[filled] = np.where(size % 2 == 1, low, (low + upper) / 2.0)
             _reseed_empty(new, counts, flat, _cell_distances(flat, splits, centers))
-        centers = np.sort(new)
+            return np.sort(new), counts
+
+        return _pool_power_sum(flat, pieces, centers, at, r) / M, update
+
+    centers, history, stop, reseeds = _lloyd_loop(np.sort(init), step, opts)
     return centers[:, None], history, stop, reseeds
 
 
@@ -828,7 +824,7 @@ def _mesh(axes) -> np.ndarray:
     return np.stack([g.ravel() for g in grids], axis=1)
 
 
-def uniform_midpoint_codebook(d: int, per_axis: int, r: float = 2.0) -> Codebook:
+def uniform_midpoint_codebook(d: int, per_axis: int) -> Codebook:
     """Product-of-midpoints codebook for the uniform cube, with exact weights.
 
     Each axis gets the points (2i-1)/(2 per_axis); every cell carries the
@@ -846,7 +842,7 @@ def uniform_midpoint_codebook(d: int, per_axis: int, r: float = 2.0) -> Codebook
     weights[0] += 1.0 - weights.sum()
     return Codebook(
         points,
-        float(r),
+        2.0,
         NormKind.EUCLIDEAN,
         f"uniform_cube:{d}",
         weights=weights,

@@ -536,6 +536,18 @@ def _exit_code_rows():
         (("rates", "--config", "{blowup}", "--out-dir", "{out}"),
          2, "non-finite state at step 2"),
     ]
+    # Every expansion measure checks its basis before building it, and a
+    # measure spec reads every part it is given.
+    rows += [
+        (mc[:4] + (spec,) + mc[5:] + ("100",), 1, fragment)
+        for spec, fragment in [
+            ("brownian_kl:5000:20001", "needs a 800040000-byte basis"),
+            ("uniform_cube:2:9", "the extra part '9'"),
+            ("std_normal:1:x", "the extra part 'x'"),
+            ("brownian_kl:20:33:7", "the extra part '7'"),
+            ("kind=uniform_cube d=2 extra=1", "reads no field 'extra'"),
+        ]
+    ]
     # A measure must fit the codebook's points before any check draws.
     rows += [
         (gap[:6] + ("uniform_cube:2", "--samples", "1000"),

@@ -1,4 +1,5 @@
 import math
+import multiprocessing
 import threading
 import time
 import warnings
@@ -103,6 +104,20 @@ class TestBrownianKL:
     def test_zero_terms_rejected(self):
         with pytest.raises(ConfigurationError):
             BrownianKL(0)
+
+    def test_a_basis_over_64_mib_is_rejected_before_it_is_built(self):
+        # 2048 terms on 4096 points take 64 MiB exactly; building either
+        # measure's basis would take at least that.
+        grid, finer = Grid.uniform(4096), Grid.uniform(4097)
+
+        def build():
+            assert BrownianKL(2048, grid).k_terms == 2048
+            with pytest.raises(ConfigurationError, match="needs a 67125248-byte basis"):
+                BrownianKL(2048, finer)
+            with pytest.raises(ConfigurationError, match="needs a 800040000-byte basis"):
+                BrownianKL(5000, Grid.uniform(20001))
+
+        assert traced_peak(build) < 2**20
 
 
 def _one_euler_path(spec, k, seed):
@@ -1092,6 +1107,34 @@ class TestDrawAhead:
         assert len(threads) == 2 * (4 + 4 + 4)  # per stream: 4 blocks, 4 kernels, 4 tiles
         workers = {thread for _, thread in log}
         assert len(workers) == 1 and threading.get_ident() not in workers
+
+    def test_a_forked_child_starts_its_own_worker(self):
+        # A forked child has no worker thread.  Without the fork hook its
+        # first draw-ahead stream waits for the parent's worker forever, so
+        # the child is killed if it does not answer in time.
+        from quantquad.paths import sup_norm_functional
+
+        measure, seed, sup = self._measure(1), SeedSpec(52), sup_norm_functional()
+        want = reference_value(sup, measure, 1000, seed).value
+        assert measures._drawer is not None
+        context = multiprocessing.get_context("fork")
+        reader, writer = context.Pipe(duplex=False)
+        child = context.Process(
+            target=lambda: writer.send(reference_value(sup, measure, 1000, seed).value)
+        )
+        child.start()
+        try:
+            answered = reader.poll(30)
+            assert answered, "the forked child's stream did not finish in 30 s"
+            assert reader.recv() == want
+        finally:
+            child.join(5)
+            if child.is_alive():
+                child.kill()
+                child.join()
+            reader.close()
+            writer.close()
+        assert child.exitcode == 0
 
     def test_memory_is_one_increments_block_and_one_output_block(self):
         # Three blocks of 2049-step paths: the (2, half, k-1, 1) buffer holds

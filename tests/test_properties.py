@@ -1,23 +1,29 @@
-"""Layout properties of the one Monte Carlo estimator, under hypothesis.
+"""Properties under hypothesis: estimator layouts, measure tags, codebook files.
 
 ``measures._Moments`` folds a stream's values in chunks of _CHUNK draws
 from each run's first draw, so no mean or stderr depends on how the
 stream is cut into blocks, tiles or pieces, and a run of at most one
-chunk has numpy's mean and std(ddof=1) / sqrt(n).  Layouts and values are
-drawn at random; ``derandomize`` makes every run check the same examples.
+chunk has numpy's mean and std(ddof=1) / sqrt(n).  A measure's tag parses
+back to the measure, and a codebook file gives back its codebook bit for
+bit.  Layouts and values are drawn at random; ``derandomize`` makes every
+run check the same examples.
 """
 import math
+import os
+import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from quantquad import measures
-from quantquad.measures import SeedSpec, UniformCube
-from quantquad.paths import Functional
+from quantquad.config import parse_measure
+from quantquad.measures import BrownianKL, SeedSpec, StdNormal, UniformCube, measure_tag
+from quantquad.paths import Functional, Grid, NormKind
 from quantquad.quadrature import classical_mc, classical_mc_replicated
-from quantquad.quantize import distortion, uniform_midpoint_codebook
+from quantquad.quantize import Codebook, distortion, uniform_midpoint_codebook
+from quantquad.storage import load_codebook, save_codebook
 
 _CHUNK = measures._CHUNK
 _SEEDS = st.integers(0, 2**32 - 1)
@@ -95,3 +101,56 @@ def test_block_and_tile_bytes_move_no_estimate(default_layout, block_rows, tile_
         finally:
             measures._held = None
     np.testing.assert_array_equal(got, default_layout)
+
+
+_MEASURES = st.one_of(
+    st.builds(UniformCube, st.integers(1, 50)),
+    st.builds(StdNormal, st.integers(1, 50)),
+    st.builds(BrownianKL, st.integers(1, 300), st.builds(Grid.uniform, st.integers(2, 600))),
+)
+
+
+@_examples(60)
+@given(_MEASURES)
+def test_a_measure_tag_parses_back_to_its_measure(measure):
+    parsed = parse_measure(measure_tag(measure))
+    assert type(parsed) is type(measure)
+    if isinstance(measure, BrownianKL):
+        assert parsed.k_terms == measure.k_terms
+        assert np.array_equal(parsed.grid.points, measure.grid.points)
+    else:
+        assert parsed == measure
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False, width=64)
+
+
+@_examples(40)
+@given(
+    st.integers(1, 5), st.integers(1, 3), st.sampled_from([None, 2, 5]),
+    st.floats(0.1, 10.0), st.data(),
+)
+def test_a_codebook_file_gives_back_its_codebook_bit_for_bit(n, m, grid_size, r, data):
+    # Vector codebooks of n points in R^m, or path codebooks of n paths of
+    # m components on a uniform grid, each with weights.
+    shape = (n, m) if grid_size is None else (n, grid_size, m)
+    points = np.array(data.draw(st.lists(_FINITE, min_size=math.prod(shape),
+                                         max_size=math.prod(shape)))).reshape(shape)
+    assume(np.unique(points.reshape(n, -1), axis=0).shape[0] == n)
+    weights = np.array(data.draw(st.lists(st.floats(1e-3, 1.0), min_size=n, max_size=n)))
+    weights /= weights.sum()
+    weights[int(np.argmax(weights))] += 1.0 - weights.sum()
+    grid = None if grid_size is None else Grid.uniform(grid_size)
+    norm = NormKind.EUCLIDEAN if grid is None else NormKind.L2
+    cb = Codebook(points, r, norm, "tag", grid=grid, weights=weights, oracle_dim=m)
+    with tempfile.TemporaryDirectory() as directory:
+        path = os.path.join(directory, "cb.csv")
+        save_codebook(cb, path)
+        back = load_codebook(path)
+    assert back.points.tobytes() == cb.points.tobytes()
+    assert back.points.shape == cb.points.shape
+    assert back.weights.tobytes() == cb.weights.tobytes()
+    assert (back.order_r, back.norm, back.measure_tag, back.oracle_dim) == (r, norm, "tag", m)
+    assert (back.grid is None) == (grid is None)
+    if grid is not None:
+        assert back.grid.points.tobytes() == grid.points.tobytes()
