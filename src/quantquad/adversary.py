@@ -34,7 +34,6 @@ from .measures import (
     _Moments,
     _stream,
     _tiles,
-    measure_grid,
 )
 from .paths import Functional, Grid, NormKind, Subspace, batch_norm, batch_project
 from .quantize import Codebook, _all_point_distances, min_dist_batch
@@ -354,8 +353,7 @@ def lipschitz_check(
         raise ConfigurationError("lipschitz_check needs at least 100 pairs")
     if not math.isfinite(f.lip_claim):
         raise ConfigurationError("Lipschitz claim must be finite")
-    grid = measure_grid(measure)
-    norm_kind = NormKind.EUCLIDEAN if grid is None else NormKind.SUP
+    norm_kind = NormKind.EUCLIDEAN if measure.grid is None else NormKind.SUP
     bump_rng = seed.child(2).rng()
     max_ratio = 0.0
     # The two streams of one measure have the same tiles; the bumps are
@@ -370,7 +368,7 @@ def lipschitz_check(
             bumped = xs + _BUMP_SCALE * bump_rng.standard_normal(xs.shape)
             fbumped = _evaluated(f, bumped, start, "seed.child(0), bumped")
             for b, fb in ((ys, fy), (bumped, fbumped)):
-                dist = batch_norm(xs - b, norm_kind, grid)
+                dist = batch_norm(xs - b, norm_kind, measure.grid)
                 ok = dist > 0
                 if np.any(ok):
                     ratios = np.abs(fx[ok] - fb[ok]) / dist[ok]

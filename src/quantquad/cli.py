@@ -35,11 +35,9 @@ from .measures import (
     _check_kl_basis,
     BrownianKL,
     Diffusion,
-    UniformCube,
-    is_path_measure,
-    measure_grid,
     measure_tag,
     reference_value,
+    sample_shape,
 )
 from .paths import Grid, check_kl_dim, make_kl_subspace
 from .quadrature import (
@@ -115,7 +113,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--budget", type=int, default=None, help="cost budget N")
     p.add_argument("--alpha", type=float, default=2.0, help="small-ball exponent")
     p.add_argument("--beta", type=float, default=0.0, help="small-ball log exponent")
-    p.add_argument("--grid", type=int, default=None)
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("adversary", parents=[common], help="lower-bound checks")
@@ -190,67 +187,56 @@ def _cmd_quantize(args) -> int:
 def _cmd_quad(args) -> int:
     seed = parse_seed(args.seed)
     measure = parse_measure(args.measure) if args.measure else None
-    grid = Grid.uniform(args.grid) if args.grid else None
     codebook = load_codebook(args.codebook) if args.codebook else None
-    functional_measure = measure
-    if functional_measure is None and codebook is not None:  # the codebook's space
-        functional_measure = UniformCube(codebook.points.shape[1])
-        if codebook.grid is not None:
-            functional_measure = BrownianKL(1, codebook.grid)  # f reads only its grid
-    if codebook is not None and measure is not None:  # f reads draws and points
-        grid = measure_grid(measure)
-        m = measure.spec.m if isinstance(measure, Diffusion) else 1
-        _check_fits((measure.d,) if grid is None else (grid.size, m), codebook)
-    f = parse_functional(args.functional, functional_measure)
-
-    echo_extra = {}
-    if args.algo == "voronoi":
-        if codebook is None:
-            raise ConfigurationError("voronoi needs --codebook")
-        result = voronoi_quadrature(codebook, f)
-    elif args.algo == "mc":
-        if measure is None or args.n is None:
-            raise ConfigurationError("mc needs --measure and --n")
-        result = classical_mc(measure, f, args.n, seed)
-    elif args.algo == "vrmc":
-        if codebook is None or measure is None or args.n is None:
-            raise ConfigurationError("vrmc needs --codebook, --measure and --n")
-        result = vr_mc(codebook, measure, f, args.n, seed)
-    elif args.algo == "euler":
+    # Build the measure the run samples first: f reads its space.
+    n, echo_extra = args.n, {}
+    if args.algo in ("voronoi", "vrmc") and codebook is None:
+        raise ConfigurationError(f"{args.algo} needs --codebook")
+    if args.algo in ("mc", "vrmc") and (measure is None or n is None):
+        raise ConfigurationError(f"{args.algo} needs --measure and --n")
+    if args.algo == "euler":
         if not isinstance(measure, Diffusion):
             raise ConfigurationError("euler needs a kind=diffusion measure")
-        n, k = args.n, args.k
+        k = measure.k_steps if args.k is None else args.k
         if args.budget is not None:
             n, k = euler_mc_schedule(args.budget)
-            echo_extra["scheduled_n"] = n
-            echo_extra["scheduled_k"] = k
-        if n is None or k is None:
-            k = k if k is not None else measure.k_steps
-            if n is None:
-                raise ConfigurationError("euler needs --n (or --budget)")
-        result = classical_mc(Diffusion(measure.spec, k, grid or measure.grid), f, n, seed)
-    else:  # gauss-sub
+            echo_extra.update(scheduled_n=n, scheduled_k=k)
+        if n is None:
+            raise ConfigurationError("euler needs --n (or --budget)")
+        measure = Diffusion(measure.spec, k, measure.grid)
+    elif args.algo == "gauss-sub":
         profile = SmallBallProfile(args.alpha, args.beta)
-        n, k = args.n, args.k
+        k = args.k
         if args.budget is not None:
             n, k = subspace_mc_schedule(args.budget, profile)
-            echo_extra["scheduled_n"] = n
-            echo_extra["scheduled_k"] = k
+            echo_extra.update(scheduled_n=n, scheduled_k=k)
         if n is None or k is None:
             raise ConfigurationError("gauss-sub needs --n and --k (or --budget)")
-        if grid is None and isinstance(measure, BrownianKL):
-            grid = measure.grid
-        size = grid.size if grid is not None else 257
+        grid = measure.grid if isinstance(measure, BrownianKL) else None
         if grid is None:
             # a k-term subspace needs more than k grid points; double up
+            size = 257
             while size <= 2 * k:
                 size = 2 * (size - 1) + 1
-        _check_kl_basis(k, size)
-        if grid is None:
+            _check_kl_basis(k, size)  # before the grid is built
             grid = Grid.uniform(size)
             echo_extra["grid"] = size
         check_kl_dim(k, grid)
-        result = classical_mc(BrownianKL(k, grid), f, n, seed)
+        measure = BrownianKL(k, grid)
+    if codebook is not None and measure is not None:  # f reads draws and points
+        _check_fits(sample_shape(measure), codebook)
+    if measure is not None:
+        space = measure.grid or measure.d
+    else:  # voronoi reads the codebook's space
+        space = codebook.grid or codebook.points.shape[1]
+    f = parse_functional(args.functional, space)
+
+    if args.algo == "voronoi":
+        result = voronoi_quadrature(codebook, f)
+    elif args.algo == "vrmc":
+        result = vr_mc(codebook, measure, f, n, seed)
+    else:
+        result = classical_mc(measure, f, n, seed)
 
     payload = {
         "estimate": result.estimate,
@@ -288,7 +274,7 @@ def _cmd_adversary(args) -> int:
         if not (args.functional and args.measure):
             raise ConfigurationError("lipschitz needs --functional and --measure")
         measure = parse_measure(args.measure)
-        f = parse_functional(args.functional, measure)
+        f = parse_functional(args.functional, measure.grid or measure.d)
         if args.lip_claim is not None:
             f.lip_claim = args.lip_claim
         report = lipschitz_check(f, measure, args.pairs, seed)
@@ -350,7 +336,7 @@ def _cmd_rates(args) -> int:
 def _cmd_widths(args) -> int:
     seed = parse_seed(args.seed)
     measure = parse_measure(args.measure)
-    if not is_path_measure(measure):
+    if measure.grid is None:
         raise ConfigurationError("widths needs a path measure")
     norm = parse_norm(args.norm)
     try:

@@ -9,7 +9,7 @@ from __future__ import annotations
 import json
 import math
 import re
-from typing import Optional
+from typing import Optional, Union
 
 from .errors import ConfigurationError
 from .measures import (
@@ -24,7 +24,6 @@ from .measures import (
     SeedSpec,
     StdNormal,
     UniformCube,
-    is_path_measure,
 )
 from .paths import (
     Functional,
@@ -136,17 +135,18 @@ def diffusion_from_fields(fields: dict) -> DiffusionSpec:
 _FUNCTIONAL_RE = re.compile(r"^([a-z0-9_]+)(?:\((.*)\))?$")
 
 
-def parse_functional(text: str, measure: Optional[MeasureSpec]) -> Functional:
-    """Resolve a built-in functional name against the measure's space.
+def parse_functional(text: str, space: Union[Grid, int, None]) -> Functional:
+    """Resolve a built-in functional name against the space it reads.
 
-    Built-ins: coord_at(t), abs_coord_at(t), sup_norm, l1_integral,
-    dist_to_codebook(file).
+    ``space`` is a Grid for paths, a dimension d for vectors, or None (any
+    vector index).  Built-ins: coord_at(t), abs_coord_at(t), sup_norm,
+    l1_integral, dist_to_codebook(file).
     """
     match = _FUNCTIONAL_RE.match(text.strip())
     if not match:
         raise ConfigurationError(f"bad functional expression {text!r}")
     name, arg = match.group(1), match.group(2)
-    pathlike = measure is not None and is_path_measure(measure)
+    grid = space if isinstance(space, Grid) else None
     if name in ("coord_at", "abs_coord_at"):
         try:
             value = float(arg)
@@ -156,9 +156,9 @@ def parse_functional(text: str, measure: Optional[MeasureSpec]) -> Functional:
                 f"{name} needs a finite numeric argument, got {arg!r}"
             ) from None
         absolute = name == "abs_coord_at"
-        if pathlike:
-            return path_coord_functional(value, measure.grid, absolute)
-        d = measure.d if measure is not None else math.inf
+        if grid is not None:
+            return path_coord_functional(value, grid, absolute)
+        d = math.inf if space is None else space
         if index != value or not 0 <= index < d:
             raise ConfigurationError(
                 f"{name}({arg}) needs an integer coordinate index in [0, {d})"
@@ -167,9 +167,9 @@ def parse_functional(text: str, measure: Optional[MeasureSpec]) -> Functional:
     if name == "sup_norm":
         return sup_norm_functional()
     if name == "l1_integral":
-        if not pathlike:
+        if grid is None:
             raise ConfigurationError("l1_integral needs a path measure")
-        return l1_integral_functional(measure.grid)
+        return l1_integral_functional(grid)
     if name == "dist_to_codebook":
         if arg is None:
             raise ConfigurationError("dist_to_codebook needs a codebook file")
@@ -183,13 +183,20 @@ def parse_norm(text: str) -> NormKind:
     return NormKind.parse(text)
 
 
+_CONFIG_KEYS = {  # the keys a config reads, at the top level ("") and in each entry
+    "": "name algorithm measure functional ladder replications reference slope_bracket "
+        "transform codebooks diffusion profile grid seed",
+    "reference": "kind value budget k_ref n_ref",
+    "codebooks": "kind paths weight_samples r",
+    "diffusion": "drift diffusion u0 m",
+    "profile": "alpha beta",
+}
+
+
 def load_experiment_config(path: str, seed: Optional[SeedSpec] = None):
     """Build a RateExperimentConfig from a JSON file.
 
-    Keys: name, algorithm, measure, functional, ladder, replications,
-    reference {kind, value|budget|k_ref+n_ref}, slope_bracket [lo, hi],
-    transform, codebooks {kind, ...}, diffusion {...}, profile {alpha,
-    beta}, grid, seed.
+    Reads the keys of ``_CONFIG_KEYS`` and rejects any other key.
     """
     from .experiments import RateExperimentConfig
     from .quadrature import SmallBallProfile
@@ -198,6 +205,11 @@ def load_experiment_config(path: str, seed: Optional[SeedSpec] = None):
 
     with open(path) as handle:
         raw = json.load(handle)
+    for level, keys in _CONFIG_KEYS.items():
+        for key in raw.get(level, {}) if level else raw:
+            if key not in keys.split():
+                name = f"{level}.{key}" if level else key
+                raise ConfigurationError(f"{path}: unknown config key {name!r}")
     try:
         algorithm = raw["algorithm"]
         ladder = tuple(int(v) for v in raw["ladder"])
@@ -205,13 +217,12 @@ def load_experiment_config(path: str, seed: Optional[SeedSpec] = None):
         raise ConfigurationError(f"{path}: missing config key {exc}") from None
 
     measure = parse_measure(raw["measure"]) if "measure" in raw else None
-    grid = Grid.uniform(int(raw["grid"])) if "grid" in raw else None
-    if grid is None and measure is not None and is_path_measure(measure):
-        grid = measure.grid
-    functional_measure = measure
-    if functional_measure is None and grid is not None:  # f reads only its grid
-        functional_measure = BrownianKL(1, grid)
-    functional = parse_functional(raw["functional"], functional_measure)
+    grid = Grid.uniform(int(raw["grid"])) if "grid" in raw else getattr(measure, "grid", None)
+    if algorithm in ("euler", "gauss-sub"):  # f reads the grid the rungs sample
+        space = grid = grid or Grid.uniform()
+    else:
+        space = None if measure is None else measure.grid or measure.d
+    functional = parse_functional(raw["functional"], space)
 
     ref_raw = raw.get("reference", {"kind": "mc", "budget": 1_000_000})
     kind = ref_raw["kind"]

@@ -25,7 +25,6 @@ from .measures import (
     SeedSpec,
     _Moments,
     _stream,
-    is_path_measure,
     reference_value,
 )
 from .paths import (
@@ -72,6 +71,16 @@ class RateFit:
 _TRANSFORMS = ("loglog", "loglog-in-log")
 
 
+def _fit_coords(points: Sequence[RatePoint], transform: str):
+    """(ln(size) or ln(ln(size)), ln(error)) of the points with positive error."""
+    usable = [p for p in points if p.error > 0]
+    sizes = np.array([p.size for p in usable])
+    if transform == "loglog-in-log" and np.any(sizes <= 1.0):
+        raise ConfigurationError("loglog-in-log needs sizes > 1")
+    x = np.log(sizes) if transform == "loglog" else np.log(np.log(sizes))
+    return x, np.log(np.array([p.error for p in usable]))
+
+
 def rate_fit(points: Sequence[RatePoint], transform: str = "loglog") -> RateFit:
     """Least squares on transformed coordinates.
 
@@ -81,25 +90,20 @@ def rate_fit(points: Sequence[RatePoint], transform: str = "loglog") -> RateFit:
     """
     if transform not in _TRANSFORMS:
         raise ConfigurationError(f"unknown transform {transform!r}")
-    usable = [p for p in points if p.error > 0]
-    if len(usable) < len(points):
+    x, y = _fit_coords(points, transform)
+    if x.size < len(points):
         warnings.warn(
-            f"rate_fit dropped {len(points) - len(usable)} zero-error point(s)",
+            f"rate_fit dropped {len(points) - x.size} zero-error point(s)",
             stacklevel=2,
         )
-    if len(usable) < 4:
+    if x.size < 4:
         raise ConfigurationError("rate_fit needs at least 4 positive points")
-    sizes = np.array([p.size for p in usable])
-    if transform == "loglog-in-log" and np.any(sizes <= 1.0):
-        raise ConfigurationError("loglog-in-log needs sizes > 1")
-    x = np.log(sizes) if transform == "loglog" else np.log(np.log(sizes))
-    y = np.log(np.array([p.error for p in usable]))
     slope, intercept = np.polyfit(x, y, 1)
     fitted = slope * x + intercept
     ss_res = float(np.sum((y - fitted) ** 2))
     ss_tot = float(np.sum((y - y.mean()) ** 2))
     r2 = 1.0 if ss_tot == 0.0 and ss_res < 1e-24 else 1.0 - ss_res / max(ss_tot, 1e-300)
-    return RateFit(float(slope), float(intercept), r2, transform, len(usable))
+    return RateFit(float(slope), float(intercept), r2, transform, x.size)
 
 
 # ---------------------------------------------------------------------------
@@ -140,7 +144,7 @@ def width_estimate(
     """
     if not 0 < p < math.inf:
         raise ConfigurationError("order p must be positive and finite")
-    if not is_path_measure(measure):
+    if measure.grid is None:
         raise ConfigurationError("width_estimate expects a path measure")
 
     def distances(batch):

@@ -175,6 +175,7 @@ def gbm_spec(drift_rate: float, vol_rate: float, u0: float = 1.0) -> DiffusionSp
 @dataclass(frozen=True)
 class UniformCube:
     d: int
+    grid = None  # a vector measure: no grid
 
     def __post_init__(self):
         if self.d < 1:
@@ -184,6 +185,7 @@ class UniformCube:
 @dataclass(frozen=True)
 class StdNormal:
     d: int
+    grid = None
 
     def __post_init__(self):
         if self.d < 1:
@@ -226,14 +228,6 @@ class Diffusion:
 MeasureSpec = Union[UniformCube, StdNormal, BrownianKL, Diffusion]
 
 
-def is_path_measure(measure: MeasureSpec) -> bool:
-    return isinstance(measure, (BrownianKL, Diffusion))
-
-
-def measure_grid(measure: MeasureSpec) -> Optional[Grid]:
-    return measure.grid if is_path_measure(measure) else None
-
-
 def oracle_dim(measure: MeasureSpec) -> int:
     """Dimension of the subspace the measure's samples live in.
 
@@ -257,6 +251,13 @@ def measure_tag(measure: MeasureSpec) -> str:
     if isinstance(measure, BrownianKL):
         return f"brownian_kl:{measure.k_terms}:{measure.grid.size}"
     return f"diffusion:k_steps={measure.k_steps}"
+
+
+def sample_shape(measure: MeasureSpec) -> tuple:
+    """Shape of one draw: (d,) for a vector, (G, m) for a path on G points."""
+    if measure.grid is None:
+        return (measure.d,)
+    return (measure.grid.size, measure.spec.m if isinstance(measure, Diffusion) else 1)
 
 
 def rng_calls_per_sample(measure: MeasureSpec) -> int:

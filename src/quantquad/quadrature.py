@@ -40,9 +40,10 @@ from .measures import (
     _stream,
     oracle_dim,
     rng_calls_per_sample,
+    sample_shape,
 )
 from .paths import Functional
-from .quantize import Codebook, min_dist_batch
+from .quantize import Codebook, _check_fits, min_dist_batch
 
 
 @dataclass(frozen=True)
@@ -146,6 +147,7 @@ def _mc_values(
     if codebook is not None:
         if codebook.weights is None:
             raise ConfigurationError("vr_mc needs codebook weights")
+        _check_fits(sample_shape(measure), codebook)  # before f reads the points
         f_at_points = f(codebook.points)
         voronoi_part = float(f_at_points @ codebook.weights)
 

@@ -30,7 +30,6 @@ from .measures import (
     _block_rows,
     _Moments,
     _stream,
-    measure_grid,
     measure_tag,
     oracle_dim,
     sample_batch,
@@ -769,7 +768,7 @@ def lloyd(
     if r not in (1, 2):
         raise ConfigurationError("centroid updates support r in {1, 2}")
     opts = opts or LloydOptions()
-    grid = measure_grid(measure)
+    grid = measure.grid
     if norm is None:
         norm = NormKind.EUCLIDEAN if grid is None else NormKind.L2
     check_norm_space(norm, grid)

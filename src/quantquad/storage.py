@@ -15,6 +15,7 @@ import tempfile
 import numpy as np
 
 from .errors import ConfigurationError
+from .experiments import _fit_coords
 from .paths import Grid, NormKind
 from .quantize import Codebook
 
@@ -194,10 +195,6 @@ def write_plot_data_csv(path: str, report):
     """Transformed coordinates for downstream plotting; no plotting here."""
     fit = report.fit
     lines = ["x,y,fitted"]
-    for p in report.points:
-        if p.error <= 0:
-            continue
-        x = np.log(p.size) if fit.transform == "loglog" else np.log(np.log(p.size))
-        y = np.log(p.error)
+    for x, y in zip(*_fit_coords(report.points, fit.transform)):
         lines.append(f"{x!r},{y!r},{fit.slope * x + fit.intercept!r}")
     atomic_write(path, "\n".join(lines) + "\n")

@@ -222,6 +222,31 @@ class TestCliQuad:
         assert record["config"]["grid"] == 2049
         assert record["oracle_cost"] == 9210
 
+    def test_gauss_sub_path_functional_without_measure(self, tmp_path):
+        # coord_at(1.0) reads the doubled grid the run samples, not a vector.
+        out = str(tmp_path / "gs.json")
+        code = run(
+            "quad", "--algo", "gauss-sub", "--functional", "coord_at(1.0)",
+            "--budget", "10000", "--out", out,
+        )
+        assert code == 0
+        record = json.load(open(out))
+        assert record["config"]["grid"] == 2049
+        assert math.isfinite(record["estimate"])
+
+    def test_euler_reads_the_measure_grid(self, tmp_path):
+        # On grid=513, t = 0.5 is point 256, so the mean is E|W(0.5)| = 1/sqrt(pi).
+        out = str(tmp_path / "e.json")
+        code = run(
+            "quad", "--algo", "euler", "--measure",
+            "kind=diffusion drift=constant:0 diffusion=constant:1 u0=0 k_steps=9 grid=513",
+            "--functional", "abs_coord_at(0.5)", "--n", "20000", "--seed", "1",
+            "--out", out,
+        )
+        assert code == 0
+        record = json.load(open(out))
+        assert abs(record["estimate"] - 1.0 / math.sqrt(math.pi)) <= 4.0 * record["stderr"]
+
     def test_seed_defaults_to_zero(self, tmp_path):
         out = str(tmp_path / "noseed.json")
         code = run(
@@ -354,6 +379,44 @@ class TestCliRatesAndWidths:
             tags[label] = [l for l in text.splitlines() if l.startswith("# seed=")]
         assert tags["flag0"] == ["# seed=0:0"]
         assert tags["config"] == ["# seed=11:0"]
+
+    @pytest.mark.parametrize(
+        "algorithm, ladder, entry, value",
+        [
+            ("euler", [100, 200, 400, 800],
+             {"diffusion": {"drift": "linear:0.1", "diffusion": "linear:0.2", "u0": 1}},
+             math.exp(0.1)),
+            ("gauss-sub", [300, 400, 500, 600], {}, 0.0),
+        ],
+        ids=["euler", "gauss-sub"],
+    )
+    def test_path_ladder_without_grid_or_measure(self, tmp_path, algorithm, ladder, entry,
+                                                 value):
+        # coord_at(1.0) reads the default grid the rungs sample.
+        config = {
+            "name": algorithm, "algorithm": algorithm, "functional": "coord_at(1.0)",
+            "ladder": ladder, "replications": 10,
+            "reference": {"kind": "analytic", "value": value}, **entry,
+        }
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        out_dir = str(tmp_path / "out")
+        assert run("rates", "--config", str(cfg), "--out-dir", out_dir) == 0
+        assert os.path.exists(os.path.join(out_dir, f"{algorithm}.csv"))
+
+    def test_ladder_functional_reads_the_grid_key(self, tmp_path):
+        # The rungs sample the 513-point "grid", not the measure's 257
+        # points, so t = 0.5 is point 256 of 513.
+        from quantquad.config import load_experiment_config
+
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "algorithm": "euler", "grid": 513, "functional": "abs_coord_at(0.5)",
+            "measure": "kind=diffusion drift=constant:0 diffusion=constant:1 u0=0 k_steps=9",
+            "ladder": [100, 200, 400, 800],
+        }))
+        config = load_experiment_config(str(cfg))
+        assert config.functional(Grid.uniform(513).points[None, :, None]).tolist() == [0.5]
 
     def test_widths_output(self, tmp_path):
         out = str(tmp_path / "w.csv")
@@ -548,6 +611,18 @@ def _exit_code_rows():
             ("kind=uniform_cube d=2 extra=1", "reads no field 'extra'"),
         ]
     ]
+    # quad has no --grid: a run's grid is its measure's.
+    rows += [
+        (euler + (sde.format("linear:0.1", "linear:0.2"), "--n", "100", "--grid", "513"),
+         1, "unrecognized arguments: --grid"),
+    ]
+    # A rates config holds only keys the loader reads; see _UNREAD_KEYS.
+    rows += [
+        (("rates", "--config", "{typo}", "--out-dir", "{out}"),
+         1, "unknown config key 'replication'"),
+        (("rates", "--config", "{bogus}", "--out-dir", "{out}"),
+         1, "unknown config key 'diffusion.k_steps'"),
+    ]
     # A measure must fit the codebook's points before any check draws.
     rows += [
         (gap[:6] + ("uniform_cube:2", "--samples", "1000"),
@@ -568,6 +643,24 @@ def _exit_code_rows():
          "--measure", _BLOW_UP, "--samples", "300"),
     ]]
     return rows
+
+
+# Rate configs that would run but for one key the loader does not read: a
+# top-level typo of "replications", and a "diffusion" entry with fields of
+# a measure spec.
+_UNREAD_KEYS = {
+    "typo": {
+        "algorithm": "mc", "measure": "uniform_cube:1", "functional": "abs_coord_at(0)",
+        "ladder": [4, 8, 16, 32], "replication": 5,
+        "reference": {"kind": "analytic", "value": 0.5},
+    },
+    "bogus": {
+        "algorithm": "euler", "functional": "sup_norm", "ladder": [100, 200, 400, 800],
+        "reference": {"kind": "analytic", "value": 1.0},
+        "diffusion": {"drift": "constant:0", "diffusion": "constant:1", "u0": 1,
+                      "k_steps": 99, "bogus": 3},
+    },
+}
 
 
 # A diffusion whose Euler states overflow at step 2.
@@ -618,6 +711,10 @@ class TestCliExitCodes:
                 "reference": {"kind": "euler", "k_ref": 11, "n_ref": 300},
                 "diffusion": {"drift": "linear:1e300", "diffusion": "linear:0.2", "u0": 1},
             }, dst)
+        for name, config in _UNREAD_KEYS.items():
+            files[name] = str(tmp_path / f"{name}.json")
+            with open(files[name], "w") as dst:
+                json.dump(config, dst)
         out = tmp_path / "out"
         if "{out}" not in argv:
             argv += ("--out", "{out}")

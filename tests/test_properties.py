@@ -4,9 +4,10 @@
 from each run's first draw, so no mean or stderr depends on how the
 stream is cut into blocks, tiles or pieces, and a run of at most one
 chunk has numpy's mean and std(ddof=1) / sqrt(n).  A measure's tag parses
-back to the measure, and a codebook file gives back its codebook bit for
-bit.  Layouts and values are drawn at random; ``derandomize`` makes every
-run check the same examples.
+back to the measure, a codebook file gives back its codebook bit for bit,
+and coord_at(t) at a grid time t reads that grid point.  Layouts and
+values are drawn at random; ``derandomize`` makes every run check the same
+examples.
 """
 import math
 import os
@@ -18,7 +19,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from quantquad import measures
-from quantquad.config import parse_measure
+from quantquad.config import parse_functional, parse_measure
 from quantquad.measures import BrownianKL, SeedSpec, StdNormal, UniformCube, measure_tag
 from quantquad.paths import Functional, Grid, NormKind
 from quantquad.quadrature import classical_mc, classical_mc_replicated
@@ -154,3 +155,14 @@ def test_a_codebook_file_gives_back_its_codebook_bit_for_bit(n, m, grid_size, r,
     assert (back.grid is None) == (grid is None)
     if grid is not None:
         assert back.grid.points.tobytes() == grid.points.tobytes()
+
+
+@_examples(60)
+@given(st.data())
+def test_coord_at_a_grid_time_reads_that_point(data):
+    # float(): the repr of a numpy scalar, np.float64(0.0), does not parse.
+    size = data.draw(st.integers(2, 2049), "G")
+    grid = Grid.uniform(size)
+    t = float(grid.points[data.draw(st.integers(0, size - 1), "i")])
+    f = parse_functional(f"coord_at({t!r})", grid)
+    assert f(grid.points[None, :, None]).tolist() == [t]

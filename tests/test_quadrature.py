@@ -151,6 +151,15 @@ class TestVrMc:
         mc = classical_mc(measure, f, 300, SeedSpec(12))
         assert res.cost.arithmetic_proxy - cb.n == mc.cost.arithmetic_proxy
 
+    def test_codebook_must_fit_the_measure_before_f_reads_points(self):
+        # f reads coordinate 1, which the 1-D points lack.
+        cb, f = uniform_midpoint_codebook(1, 4), Functional(lambda v: v[:, 1])
+        message = r"samples of shape \(2,\) do not fit codebook points of shape \(1,\)"
+        with pytest.raises(ConfigurationError, match=message):
+            vr_mc(cb, UniformCube(2), f, 100, SeedSpec(0))
+        with pytest.raises(ConfigurationError, match=message):
+            vr_mc_replicated(cb, UniformCube(2), f, 100, 3, SeedSpec(0))
+
     @pytest.mark.parametrize("n", [2, 4])
     def test_error_bound_against_quantization_number(self, n):
         # RMSE <= 2 n^(-1/2) q_n^(2) + 3 se on the uniform cube
