@@ -108,11 +108,12 @@ def _build_parser() -> _Parser:
     p.add_argument("--measure", default=None)
     p.add_argument("--functional", required=True)
     p.add_argument("--codebook", default=None, help="codebook file (voronoi/vrmc)")
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--k", type=int, default=None)
-    p.add_argument("--budget", type=int, default=None, help="cost budget N")
-    p.add_argument("--alpha", type=float, default=2.0, help="small-ball exponent")
-    p.add_argument("--beta", type=float, default=0.0, help="small-ball log exponent")
+    p.add_argument("--n", type=int, default=None, help="sample count (mc/vrmc)")
+    p.add_argument("--budget", type=int, default=None, help="cost budget N (euler/gauss-sub)")
+    p.add_argument("--alpha", type=float, default=None,
+                   help="small-ball exponent (gauss-sub; default 2)")
+    p.add_argument("--beta", type=float, default=None,
+                   help="small-ball log exponent (gauss-sub; default 0)")
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("adversary", parents=[common], help="lower-bound checks")
@@ -184,36 +185,54 @@ def _cmd_quantize(args) -> int:
     return EXIT_OK
 
 
+# The options each --algo needs and those it may take, besides --functional
+# and --seed; it refuses any other.  Euler and Gaussian-subspace Monte Carlo
+# take (n, k) from their budget schedule; at a chosen (n, k) each is plain
+# Monte Carlo, which _FIXED_NK names when --n is given.
+_QUAD_OPTIONS = {
+    "mc": ("measure n", ""),
+    "vrmc": ("measure codebook n", ""),
+    "voronoi": ("codebook", "measure"),
+    "euler": ("measure budget", ""),
+    "gauss-sub": ("budget", "measure alpha beta"),
+}
+_FIXED_NK = {
+    "euler": '; for a fixed (n, k) run --algo mc --measure "kind=diffusion ... k_steps=k"',
+    "gauss-sub": "; for a fixed (n, k) run --algo mc --measure brownian_kl:k:G",
+}
+
+
 def _cmd_quad(args) -> int:
     seed = parse_seed(args.seed)
     measure = parse_measure(args.measure) if args.measure else None
+    needs, takes = (names.split() for names in _QUAD_OPTIONS[args.algo])
+    for option in ("measure", "codebook", "n", "budget", "alpha", "beta"):
+        given = getattr(args, option) is not None
+        if given and option not in needs + takes:
+            route = _FIXED_NK.get(args.algo, "") if option == "n" else ""
+            raise ConfigurationError(f"{args.algo} reads no --{option}{route}")
+        if not given and option in needs:
+            raise ConfigurationError(f"{args.algo} needs --{option}")
     codebook = load_codebook(args.codebook) if args.codebook else None
     # Build the measure the run samples first: f reads its space.
     n, echo_extra = args.n, {}
-    if args.algo in ("voronoi", "vrmc") and codebook is None:
-        raise ConfigurationError(f"{args.algo} needs --codebook")
-    if args.algo in ("mc", "vrmc") and (measure is None or n is None):
-        raise ConfigurationError(f"{args.algo} needs --measure and --n")
     if args.algo == "euler":
         if not isinstance(measure, Diffusion):
             raise ConfigurationError("euler needs a kind=diffusion measure")
-        k = measure.k_steps if args.k is None else args.k
-        if args.budget is not None:
-            n, k = euler_mc_schedule(args.budget)
-            echo_extra.update(scheduled_n=n, scheduled_k=k)
-        if n is None:
-            raise ConfigurationError("euler needs --n (or --budget)")
+        n, k = euler_mc_schedule(args.budget)
+        echo_extra.update(scheduled_n=n, scheduled_k=k)
         measure = Diffusion(measure.spec, k, measure.grid)
     elif args.algo == "gauss-sub":
-        profile = SmallBallProfile(args.alpha, args.beta)
-        k = args.k
-        if args.budget is not None:
-            n, k = subspace_mc_schedule(args.budget, profile)
-            echo_extra.update(scheduled_n=n, scheduled_k=k)
-        if n is None or k is None:
-            raise ConfigurationError("gauss-sub needs --n and --k (or --budget)")
-        grid = measure.grid if isinstance(measure, BrownianKL) else None
-        if grid is None:
+        if measure is not None and not isinstance(measure, BrownianKL):
+            raise ConfigurationError("gauss-sub needs a brownian_kl measure")
+        profile = SmallBallProfile(
+            2.0 if args.alpha is None else args.alpha, 0.0 if args.beta is None else args.beta
+        )
+        n, k = subspace_mc_schedule(args.budget, profile)
+        echo_extra.update(alpha=profile.alpha, beta=profile.beta, scheduled_n=n, scheduled_k=k)
+        if measure is not None:
+            grid = measure.grid
+        else:
             # a k-term subspace needs more than k grid points; double up
             size = 257
             while size <= 2 * k:

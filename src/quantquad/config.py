@@ -193,10 +193,29 @@ _CONFIG_KEYS = {  # the keys a config reads, at the top level ("") and in each e
 }
 
 
+class _Entry(dict):
+    """One level of a config: a key it lacks is a ConfigurationError that
+    names its dotted path, and a nested level is an _Entry too."""
+
+    def __init__(self, fields, path: str, where: str = ""):
+        super().__init__(fields)
+        self.path, self.where = path, where
+
+    def __getitem__(self, key):
+        if key not in self:
+            raise ConfigurationError(f"{self.path}: missing config key '{self.where}{key}'")
+        value = super().__getitem__(key)
+        return _Entry(value, self.path, f"{self.where}{key}.") if isinstance(value, dict) else value
+
+    def get(self, key, default=None):
+        return self[key] if key in self else default
+
+
 def load_experiment_config(path: str, seed: Optional[SeedSpec] = None):
     """Build a RateExperimentConfig from a JSON file.
 
-    Reads the keys of ``_CONFIG_KEYS`` and rejects any other key.
+    Reads the keys of ``_CONFIG_KEYS`` and rejects any other key; a key it
+    needs and lacks is named by its dotted path.
     """
     from .experiments import RateExperimentConfig
     from .quadrature import SmallBallProfile
@@ -204,17 +223,14 @@ def load_experiment_config(path: str, seed: Optional[SeedSpec] = None):
     from .storage import load_codebook
 
     with open(path) as handle:
-        raw = json.load(handle)
+        raw = _Entry(json.load(handle), path)
     for level, keys in _CONFIG_KEYS.items():
         for key in raw.get(level, {}) if level else raw:
             if key not in keys.split():
                 name = f"{level}.{key}" if level else key
                 raise ConfigurationError(f"{path}: unknown config key {name!r}")
-    try:
-        algorithm = raw["algorithm"]
-        ladder = tuple(int(v) for v in raw["ladder"])
-    except KeyError as exc:
-        raise ConfigurationError(f"{path}: missing config key {exc}") from None
+    algorithm = raw["algorithm"]
+    ladder = tuple(int(v) for v in raw["ladder"])
 
     measure = parse_measure(raw["measure"]) if "measure" in raw else None
     grid = Grid.uniform(int(raw["grid"])) if "grid" in raw else getattr(measure, "grid", None)

@@ -209,27 +209,89 @@ def _pair_distances(values: np.ndarray, codebook: Codebook, cols, rows=None):
     return out
 
 
+def _nearest_level(lv: np.ndarray, x: np.ndarray):
+    # The nearest of two or more levels to each x, the lower on a tie, from
+    # the bracketing pair lv[hi-1] < x <= lv[hi] of one binary search, and
+    # d_hi - d_lo for the pair's distances d.
+    hi = np.clip(np.searchsorted(lv, x), 1, lv.size - 1)
+    lo = hi - 1
+    with np.errstate(invalid="ignore"):  # inf - inf on an infinite x
+        diff = np.abs(lv[hi] - x) - np.abs(x - lv[lo])
+    return np.where(diff >= 0, lo, hi), diff
+
+
 def _product_search(values: np.ndarray, codebook: Codebook):
     # With orthonormal rows e_l and coordinates xi_l = <x, e_l>,
     # |x - y|^2 = |x - Px|^2 + sum_l (xi_l - y_l)^2 for every point y, so
-    # the nearest point takes the nearest level on each axis.  The
-    # bracketing levels lv[j-1] < xi <= lv[j] come from one binary search;
-    # one comparison picks between them, the lower on a tie, which is the
-    # lower flat index.  O(B (a G + sum_l log n_l)) for a axes.
+    # the nearest point takes the nearest level on each axis, the lower on
+    # a tie, which is the lower flat index.  O(B (a G + sum_l log n_l)) for
+    # a axes.
+    #
+    # Rounding can break a tie, or a near tie, the other way in the exact
+    # distances, so a row where a second level on some axis lies within a
+    # proven margin of that axis's best is rescored over every combination
+    # of its near levels, as _gram_search rescores near scores.  With
+    # F = flat, A = |x|^2 + c_max, c_max = sum_l max_v lv_v^2 >= |y|^2 and
+    # rows orthonormal to within tol = _ORTHONORMAL_TOL, the winner of a
+    # search over every exact distance exceeds the levelwise best on each
+    # axis, in squared exact coordinates, by at most the sum of
+    # 4 gamma_{F+8} A (rounded distances; see _gram_search), 2 a tol A (the
+    # rows' overlap) and 3 a^2 eps A (rounded points).  Rounded coordinates
+    # move an axis's excess by at most 8.02 gamma_{F+1} A, and forming it
+    # by about 16 eps A: (6.01 F + 3 a^2 + 36.1) eps A + 2 a tol A in all.
+    # The margin is twice that, with A bounded over the batch by the
+    # largest distance to a levelwise best plus sqrt(c_max).  On an axis of
+    # smallest spacing s, a level on the best's own side is behind it by
+    # at least s^2, more than the margin unless the levels are closer than
+    # rounding (then every point is searched), and the other level of the
+    # bracketing pair by |d_hi - d_lo| (d_hi + d_lo) >= |d_hi - d_lo| s.
     product = codebook.product
     b = values.shape[0]
     xi = values.reshape(b, math.prod(values.shape[1:]))
     if product.basis is not None:
         w = np.repeat(codebook.grid.weights, codebook.points.shape[2])
         xi = xi @ (product.basis * w).T
+    axes = [(axis, lv, np.diff(lv).min()) for axis, lv in enumerate(product.levels)
+            if lv.size > 1]  # a one-level axis adds digit 0 in radix 1
     idx = np.zeros(b, dtype=np.intp)
-    for axis, lv in enumerate(product.levels):
-        x = xi[:, axis]
-        hi = np.minimum(np.searchsorted(lv, x), lv.size - 1)
-        lo = np.maximum(hi - 1, 0)
-        nearest = np.where(np.abs(x - lv[lo]) <= np.abs(lv[hi] - x), lo, hi)
+    tie = np.full(b, np.inf)  # the smallest |d_hi - d_lo| s over the axes
+    for axis, lv, s in axes:
+        nearest, diff = _nearest_level(lv, xi[:, axis])
         idx = idx * lv.size + nearest
-    return _pair_distances(values, codebook, idx), idx
+        np.minimum(tie, np.abs(diff) * s, out=tie)
+    dist = _pair_distances(values, codebook, idx)
+    top = dist.max(initial=0.0)
+    if not math.isfinite(top):  # min_dist_batch reports the row
+        return dist, idx
+    c_max = sum(max(lv[0] ** 2, lv[-1] ** 2) for lv in product.levels)
+    a = len(product.levels)
+    coef = 16.0 * (xi.shape[1] + a * a + 5) * np.finfo(float).eps + 4.0 * a * _ORTHONORMAL_TOL
+    margin = coef * ((top + math.sqrt(c_max)) ** 2 + c_max)
+    if margin >= min((s * s for _, _, s in axes), default=math.inf):
+        return _gram_search(values, codebook)
+    rows = np.flatnonzero(tie <= margin)
+    if rows.size == 0:
+        return dist, idx
+    cols = np.zeros(rows.size, dtype=np.intp)
+    for axis, lv, s in axes:  # the best level, or a near pair, times the combinations so far
+        nearest, diff = _nearest_level(lv, xi[rows, axis])
+        count = 1 + (np.abs(diff) * s <= margin)
+        start = nearest - (count - 1) * (diff < 0)  # a pair starts at its lower level
+        pick = np.repeat(np.arange(rows.size), count)
+        first = np.repeat(np.cumsum(count) - count, count)
+        cols = cols[pick] * lv.size + start[pick] + np.arange(pick.size) - first
+        rows = rows[pick]
+    d = _pair_distances(values, codebook, cols, rows)
+    rows, cols, d = _row_minima(rows, cols, d)
+    dist[rows], idx[rows] = d, cols
+    return dist, idx
+
+
+def _row_minima(rows, cols, d):
+    # Each row's smallest distance, its lowest index on a tie.
+    keep = np.lexsort((cols, d, rows))
+    keep = keep[np.r_[0, np.flatnonzero(np.diff(rows[keep])) + 1]]
+    return rows[keep], cols[keep], d[keep]
 
 
 def _gram_search(values: np.ndarray, codebook: Codebook):
@@ -295,10 +357,7 @@ def _gram_search(values: np.ndarray, codebook: Codebook):
         del near
         d = _pair_distances(values[b0 : b0 + step], codebook, cols, rows)
         if rows.size > t:
-            # Keep each row's smallest distance, its lowest index on a tie.
-            keep = np.lexsort((cols, d, rows))
-            keep = keep[np.r_[0, np.flatnonzero(np.diff(rows[keep])) + 1]]
-            rows, cols, d = rows[keep], cols[keep], d[keep]
+            rows, cols, d = _row_minima(rows, cols, d)
         dist[b0 + rows] = d
         idx[b0 + rows] = cols
     return dist, idx

@@ -236,9 +236,10 @@ class TestCliQuad:
 
     def test_euler_reads_the_measure_grid(self, tmp_path):
         # On grid=513, t = 0.5 is point 256, so the mean is E|W(0.5)| = 1/sqrt(pi).
+        # A fixed number of Euler steps is plain Monte Carlo on the diffusion.
         out = str(tmp_path / "e.json")
         code = run(
-            "quad", "--algo", "euler", "--measure",
+            "quad", "--algo", "mc", "--measure",
             "kind=diffusion drift=constant:0 diffusion=constant:1 u0=0 k_steps=9 grid=513",
             "--functional", "abs_coord_at(0.5)", "--n", "20000", "--seed", "1",
             "--out", out,
@@ -592,8 +593,7 @@ def _exit_code_rows():
         (("rates", "--config", "{cb}.missing", "--out-dir", "{out}"),
          1, "i/o error: [Errno 2]"),
         # Sizes are checked before anything of that size is allocated: the
-        # grids these would double up to hold 2**28 + 1 and 2**30 + 1 points.
-        (gauss[:-2] + ("--n", "10", "--k", "100000000"), 1, "on a 268435457-point grid"),
+        # grid this would double up to holds 2**30 + 1 points.
         (gauss[:-1] + ("100000000000000",), 1, "on a 1073741825-point grid"),
         # {blowup} is an Euler ladder on the drift of _blow_up_argvs.
         (("rates", "--config", "{blowup}", "--out-dir", "{out}"),
@@ -616,12 +616,44 @@ def _exit_code_rows():
         (euler + (sde.format("linear:0.1", "linear:0.2"), "--n", "100", "--grid", "513"),
          1, "unrecognized arguments: --grid"),
     ]
+    # quad has no --k, and each --algo refuses an input it does not read:
+    # euler and gauss-sub take (n, k) from --budget, a fixed (n, k) is mc.
+    gbm = sde.format("linear:0.1", "linear:0.2")
+    voronoi = ("quad", "--algo", "voronoi", "--codebook", "{cb}", "--functional", "coord_at(0)")
+    rows += [
+        (mc + ("100", "--k", "16"), 1, "unrecognized arguments: --k 16"),
+        (euler + (gbm,), 1, "euler needs --budget"),
+        (gauss[:-2], 1, "gauss-sub needs --budget"),
+        (euler + (gbm, "--n", "100"), 1, "euler reads no --n; for a fixed (n, k) run "
+         '--algo mc --measure "kind=diffusion ... k_steps=k"'),
+        (gauss + ("--n", "10"), 1, "gauss-sub reads no --n; for a fixed (n, k) run "
+         "--algo mc --measure brownian_kl:k:G"),
+        (mc + ("100", "--budget", "1000"), 1, "mc reads no --budget"),
+        (vrmc + ("100", "--budget", "1000"), 1, "vrmc reads no --budget"),
+        (voronoi + ("--budget", "1000"), 1, "voronoi reads no --budget"),
+        (mc + ("100", "--codebook", "{cb}"), 1, "mc reads no --codebook"),
+        (euler + (gbm, "--budget", "1000", "--codebook", "{cb}"),
+         1, "euler reads no --codebook"),
+        (gauss + ("--codebook", "{cb}"), 1, "gauss-sub reads no --codebook"),
+        (mc + ("100", "--alpha", "2"), 1, "mc reads no --alpha"),
+        (euler + (gbm, "--budget", "1000", "--beta", "0"), 1, "euler reads no --beta"),
+        (voronoi + ("--alpha", "2"), 1, "voronoi reads no --alpha"),
+        (gauss + ("--measure", "std_normal:3"), 1, "gauss-sub needs a brownian_kl measure"),
+    ]
     # A rates config holds only keys the loader reads; see _UNREAD_KEYS.
     rows += [
         (("rates", "--config", "{typo}", "--out-dir", "{out}"),
          1, "unknown config key 'replication'"),
         (("rates", "--config", "{bogus}", "--out-dir", "{out}"),
          1, "unknown config key 'diffusion.k_steps'"),
+    ]
+    # Every key a rates config reads and lacks is named by its dotted path;
+    # see _MISSING_KEYS.
+    rows += [
+        (("rates", "--config", "{" + name + "}", "--out-dir", "{out}"),
+         1, f"missing config key '{key}'")
+        for name, key in (("nobudget", "reference.budget"), ("nofunctional", "functional"),
+                          ("nopaths", "codebooks.paths"), ("nodiffusion", "diffusion.diffusion"))
     ]
     # A measure must fit the codebook's points before any check draws.
     rows += [
@@ -663,6 +695,30 @@ _UNREAD_KEYS = {
 }
 
 
+# Rate configs that lack one key the loader reads: a reference budget, the
+# functional, the codebook files and a diffusion coefficient.
+_MISSING_KEYS = {
+    "nobudget": {
+        "algorithm": "mc", "measure": "uniform_cube:1", "functional": "abs_coord_at(0)",
+        "ladder": [4, 8, 16, 32], "reference": {"kind": "mc"},
+    },
+    "nofunctional": {
+        "algorithm": "mc", "measure": "uniform_cube:1", "ladder": [4, 8, 16, 32],
+        "reference": {"kind": "analytic", "value": 0.5},
+    },
+    "nopaths": {
+        "algorithm": "vrmc", "measure": "uniform_cube:1", "functional": "abs_coord_at(0)",
+        "ladder": [4, 8], "reference": {"kind": "analytic", "value": 0.5},
+        "codebooks": {"kind": "files"},
+    },
+    "nodiffusion": {
+        "algorithm": "euler", "functional": "sup_norm", "ladder": [100, 200, 400, 800],
+        "reference": {"kind": "analytic", "value": 1.0},
+        "diffusion": {"drift": "constant:0", "u0": 1},
+    },
+}
+
+
 # A diffusion whose Euler states overflow at step 2.
 _BLOW_UP = "kind=diffusion drift=linear:1e300 diffusion=linear:0.2 u0=1 k_steps=11"
 
@@ -670,7 +726,7 @@ _BLOW_UP = "kind=diffusion drift=linear:1e300 diffusion=linear:0.2 u0=1 k_steps=
 def _blow_up_argvs():
     sde = _BLOW_UP
     return [
-        ("quad", "--algo", "euler", "--functional", "coord_at(1.0)", "--measure", sde,
+        ("quad", "--algo", "mc", "--functional", "coord_at(1.0)", "--measure", sde,
          "--n", "300"),
         ("quantize", "--measure", sde, "--n", "2", "--pool", "1000"),
         ("widths", "--measure", sde, "--dims", "1,2", "--samples", "1000"),
@@ -711,7 +767,7 @@ class TestCliExitCodes:
                 "reference": {"kind": "euler", "k_ref": 11, "n_ref": 300},
                 "diffusion": {"drift": "linear:1e300", "diffusion": "linear:0.2", "u0": 1},
             }, dst)
-        for name, config in _UNREAD_KEYS.items():
+        for name, config in {**_UNREAD_KEYS, **_MISSING_KEYS}.items():
             files[name] = str(tmp_path / f"{name}.json")
             with open(files[name], "w") as dst:
                 json.dump(config, dst)

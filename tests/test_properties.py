@@ -5,7 +5,8 @@ from each run's first draw, so no mean or stderr depends on how the
 stream is cut into blocks, tiles or pieces, and a run of at most one
 chunk has numpy's mean and std(ddof=1) / sqrt(n).  A measure's tag parses
 back to the measure, a codebook file gives back its codebook bit for bit,
-and coord_at(t) at a grid time t reads that grid point.  Layouts and
+coord_at(t) at a grid time t reads that grid point, and every nearest
+search returns what a search over all exact distances returns.  Layouts and
 values are drawn at random; ``derandomize`` makes every run check the same
 examples.
 """
@@ -23,7 +24,14 @@ from quantquad.config import parse_functional, parse_measure
 from quantquad.measures import BrownianKL, SeedSpec, StdNormal, UniformCube, measure_tag
 from quantquad.paths import Functional, Grid, NormKind
 from quantquad.quadrature import classical_mc, classical_mc_replicated
-from quantquad.quantize import Codebook, distortion, uniform_midpoint_codebook
+from quantquad.quantize import (
+    Codebook,
+    _all_point_distances,
+    distortion,
+    min_dist_batch,
+    product_quantizer_bm,
+    uniform_midpoint_codebook,
+)
 from quantquad.storage import load_codebook, save_codebook
 
 _CHUNK = measures._CHUNK
@@ -166,3 +174,49 @@ def test_coord_at_a_grid_time_reads_that_point(data):
     t = float(grid.points[data.draw(st.integers(0, size - 1), "i")])
     f = parse_functional(f"coord_at({t!r})", grid)
     assert f(grid.points[None, :, None]).tolist() == [t]
+
+
+def _search_codebook(data):
+    # A product codebook (midpoints on a cube, or Brownian levels on a small
+    # grid), the same points without the structure, or a point cloud.
+    kind = data.draw(st.sampled_from(["midpoint", "bm", "cloud"]), "kind")
+    if kind == "midpoint":
+        cb = uniform_midpoint_codebook(data.draw(st.integers(1, 3)), data.draw(st.integers(1, 6)))
+    elif kind == "bm":
+        grid = Grid.uniform(data.draw(st.integers(3, 17)))
+        cb = product_quantizer_bm(data.draw(st.integers(1, 24)), data.draw(st.integers(1, 8)), grid)
+    else:
+        n, m = data.draw(st.integers(1, 12)), data.draw(st.integers(1, 3))
+        grid = data.draw(st.sampled_from([None, Grid.uniform(3), Grid.uniform(6)]))
+        shape = (n, m) if grid is None else (n, grid.size, m)
+        points = np.random.default_rng(data.draw(_SEEDS)).standard_normal(shape)
+        norm = NormKind.EUCLIDEAN if grid is None else NormKind.L2
+        return Codebook(points, 2.0, norm, "cloud", grid=grid, oracle_dim=1)
+    if data.draw(st.booleans(), "drop product"):
+        cb = Codebook(cb.points, cb.order_r, cb.norm, cb.measure_tag, grid=cb.grid)
+    return cb
+
+
+@_examples(60)
+@given(st.data())
+def test_nearest_search_is_the_first_minimum_of_all_distances(data):
+    # Samples: random draws, codebook points, and midpoints between two
+    # points (a tie in real arithmetic on each product axis where the two
+    # hold adjacent levels).
+    cb = _search_codebook(data)
+    rng = np.random.default_rng(data.draw(_SEEDS))
+    first = rng.integers(0, cb.n, 40)
+    second = rng.integers(0, cb.n, 40)
+    values = np.concatenate([
+        cb.points[first],
+        0.5 * (cb.points[first] + cb.points[second]),
+        rng.standard_normal((40,) + cb.points.shape[1:]),
+    ])
+    block = data.draw(st.integers(8, 2**14), "block bytes")
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(measures, "_BLOCK_BYTES", block)
+        dist, idx = min_dist_batch(values, cb)
+    every = _all_point_distances(values, cb)
+    nearest = np.argmin(every, axis=1)
+    np.testing.assert_array_equal(idx, nearest)
+    assert dist.tobytes() == every[np.arange(values.shape[0]), nearest].tobytes()
