@@ -125,11 +125,11 @@ def _build_parser() -> _Parser:
     p.add_argument("--measure", default=None)
     p.add_argument("--codebook", default=None)
     p.add_argument("--functional", default=None)
-    p.add_argument("--samples", type=int, default=100_000)
-    p.add_argument("--pairs", type=int, default=10_000)
-    p.add_argument("--segments", type=int, default=2)
-    p.add_argument("--window", type=float, default=1.0)
-    p.add_argument("--n", type=int, default=1, help="evaluation count for bakhvalov")
+    p.add_argument("--samples", type=int, default=None, help="sample count (default 100000)")
+    p.add_argument("--pairs", type=int, default=None, help="lipschitz pairs (default 10000)")
+    p.add_argument("--segments", type=int, default=None, help="events segments (default 2)")
+    p.add_argument("--window", type=float, default=None, help="events window (default 1)")
+    p.add_argument("--n", type=int, default=None, help="evaluation count for bakhvalov (default 1)")
     p.add_argument("--lip-claim", type=float, default=None)
     p.add_argument("--out", default=None)
 
@@ -185,6 +185,20 @@ def _cmd_quantize(args) -> int:
     return EXIT_OK
 
 
+def _check_options(args, label: str, rule: tuple, options: tuple, routes=None) -> None:
+    """Raise ``ConfigurationError`` naming the first of ``options`` that
+    ``label`` does not read and is given, or needs and lacks; ``rule`` is
+    (needs, may take) as space-separated names, ``routes`` a hint per option."""
+    needs, takes = (names.split() for names in rule)
+    for option in options:
+        flag = "--" + option.replace("_", "-")
+        given = getattr(args, option) is not None
+        if given and option not in needs + takes:
+            raise ConfigurationError(f"{label} reads no {flag}{(routes or {}).get(option, '')}")
+        if not given and option in needs:
+            raise ConfigurationError(f"{label} needs {flag}")
+
+
 # The options each --algo needs and those it may take, besides --functional
 # and --seed; it refuses any other.  Euler and Gaussian-subspace Monte Carlo
 # take (n, k) from their budget schedule; at a chosen (n, k) each is plain
@@ -205,14 +219,9 @@ _FIXED_NK = {
 def _cmd_quad(args) -> int:
     seed = parse_seed(args.seed)
     measure = parse_measure(args.measure) if args.measure else None
-    needs, takes = (names.split() for names in _QUAD_OPTIONS[args.algo])
-    for option in ("measure", "codebook", "n", "budget", "alpha", "beta"):
-        given = getattr(args, option) is not None
-        if given and option not in needs + takes:
-            route = _FIXED_NK.get(args.algo, "") if option == "n" else ""
-            raise ConfigurationError(f"{args.algo} reads no --{option}{route}")
-        if not given and option in needs:
-            raise ConfigurationError(f"{args.algo} needs --{option}")
+    _check_options(args, args.algo, _QUAD_OPTIONS[args.algo],
+                   ("measure", "codebook", "n", "budget", "alpha", "beta"),
+                   {"n": _FIXED_NK.get(args.algo, "")})
     codebook = load_codebook(args.codebook) if args.codebook else None
     # Build the measure the run samples first: f reads its space.
     n, echo_extra = args.n, {}
@@ -277,11 +286,26 @@ def _cmd_quad(args) -> int:
     return EXIT_OK
 
 
+# The options each --check needs and those it may take, besides --seed and
+# --out; it refuses any other.  _ADVERSARY_DEFAULTS fills those not given.
+_ADVERSARY_OPTIONS = {
+    "gap-identity": ("codebook measure", "samples"),
+    "lipschitz": ("functional measure", "pairs lip_claim"),
+    "events": ("", "samples segments window"),
+    "bakhvalov": ("codebook measure", "samples n"),
+}
+_ADVERSARY_DEFAULTS = {"samples": 100_000, "pairs": 10_000, "segments": 2, "window": 1.0, "n": 1}
+
+
 def _cmd_adversary(args) -> int:
     seed = parse_seed(args.seed)
+    _check_options(args, args.check, _ADVERSARY_OPTIONS[args.check],
+                   ("codebook", "functional", "measure", "samples", "pairs", "segments",
+                    "window", "n", "lip_claim"))
+    for option, default in _ADVERSARY_DEFAULTS.items():
+        if getattr(args, option) is None:
+            setattr(args, option, default)
     if args.check == "gap-identity":
-        if not (args.codebook and args.measure):
-            raise ConfigurationError("gap-identity needs --codebook and --measure")
         codebook = load_codebook(args.codebook)
         measure = parse_measure(args.measure)
         report = gap_identity_check(codebook, measure, args.samples, seed)
@@ -290,8 +314,6 @@ def _cmd_adversary(args) -> int:
             mean_f_last=report.mean_f_last, half_gap=report.half_gap,
         )
     elif args.check == "lipschitz":
-        if not (args.functional and args.measure):
-            raise ConfigurationError("lipschitz needs --functional and --measure")
         measure = parse_measure(args.measure)
         f = parse_functional(args.functional, measure.grid or measure.d)
         if args.lip_claim is not None:
@@ -307,8 +329,6 @@ def _cmd_adversary(args) -> int:
             stderr=report.stderr, upper_bound=report.upper_bound,
         )
     else:  # bakhvalov
-        if not (args.codebook and args.measure):
-            raise ConfigurationError("bakhvalov needs --codebook and --measure")
         codebook = load_codebook(args.codebook)
         measure = parse_measure(args.measure)
         family = fooling_family(codebook)

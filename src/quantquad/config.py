@@ -195,9 +195,15 @@ _CONFIG_KEYS = {  # the keys a config reads, at the top level ("") and in each e
 
 class _Entry(dict):
     """One level of a config: a key it lacks is a ConfigurationError that
-    names its dotted path, and a nested level is an _Entry too."""
+    names its dotted path, and a nested level is an _Entry too.  A level
+    that is not a JSON object is a ConfigurationError naming its key."""
 
     def __init__(self, fields, path: str, where: str = ""):
+        if not isinstance(fields, dict):
+            level = f"config key '{where[:-1]}'" if where else "a config"
+            raise ConfigurationError(
+                f"{path}: {level} must be a JSON object, got {type(fields).__name__}"
+            )
         super().__init__(fields)
         self.path, self.where = path, where
 
@@ -225,7 +231,7 @@ def load_experiment_config(path: str, seed: Optional[SeedSpec] = None):
     with open(path) as handle:
         raw = _Entry(json.load(handle), path)
     for level, keys in _CONFIG_KEYS.items():
-        for key in raw.get(level, {}) if level else raw:
+        for key in _Entry(raw.get(level, {}), path, f"{level}.") if level else raw:
             if key not in keys.split():
                 name = f"{level}.{key}" if level else key
                 raise ConfigurationError(f"{path}: unknown config key {name!r}")

@@ -354,13 +354,12 @@ def _euler_parts(n: int) -> list:
 def euler_values(
     spec: DiffusionSpec,
     k: int,
-    rng: Union[np.random.Generator, _DrawAhead],
+    rng: np.random.Generator,
     n: int,
     grid: Grid,
 ) -> np.ndarray:
     """n Euler paths with step 1/(k-1), interpolated to the grid; (n, G, m).
 
-    ``rng`` is a Generator, or the ``_DrawAhead`` of a streamed block.
     Increment vectors are drawn for every step even when the diffusion
     coefficient vanishes, so stream consumption does not depend on the
     coefficients.  A step is x + dt a(x) + sqrt(dt) b(x) z.  When
@@ -368,52 +367,73 @@ def euler_values(
     ConstantCoeff and LinearCoeff return), b(x) z is the elementwise
     product of its ``diagonal`` and z, which equals the matrix product bit
     for bit (the other terms are exact zeros); an AffineCoeff's drift and
-    diagonal are written in place (``AffineCoeff.into``).  The grid points
-    between breakpoints l and l+1 are filled as x_l (1 - lam) + x_{l+1} lam
-    as soon as x_{l+1} is known, so the breakpoint values are never
-    stored; the large arrays are the increments and the output.
+    diagonal are written in place (``AffineCoeff.into``).  A grid point
+    between breakpoints l and l+1 is x_l (1 - lam) + x_{l+1} lam, written
+    when the tile of steps holding both states ends, so no breakpoint state
+    outlives its tile; the large arrays are the increments and the output.
 
     From n = 2 _TILE the rows run as parts of at most 16 _TILE rows
-    (``_euler_parts``), each drawn and stepped in turn, so that a stream's
-    next part can be drawn while this one steps (see ``_DrawAhead``).
-    Every row's floats are those of one run over all rows.  A state that
-    is not finite raises ``NumericError`` at its step and row: the
-    earliest step over all parts, and the lowest row at that step.  A
-    coefficient that raises while computing a step's state is raised unless
-    a non-finite state comes at an earlier step.  A tile of _TILE steps
-    keeps all its states and checks them when it ends, which names the same
-    step and row as a check after every step.  The kernel reports
-    non-finite states itself, so numpy's overflow and invalid warnings are
-    silenced.
+    (``_euler_parts``), each drawn and stepped in turn by ``_euler_run``,
+    which writes each part into a view of the output.  A stream takes the
+    parts from ``_euler_run`` itself, each as soon as it has stepped, so
+    it holds one part of output, never a block (see ``_tiles``), and its
+    next part can be drawn while this one steps and is evaluated (see
+    ``_DrawAhead``).  Every row's floats are those of one run over all
+    rows.  A state that is not finite raises ``NumericError`` at its step
+    and row: the earliest step over all parts, and the lowest row at that
+    step.  A coefficient that raises while computing a step's state is
+    raised unless a non-finite state comes at an earlier step.  A tile of
+    _TILE steps keeps all its states and checks them when it ends, which
+    names the same step and row as a check after every step.  The kernel
+    reports non-finite states itself, so numpy's overflow and invalid
+    warnings are silenced.
     """
     if k < 2:
         raise ConfigurationError("breakpoint count k must be >= 2")
+    out = np.empty((n, grid.size, spec.m))
+    for _ in _euler_run(spec, k, rng, n, grid, out):
+        pass
+    return out
+
+
+def _euler_run(
+    spec: DiffusionSpec, k: int, rng: Union[np.random.Generator, _DrawAhead], n: int,
+    grid: Grid, out=None,
+):
+    """(start, paths) of each Euler part of n paths, in order (``euler_values``).
+
+    ``rng`` is a Generator, or the ``_DrawAhead`` of a streamed block.  A
+    part's (rows, G, m) paths are written into ``out[start : start + rows]``
+    when ``out`` is given, else into a new array, and handed out as soon as
+    the part has stepped, before the next part is drawn.  After a failure no
+    part is handed out: the block's remaining parts run up to its step, and
+    the earliest failure raises when they end.
+    """
     m = spec.m
     dt = 1.0 / (k - 1)
     sq = math.sqrt(dt)
-    out = np.empty((n, grid.size, m))
     # Grid point g lies between breakpoints j[g] and j[g] + 1 at weight
-    # lam[g] on the upper one.  The grid increases, so step l fills the
-    # slice edges[l] : edges[l + 1].
+    # lam[g] on the upper one.  The grid increases, so the tile of steps
+    # first .. first + count fills the slice edges[first] : edges[first + count].
     pos = grid.points * (k - 1)
     j = np.minimum(pos.astype(int), k - 2)
     lam = pos - j
-    lower = (1.0 - lam)[None, :, None]
-    upper = lam[None, :, None]
+    lower = (1.0 - lam)[:, None, None]
+    upper = lam[:, None, None]
     edges = np.searchsorted(j, np.arange(k)).tolist()
     drift = _into(spec.drift)
     diagonal = _diagonal_of(spec)
     scale = None if diagonal is None else _into(diagonal)
 
-    def run(increments, start, steps):
+    def run(increments, paths, start, steps):
         # The first ``steps`` steps of the rows from ``start`` whose
-        # increments are given.  Returns the first failure as (step, row) of
-        # a non-finite state, lowest row first, or (step, exception) of a
-        # coefficient that raised while computing that step's state; None if
-        # there is none.  The states of one tile of steps are kept,
-        # states[i + 1] after its step i, and checked when the tile ends.
+        # increments are given, their grid values written into ``paths``.
+        # Returns the first failure as (step, row) of a non-finite state,
+        # lowest row first, or (step, exception) of a coefficient that raised
+        # while computing that step's state; None if there is none.  The
+        # states of one tile of steps are kept, states[i + 1] after its step
+        # i, and checked when the tile ends.
         rows = increments.shape[0]
-        rows_out = out[start : start + rows]
         noise = np.empty((rows, m))
         tile = np.empty((min(_TILE, k - 1), rows, m))
         states = np.empty((len(tile) + 1, rows, m))
@@ -443,13 +463,6 @@ def euler_values(
                     nxt *= dt
                     nxt += x
                     nxt += noise
-                    lo, hi = edges[first + i], edges[first + i + 1]
-                    if hi > lo:
-                        # Summed in a contiguous array and written once:
-                        # consecutive rows of the output lie G * m floats apart.
-                        seg = x[:, None, :] * lower[:, lo:hi]
-                        seg += nxt[:, None, :] * upper[:, lo:hi]
-                        rows_out[:, lo:hi, :] = seg
             except Exception as exc:
                 # The states before the call that raised come first.
                 hit = _first_nonfinite(states[1 : i + 1])
@@ -459,25 +472,41 @@ def euler_values(
                 hit = _first_nonfinite(states[1 : count + 1])
             if hit is not None:
                 return first + hit[0] + 1, start + hit[1]
+            # The tile's grid points, _TILE at a time: each gathers its two
+            # breakpoints' states, step-major, and is written once.
+            lo, hi = edges[first], edges[first + count]
+            for g in range(lo, hi, _TILE):
+                end = min(g + _TILE, hi)
+                below = j[g:end] - first
+                seg = states[below]
+                seg *= lower[g:end]
+                above = states[below + 1]
+                above *= upper[g:end]
+                seg += above
+                paths[:, g:end] = seg.transpose(1, 0, 2)
             states[0] = states[count]
         return None
 
     failure = None
     start = 0
-    with np.errstate(over="ignore", invalid="ignore"):
-        for rows in _euler_parts(n):
-            # After a failure in lower rows only an earlier step can win.
-            steps = k - 1 if failure is None else failure[0] - 1
-            failure = run(rng.standard_normal((rows, k - 1, m)), start, steps) or failure
-            start += rows
-    if failure is None:
-        return out
-    step, where = failure
-    if isinstance(where, Exception):
-        raise where
-    raise NumericError(
-        f"euler recursion produced a non-finite state at step {step}", step=step, sample=where
-    )
+    for rows in _euler_parts(n):
+        # After a failure in lower rows only an earlier step can win.
+        steps = k - 1 if failure is None else failure[0] - 1
+        paths = np.empty((rows, grid.size, m)) if out is None else out[start : start + rows]
+        with np.errstate(over="ignore", invalid="ignore"):
+            hit = run(rng.standard_normal((rows, k - 1, m)), paths, start, steps)
+        failure = hit or failure
+        if failure is None:
+            yield start, paths
+        del paths  # a handed-out part dies before the next is made
+        start += rows
+    if failure is not None:
+        step, where = failure
+        if isinstance(where, Exception):
+            raise where
+        raise NumericError(
+            f"euler recursion produced a non-finite state at step {step}", step=step, sample=where
+        )
 
 
 class _DrawAhead:
@@ -548,13 +577,12 @@ os.register_at_fork(after_in_child=_forget_drawer)
 
 
 def sample_batch(
-    measure: MeasureSpec, seed: Union[SeedSpec, np.random.Generator, _DrawAhead], n: int
+    measure: MeasureSpec, seed: Union[SeedSpec, np.random.Generator], n: int
 ) -> np.ndarray:
     """n independent draws as one array: (n, d) vectors or (n, G, m) paths.
 
-    ``seed`` is a SeedSpec, or a Generator whose stream continues (for a
-    Diffusion block of ``_tiles``, the stream's ``_DrawAhead``).  Drops the
-    stream a codebook search holds (see ``_tiles``).
+    ``seed`` is a SeedSpec, or a Generator whose stream continues.  Drops
+    the stream a codebook search holds (see ``_tiles``).
     """
     global _held
     _held = None
@@ -615,13 +643,17 @@ def _tiles(
     array one draw makes, as its blocks do, and so the rows in which
     ``sample_batch`` builds a block.  (Drawing the next tile's coefficients
     on the drawer thread slowed the stream: the product and most
-    functionals are BLAS calls that already keep every core busy.)  Any
-    other block is drawn whole and handed out in tiles of _TILE_BYTES of
-    its rows; a Diffusion block runs as Euler parts (``_euler_parts``), each
-    drawn on the drawer thread while the one before it steps
-    (``_DrawAhead``).  Closing the generator cancels or waits for a draw
-    made ahead.  A failure while drawing raises at its stream index, naming
-    ``stream`` (``_located``).
+    functionals are BLAS calls that already keep every core busy.)  A
+    Diffusion block runs as Euler parts (``_euler_parts``), each drawn on
+    the drawer thread while the one before it steps (``_DrawAhead``), and
+    each handed out in tiles of _TILE_BYTES of its rows as soon as it has
+    stepped, before the next part steps: the stream holds one part of
+    output, never a block.  A part's tiles are handed out before a later
+    part of its block fails, so a failure in evaluating them comes first.
+    Any other block is drawn whole and handed out in tiles of _TILE_BYTES
+    of its rows.  Closing the generator cancels or waits for a draw made
+    ahead.  A failure while drawing raises at its stream index, naming
+    ``stream`` (``_located``; see ``_pieces``).
 
     With ``replay``, a stream that fits in one block is drawn read-only and
     held after the call, as ``sample_batch`` builds it; the next ``replay``
@@ -631,15 +663,11 @@ def _tiles(
     """
     global _held
     rows = _block_rows(_draw_floats(measure))
-
-    def draw(start, n, rng):
-        with _located(start, stream):
-            return sample_batch(measure, rng, n)
-
     if replay and total <= rows:
         key = (measure, seed, total, rows)
         if _held is None or _held[0] != key:
-            batch = draw(0, total, seed)
+            with _located(0, stream):
+                batch = sample_batch(measure, seed, total)
             batch.flags.writeable = False
             _held = (key, batch)
         yield from _split(0, _held[1])
@@ -651,20 +679,41 @@ def _tiles(
         rng = _DrawAhead(rng, parts, (measure.k_steps - 1, measure.spec.m))
     try:
         for start in range(0, total, rows):
-            n = min(rows, total - start)
-            if isinstance(measure, BrownianKL):
-                step = _block_rows(_draw_floats(measure), _TILE_BYTES)
-                for r in range(start, start + n, step):
-                    yield r, draw(r, min(step, start + n - r), rng)
-            else:
-                yield from _split(start, draw(start, n, rng))
+            for first, draws in _pieces(measure, rng, start, min(rows, total - start), stream):
+                yield from _split(first, draws)
+                del draws  # each piece dies before the next is made
     finally:
         if ahead:
             rng.close()
 
 
+def _pieces(measure: MeasureSpec, rng, start: int, n: int, stream: str = ""):
+    """(first, draws) over the rows start .. start + n of a stream, in the
+    pieces they are made in, each raising a failure at its stream index
+    (``_located``): a BrownianKL block in tiles built by ``sample_batch``, a
+    Diffusion block in Euler parts (``_euler_run``), each as soon as it has
+    stepped, and any other block whole."""
+    global _held
+    if isinstance(measure, Diffusion):
+        _held = None  # as sample_batch drops it
+        parts = _euler_run(measure.spec, measure.k_steps, rng, n, measure.grid)
+        while True:
+            with _located(start, stream):
+                part = next(parts, None)
+            if part is None:
+                return
+            yield start + part[0], part[1]
+            del part
+    step = _block_rows(_draw_floats(measure), _TILE_BYTES) if isinstance(measure, BrownianKL) else n
+    for first in range(start, start + n, step):
+        with _located(first, stream):
+            draws = sample_batch(measure, rng, min(step, start + n - first))
+        yield first, draws
+        del draws
+
+
 def _split(start: int, batch: np.ndarray):
-    # (start + r, rows r ...) of a drawn block, in tiles of _TILE_BYTES.
+    # (start + r, rows r ...) of a drawn piece, in tiles of _TILE_BYTES.
     step = _block_rows(math.prod(batch.shape[1:]), _TILE_BYTES)
     for r in range(0, batch.shape[0], step):
         yield start + r, batch[r : r + step]

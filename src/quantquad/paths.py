@@ -99,6 +99,16 @@ def _pointwise_magnitude(values: np.ndarray) -> np.ndarray:
     return np.sqrt(np.einsum("...i,...i->...", values, values))
 
 
+def _sup_magnitude(values: np.ndarray) -> np.ndarray:
+    # (..., G, m) -> (...) largest pointwise magnitude.  For m = 1 it is
+    # max(max x, -min x) + 0.0, which is max |x| with no path-sized |x|:
+    # negation is exact, and adding 0.0 maps -0.0 to +0.0 as abs does.
+    if values.shape[-1] == 1:
+        x = values[..., 0]
+        return np.maximum(x.max(axis=-1), -x.min(axis=-1)) + 0.0
+    return _pointwise_magnitude(values).max(axis=-1)
+
+
 def check_norm_space(kind: NormKind, grid: Optional[Grid]) -> None:
     """Raise unless the norm fits the space: euclidean on vectors, paths otherwise."""
     if grid is None and kind is not NormKind.EUCLIDEAN:
@@ -118,13 +128,14 @@ def batch_norm(
     check_norm_space(kind, grid)
     if grid is None:
         return np.sqrt(np.einsum("...d,...d->...", values, values))
-    mag = _pointwise_magnitude(values)
     if kind is NormKind.SUP:
-        return mag.max(axis=-1)
+        return _sup_magnitude(values)
     w = grid.weights
     if kind is NormKind.L1:
-        return np.einsum("...g,g->...", mag, w)
-    # L2: trapezoid rule on the squared magnitude.
+        return np.einsum("...g,g->...", _pointwise_magnitude(values), w)
+    # L2: trapezoid rule on the squared magnitude; for m = 1, on x itself,
+    # since |x|^2 = x^2 bit for bit.
+    mag = values[..., 0] if values.shape[-1] == 1 else _pointwise_magnitude(values)
     return np.sqrt(np.einsum("...g,g,...g->...", mag, w, mag))
 
 
@@ -257,9 +268,7 @@ class Functional:
 
 def sup_norm_functional() -> Functional:
     """f(x) = sup_t |x(t)| on grid paths; 1-Lipschitz for the sup norm."""
-    return Functional(
-        lambda v: _pointwise_magnitude(v).max(axis=-1), 1.0, None, "sup_norm"
-    )
+    return Functional(_sup_magnitude, 1.0, None, "sup_norm")
 
 
 def l1_integral_functional(grid: Grid) -> Functional:

@@ -655,6 +655,36 @@ def _exit_code_rows():
         for name, key in (("nobudget", "reference.budget"), ("nofunctional", "functional"),
                           ("nopaths", "codebooks.paths"), ("nodiffusion", "diffusion.diffusion"))
     ]
+    # Each adversary --check refuses an option it does not read, and names
+    # one it needs and lacks.
+    lipschitz = ("adversary", "--check", "lipschitz", "--measure", "uniform_cube:1",
+                 "--functional", "coord_at(0)")
+    rows += [
+        (lipschitz + ("--samples", "300"), 1, "lipschitz reads no --samples"),
+        (lipschitz + ("--segments", "3"), 1, "lipschitz reads no --segments"),
+        (lipschitz + ("--n", "2"), 1, "lipschitz reads no --n"),
+        (gap + ("1000", "--pairs", "500"), 1, "gap-identity reads no --pairs"),
+        (gap + ("1000", "--window", "0.5"), 1, "gap-identity reads no --window"),
+        (gap + ("1000", "--lip-claim", "2"), 1, "gap-identity reads no --lip-claim"),
+        (gap + ("1000", "--functional", "coord_at(0)"), 1, "gap-identity reads no --functional"),
+        (events + ("10000", "--n", "2"), 1, "events reads no --n"),
+        (events + ("10000", "--pairs", "500"), 1, "events reads no --pairs"),
+        (events + ("10000", "--measure", "uniform_cube:1"), 1, "events reads no --measure"),
+        (events + ("10000", "--lip-claim", "2"), 1, "events reads no --lip-claim"),
+        (bakhvalov + ("1000", "--segments", "3"), 1, "bakhvalov reads no --segments"),
+        (bakhvalov + ("1000", "--pairs", "500"), 1, "bakhvalov reads no --pairs"),
+        (gap[:5] + gap[7:] + ("1000",), 1, "gap-identity needs --measure"),
+        (lipschitz[:5] + ("--pairs", "500"), 1, "lipschitz needs --functional"),
+        (("adversary", "--check", "bakhvalov", "--measure", "uniform_cube:1"),
+         1, "bakhvalov needs --codebook"),
+    ]
+    # A config, and each level of it, must be a JSON object; see _NOT_OBJECTS.
+    rows += [
+        (("rates", "--config", "{listconfig}", "--out-dir", "{out}"),
+         1, "listconfig.json: a config must be a JSON object, got list"),
+        (("rates", "--config", "{intreference}", "--out-dir", "{out}"),
+         1, "intreference.json: config key 'reference' must be a JSON object, got int"),
+    ]
     # A measure must fit the codebook's points before any check draws.
     rows += [
         (gap[:6] + ("uniform_cube:2", "--samples", "1000"),
@@ -719,6 +749,16 @@ _MISSING_KEYS = {
 }
 
 
+# Rate configs that are not JSON objects, or hold a level that is not.
+_NOT_OBJECTS = {
+    "listconfig": [1, 2],
+    "intreference": {
+        "algorithm": "mc", "measure": "uniform_cube:1", "functional": "abs_coord_at(0)",
+        "ladder": [4, 8, 16, 32], "reference": 5,
+    },
+}
+
+
 # A diffusion whose Euler states overflow at step 2.
 _BLOW_UP = "kind=diffusion drift=linear:1e300 diffusion=linear:0.2 u0=1 k_steps=11"
 
@@ -731,7 +771,7 @@ def _blow_up_argvs():
         ("quantize", "--measure", sde, "--n", "2", "--pool", "1000"),
         ("widths", "--measure", sde, "--dims", "1,2", "--samples", "1000"),
         ("adversary", "--check", "lipschitz", "--measure", sde,
-         "--functional", "coord_at(1.0)", "--samples", "300"),
+         "--functional", "coord_at(1.0)"),
     ]
 
 
@@ -767,7 +807,7 @@ class TestCliExitCodes:
                 "reference": {"kind": "euler", "k_ref": 11, "n_ref": 300},
                 "diffusion": {"drift": "linear:1e300", "diffusion": "linear:0.2", "u0": 1},
             }, dst)
-        for name, config in {**_UNREAD_KEYS, **_MISSING_KEYS}.items():
+        for name, config in {**_UNREAD_KEYS, **_MISSING_KEYS, **_NOT_OBJECTS}.items():
             files[name] = str(tmp_path / f"{name}.json")
             with open(files[name], "w") as dst:
                 json.dump(config, dst)

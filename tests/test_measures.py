@@ -628,12 +628,14 @@ class TestBlocks:
         # diffusion and G > k on the expansion.
         monkeypatch.setattr(measures, "_BLOCK_BYTES", 2**20)
         states = []
+        kernel = measures._euler_run
 
-        def recorded(spec, k, rng, n, grid):
+        def recorded(spec, k, rng, n, grid, out=None):
             states.append(8 * n * k * spec.m)
-            return euler_values(spec, k, rng, n, grid)
+            return kernel(spec, k, rng, n, grid, out)
 
-        monkeypatch.setattr(measures, "euler_values", recorded)
+        # A stream runs each block through the kernel's part generator.
+        monkeypatch.setattr(measures, "_euler_run", recorded)
         rows = measures._block_rows(measure.grid.size)
         sizes = [
             batch.nbytes
@@ -1082,9 +1084,9 @@ class TestDrawAhead:
         del kept
 
     def test_only_the_draws_leave_the_callers_thread(self, monkeypatch):
-        # sample_batch, euler_values and the functional run on the caller's
-        # thread, as the span tracer of bench/ assumes; every draw of every
-        # stream runs on one other thread.
+        # sample_batch, euler_values, the kernel's steps and the functional
+        # run on the caller's thread, as the span tracer of bench/ assumes;
+        # every draw of every stream runs on one other thread.
         from quantquad.paths import Functional
 
         monkeypatch.setattr(measures, "_BLOCK_BYTES", 8 * 33 * 300)
@@ -1101,10 +1103,16 @@ class TestDrawAhead:
         monkeypatch.setattr(measures, "sample_batch", recorded(measures.sample_batch))
         monkeypatch.setattr(measures, "euler_values", recorded(measures.euler_values))
         f = Functional(recorded(lambda v: v[:, -1, 0]))
+        spec = gbm_spec(0.1, 0.2)
+        measure = Diffusion(DiffusionSpec(recorded(spec.drift), spec.diffusion, spec.u0), 33,
+                            Grid.uniform(33))
         for seed in (SeedSpec(50), SeedSpec(51)):
-            reference_value(f, self._measure(1), 1000, seed)
+            reference_value(f, measure, 1000, seed)
         assert set(threads) == {threading.get_ident()}
-        assert len(threads) == 2 * (4 + 4 + 4)  # per stream: 4 blocks, 4 kernels, 4 tiles
+        # Per stream: 7 Euler parts (halves of three 300-row blocks and a
+        # 100-row tail) of 32 steps, each one tile; a stream takes its parts
+        # from the kernel, not through sample_batch or euler_values.
+        assert len(threads) == 2 * (7 * 32 + 7)
         workers = {thread for _, thread in log}
         assert len(workers) == 1 and threading.get_ident() not in workers
 
@@ -1248,6 +1256,21 @@ class TestEulerParts:
         increments, output = 8 * 2 * 1024 * 2048, 8 * rows * measure.grid.size
         peak = traced_peak(
             lambda: reference_value(sup_norm_functional(), measure, 2 * rows, SeedSpec(48))
+        )
+        assert peak <= 1.1 * (increments + output + 2 * measures._TILE_BYTES)
+
+    def test_memory_is_two_parts_of_increments_and_one_part_of_output(self):
+        # One 4094-row block of 2049-step paths on a 2049-point grid runs as
+        # four parts of at most 1024 rows: the stream holds the two-slot
+        # buffer of increments and one part of output, never the block's.
+        from quantquad.paths import sup_norm_functional
+
+        measure = Diffusion(gbm_spec(0.1, 0.2), 2049, Grid.uniform(2049))
+        rows = measures._block_rows(2049)
+        assert measures._euler_parts(rows) == [1024, 1024, 1023, 1023]
+        increments, output = 8 * 2 * 1024 * 2048, 8 * 1024 * 2049
+        peak = traced_peak(
+            lambda: reference_value(sup_norm_functional(), measure, rows, SeedSpec(48))
         )
         assert peak <= 1.1 * (increments + output + 2 * measures._TILE_BYTES)
 

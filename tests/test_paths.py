@@ -101,6 +101,37 @@ class TestNorms:
             rows = np.array([batch_norm(row, kind, g) for row in values])
             np.testing.assert_array_equal(batch_norm(values, kind, g), rows)
 
+    @pytest.mark.parametrize("layout", ["contiguous", "strided"])
+    def test_scalar_sup_and_l2_are_those_of_abs(self, layout):
+        # For m = 1 the sup norm is max(max x, -min x) + 0.0 and the L2 norm
+        # sums x w x, with no |x| array; both equal the norms of |x| bit for
+        # bit: on random rows, on rows of +-0.0 (the sup is +0.0) and on rows
+        # holding NaN or infinities.
+        grid = Grid.uniform(9)
+        rng = np.random.default_rng(12)
+        values = rng.standard_normal((40, 9)) * 10.0 ** rng.integers(-300, 300, (40, 1))
+        values[:6] = rng.choice([0.0, -0.0], (6, 9))
+        values[6:9, 3] = [np.nan, np.inf, -np.inf]
+        values[9, [0, 8]] = [-np.nan, np.inf]
+        values = values[:, :, None]
+        if layout == "strided":
+            values = np.repeat(values, 2, axis=1)[:, ::2]
+            assert not values.flags.c_contiguous
+        mag = np.abs(values[..., 0])
+        want = {
+            NormKind.SUP: mag.max(axis=-1),
+            NormKind.L2: np.sqrt(np.einsum("...g,g,...g->...", mag, grid.weights, mag)),
+        }
+        for kind, expected in want.items():
+            got = batch_norm(values, kind, grid)
+            assert np.array_equal(got, expected, equal_nan=True)
+            finite = ~np.isnan(expected)
+            assert got[finite].tobytes() == expected[finite].tobytes()
+        assert not np.signbit(want[NormKind.SUP][:6]).any()
+        sup = sup_norm_functional()(values)
+        assert sup[finite].tobytes() == want[NormKind.SUP][finite].tobytes()
+        assert np.array_equal(sup, want[NormKind.SUP], equal_nan=True)
+
 
 class TestDistance:
     def test_self_distance_zero(self, grid):

@@ -5,10 +5,11 @@ from each run's first draw, so no mean or stderr depends on how the
 stream is cut into blocks, tiles or pieces, and a run of at most one
 chunk has numpy's mean and std(ddof=1) / sqrt(n).  A measure's tag parses
 back to the measure, a codebook file gives back its codebook bit for bit,
-coord_at(t) at a grid time t reads that grid point, and every nearest
-search returns what a search over all exact distances returns.  Layouts and
-values are drawn at random; ``derandomize`` makes every run check the same
-examples.
+coord_at(t) at a grid time t reads that grid point, every nearest
+search returns what a search over all exact distances returns, and a
+streamed Euler measure gives the paths and the failures of one run over
+all its rows.  Layouts and values are drawn at random; ``derandomize``
+makes every run check the same examples.
 """
 import math
 import os
@@ -21,8 +22,21 @@ from hypothesis import strategies as st
 
 from quantquad import measures
 from quantquad.config import parse_functional, parse_measure
-from quantquad.measures import BrownianKL, SeedSpec, StdNormal, UniformCube, measure_tag
-from quantquad.paths import Functional, Grid, NormKind
+from quantquad.errors import NumericError
+from quantquad.measures import (
+    AffineCoeff,
+    BrownianKL,
+    ConstantCoeff,
+    Diffusion,
+    DiffusionSpec,
+    SeedSpec,
+    StdNormal,
+    UniformCube,
+    euler_values,
+    measure_tag,
+    reference_value,
+)
+from quantquad.paths import Functional, Grid, NormKind, sup_norm_functional
 from quantquad.quadrature import classical_mc, classical_mc_replicated
 from quantquad.quantize import (
     Codebook,
@@ -220,3 +234,84 @@ def test_nearest_search_is_the_first_minimum_of_all_distances(data):
     nearest = np.argmin(every, axis=1)
     np.testing.assert_array_equal(idx, nearest)
     assert dist.tobytes() == every[np.arange(values.shape[0]), nearest].tobytes()
+
+
+def _euler_layout(data, minimum=1):
+    # (measure, total) of a small Diffusion stream, with _BLOCK_BYTES and
+    # _TILE_BYTES drawn for it (set by the caller): blocks of 1 .. total rows,
+    # and tiles of whole or split parts.
+    m = data.draw(st.sampled_from([1, 2]), "m")
+    k, size = data.draw(st.integers(2, 40), "k"), data.draw(st.integers(2, 40), "G")
+    total = data.draw(st.integers(minimum, 2600), "total")
+    row_bytes = 8 * m * max(k, size)
+    block = row_bytes * data.draw(st.integers(1, total), "block rows")
+    block += data.draw(st.integers(0, row_bytes - 1), "spare bytes")
+    tile = 8 * m * size * data.draw(st.integers(1, 2 * total), "tile rows")
+    vol = AffineCoeff(0.2, 0.1) if m == 2 else AffineCoeff(0.0, 0.3)
+    spec = DiffusionSpec(AffineCoeff(0.1, -0.3).drift, vol.diffusion, (1.0,) * m, m)
+    return Diffusion(spec, k, Grid.uniform(size)), total, block, tile
+
+
+@_examples(40)
+@given(_SEEDS, st.data())
+def test_euler_tiles_joined_are_one_run(seed, data):
+    measure, total, block, tile = _euler_layout(data)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(measures, "_BLOCK_BYTES", block)
+        patch.setattr(measures, "_TILE_BYTES", tile)
+        tiles = [(start, t.copy()) for start, t in measures._tiles(measure, SeedSpec(seed), total)]
+    starts = np.cumsum([0] + [len(t) for _, t in tiles[:-1]])
+    assert [start for start, _ in tiles] == starts.tolist()
+    run = euler_values(measure.spec, measure.k_steps, SeedSpec(seed).rng(), total, measure.grid)
+    assert np.concatenate([t for _, t in tiles]).tobytes() == run.tobytes()
+
+
+def _blows_up_at(points, u0):
+    # A zero drift that is infinite on one row at given steps of given
+    # parts of a stream, at[(part, step)] = row, parts counted across blocks.
+    # A part starts where every state is u0.
+    seen = {"part": -1, "step": 0}
+
+    def drift(x):
+        if (x == u0).all():
+            seen["part"], seen["step"] = seen["part"] + 1, 1
+        else:
+            seen["step"] += 1
+        a = np.zeros_like(x)
+        row = points.get((seen["part"], seen["step"]))
+        if row is not None:
+            a[row, -1] = np.inf
+        return a
+
+    return drift
+
+
+@_examples(40)
+@given(_SEEDS, st.data())
+def test_an_euler_failure_names_the_earliest_step_and_lowest_row(seed, data):
+    # The first block with a non-finite state fails at its earliest such
+    # step and, at that step, its lowest row, whichever part holds it.
+    measure, total, block, tile = _euler_layout(data, minimum=100)
+    k, m = measure.k_steps, measure.spec.m
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(measures, "_BLOCK_BYTES", block)
+        patch.setattr(measures, "_TILE_BYTES", tile)
+        rows = measures._block_rows(measures._draw_floats(measure))
+        parts = [(s + sum(measures._euler_parts(min(rows, total - s))[:i]), p)
+                 for s in range(0, total, rows)
+                 for i, p in enumerate(measures._euler_parts(min(rows, total - s)))]
+        points = {}
+        for _ in range(data.draw(st.integers(1, 3), "blow-ups")):
+            part = data.draw(st.integers(0, len(parts) - 1), "part")
+            step = data.draw(st.integers(1, k - 1), "step")
+            points[(part, step)] = data.draw(st.integers(0, parts[part][1] - 1), "row")
+        u0 = (1.0,) * m
+        spec = DiffusionSpec(_blows_up_at(points, np.array(u0)),
+                             ConstantCoeff(0.2).diffusion, u0, m)
+        with pytest.raises(NumericError) as info:
+            reference_value(sup_norm_functional(), Diffusion(spec, k, measure.grid), total,
+                            SeedSpec(seed))
+    first = min(parts[part][0] // rows for part, _ in points)
+    expected = min((step, parts[part][0] + row) for (part, step), row in points.items()
+                   if parts[part][0] // rows == first)
+    assert (info.value.step, info.value.sample) == expected

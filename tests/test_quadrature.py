@@ -12,7 +12,6 @@ from quantquad.measures import (
     SeedSpec,
     StdNormal,
     UniformCube,
-    euler_values,
     gbm_spec,
 )
 from quantquad.paths import (
@@ -384,14 +383,16 @@ class TestReplicationRule:
         whole = classical_mc_replicated(measure, f, 16, 10, seed)
         whole_vr = vr_mc_replicated(cb, measure, f, 16, 10, seed)
         calls = []
+        kernel = measures._euler_run
 
         def counted(*args):
             calls.append(args[3])
-            return euler_values(*args)
+            return kernel(*args)
 
-        # A draw's largest array is its path on the grid (G > k = 11).
+        # A draw's largest array is its path on the grid (G > k = 11).  A
+        # stream runs each block through the kernel's part generator.
         monkeypatch.setattr(measures, "_BLOCK_BYTES", rows * 8 * grid.size)
-        monkeypatch.setattr(measures, "euler_values", counted)
+        monkeypatch.setattr(measures, "_euler_run", counted)
         np.testing.assert_array_equal(
             classical_mc_replicated(measure, f, 16, 10, seed), whole
         )

@@ -2,6 +2,7 @@ import dataclasses
 import functools
 import itertools
 import math
+import os
 import tracemalloc
 from functools import reduce
 from statistics import NormalDist
@@ -37,6 +38,7 @@ from quantquad.quantize import (
 from quantquad.storage import load_codebook, save_codebook
 
 SQRT_2_OVER_PI = 0.7978845608028654
+_SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
 
 
 def two_point_uniform(r=1.0):
@@ -49,6 +51,38 @@ class TestCodebook:
     def test_duplicate_points_rejected(self):
         with pytest.raises(ConfigurationError):
             Codebook(np.array([[0.5], [0.5]]), 1.0, NormKind.EUCLIDEAN, "u")
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0], [1.0, 2.0, 3.0]],  # equal, not neighbours
+            [[0.0, 1.0, -2.0], [3.0, 3.0, 3.0], [-0.0, 1.0, -2.0]],  # only by -0.0
+            [[-0.0, 0.0, 7.0], [0.0, -0.0, 7.0]],  # only by signs of zeros
+        ],
+        ids=["equal", "signed-zero", "signed-zeros"],
+    )
+    @pytest.mark.parametrize("grid", [None, Grid.uniform(3)], ids=["vectors", "paths"])
+    def test_points_equal_as_floats_are_rejected(self, rows, grid):
+        # As np.unique(axis=0) finds them: -0.0 equals +0.0.
+        points = np.array(rows)
+        assert np.unique(points, axis=0).shape[0] < len(rows)
+        norm = NormKind.EUCLIDEAN if grid is None else NormKind.L2
+        with pytest.raises(ConfigurationError, match="pairwise distinct"):
+            Codebook(points if grid is None else points[:, :, None], 1.0, norm, "u", grid=grid)
+        Codebook(points[:2] + np.arange(2)[:, None], 1.0, NormKind.EUCLIDEAN, "u")
+
+    def test_distinct_points_load_no_masked_arrays(self):
+        # np.unique(axis=0) imports numpy.ma on first use (10 ms, 1.6 MiB).
+        import subprocess
+        import sys
+
+        code = ("import sys, numpy as np; from quantquad.quantize import Codebook; "
+                "from quantquad.paths import NormKind; "
+                "Codebook(np.random.default_rng(0).standard_normal((50, 2)), 2.0, "
+                "NormKind.EUCLIDEAN, 'u'); print('numpy.ma' in sys.modules)")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True, env={**os.environ, "PYTHONPATH": _SRC})
+        assert out.stdout.strip() == "False"
 
     def test_weights_validation(self):
         with pytest.raises(ConfigurationError):
