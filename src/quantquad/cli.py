@@ -93,18 +93,12 @@ def _build_parser() -> _Parser:
     p.add_argument("--pool", type=int, default=None, help="Lloyd pool size")
     p.add_argument("--restarts", type=int, default=8)
     p.add_argument("--iters", type=int, default=200)
-    p.add_argument(
-        "--weight-samples",
-        type=int,
-        default=200_000,
-        help="samples for the Voronoi weight estimate",
-    )
+    p.add_argument("--weight-samples", type=int, default=200_000,
+                   help="samples for the Voronoi weight estimate")
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("quad", parents=[common], help="run a quadrature algorithm")
-    p.add_argument(
-        "--algo", required=True, choices=("voronoi", "mc", "vrmc", "euler", "gauss-sub")
-    )
+    p.add_argument("--algo", required=True, choices=tuple(_QUAD_OPTIONS))
     p.add_argument("--measure", default=None)
     p.add_argument("--functional", required=True)
     p.add_argument("--codebook", default=None, help="codebook file (voronoi/vrmc)")
@@ -117,11 +111,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("adversary", parents=[common], help="lower-bound checks")
-    p.add_argument(
-        "--check",
-        required=True,
-        choices=("gap-identity", "lipschitz", "events", "bakhvalov"),
-    )
+    p.add_argument("--check", required=True, choices=tuple(_ADVERSARY_OPTIONS))
     p.add_argument("--measure", default=None)
     p.add_argument("--codebook", default=None)
     p.add_argument("--functional", default=None)
@@ -136,9 +126,7 @@ def _build_parser() -> _Parser:
     # Not built on `common`: subparsers share the parent's actions, so a
     # rates-only default would change every command's --seed.
     p = sub.add_parser("rates", help="run a rate experiment")
-    p.add_argument(
-        "--seed", default=None, help="master seed (integer); default: the config's"
-    )
+    p.add_argument("--seed", default=None, help="master seed (integer); default: the config's")
     p.add_argument("--config", required=True)
     p.add_argument("--out-dir", required=True)
 
@@ -157,15 +145,9 @@ def _build_parser() -> _Parser:
 
 
 def _echo(args, **extra) -> dict:
-    skip = {"command"}
-    config = {
-        key: value
-        for key, value in vars(args).items()
-        if key not in skip and value is not None
-    }
-    config.update(extra)
-    config["version"] = __version__
-    return config
+    given = {key: value for key, value in vars(args).items()
+             if key != "command" and value is not None}
+    return {**given, **extra, "version": __version__}
 
 
 def _cmd_quantize(args) -> int:
@@ -185,12 +167,13 @@ def _cmd_quantize(args) -> int:
     return EXIT_OK
 
 
-def _check_options(args, label: str, rule: tuple, options: tuple, routes=None) -> None:
-    """Raise ``ConfigurationError`` naming the first of ``options`` that
-    ``label`` does not read and is given, or needs and lacks; ``rule`` is
-    (needs, may take) as space-separated names, ``routes`` a hint per option."""
-    needs, takes = (names.split() for names in rule)
-    for option in options:
+def _check_options(args, table: dict, label: str, routes=None) -> None:
+    """Raise ``ConfigurationError`` naming the first option of ``table``
+    that ``label`` does not read and is given, or needs and lacks; ``table``
+    maps each label to (needs, may take) as space-separated names, and
+    ``routes`` gives a hint per option."""
+    needs, takes = (names.split() for names in table[label])
+    for option in dict.fromkeys(" ".join(" ".join(rule) for rule in table.values()).split()):
         flag = "--" + option.replace("_", "-")
         given = getattr(args, option) is not None
         if given and option not in needs + takes:
@@ -219,9 +202,7 @@ _FIXED_NK = {
 def _cmd_quad(args) -> int:
     seed = parse_seed(args.seed)
     measure = parse_measure(args.measure) if args.measure else None
-    _check_options(args, args.algo, _QUAD_OPTIONS[args.algo],
-                   ("measure", "codebook", "n", "budget", "alpha", "beta"),
-                   {"n": _FIXED_NK.get(args.algo, "")})
+    _check_options(args, _QUAD_OPTIONS, args.algo, {"n": _FIXED_NK.get(args.algo, "")})
     codebook = load_codebook(args.codebook) if args.codebook else None
     # Build the measure the run samples first: f reads its space.
     n, echo_extra = args.n, {}
@@ -266,17 +247,11 @@ def _cmd_quad(args) -> int:
     else:
         result = classical_mc(measure, f, n, seed)
 
-    payload = {
-        "estimate": result.estimate,
-        "stderr": result.stderr,
-        "n": result.cardinality,
-        "k": result.cost.subspace_dim,
-        "oracle_cost": result.cost.oracle_cost,
-        "rng_calls": result.cost.rng_calls,
-        "arithmetic_proxy": result.cost.arithmetic_proxy,
-        "seed": seed.tag(),
-        "config": _echo(args, **echo_extra),
-    }
+    cost = result.cost
+    payload = {"estimate": result.estimate, "stderr": result.stderr, "n": result.cardinality,
+               "k": cost.subspace_dim, "oracle_cost": cost.oracle_cost,
+               "rng_calls": cost.rng_calls, "arithmetic_proxy": cost.arithmetic_proxy,
+               "seed": seed.tag(), "config": _echo(args, **echo_extra)}
     write_result_json(args.out, payload)
     print(
         f"{args.algo}: estimate={result.estimate!r} stderr={result.stderr!r} "
@@ -299,9 +274,7 @@ _ADVERSARY_DEFAULTS = {"samples": 100_000, "pairs": 10_000, "segments": 2, "wind
 
 def _cmd_adversary(args) -> int:
     seed = parse_seed(args.seed)
-    _check_options(args, args.check, _ADVERSARY_OPTIONS[args.check],
-                   ("codebook", "functional", "measure", "samples", "pairs", "segments",
-                    "window", "n", "lip_claim"))
+    _check_options(args, _ADVERSARY_OPTIONS, args.check)
     for option, default in _ADVERSARY_DEFAULTS.items():
         if getattr(args, option) is None:
             setattr(args, option, default)
@@ -353,15 +326,9 @@ def _cmd_rates(args) -> int:
     config = load_experiment_config(args.config, seed)
     report = run_rate_experiment(config)
     os.makedirs(args.out_dir, exist_ok=True)
-    echo = {
-        "name": report.name,
-        "algorithm": report.algorithm,
-        "seed": report.seed_tag,
-        "reference_value": report.reference[0],
-        "reference_stderr": report.reference[1],
-        "config_file": args.config,
-        "version": __version__,
-    }
+    echo = {"name": report.name, "algorithm": report.algorithm, "seed": report.seed_tag,
+            "reference_value": report.reference[0], "reference_stderr": report.reference[1],
+            "config_file": args.config, "version": __version__}
     base = os.path.join(args.out_dir, report.name)
     write_rate_report_csv(base + ".csv", report, echo)
     write_plot_data_csv(base + ".plot.csv", report)
@@ -392,9 +359,7 @@ def _cmd_widths(args) -> int:
     for i, k in enumerate(dims):
         sub = make_kl_subspace(k, measure.grid)
         point = width_estimate(measure, sub, args.p, args.samples, seed.child(i), norm)
-        lines.append(
-            f"{k},{point.error!r},{point.stderr!r},{kl_tail_width(k)!r}"
-        )
+        lines.append(f"{k},{point.error!r},{point.stderr!r},{kl_tail_width(k)!r}")
     atomic_write(args.out, "\n".join(lines) + "\n")
     print(f"wrote {len(dims)} width rows to {args.out}")
     return EXIT_OK
@@ -413,13 +378,8 @@ def main(argv=None) -> int:
         if args.command == "info":
             print(f"quantquad {__version__}")
             return EXIT_OK
-        handler = {
-            "quantize": _cmd_quantize,
-            "quad": _cmd_quad,
-            "adversary": _cmd_adversary,
-            "rates": _cmd_rates,
-            "widths": _cmd_widths,
-        }[args.command]
+        handler = {"quantize": _cmd_quantize, "quad": _cmd_quad, "adversary": _cmd_adversary,
+                   "rates": _cmd_rates, "widths": _cmd_widths}[args.command]
         return handler(args)
     except SystemExit_ as exc:
         if str(exc):

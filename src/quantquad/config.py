@@ -57,9 +57,7 @@ def parse_coefficient(text: str):
             return AffineCoeff(c0, c1)
     except ValueError:
         raise ConfigurationError(f"bad coefficient arguments in {text!r}") from None
-    raise ConfigurationError(
-        f"unknown coefficient family {name!r}; use constant/linear/affine"
-    )
+    raise ConfigurationError(f"unknown coefficient family {name!r}; use constant/linear/affine")
 
 
 def _parse_kv(text: str) -> dict:
@@ -183,119 +181,163 @@ def parse_norm(text: str) -> NormKind:
     return NormKind.parse(text)
 
 
-_CONFIG_KEYS = {  # the keys a config reads, at the top level ("") and in each entry
-    "": "name algorithm measure functional ladder replications reference slope_bracket "
-        "transform codebooks diffusion profile grid seed",
-    "reference": "kind value budget k_ref n_ref",
-    "codebooks": "kind paths weight_samples r",
-    "diffusion": "drift diffusion u0 m",
-    "profile": "alpha beta",
+# Each config key: its JSON type and, if not every config reads it, the
+# algorithms that read it (a top-level key) or the kinds of its level that
+# do (a key below); "codebooks.paths.*" is any key of codebooks.paths.
+_KEYS = {
+    "name": ("str", ""), "algorithm": ("str", ""), "measure": ("str", ""),
+    "functional": ("str", ""), "ladder": ("ints", ""), "replications": ("int", ""),
+    "slope_bracket": ("pair", ""), "transform": ("str", ""), "seed": ("int", ""),
+    "grid": ("int", "euler gauss-sub"),
+    "reference": ("object", ""), "reference.kind": ("str", ""),
+    "reference.value": ("float", "analytic"), "reference.budget": ("int", "mc"),
+    "reference.k_ref": ("int", "euler"), "reference.n_ref": ("int", "euler"),
+    "codebooks": ("object", "vrmc"), "codebooks.kind": ("str", ""),
+    "codebooks.paths": ("object", "files"), "codebooks.paths.*": ("str", ""),
+    "codebooks.weight_samples": ("int", "lloyd"), "codebooks.r": ("int", "lloyd"),
+    "diffusion": ("object", "euler"), "diffusion.drift": ("str", ""),
+    "diffusion.diffusion": ("str", ""), "diffusion.u0": ("float", ""), "diffusion.m": ("int", ""),
+    "profile": ("object", "gauss-sub"), "profile.alpha": ("float", ""),
+    "profile.beta": ("float", ""),
 }
+_TYPES = {"str": "a string", "int": "an integer", "float": "a finite number",
+          "object": "a JSON object", "ints": "a list of integers", "pair": "two finite numbers"}
+_NEEDED = object()
 
 
-class _Entry(dict):
-    """One level of a config: a key it lacks is a ConfigurationError that
-    names its dotted path, and a nested level is an _Entry too.  A level
-    that is not a JSON object is a ConfigurationError naming its key."""
+def _typed(kind: str, value):
+    """``value`` as a JSON ``kind`` of _TYPES (a list as a tuple, a number
+    in a float field as a float), or None if it is not one: a bool is no
+    integer, and a float is refused in an integer field."""
+    if kind in ("ints", "pair"):
+        item = "int" if kind == "ints" else "float"
+        shaped = type(value) is list and (kind == "ints" or len(value) == 2)
+        return tuple(value) if shaped and all(_typed(item, v) is not None for v in value) else None
+    if kind == "float" and type(value) in (int, float):
+        try:
+            return float(value) if math.isfinite(value) else None
+        except OverflowError:  # an integer beyond float range
+            return None
+    return value if type(value) is {"str": str, "int": int, "object": dict}.get(kind) else None
 
-    def __init__(self, fields, path: str, where: str = ""):
-        if not isinstance(fields, dict):
-            level = f"config key '{where[:-1]}'" if where else "a config"
-            raise ConfigurationError(
-                f"{path}: {level} must be a JSON object, got {type(fields).__name__}"
-            )
-        super().__init__(fields)
-        self.path, self.where = path, where
 
-    def __getitem__(self, key):
-        if key not in self:
-            raise ConfigurationError(f"{self.path}: missing config key '{self.where}{key}'")
-        value = super().__getitem__(key)
-        return _Entry(value, self.path, f"{self.where}{key}.") if isinstance(value, dict) else value
+def _read(raw: dict, key: str, default=_NEEDED, parse=None):
+    """The dotted ``key`` of the config ``raw``, typed by _KEYS and passed
+    through ``parse``; ``default`` if it is absent and not needed.  A key
+    _KEYS lacks, one the algorithm or its level's kind does not read, and a
+    value of another JSON type are refused with the key's name."""
+    level, _, name = key.rpartition(".")
+    kind, readers = _KEYS.get(key) or _KEYS.get(level + ".*", (None, ""))
+    if kind is None:
+        raise ConfigurationError(f"unknown config key {key!r}")
+    fields = _read(raw, level, _NEEDED if default is _NEEDED else {}) if level else raw
+    if name not in fields:
+        if default is _NEEDED:
+            raise ConfigurationError(f"missing config key {key!r}")
+        return default
+    reader = readers and _read(raw, f"{level}.kind" if level else "algorithm")
+    if readers and reader not in readers.split():
+        who = f"{level} kind" if level else "algorithm"
+        raise ConfigurationError(f"{who} {reader!r} reads no config key {key!r}")
+    given, value = fields[name], _typed(kind, fields[name])
+    if value is None:
+        shown = type(given).__name__ + ("" if isinstance(given, dict) else " " + json.dumps(given))
+        raise ConfigurationError(f"config key {key!r} must be {_TYPES[kind]}, got {shown}")
+    try:
+        return value if parse is None else parse(value)
+    except ConfigurationError as exc:
+        raise ConfigurationError(f"config key {key!r}: {exc}") from None
 
-    def get(self, key, default=None):
-        return self[key] if key in self else default
+
+def _keys(fields: dict, level: str = ""):
+    """Every dotted key of ``fields``, each level before the keys below it."""
+    for name, value in fields.items():
+        yield level + name
+        if isinstance(value, dict):
+            yield from _keys(value, f"{level}{name}.")
 
 
 def load_experiment_config(path: str, seed: Optional[SeedSpec] = None):
     """Build a RateExperimentConfig from a JSON file.
 
-    Reads the keys of ``_CONFIG_KEYS`` and rejects any other key; a key it
-    needs and lacks is named by its dotted path.
+    Every key is read through ``_read`` before anything is built; each
+    error is a ConfigurationError that names the file.
     """
+    with open(path) as handle:
+        try:
+            raw = json.load(handle)
+        except ValueError as exc:
+            raise ConfigurationError(f"{path}: not a JSON file: {exc}") from None
+    try:
+        return _config_from(raw, seed)
+    except ConfigurationError as exc:
+        raise ConfigurationError(f"{path}: {exc}") from None
+
+
+def _config_from(raw, seed: Optional[SeedSpec]):
     from .experiments import RateExperimentConfig
     from .quadrature import SmallBallProfile
     from .quantize import _MIN_SAMPLES, lloyd, uniform_midpoint_codebook, voronoi_weights
     from .storage import load_codebook
 
-    with open(path) as handle:
-        raw = _Entry(json.load(handle), path)
-    for level, keys in _CONFIG_KEYS.items():
-        for key in _Entry(raw.get(level, {}), path, f"{level}.") if level else raw:
-            if key not in keys.split():
-                name = f"{level}.{key}" if level else key
-                raise ConfigurationError(f"{path}: unknown config key {name!r}")
-    algorithm = raw["algorithm"]
-    ladder = tuple(int(v) for v in raw["ladder"])
+    if not isinstance(raw, dict):
+        raise ConfigurationError(f"a config must be a JSON object, got {type(raw).__name__}")
+    for key in _keys(raw):
+        _read(raw, key)
 
-    measure = parse_measure(raw["measure"]) if "measure" in raw else None
-    grid = Grid.uniform(int(raw["grid"])) if "grid" in raw else getattr(measure, "grid", None)
+    def read(key, default=_NEEDED, parse=None):
+        return _read(raw, key, default, parse)
+
+    algorithm, ladder = read("algorithm"), read("ladder")
+
+    measure = read("measure", None if algorithm in ("euler", "gauss-sub") else _NEEDED,
+                   parse_measure)
+    grid = read("grid", None, Grid.uniform) or getattr(measure, "grid", None)
     if algorithm in ("euler", "gauss-sub"):  # f reads the grid the rungs sample
         space = grid = grid or Grid.uniform()
     else:
         space = None if measure is None else measure.grid or measure.d
-    functional = parse_functional(raw["functional"], space)
+    functional = read("functional", parse=lambda text: parse_functional(text, space))
 
-    ref_raw = raw.get("reference", {"kind": "mc", "budget": 1_000_000})
-    kind = ref_raw["kind"]
-    if kind == "analytic":
-        reference = ("analytic", float(ref_raw["value"]))
-    elif kind == "mc":
-        reference = ("mc", int(ref_raw["budget"]))
-    elif kind == "euler":
-        reference = ("euler", int(ref_raw["k_ref"]), int(ref_raw["n_ref"]))
-    else:
-        raise ConfigurationError(f"{path}: unknown reference kind {kind!r}")
-
+    reference = ("mc", 1_000_000)
+    if "reference" in raw:  # the kind, then the fields of that kind in _KEYS order
+        kind = read("reference.kind")
+        reference = (kind, *(read(key) for key, (_, readers) in _KEYS.items()
+                             if key.startswith("reference.") and readers == kind))
     if seed is None:
-        seed = SeedSpec(int(raw.get("seed", 0)))
+        seed = read("seed", SeedSpec(0), parse_seed)
 
     codebooks = None
     if algorithm == "vrmc":
-        cb_raw = raw.get("codebooks", {"kind": "midpoint-grid"})
+        source = read("codebooks.kind") if "codebooks" in raw else "midpoint-grid"
         codebooks = {}
-        if cb_raw["kind"] == "midpoint-grid":
+        if source == "midpoint-grid":
             if not isinstance(measure, UniformCube):
-                raise ConfigurationError(
-                    "midpoint-grid codebooks need a uniform_cube measure"
-                )
-            d = measure.d
+                raise ConfigurationError("midpoint-grid codebooks need a uniform_cube measure")
             for n in ladder:
-                per_axis = round(n ** (1.0 / d))
-                if per_axis**d != n:
-                    raise ConfigurationError(
-                        f"ladder size {n} is not a {d}-th power; midpoint-grid "
-                        f"codebooks need per-axis^d sizes"
-                    )
-                codebooks[n] = uniform_midpoint_codebook(d, per_axis)
-        elif cb_raw["kind"] == "files":
+                per_axis = round(abs(n) ** (1.0 / measure.d))
+                if per_axis**measure.d != n:
+                    raise ConfigurationError(f"ladder size {n} is not a {measure.d}-th power; "
+                                             f"midpoint-grid codebooks need per-axis^d sizes")
+                codebooks[n] = uniform_midpoint_codebook(measure.d, per_axis)
+        elif source == "files":
             for n in ladder:
-                codebooks[n] = load_codebook(cb_raw["paths"][str(n)])
-        elif cb_raw["kind"] == "lloyd":
-            w_samples = int(cb_raw.get("weight_samples", 200_000))
+                codebooks[n] = read(f"codebooks.paths.{n}", parse=load_codebook)
+        elif source == "lloyd":
+            w_samples = read("codebooks.weight_samples", 200_000)
             _check_count(w_samples, _MIN_SAMPLES)  # before the fits, not after
             for i, n in enumerate(ladder):
-                cb = lloyd(measure, n, int(cb_raw.get("r", 2)),
-                           seed=seed.child(900_000 + i))
+                cb = lloyd(measure, n, read("codebooks.r", 2), seed=seed.child(900_000 + i))
                 voronoi_weights(cb, measure, w_samples, seed.child(910_000 + i))
                 codebooks[n] = cb
         else:
-            raise ConfigurationError(f"unknown codebook source {cb_raw['kind']!r}")
+            raise ConfigurationError(f"unknown codebook source {source!r}")
 
     diffusion = None
     if algorithm == "euler":
         if "diffusion" in raw:
-            diffusion = diffusion_from_fields(raw["diffusion"])
+            fields = {key: read(f"diffusion.{key}") for key in ("drift", "diffusion", "u0")}
+            diffusion = diffusion_from_fields({**fields, "m": read("diffusion.m", 1)})
         elif isinstance(measure, Diffusion):
             diffusion = measure.spec
         else:
@@ -303,23 +345,13 @@ def load_experiment_config(path: str, seed: Optional[SeedSpec] = None):
 
     profile = None
     if algorithm == "gauss-sub":
-        prof = raw.get("profile", {"alpha": 2.0, "beta": 0.0})
-        profile = SmallBallProfile(float(prof["alpha"]), float(prof.get("beta", 0.0)))
+        alpha = read("profile.alpha") if "profile" in raw else 2.0
+        profile = SmallBallProfile(alpha, read("profile.beta", 0.0))
 
-    bracket = raw.get("slope_bracket")
     return RateExperimentConfig(
-        name=raw.get("name", "experiment"),
-        algorithm=algorithm,
-        ladder=ladder,
-        functional=functional,
-        measure=measure,
-        replications=int(raw.get("replications", 200)),
-        reference=reference,
-        slope_bracket=tuple(bracket) if bracket else None,
-        transform=raw.get("transform", "loglog"),
-        seed=seed,
-        codebooks=codebooks,
-        diffusion=diffusion,
-        profile=profile,
-        grid=grid,
+        name=read("name", "experiment"), algorithm=algorithm, ladder=ladder,
+        functional=functional, measure=measure, replications=read("replications", 200),
+        reference=reference, slope_bracket=read("slope_bracket", None),
+        transform=read("transform", "loglog"), seed=seed, codebooks=codebooks,
+        diffusion=diffusion, profile=profile, grid=grid,
     )

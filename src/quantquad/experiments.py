@@ -159,6 +159,11 @@ def width_estimate(
 # Rate experiments
 
 
+# The fields that each algorithm and each reference kind needs.
+_NEEDS = {"mc": "measure", "vrmc": "measure", "euler": "diffusion", "gauss-sub": "profile"}
+_REFERENCES = {"analytic": "", "mc": "measure", "euler": "diffusion"}
+
+
 @dataclass
 class RateExperimentConfig:
     """One rate experiment: algorithm, size ladder, reference, brackets.
@@ -185,20 +190,31 @@ class RateExperimentConfig:
     grid: Optional[Grid] = None
 
     def __post_init__(self):
-        if self.algorithm not in ("mc", "vrmc", "euler", "gauss-sub"):
+        kind = self.reference[0]
+        if self.algorithm not in _NEEDS:
             raise ConfigurationError(f"unknown algorithm {self.algorithm!r}")
+        if kind not in _REFERENCES:
+            raise ConfigurationError(f"unknown reference kind {kind!r}")
         if len(self.ladder) < 1:
             raise ConfigurationError("ladder must not be empty")
         if self.replications < 2:
             raise ConfigurationError("need at least 2 replications")
-        if self.algorithm in ("mc", "vrmc") and self.measure is None:
-            raise ConfigurationError(f"{self.algorithm} needs a measure")
-        if self.algorithm == "vrmc" and not self.codebooks:
+        for label, needs in ((self.algorithm, _NEEDS[self.algorithm]),
+                             (f"reference kind {kind!r}", _REFERENCES[kind])):
+            for field in needs.split():
+                if getattr(self, field) is None:
+                    raise ConfigurationError(f"{label} needs the field {field!r}")
+        if self.algorithm == "vrmc" and not set(self.ladder) <= set(self.codebooks or ()):
             raise ConfigurationError("vrmc needs one codebook per ladder size")
-        if self.algorithm == "euler" and self.diffusion is None:
-            raise ConfigurationError("euler needs a diffusion spec")
-        if self.algorithm == "gauss-sub" and self.profile is None:
-            raise ConfigurationError("gauss-sub needs a small-ball profile")
+        if self.transform not in _TRANSFORMS:
+            raise ConfigurationError(f"unknown transform {self.transform!r}")
+        try:  # before any rung runs, not after
+            lo, hi = (0, 0) if self.slope_bracket is None else self.slope_bracket
+            if not -math.inf < lo <= hi < math.inf:
+                raise ValueError
+        except (TypeError, ValueError):
+            raise ConfigurationError("slope_bracket must be two finite numbers lo <= hi, "
+                                     f"got {self.slope_bracket!r}") from None
 
 
 @dataclass(frozen=True)
@@ -226,11 +242,9 @@ def _resolve_reference(config: RateExperimentConfig) -> Tuple[float, float]:
         return float(config.reference[1]), 0.0
     if kind == "mc":
         measure, n_ref, stream = config.measure, int(config.reference[1]), 1_000_000
-    elif kind == "euler":
+    else:  # euler
         _, k_ref, n_ref = config.reference
         measure, stream = Diffusion(config.diffusion, k_ref, config.grid), 1_000_001
-    else:
-        raise ConfigurationError(f"unknown reference kind {kind!r}")
     est = reference_value(config.functional, measure, n_ref, config.seed.child(stream))
     return est.value, est.stderr
 
@@ -239,12 +253,8 @@ def _run_one_size(config: RateExperimentConfig, size: int, stream: SeedSpec):
     algo = config.algorithm
     grid = config.grid or Grid.uniform()
     if algo == "vrmc":
-        cb = config.codebooks.get(size)
-        if cb is None:
-            raise ConfigurationError(f"no codebook for ladder size {size}")
-        est = vr_mc_replicated(
-            cb, config.measure, config.functional, size, config.replications, stream
-        )
+        est = vr_mc_replicated(config.codebooks[size], config.measure, config.functional, size,
+                               config.replications, stream)
         return est, size, 0
     if algo == "mc":
         n, k, measure = size, 0, config.measure
@@ -255,9 +265,7 @@ def _run_one_size(config: RateExperimentConfig, size: int, stream: SeedSpec):
         n, k = subspace_mc_schedule(size, config.profile)
         check_kl_dim(k, grid)
         measure = BrownianKL(k, grid)
-    est = classical_mc_replicated(
-        measure, config.functional, n, config.replications, stream
-    )
+    est = classical_mc_replicated(measure, config.functional, n, config.replications, stream)
     return est, n, k
 
 

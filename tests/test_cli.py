@@ -685,6 +685,12 @@ def _exit_code_rows():
         (("rates", "--config", "{intreference}", "--out-dir", "{out}"),
          1, "intreference.json: config key 'reference' must be a JSON object, got int"),
     ]
+    # A rates config is JSON, each key of its JSON type, read by the
+    # algorithm and the kind; see _BAD_CONFIGS.
+    rows += [(("rates", "--config", "{notjson}", "--out-dir", "{out}"),
+              1, "notjson.json: not a JSON file: Expecting")]
+    rows += [(("rates", "--config", "{" + name + "}", "--out-dir", "{out}"),
+              1, f"{name}.json: {fragment}") for name, (_, fragment) in _BAD_CONFIGS.items()]
     # A measure must fit the codebook's points before any check draws.
     rows += [
         (gap[:6] + ("uniform_cube:2", "--samples", "1000"),
@@ -759,6 +765,107 @@ _NOT_OBJECTS = {
 }
 
 
+# Small ladders of each algorithm that run as they stand; _BAD_CONFIGS
+# changes one key of one of them.
+_LADDERS = {
+    "mc": {"algorithm": "mc", "measure": "uniform_cube:1", "functional": "abs_coord_at(0)",
+           "ladder": [4, 8, 16, 32], "replications": 5,
+           "reference": {"kind": "analytic", "value": 0.5}},
+    "euler": {"algorithm": "euler", "functional": "sup_norm", "ladder": [100, 200, 400, 800],
+              "replications": 5, "reference": {"kind": "analytic", "value": 1.0},
+              "diffusion": {"drift": "constant:0", "diffusion": "constant:1", "u0": 1}},
+    "gauss-sub": {"algorithm": "gauss-sub", "functional": "sup_norm", "replications": 5,
+                  "ladder": [300, 400, 500, 600], "reference": {"kind": "analytic", "value": 1.0}},
+    "vrmc": {"algorithm": "vrmc", "measure": "uniform_cube:1", "functional": "abs_coord_at(0)",
+             "ladder": [4, 8, 16, 32], "replications": 5,
+             "reference": {"kind": "analytic", "value": 0.5}},
+}
+
+
+def _changed(algorithm, **changes):
+    # _LADDERS[algorithm] with each change; "level.key" changes a key below.
+    config = json.loads(json.dumps(_LADDERS[algorithm]))
+    for key, value in changes.items():
+        level, _, name = key.replace("__", ".").rpartition(".")
+        (config.setdefault(level, {}) if level else config)[name] = value
+    return config
+
+
+# Rate configs with one key of the wrong JSON type, a key the algorithm or
+# the kind does not read, a reference the ladder cannot resolve, or a slope
+# bracket or transform that no fit can use: each is refused before a rung
+# runs, with the file and the key (name: config, stderr fragment).
+_BAD_CONFIGS = {
+    "strreplications": (_changed("mc", replications="x"),
+                        "config key 'replications' must be an integer, got str"),
+    "floatreplications": (_changed("mc", replications=20.9),
+                          "config key 'replications' must be an integer, got float 20.9"),
+    "strladder": (_changed("mc", ladder="abc"), "config key 'ladder' must be a list of integers"),
+    "intladder": (_changed("mc", ladder=5), "config key 'ladder' must be a list of integers"),
+    "floatladder": (_changed("mc", ladder=[4.7, 8.2, 16.9, 32.5]),
+                    "config key 'ladder' must be a list of integers, got list [4.7"),
+    "strgrid": (_changed("euler", grid="x"), "config key 'grid' must be an integer, got str"),
+    "floatgrid": (_changed("euler", grid=257.5),
+                  "config key 'grid' must be an integer, got float 257.5"),
+    "strvalue": (_changed("mc", reference__value="a"),
+                 "config key 'reference.value' must be a finite number, got str"),
+    "nanvalue": (_changed("mc", reference__value=math.nan),
+                 "config key 'reference.value' must be a finite number, got float NaN"),
+    "floatbudget": (_changed("mc", reference={"kind": "mc", "budget": 1000.9}),
+                    "config key 'reference.budget' must be an integer, got float"),
+    "listseed": (_changed("mc", seed=[1]), "config key 'seed' must be an integer, got list"),
+    "floatseed": (_changed("mc", seed=1.5), "config key 'seed' must be an integer, got float"),
+    "boolseed": (_changed("mc", seed=True), "config key 'seed' must be an integer, got bool"),
+    "intmeasure": (_changed("mc", measure=3), "config key 'measure' must be a string, got int"),
+    "intfunctional": (_changed("mc", functional=3),
+                      "config key 'functional' must be a string, got int"),
+    "intname": (_changed("mc", name=5), "config key 'name' must be a string, got int"),
+    "intdrift": (_changed("euler", diffusion__drift=0),
+                 "config key 'diffusion.drift' must be a string, got int"),
+    "listu0": (_changed("euler", diffusion__u0=[0]),
+               "config key 'diffusion.u0' must be a finite number, got list"),
+    "listpaths": (_changed("vrmc", codebooks={"kind": "files", "paths": ["a.csv", "b.csv"]}),
+                  "config key 'codebooks.paths' must be a JSON object, got list"),
+    "nomeasure": ({k: v for k, v in _changed("vrmc", codebooks={"kind": "lloyd"}).items()
+                   if k != "measure"}, "missing config key 'measure'"),
+    # Keys the algorithm or the kind does not read.
+    "mcprofile": (_changed("mc", profile={"alpha": 2.0}),
+                  "algorithm 'mc' reads no config key 'profile'"),
+    "mcdiffusion": (_changed("mc", diffusion=_LADDERS["euler"]["diffusion"]),
+                    "algorithm 'mc' reads no config key 'diffusion'"),
+    "mccodebooks": (_changed("mc", codebooks={"kind": "midpoint-grid"}),
+                    "algorithm 'mc' reads no config key 'codebooks'"),
+    "mcgrid": (_changed("mc", grid=513), "algorithm 'mc' reads no config key 'grid'"),
+    "analyticbudget": (_changed("mc", reference__budget=1000),
+                       "reference kind 'analytic' reads no config key 'reference.budget'"),
+    "midpointr": (_changed("vrmc", codebooks={"kind": "midpoint-grid", "r": 2}),
+                  "codebooks kind 'midpoint-grid' reads no config key 'codebooks.r'"),
+    # A reference the ladder cannot resolve.
+    "mceulerref": (_changed("mc", reference={"kind": "euler", "k_ref": 9, "n_ref": 200}),
+                   "reference kind 'euler' needs the field 'diffusion'"),
+    "gausseulerref": (_changed("gauss-sub", reference={"kind": "euler", "k_ref": 9,
+                                                       "n_ref": 200}),
+                      "reference kind 'euler' needs the field 'diffusion'"),
+    "eulermcref": (_changed("euler", reference={"kind": "mc", "budget": 1000}),
+                   "reference kind 'mc' needs the field 'measure'"),
+    "bogusref": (_changed("mc", reference={"kind": "bogus"}), "unknown reference kind 'bogus'"),
+    # Slope brackets and transforms no fit can use.
+    "strbracket": (_changed("mc", slope_bracket="ab"),
+                   "config key 'slope_bracket' must be two finite numbers, got str"),
+    "intbracket": (_changed("mc", slope_bracket=5),
+                   "config key 'slope_bracket' must be two finite numbers, got int"),
+    "shortbracket": (_changed("mc", slope_bracket=[1]),
+                     "config key 'slope_bracket' must be two finite numbers, got list"),
+    "longbracket": (_changed("mc", slope_bracket=[1, 2, 3]),
+                    "config key 'slope_bracket' must be two finite numbers, got list"),
+    "reversedbracket": (_changed("mc", slope_bracket=[-0.25, -0.75]),
+                        "slope_bracket must be two finite numbers lo <= hi, got (-0.25, -0.75)"),
+    "inttransform": (_changed("mc", transform=3),
+                     "config key 'transform' must be a string, got int"),
+    "bogustransform": (_changed("mc", transform="loglin"), "unknown transform 'loglin'"),
+}
+
+
 # A diffusion whose Euler states overflow at step 2.
 _BLOW_UP = "kind=diffusion drift=linear:1e300 diffusion=linear:0.2 u0=1 k_steps=11"
 
@@ -807,10 +914,14 @@ class TestCliExitCodes:
                 "reference": {"kind": "euler", "k_ref": 11, "n_ref": 300},
                 "diffusion": {"drift": "linear:1e300", "diffusion": "linear:0.2", "u0": 1},
             }, dst)
-        for name, config in {**_UNREAD_KEYS, **_MISSING_KEYS, **_NOT_OBJECTS}.items():
+        bad = {name: config for name, (config, _) in _BAD_CONFIGS.items()}
+        for name, config in {**_UNREAD_KEYS, **_MISSING_KEYS, **_NOT_OBJECTS, **bad}.items():
             files[name] = str(tmp_path / f"{name}.json")
             with open(files[name], "w") as dst:
                 json.dump(config, dst)
+        files["notjson"] = str(tmp_path / "notjson.json")
+        with open(files["notjson"], "w") as dst:
+            dst.write("{'algorithm': 'mc'}")
         out = tmp_path / "out"
         if "{out}" not in argv:
             argv += ("--out", "{out}")
@@ -820,6 +931,12 @@ class TestCliExitCodes:
         assert fragment in err
         assert "Traceback" not in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("algorithm", sorted(_LADDERS))
+    def test_each_bad_config_changes_one_that_runs(self, tmp_path, algorithm):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(_LADDERS[algorithm]))
+        assert run("rates", "--config", str(cfg), "--out-dir", str(tmp_path / "out")) in (0, 3)
 
     @pytest.mark.parametrize("argv", _blow_up_argvs(), ids=lambda argv: argv[0])
     def test_a_blow_up_warns_nothing(self, tmp_path, argv):

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -196,6 +197,26 @@ class TestRunRateExperiment:
     def test_bad_algorithm_rejected(self):
         with pytest.raises(ConfigurationError):
             self._config(algorithm="importance-sampling")
+
+    @pytest.mark.parametrize("overrides, fragment", [
+        (dict(reference=("euler", 9, 200)), "reference kind 'euler' needs the field 'diffusion'"),
+        (dict(algorithm="gauss-sub", measure=None, profile=SmallBallProfile(2.0),
+              reference=("mc", 1000)), "reference kind 'mc' needs the field 'measure'"),
+        (dict(reference=("bogus", 1)), "unknown reference kind 'bogus'"),
+        (dict(transform=3), "unknown transform 3"),
+        (dict(transform="loglin"), "unknown transform 'loglin'"),
+        (dict(slope_bracket="ab"), "slope_bracket must be two finite numbers lo <= hi"),
+        (dict(slope_bracket=(1.0,)), "slope_bracket must be two finite numbers lo <= hi"),
+        (dict(slope_bracket=(1, 2, 3)), "slope_bracket must be two finite numbers lo <= hi"),
+        (dict(slope_bracket=(-0.4, -0.6)), "slope_bracket must be two finite numbers lo <= hi"),
+        (dict(slope_bracket=(math.nan, 0.0)), "slope_bracket must be two finite numbers lo <= hi"),
+        (dict(algorithm="vrmc", codebooks={4: uniform_midpoint_codebook(1, 4)}),
+         "vrmc needs one codebook per ladder size"),
+    ], ids=["euler-ref", "mc-ref", "bogus-ref", "int-transform", "transform", "str-bracket",
+            "short-bracket", "long-bracket", "reversed-bracket", "nan-bracket", "codebooks"])
+    def test_a_config_no_rung_can_use_is_refused_before_any_runs(self, overrides, fragment):
+        with pytest.raises(ConfigurationError, match=re.escape(fragment)):
+            self._config(**overrides)
 
     def test_gauss_sub_rung_beyond_the_grid_rejected(self):
         # The budget 3000 asks for 438 expansion terms; the grid has 257 points.

@@ -8,9 +8,12 @@ back to the measure, a codebook file gives back its codebook bit for bit,
 coord_at(t) at a grid time t reads that grid point, every nearest
 search returns what a search over all exact distances returns, and a
 streamed Euler measure gives the paths and the failures of one run over
-all its rows.  Layouts and values are drawn at random; ``derandomize``
-makes every run check the same examples.
+all its rows.  A rates config drawn from ``config._KEYS`` loads or is
+refused by a ConfigurationError, and quad and adversary argv drawn from
+their option tables exit with a documented code.  Layouts and values are
+drawn at random; ``derandomize`` makes every run check the same examples.
 """
+import json
 import math
 import os
 import tempfile
@@ -22,7 +25,7 @@ from hypothesis import strategies as st
 
 from quantquad import measures
 from quantquad.config import parse_functional, parse_measure
-from quantquad.errors import NumericError
+from quantquad.errors import ConfigurationError, NumericError
 from quantquad.measures import (
     AffineCoeff,
     BrownianKL,
@@ -315,3 +318,169 @@ def test_an_euler_failure_names_the_earliest_step_and_lowest_row(seed, data):
     expected = min((step, parts[part][0] + row) for (part, step), row in points.items()
                    if parts[part][0] // rows == first)
     assert (info.value.step, info.value.sample) == expected
+
+
+# Well-typed values of each key of config._KEYS (many that the loader then
+# refuses for what they say), and JSON values of every type to put in their
+# place.  Sizes stay tiny: a grid or a codebook of the drawn size is built.
+_CONFIG_VALUES = {
+    "name": ["p", ""],
+    "algorithm": ["mc", "vrmc", "euler", "gauss-sub", "bogus"],
+    "measure": ["uniform_cube:1", "uniform_cube:2", "brownian_kl:4:9", "std_normal:1", "bogus",
+                "kind=diffusion drift=linear:0.1 diffusion=linear:0.2 u0=1 k_steps=4 grid=9"],
+    "functional": ["abs_coord_at(0)", "coord_at(1.0)", "sup_norm", "l1_integral", "coord_at(7)",
+                   "bogus("],
+    "ladder": [[4, 16], [1, 4, 9, 16], [2, 3, 5, 7], [0, 2], [-4, 4], [], [10**30]],
+    "replications": [5, 1, -2],
+    "slope_bracket": [[-1, 0], [-0.5, -1.5], [0, 1e300]],
+    "transform": ["loglog", "loglog-in-log", "bogus"],
+    "seed": [0, 7, -1, 2**64],
+    "grid": [9, 17, 1, 0],
+    "reference.kind": ["analytic", "mc", "euler", "bogus"],
+    "reference.value": [0.5, 1, -1e300],
+    "reference.budget": [1000, 0, -5],
+    "reference.k_ref": [9, 0], "reference.n_ref": [200, -1],
+    "codebooks.kind": ["midpoint-grid", "files", "lloyd", "bogus"],
+    "codebooks.weight_samples": [100, 1000, 99, 0],
+    "codebooks.r": [1, 2, 3, 0],
+    "diffusion.drift": ["linear:0.1", "constant:1", "affine:1,2", "linear:x", "bogus"],
+    "diffusion.diffusion": ["linear:0.2", "constant:1", "linear:inf"],
+    "diffusion.u0": [1, 0.5, -2],
+    "diffusion.m": [1, 2, 0, -1],
+    "profile.alpha": [2.0, 1, 0, -1],
+    "profile.beta": [0.0, 1.0, -1e300],
+}
+_JSON_VALUES = [None, True, 0, 3, 2.5, math.nan, math.inf, "x", "", [], [1], [1.5, "a"],
+                {}, {"kind": "mc"}]
+
+
+def _config_level(data, level, files, chosen):
+    # One level of a config from _KEYS.  The algorithm, or the level's kind,
+    # is drawn first into ``chosen``.  A key that it reads is left out one
+    # time in 100, and a key that it does not read is put in one time in
+    # 100; a key put in holds a value of any JSON type one time in 100, any
+    # of its _CONFIG_VALUES two times in 100, and the first otherwise.  An
+    # unknown key is added one time in 20.
+    from quantquad.config import _KEYS
+
+    fields = {}
+    if level in ("", "reference", "codebooks"):
+        key = f"{level}.kind" if level else "algorithm"
+        chosen[level] = data.draw(st.sampled_from(_CONFIG_VALUES[key]), key)
+    for key, (kind, readers) in _KEYS.items():
+        parent, _, name = key.rpartition(".")
+        if parent != level or name == "*":
+            continue
+        fate = data.draw(st.integers(0, 99), key)
+        if (fate == 99) == (not readers or chosen.get(level) in readers.split()):
+            continue
+        if fate == 98:
+            fields[name] = data.draw(st.sampled_from(_JSON_VALUES))
+        elif key == "codebooks.paths":
+            fields[name] = {str(n): data.draw(st.sampled_from(files)) for n in (1, 2, 4, 9, 16)}
+        elif kind == "object":
+            fields[name] = _config_level(data, key, files, chosen)
+        elif name in ("algorithm", "kind"):
+            fields[name] = chosen[level]
+        else:
+            values = _CONFIG_VALUES[key]
+            fields[name] = data.draw(st.sampled_from(values)) if fate > 95 else values[0]
+    if data.draw(st.integers(0, 19), f"extra key in {level!r}") == 19:
+        extra = data.draw(st.sampled_from(["bogus", "k_steps", "kind", "a.b", "paths"]))
+        fields[extra] = data.draw(st.sampled_from(_JSON_VALUES))
+    return fields
+
+
+@pytest.mark.filterwarnings("ignore:voronoi_weights")
+def test_a_config_loads_or_is_refused_by_a_configuration_error(tmp_path):
+    # Every outcome of load_experiment_config is a config or a
+    # ConfigurationError.  Lloyd codebooks are fitted on a small pool, and
+    # their weights from at most 1000 samples: the fits are not under test.
+    from quantquad import quantize
+    from quantquad.config import load_experiment_config
+
+    cb_file = str(tmp_path / "cb.csv")
+    save_codebook(uniform_midpoint_codebook(1, 4), cb_file)
+    cfg = str(tmp_path / "cfg.json")
+    fit, weigh = quantize.lloyd, quantize.voronoi_weights
+
+    def small_fit(measure, n, r, opts=None, seed=None, norm=None):
+        return fit(measure, n, r, quantize.LloydOptions(iters=2, restarts=1, pool_size=200), seed)
+
+    @_examples(150)
+    @given(st.data())
+    def loads_or_is_refused(data):
+        with open(cfg, "w") as handle:
+            json.dump(_config_level(data, "", [cb_file, cfg], {}), handle)
+        try:
+            load_experiment_config(cfg)
+        except ConfigurationError:
+            pass
+
+    def few_weights(codebook, measure, samples, seed):
+        return weigh(codebook, measure, min(samples, 1000), seed)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(quantize, "lloyd", small_fit)
+        patch.setattr(quantize, "voronoi_weights", few_weights)
+        loads_or_is_refused()
+
+
+# Option values for quad and adversary argv, each list's first mostly, and
+# every size at most 300; a measure's first is the one its mode samples.
+_ARGV_VALUES = {
+    "measure": ["uniform_cube:1", "uniform_cube:2", "brownian_kl:4:9", "std_normal:1", "bogus",
+                "kind=diffusion drift=linear:0.1 diffusion=linear:0.2 u0=1 k_steps=4 grid=9"],
+    "codebook": ["{cb}", "{cbpath}", "{cb}.missing"],
+    "functional": ["coord_at(0)", "abs_coord_at(1.0)", "sup_norm", "l1_integral", "coord_at(x)",
+                   "dist_to_codebook({cb})"],
+    "n": [2, 1, 300, 0, -3], "samples": [100, 300, 99, 0, -3], "pairs": [100, 300, 0, -3],
+    "budget": [300, 100, 0, -3], "segments": [2, 8, 0, -2],
+    "alpha": ["2", "1", "0", "-2", "nan", "inf"], "beta": ["0", "1", "-1", "nan", "1e300"],
+    "window": ["1", "0.5", "0", "-1", "nan", "inf"], "lip_claim": ["1", "0", "-1", "nan", "inf"],
+}
+_SAMPLED = {"euler": _ARGV_VALUES["measure"][-1], "gauss-sub": "brownian_kl:4:9"}
+
+
+def test_quad_and_adversary_argv_exit_with_a_documented_code(tmp_path):
+    # quad and adversary argv from the option tables.  An option that the
+    # mode needs is left out one time in 50, a size it may take never, any
+    # other it may take one time in 5, and one it does not read is given one
+    # time in 50.  The exit code is one the README documents; an uncaught
+    # exception fails the test with its traceback.
+    import contextlib
+    import io
+
+    from quantquad import cli
+
+    files = {"cb": str(tmp_path / "cb.csv"), "cbpath": str(tmp_path / "cbpath.csv")}
+    save_codebook(uniform_midpoint_codebook(1, 4), files["cb"])
+    save_codebook(product_quantizer_bm(2, 4, Grid.uniform(9)), files["cbpath"])
+
+    def value(data, mode, option):
+        values = _ARGV_VALUES[option]
+        if data.draw(st.integers(0, 4), f"any {option}") < 4:
+            return _SAMPLED.get(mode, values[0]) if option == "measure" else values[0]
+        return data.draw(st.sampled_from(values), option)
+
+    @_examples(120)
+    @given(st.sampled_from([("quad", cli._QUAD_OPTIONS), ("adversary", cli._ADVERSARY_OPTIONS)]),
+           st.data())
+    def exits_with_a_documented_code(command, data):
+        name, table = command
+        mode = data.draw(st.sampled_from(sorted(table)), "mode")
+        argv = [name, "--algo" if name == "quad" else "--check", mode, "--seed", "3",
+                "--out", str(tmp_path / "out")]
+        if name == "quad":
+            argv += ["--functional", value(data, mode, "functional").format(**files)]
+        needs, takes = (names.split() for names in table[mode])
+        for option in dict.fromkeys(" ".join(" ".join(rule) for rule in table.values()).split()):
+            sized = option in ("n", "samples", "pairs", "budget") and option in takes
+            odds = 49 if option in needs else 50 if sized else 40 if option in takes else 1
+            if data.draw(st.integers(0, 49), option) < odds:
+                argv += ["--" + option.replace("_", "-"),
+                         str(value(data, mode, option)).format(**files)]
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            assert cli.main(argv) in (0, 1, 2, 3)
+
+    exits_with_a_documented_code()
