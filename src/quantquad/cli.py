@@ -42,6 +42,7 @@ from .measures import (
 from .paths import Grid, check_kl_dim, make_kl_subspace
 from .quadrature import (
     SmallBallProfile,
+    check_path_measure,
     classical_mc,
     euler_mc_schedule,
     subspace_mc_schedule,
@@ -203,18 +204,15 @@ def _cmd_quad(args) -> int:
     seed = parse_seed(args.seed)
     measure = parse_measure(args.measure) if args.measure else None
     _check_options(args, _QUAD_OPTIONS, args.algo, {"n": _FIXED_NK.get(args.algo, "")})
+    check_path_measure(args.algo, measure)
     codebook = load_codebook(args.codebook) if args.codebook else None
     # Build the measure the run samples first: f reads its space.
     n, echo_extra = args.n, {}
     if args.algo == "euler":
-        if not isinstance(measure, Diffusion):
-            raise ConfigurationError("euler needs a kind=diffusion measure")
         n, k = euler_mc_schedule(args.budget)
         echo_extra.update(scheduled_n=n, scheduled_k=k)
         measure = Diffusion(measure.spec, k, measure.grid)
     elif args.algo == "gauss-sub":
-        if measure is not None and not isinstance(measure, BrownianKL):
-            raise ConfigurationError("gauss-sub needs a brownian_kl measure")
         profile = SmallBallProfile(
             2.0 if args.alpha is None else args.alpha, 0.0 if args.beta is None else args.beta
         )

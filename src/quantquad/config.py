@@ -14,6 +14,7 @@ from typing import Optional, Union
 from .errors import ConfigurationError
 from .measures import (
     _check_count,
+    _check_draw,
     AffineCoeff,
     BrownianKL,
     ConstantCoeff,
@@ -26,6 +27,7 @@ from .measures import (
     UniformCube,
 )
 from .paths import (
+    DEFAULT_GRID_SIZE,
     Functional,
     Grid,
     NormKind,
@@ -106,28 +108,30 @@ def _measure_from_fields(kind: str, fields: dict) -> MeasureSpec:
         if key not in _FIELDS[kind]:
             raise ConfigurationError(f"measure kind={kind} reads no field {key!r}")
     try:
-        grid = Grid.uniform(int(fields["grid"])) if "grid" in fields else None
+        sizes = {key: int(text) for key, text in fields.items()
+                 if key not in ("drift", "diffusion", "u0")}
+        # One draw's largest array is m times its largest size, a path's grid
+        # included: check it before a grid or a state of that size is built.
+        m, path = sizes.pop("m", 1), "grid" in _FIELDS[kind]
+        _check_draw(m * max([sizes.get("grid", DEFAULT_GRID_SIZE if path else 1), *sizes.values()]))
+        grid = Grid.uniform(sizes["grid"]) if "grid" in sizes else None
         if kind == "uniform_cube":
-            return UniformCube(int(fields["d"]))
+            return UniformCube(sizes["d"])
         if kind == "std_normal":
-            return StdNormal(int(fields["d"]))
+            return StdNormal(sizes["d"])
         if kind == "brownian_kl":
-            return BrownianKL(int(fields.get("k_terms", 200)), grid)
-        return Diffusion(diffusion_from_fields(fields), int(fields["k_steps"]), grid)
+            return BrownianKL(sizes.get("k_terms", 200), grid)
+        drift = parse_coefficient(fields["drift"])
+        diffusion = parse_coefficient(fields["diffusion"])
+        u0 = tuple(float(tok) for tok in fields["u0"].split(","))
+        if len(u0) == 1 and m > 1:  # one initial value for every coordinate
+            u0 *= m
+        spec = DiffusionSpec(drift.drift, diffusion.diffusion, u0, m)
+        return Diffusion(spec, sizes["k_steps"], grid)
     except KeyError as exc:
         raise ConfigurationError(f"measure kind={kind} missing field {exc}") from None
     except ValueError as exc:
         raise ConfigurationError(f"measure kind={kind}: {exc}") from None
-
-
-def diffusion_from_fields(fields: dict) -> DiffusionSpec:
-    drift = parse_coefficient(fields["drift"])
-    diffusion = parse_coefficient(fields["diffusion"])
-    m = int(fields.get("m", 1))
-    u0 = tuple(float(tok) for tok in str(fields["u0"]).split(","))
-    if len(u0) == 1 and m > 1:
-        u0 = u0 * m
-    return DiffusionSpec(drift.drift, diffusion.diffusion, u0, m)
 
 
 _FUNCTIONAL_RE = re.compile(r"^([a-z0-9_]+)(?:\((.*)\))?$")
@@ -188,15 +192,12 @@ _KEYS = {
     "name": ("str", ""), "algorithm": ("str", ""), "measure": ("str", ""),
     "functional": ("str", ""), "ladder": ("ints", ""), "replications": ("int", ""),
     "slope_bracket": ("pair", ""), "transform": ("str", ""), "seed": ("int", ""),
-    "grid": ("int", "euler gauss-sub"),
     "reference": ("object", ""), "reference.kind": ("str", ""),
     "reference.value": ("float", "analytic"), "reference.budget": ("int", "mc"),
     "reference.k_ref": ("int", "euler"), "reference.n_ref": ("int", "euler"),
     "codebooks": ("object", "vrmc"), "codebooks.kind": ("str", ""),
     "codebooks.paths": ("object", "files"), "codebooks.paths.*": ("str", ""),
     "codebooks.weight_samples": ("int", "lloyd"), "codebooks.r": ("int", "lloyd"),
-    "diffusion": ("object", "euler"), "diffusion.drift": ("str", ""),
-    "diffusion.diffusion": ("str", ""), "diffusion.u0": ("float", ""), "diffusion.m": ("int", ""),
     "profile": ("object", "gauss-sub"), "profile.alpha": ("float", ""),
     "profile.beta": ("float", ""),
 }
@@ -275,8 +276,8 @@ def load_experiment_config(path: str, seed: Optional[SeedSpec] = None):
 
 
 def _config_from(raw, seed: Optional[SeedSpec]):
-    from .experiments import RateExperimentConfig
-    from .quadrature import SmallBallProfile
+    from .experiments import RateExperimentConfig, _check_ladder
+    from .quadrature import _PATH_MEASURES, SmallBallProfile, check_path_measure
     from .quantize import _MIN_SAMPLES, lloyd, uniform_midpoint_codebook, voronoi_weights
     from .storage import load_codebook
 
@@ -290,13 +291,12 @@ def _config_from(raw, seed: Optional[SeedSpec]):
 
     algorithm, ladder = read("algorithm"), read("ladder")
 
-    measure = read("measure", None if algorithm in ("euler", "gauss-sub") else _NEEDED,
-                   parse_measure)
-    grid = read("grid", None, Grid.uniform) or getattr(measure, "grid", None)
-    if algorithm in ("euler", "gauss-sub"):  # f reads the grid the rungs sample
-        space = grid = grid or Grid.uniform()
-    else:
-        space = None if measure is None else measure.grid or measure.d
+    # A path ladder's rungs sample its measure's kind on its grid (else 257
+    # points), each at its schedule's k; f reads the space they sample.
+    measure = read("measure", None if algorithm == "gauss-sub" else _NEEDED, parse_measure)
+    check_path_measure(algorithm, measure)
+    grid = (measure.grid if measure else Grid.uniform()) if algorithm in _PATH_MEASURES else None
+    space = grid or measure.grid or measure.d
     functional = read("functional", parse=lambda text: parse_functional(text, space))
 
     reference = ("mc", 1_000_000)
@@ -309,6 +309,7 @@ def _config_from(raw, seed: Optional[SeedSpec]):
 
     codebooks = None
     if algorithm == "vrmc":
+        _check_ladder(algorithm, ladder)  # before any codebook is built
         source = read("codebooks.kind") if "codebooks" in raw else "midpoint-grid"
         codebooks = {}
         if source == "midpoint-grid":
@@ -333,16 +334,6 @@ def _config_from(raw, seed: Optional[SeedSpec]):
         else:
             raise ConfigurationError(f"unknown codebook source {source!r}")
 
-    diffusion = None
-    if algorithm == "euler":
-        if "diffusion" in raw:
-            fields = {key: read(f"diffusion.{key}") for key in ("drift", "diffusion", "u0")}
-            diffusion = diffusion_from_fields({**fields, "m": read("diffusion.m", 1)})
-        elif isinstance(measure, Diffusion):
-            diffusion = measure.spec
-        else:
-            raise ConfigurationError("euler experiments need a diffusion entry")
-
     profile = None
     if algorithm == "gauss-sub":
         alpha = read("profile.alpha") if "profile" in raw else 2.0
@@ -353,5 +344,5 @@ def _config_from(raw, seed: Optional[SeedSpec]):
         functional=functional, measure=measure, replications=read("replications", 200),
         reference=reference, slope_bracket=read("slope_bracket", None),
         transform=read("transform", "loglog"), seed=seed, codebooks=codebooks,
-        diffusion=diffusion, profile=profile, grid=grid,
+        diffusion=measure.spec if algorithm == "euler" else None, profile=profile, grid=grid,
     )

@@ -23,6 +23,7 @@ from .measures import (
     DiffusionSpec,
     MeasureSpec,
     SeedSpec,
+    _check_count,
     _Moments,
     _stream,
     reference_value,
@@ -164,6 +165,22 @@ _NEEDS = {"mc": "measure", "vrmc": "measure", "euler": "diffusion", "gauss-sub":
 _REFERENCES = {"analytic": "", "mc": "measure", "euler": "diffusion"}
 
 
+def _check_ladder(algorithm: str, ladder: Sequence[int], profile=None, grid=None) -> None:
+    """Refuse a ladder that no fit can use or with a size that no rung can
+    run: fewer than 4 sizes, an mc/vrmc size below 2 draws, or a budget that
+    its schedule, or the grid that the k-term rungs sample, calls too small."""
+    if len(ladder) < 4:
+        raise ConfigurationError(f"a rate fit needs at least 4 ladder sizes, got {len(ladder)}")
+    grid = grid or Grid.uniform()
+    for size in ladder:
+        if algorithm in ("mc", "vrmc"):
+            _check_count(size, 2)
+        elif algorithm == "euler":
+            euler_mc_schedule(size)
+        else:
+            check_kl_dim(subspace_mc_schedule(size, profile)[1], grid)
+
+
 @dataclass
 class RateExperimentConfig:
     """One rate experiment: algorithm, size ladder, reference, brackets.
@@ -195,8 +212,6 @@ class RateExperimentConfig:
             raise ConfigurationError(f"unknown algorithm {self.algorithm!r}")
         if kind not in _REFERENCES:
             raise ConfigurationError(f"unknown reference kind {kind!r}")
-        if len(self.ladder) < 1:
-            raise ConfigurationError("ladder must not be empty")
         if self.replications < 2:
             raise ConfigurationError("need at least 2 replications")
         for label, needs in ((self.algorithm, _NEEDS[self.algorithm]),
@@ -204,6 +219,7 @@ class RateExperimentConfig:
             for field in needs.split():
                 if getattr(self, field) is None:
                     raise ConfigurationError(f"{label} needs the field {field!r}")
+        _check_ladder(self.algorithm, self.ladder, self.profile, self.grid)
         if self.algorithm == "vrmc" and not set(self.ladder) <= set(self.codebooks or ()):
             raise ConfigurationError("vrmc needs one codebook per ladder size")
         if self.transform not in _TRANSFORMS:

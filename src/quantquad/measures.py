@@ -725,6 +725,16 @@ def _check_count(total: int, minimum: int) -> None:
         raise ConfigurationError(f"at least {minimum} samples needed, got {total}")
 
 
+def _check_draw(floats: int) -> None:
+    """Raise ``ConfigurationError`` when one draw of ``floats`` floats would
+    not fit in one block of _BLOCK_BYTES.  Needs nothing to be built."""
+    if 8 * floats > _BLOCK_BYTES:
+        raise ConfigurationError(
+            f"one draw of {floats} floats needs {8 * floats} bytes, more than the "
+            f"{_BLOCK_BYTES}-byte block"
+        )
+
+
 @contextmanager
 def _located(start: int, stream: str = ""):
     """Raise a failure in the draws from ``start`` at its stream index.

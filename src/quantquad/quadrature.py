@@ -33,6 +33,7 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .measures import (
+    BrownianKL,
     Diffusion,
     MeasureSpec,
     SeedSpec,
@@ -287,3 +288,15 @@ def subspace_mc_schedule(N: int, profile: SmallBallProfile) -> Tuple[int, int]:
     (a, b); their product is at most N.
     """
     return _balanced_schedule(N, profile.alpha, profile.beta, "subspace")
+
+
+# The measure kind that Euler and Gaussian-subspace Monte Carlo sample at
+# their schedule's k, and its name in a measure spec.
+_PATH_MEASURES = {"euler": (Diffusion, "kind=diffusion"), "gauss-sub": (BrownianKL, "brownian_kl")}
+
+
+def check_path_measure(algorithm: str, measure: Optional[MeasureSpec]) -> None:
+    """Refuse a measure of another kind than an euler or gauss-sub run samples."""
+    sampled, label = _PATH_MEASURES.get(algorithm, (object, ""))
+    if measure is not None and not isinstance(measure, sampled):
+        raise ConfigurationError(f"{algorithm} needs a {label} measure")

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import datetime
 import json
+import math
 import os
 import tempfile
 
@@ -82,77 +83,81 @@ def save_codebook(codebook: Codebook, path: str, extra: dict = None):
 
 
 def load_codebook(path: str) -> Codebook:
-    """Read a codebook file; values round-trip bit-for-bit."""
+    """Read a codebook file; values round-trip bit-for-bit.  A malformed
+    file is refused with its name and the line at fault."""
     with open(path) as handle:
-        lines = [line.rstrip("\n") for line in handle if line.strip()]
+        lines = [(number, line.rstrip("\n")) for number, line in enumerate(handle, start=1)
+                 if line.strip()]
+    try:
+        return _codebook_from(lines)
+    except ConfigurationError as exc:
+        raise ConfigurationError(f"{path}: {exc}") from None
+
+
+def _positive(text: str, prefix: str = "") -> int:
+    """``text`` less ``prefix`` as an integer >= 1, else ValueError."""
+    if not text.startswith(prefix) or int(text[len(prefix):]) < 1:
+        raise ValueError(text)
+    return int(text[len(prefix):])
+
+
+def _codebook_from(lines) -> Codebook:
+    # ``lines`` holds (line number, text) of each line that is not blank.
     if not lines:
-        raise ConfigurationError(f"{path}: empty codebook file (line 1)")
-    header = lines[0]
+        raise ConfigurationError("empty codebook file (line 1)")
+    (head, header), body = lines[0], lines[1:]
     if not header.startswith(_CODEBOOK_MAGIC + ","):
-        raise ConfigurationError(
-            f"{path}: line 1: expected header starting with "
-            f"{_CODEBOOK_MAGIC!r}"
-        )
+        raise ConfigurationError(f"line {head}: expected header starting with {_CODEBOOK_MAGIC!r}")
     meta = {}
     for part in header.split(",")[1:]:
-        part = part.strip()
-        if "=" not in part:
-            raise ConfigurationError(f"{path}: line 1: malformed field {part!r}")
-        key, value = part.split("=", 1)
+        key, eq, value = part.partition("=")
+        if not eq:
+            raise ConfigurationError(f"line {head}: malformed field {part.strip()!r}")
         meta[key.strip()] = value.strip()
-    try:
-        n = int(meta["n"])
-        space = meta["space"]
-        order_r = float(meta["r"])
-        norm = NormKind.parse(meta["norm"])
-        measure = meta["measure"]
-    except KeyError as exc:
-        raise ConfigurationError(f"{path}: line 1: missing field {exc}") from None
-    oracle = int(meta["oracle_dim"]) if "oracle_dim" in meta else None
 
-    body = lines[1:]
+    def field(key, cast=str, default=None):
+        # The header field ``key`` through ``cast``; ``default`` if absent and given.
+        if key not in meta and default is None:
+            raise ConfigurationError(f"line {head}: missing field {key!r}")
+        text = meta.get(key, default)
+        try:
+            return cast(text)
+        except (ValueError, ConfigurationError):
+            raise ConfigurationError(f"line {head}: bad field {key}={text!r}") from None
+
+    n, space, order_r = field("n", _positive), field("space"), field("r", float)
+    norm, measure = field("norm", NormKind.parse), field("measure")
+    oracle = field("oracle_dim", int) if "oracle_dim" in meta else None
+    if space == "vector":
+        shape = (field("d", _positive),)
+    elif space == "path":
+        size = field("grid", lambda text: _positive(text, "uniform:"))
+        shape = (size, field("m", _positive, "1"))
+    else:
+        raise ConfigurationError(f"line {head}: unknown space {space!r}")
+
     if len(body) not in (n, n + 1):
         raise ConfigurationError(
-            f"{path}: expected {n} point rows (+ optional weights row), "
-            f"got {len(body)} data rows"
+            f"expected {n} point rows (+ optional weights row), got {len(body)} data rows"
         )
+    # Each row's width is checked against the header before a grid of the
+    # header's size is built.
     rows = []
-    for offset, line in enumerate(body, start=2):
+    for index, (number, line) in enumerate(body):
         try:
-            rows.append(np.array([float(tok) for tok in line.split(",")]))
+            row = np.array([float(tok) for tok in line.split(",")])
         except ValueError:
+            raise ConfigurationError(f"line {number}: could not parse numbers") from None
+        what, width = ("point", math.prod(shape)) if index < n else ("weights", n)
+        if row.size != width:
             raise ConfigurationError(
-                f"{path}: line {offset}: could not parse numbers"
-            ) from None
-    weights = None
-    if len(body) == n + 1:
-        weights = rows.pop()
-        if weights.size != n:
-            raise ConfigurationError(
-                f"{path}: line {len(body) + 1}: weights row must have {n} values"
+                f"line {number}: a {what} row must have {width} values, got {row.size}"
             )
-    flat = np.stack(rows)
-
-    if space == "vector":
-        d = int(meta["d"])
-        if flat.shape[1] != d:
-            raise ConfigurationError(f"{path}: point rows must have {d} values")
-        return Codebook(flat, order_r, norm, measure, weights=weights,
-                        oracle_dim=oracle)
-    if space == "path":
-        kind, _, size = meta["grid"].partition(":")
-        if kind != "uniform":
-            raise ConfigurationError(f"{path}: line 1: unknown grid {meta['grid']!r}")
-        grid = Grid.uniform(int(size))
-        m = int(meta.get("m", "1"))
-        if flat.shape[1] != grid.size * m:
-            raise ConfigurationError(
-                f"{path}: point rows must have {grid.size * m} values"
-            )
-        points = flat.reshape(n, grid.size, m)
-        return Codebook(points, order_r, norm, measure, grid=grid,
-                        weights=weights, oracle_dim=oracle)
-    raise ConfigurationError(f"{path}: line 1: unknown space {space!r}")
+        rows.append(row)
+    weights = rows.pop() if len(body) == n + 1 else None
+    grid = Grid.uniform(shape[0]) if space == "path" else None
+    return Codebook(np.stack(rows).reshape(n, *shape), order_r, norm, measure, grid=grid,
+                    weights=weights, oracle_dim=oracle)
 
 
 # ---------------------------------------------------------------------------

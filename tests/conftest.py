@@ -5,9 +5,11 @@ nearest-point code: dense midpoint integration for one-dimensional
 expectations, a brute-force python nearest-point loop, and the d=1
 Lloyd range sums kept for every sample.  Two test-only functions ride
 along: a running-maximum functional and the exact distortion of the
-scalar N(0,1) quantizer.
+scalar N(0,1) quantizer.  ``PINNED_ENV`` is the env that the seeded
+checksums of the workloads and the README examples were taken on.
 """
 import math
+import os
 import tracemalloc
 
 import numpy as np
@@ -84,6 +86,21 @@ class FullBlockSums:
 
     def prefix(self, at, r):
         return self.sums[:r, at]
+
+
+# KL paths go through BLAS products, so seeded checksums hold for this
+# numpy, BLAS and thread count only.
+PINNED_ENV = {"numpy": "2.4.6", "blas": "scipy-openblas 0.3.31.188.0", "blas_threads": "2"}
+
+
+def moved_env() -> dict:
+    """(pinned, here) for each key of PINNED_ENV on which this env differs."""
+    # OpenBLAS runs one thread per usable core unless told otherwise.
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    threads = os.environ.get("OPENBLAS_NUM_THREADS") or str(len(os.sched_getaffinity(0)))
+    env = {"numpy": np.__version__, "blas": f"{blas['name']} {blas['version']}",
+           "blas_threads": threads}
+    return {key: (pinned, env[key]) for key, pinned in PINNED_ENV.items() if env[key] != pinned}
 
 
 def traced_peak(fn):

@@ -58,13 +58,17 @@ class TestCodebookRoundTrip:
         with pytest.raises(ConfigurationError, match="header"):
             load_codebook(str(path))
 
-    def test_malformed_row_reports_line(self, tmp_path):
+    @pytest.mark.parametrize("rows, line", [("0.5\nnot-a-number\n", 3),
+                                            ("\n0.5\n\nnot-a-number\n", 5)],
+                             ids=["rows", "blank-lines"])
+    def test_malformed_row_reports_line(self, tmp_path, rows, line):
+        # A line is named by its number in the file, blank lines counted.
         path = tmp_path / "bad2.csv"
         path.write_text(
             "quantquad-codebook v1, n=2, space=vector, d=1, r=1.0, "
-            "norm=euclidean, measure=u\n0.5\nnot-a-number\n"
+            "norm=euclidean, measure=u\n" + rows
         )
-        with pytest.raises(ConfigurationError, match="line 3"):
+        with pytest.raises(ConfigurationError, match=f"bad2.csv: line {line}: could not parse"):
             load_codebook(str(path))
 
     def test_identical_bytes_for_same_codebook(self, tmp_path):
@@ -144,7 +148,11 @@ class TestWeightSamplesBeforeFit:
         assert "at least 100 samples needed, got 0" in capsys.readouterr().err
         assert fits == []
 
-    def test_config_never_fits(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("ladder, weight_samples, fragment", [
+        ([16, 64, 256, 1024], 0, "at least 100 samples needed, got 0"),
+        ([16, 64, 256], 1000, "a rate fit needs at least 4 ladder sizes, got 3"),
+    ], ids=["weight-samples", "short-ladder"])
+    def test_config_never_fits(self, tmp_path, monkeypatch, ladder, weight_samples, fragment):
         from quantquad import quantize
         from quantquad.config import load_experiment_config
 
@@ -152,10 +160,10 @@ class TestWeightSamplesBeforeFit:
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({
             "algorithm": "vrmc", "measure": "uniform_cube:2",
-            "functional": "coord_at(0)", "ladder": [16, 64],
-            "codebooks": {"kind": "lloyd", "weight_samples": 0},
+            "functional": "coord_at(0)", "ladder": ladder,
+            "codebooks": {"kind": "lloyd", "weight_samples": weight_samples},
         }))
-        with pytest.raises(ConfigurationError, match="at least 100 samples needed, got 0"):
+        with pytest.raises(ConfigurationError, match=fragment):
             load_experiment_config(str(cfg))
         assert fits == []
 
@@ -385,15 +393,15 @@ class TestCliRatesAndWidths:
         "algorithm, ladder, entry, value",
         [
             ("euler", [100, 200, 400, 800],
-             {"diffusion": {"drift": "linear:0.1", "diffusion": "linear:0.2", "u0": 1}},
+             {"measure": "kind=diffusion drift=linear:0.1 diffusion=linear:0.2 u0=1 k_steps=11"},
              math.exp(0.1)),
             ("gauss-sub", [300, 400, 500, 600], {}, 0.0),
         ],
         ids=["euler", "gauss-sub"],
     )
-    def test_path_ladder_without_grid_or_measure(self, tmp_path, algorithm, ladder, entry,
-                                                 value):
-        # coord_at(1.0) reads the default grid the rungs sample.
+    def test_path_ladder_on_the_default_grid(self, tmp_path, algorithm, ladder, entry, value):
+        # coord_at(1.0) reads the default grid the rungs sample: that of a
+        # measure with no grid field, or none.
         config = {
             "name": algorithm, "algorithm": algorithm, "functional": "coord_at(1.0)",
             "ladder": ladder, "replications": 10,
@@ -404,20 +412,6 @@ class TestCliRatesAndWidths:
         out_dir = str(tmp_path / "out")
         assert run("rates", "--config", str(cfg), "--out-dir", out_dir) == 0
         assert os.path.exists(os.path.join(out_dir, f"{algorithm}.csv"))
-
-    def test_ladder_functional_reads_the_grid_key(self, tmp_path):
-        # The rungs sample the 513-point "grid", not the measure's 257
-        # points, so t = 0.5 is point 256 of 513.
-        from quantquad.config import load_experiment_config
-
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({
-            "algorithm": "euler", "grid": 513, "functional": "abs_coord_at(0.5)",
-            "measure": "kind=diffusion drift=constant:0 diffusion=constant:1 u0=0 k_steps=9",
-            "ladder": [100, 200, 400, 800],
-        }))
-        config = load_experiment_config(str(cfg))
-        assert config.functional(Grid.uniform(513).points[None, :, None]).tolist() == [0.5]
 
     def test_widths_output(self, tmp_path):
         out = str(tmp_path / "w.csv")
@@ -525,6 +519,7 @@ def _exit_code_rows():
              "--budget", "1000")
     euler = ("quad", "--algo", "euler", "--functional", "coord_at(1.0)", "--measure")
     sde = "kind=diffusion drift={} diffusion={} u0=1 k_steps=11"
+    gbm = sde.format("linear:0.1", "linear:0.2")
     huge = "1" + "0" * 400
     rows = []
     for count in ("0", "1", "-1"):
@@ -611,6 +606,20 @@ def _exit_code_rows():
             ("kind=uniform_cube d=2 extra=1", "reads no field 'extra'"),
         ]
     ]
+    # Sizes from a measure spec are checked before anything of that size is
+    # allocated: one draw must fit in a block.
+    rows += [
+        (mc[:4] + ("brownian_kl:10:100000000000000",) + mc[5:] + ("100",),
+         1, "one draw of 100000000000000 floats needs 800000000000000 bytes"),
+        (euler + (gbm + " m=100000000000", "--budget", "1000"),
+         1, "one draw of 25700000000000 floats needs 205600000000000 bytes"),
+    ]
+    # A malformed codebook file is refused with the file and the line; a
+    # point row's width is checked against the header before the header's
+    # grid is built.  See _BAD_CODEBOOKS.
+    rows += [(("quad", "--algo", "voronoi", "--codebook", "{" + name + "}",
+               "--functional", "coord_at(0)"), 1, f"{name}.csv: {fragment}")
+             for name, (*_, fragment) in _BAD_CODEBOOKS.items()]
     # quad has no --grid: a run's grid is its measure's.
     rows += [
         (euler + (sde.format("linear:0.1", "linear:0.2"), "--n", "100", "--grid", "513"),
@@ -618,7 +627,6 @@ def _exit_code_rows():
     ]
     # quad has no --k, and each --algo refuses an input it does not read:
     # euler and gauss-sub take (n, k) from --budget, a fixed (n, k) is mc.
-    gbm = sde.format("linear:0.1", "linear:0.2")
     voronoi = ("quad", "--algo", "voronoi", "--codebook", "{cb}", "--functional", "coord_at(0)")
     rows += [
         (mc + ("100", "--k", "16"), 1, "unrecognized arguments: --k 16"),
@@ -642,10 +650,10 @@ def _exit_code_rows():
     ]
     # A rates config holds only keys the loader reads; see _UNREAD_KEYS.
     rows += [
-        (("rates", "--config", "{typo}", "--out-dir", "{out}"),
-         1, "unknown config key 'replication'"),
-        (("rates", "--config", "{bogus}", "--out-dir", "{out}"),
-         1, "unknown config key 'diffusion.k_steps'"),
+        (("rates", "--config", "{" + name + "}", "--out-dir", "{out}"),
+         1, f"unknown config key '{key}'")
+        for name, key in (("typo", "replication"), ("eulergrid", "grid"),
+                          ("gaussgrid", "grid"), ("eulerdiffusion", "diffusion"))
     ]
     # Every key a rates config reads and lacks is named by its dotted path;
     # see _MISSING_KEYS.
@@ -653,7 +661,7 @@ def _exit_code_rows():
         (("rates", "--config", "{" + name + "}", "--out-dir", "{out}"),
          1, f"missing config key '{key}'")
         for name, key in (("nobudget", "reference.budget"), ("nofunctional", "functional"),
-                          ("nopaths", "codebooks.paths"), ("nodiffusion", "diffusion.diffusion"))
+                          ("nopaths", "codebooks.paths"), ("noeulermeasure", "measure"))
     ]
     # Each adversary --check refuses an option it does not read, and names
     # one it needs and lacks.
@@ -713,26 +721,8 @@ def _exit_code_rows():
     return rows
 
 
-# Rate configs that would run but for one key the loader does not read: a
-# top-level typo of "replications", and a "diffusion" entry with fields of
-# a measure spec.
-_UNREAD_KEYS = {
-    "typo": {
-        "algorithm": "mc", "measure": "uniform_cube:1", "functional": "abs_coord_at(0)",
-        "ladder": [4, 8, 16, 32], "replication": 5,
-        "reference": {"kind": "analytic", "value": 0.5},
-    },
-    "bogus": {
-        "algorithm": "euler", "functional": "sup_norm", "ladder": [100, 200, 400, 800],
-        "reference": {"kind": "analytic", "value": 1.0},
-        "diffusion": {"drift": "constant:0", "diffusion": "constant:1", "u0": 1,
-                      "k_steps": 99, "bogus": 3},
-    },
-}
-
-
 # Rate configs that lack one key the loader reads: a reference budget, the
-# functional, the codebook files and a diffusion coefficient.
+# functional, the codebook files and the diffusion measure of an euler ladder.
 _MISSING_KEYS = {
     "nobudget": {
         "algorithm": "mc", "measure": "uniform_cube:1", "functional": "abs_coord_at(0)",
@@ -744,13 +734,12 @@ _MISSING_KEYS = {
     },
     "nopaths": {
         "algorithm": "vrmc", "measure": "uniform_cube:1", "functional": "abs_coord_at(0)",
-        "ladder": [4, 8], "reference": {"kind": "analytic", "value": 0.5},
+        "ladder": [4, 8, 16, 32], "reference": {"kind": "analytic", "value": 0.5},
         "codebooks": {"kind": "files"},
     },
-    "nodiffusion": {
+    "noeulermeasure": {
         "algorithm": "euler", "functional": "sup_norm", "ladder": [100, 200, 400, 800],
         "reference": {"kind": "analytic", "value": 1.0},
-        "diffusion": {"drift": "constant:0", "u0": 1},
     },
 }
 
@@ -773,7 +762,7 @@ _LADDERS = {
            "reference": {"kind": "analytic", "value": 0.5}},
     "euler": {"algorithm": "euler", "functional": "sup_norm", "ladder": [100, 200, 400, 800],
               "replications": 5, "reference": {"kind": "analytic", "value": 1.0},
-              "diffusion": {"drift": "constant:0", "diffusion": "constant:1", "u0": 1}},
+              "measure": "kind=diffusion drift=constant:0 diffusion=constant:1 u0=1 k_steps=9"},
     "gauss-sub": {"algorithm": "gauss-sub", "functional": "sup_norm", "replications": 5,
                   "ladder": [300, 400, 500, 600], "reference": {"kind": "analytic", "value": 1.0}},
     "vrmc": {"algorithm": "vrmc", "measure": "uniform_cube:1", "functional": "abs_coord_at(0)",
@@ -791,6 +780,22 @@ def _changed(algorithm, **changes):
     return config
 
 
+# Rate configs that would run but for one key the loader does not read: a
+# top-level typo of "replications", and a "grid" or "diffusion" beside the
+# measure that a path ladder samples.
+_UNREAD_KEYS = {
+    "typo": {
+        "algorithm": "mc", "measure": "uniform_cube:1", "functional": "abs_coord_at(0)",
+        "ladder": [4, 8, 16, 32], "replication": 5,
+        "reference": {"kind": "analytic", "value": 0.5},
+    },
+    "eulergrid": _changed("euler", grid=513),
+    "gaussgrid": _changed("gauss-sub", grid=513),
+    "eulerdiffusion": _changed("euler", diffusion={"drift": "constant:0",
+                                                   "diffusion": "constant:1", "u0": 1}),
+}
+
+
 # Rate configs with one key of the wrong JSON type, a key the algorithm or
 # the kind does not read, a reference the ladder cannot resolve, or a slope
 # bracket or transform that no fit can use: each is refused before a rung
@@ -804,9 +809,6 @@ _BAD_CONFIGS = {
     "intladder": (_changed("mc", ladder=5), "config key 'ladder' must be a list of integers"),
     "floatladder": (_changed("mc", ladder=[4.7, 8.2, 16.9, 32.5]),
                     "config key 'ladder' must be a list of integers, got list [4.7"),
-    "strgrid": (_changed("euler", grid="x"), "config key 'grid' must be an integer, got str"),
-    "floatgrid": (_changed("euler", grid=257.5),
-                  "config key 'grid' must be an integer, got float 257.5"),
     "strvalue": (_changed("mc", reference__value="a"),
                  "config key 'reference.value' must be a finite number, got str"),
     "nanvalue": (_changed("mc", reference__value=math.nan),
@@ -820,10 +822,6 @@ _BAD_CONFIGS = {
     "intfunctional": (_changed("mc", functional=3),
                       "config key 'functional' must be a string, got int"),
     "intname": (_changed("mc", name=5), "config key 'name' must be a string, got int"),
-    "intdrift": (_changed("euler", diffusion__drift=0),
-                 "config key 'diffusion.drift' must be a string, got int"),
-    "listu0": (_changed("euler", diffusion__u0=[0]),
-               "config key 'diffusion.u0' must be a finite number, got list"),
     "listpaths": (_changed("vrmc", codebooks={"kind": "files", "paths": ["a.csv", "b.csv"]}),
                   "config key 'codebooks.paths' must be a JSON object, got list"),
     "nomeasure": ({k: v for k, v in _changed("vrmc", codebooks={"kind": "lloyd"}).items()
@@ -831,11 +829,8 @@ _BAD_CONFIGS = {
     # Keys the algorithm or the kind does not read.
     "mcprofile": (_changed("mc", profile={"alpha": 2.0}),
                   "algorithm 'mc' reads no config key 'profile'"),
-    "mcdiffusion": (_changed("mc", diffusion=_LADDERS["euler"]["diffusion"]),
-                    "algorithm 'mc' reads no config key 'diffusion'"),
     "mccodebooks": (_changed("mc", codebooks={"kind": "midpoint-grid"}),
                     "algorithm 'mc' reads no config key 'codebooks'"),
-    "mcgrid": (_changed("mc", grid=513), "algorithm 'mc' reads no config key 'grid'"),
     "analyticbudget": (_changed("mc", reference__budget=1000),
                        "reference kind 'analytic' reads no config key 'reference.budget'"),
     "midpointr": (_changed("vrmc", codebooks={"kind": "midpoint-grid", "r": 2}),
@@ -846,8 +841,29 @@ _BAD_CONFIGS = {
     "gausseulerref": (_changed("gauss-sub", reference={"kind": "euler", "k_ref": 9,
                                                        "n_ref": 200}),
                       "reference kind 'euler' needs the field 'diffusion'"),
-    "eulermcref": (_changed("euler", reference={"kind": "mc", "budget": 1000}),
+    "gaussmcref": (_changed("gauss-sub", reference={"kind": "mc", "budget": 1000}),
                    "reference kind 'mc' needs the field 'measure'"),
+    # A path ladder samples a measure of its own kind.
+    "eulercube": (_changed("euler", measure="uniform_cube:1"),
+                  "euler needs a kind=diffusion measure"),
+    "gaussnormal": (_changed("gauss-sub", measure="std_normal:1"),
+                    "gauss-sub needs a brownian_kl measure"),
+    # A ladder no fit can use, or a size no rung can run.
+    "shortladder": (_changed("euler", ladder=[100, 200, 400]),
+                    "a rate fit needs at least 4 ladder sizes, got 3"),
+    "onedraw": (_changed("mc", ladder=[1, 4, 8, 16]), "at least 2 samples needed, got 1"),
+    "onecodebookdraw": (_changed("vrmc", ladder=[1, 4, 9, 16]),
+                        "at least 2 samples needed, got 1"),
+    "smallbudget": (_changed("euler", ladder=[5, 200, 400, 800]),
+                    "budget N=5 too small for the Euler schedule"),
+    "smallgaussbudget": (_changed("gauss-sub", ladder=[5, 400, 500, 600]),
+                         "budget N=5 too small for the subspace schedule"),
+    "gaussbeyondgrid": (_changed("gauss-sub", ladder=[300, 400, 500, 3000]),
+                        "a 438-dimensional expansion subspace needs a grid with more than "
+                        "438 points (got 257)"),
+    # One draw must fit in a block before a grid or state of its size is built.
+    "hugegrid": (_changed("euler", measure=_LADDERS["euler"]["measure"] + " grid=10000000000"),
+                 "config key 'measure': one draw of 10000000000 floats needs 80000000000 bytes"),
     "bogusref": (_changed("mc", reference={"kind": "bogus"}), "unknown reference kind 'bogus'"),
     # Slope brackets and transforms no fit can use.
     "strbracket": (_changed("mc", slope_bracket="ab"),
@@ -863,6 +879,28 @@ _BAD_CONFIGS = {
     "inttransform": (_changed("mc", transform=3),
                      "config key 'transform' must be a string, got int"),
     "bogustransform": (_changed("mc", transform="loglin"), "unknown transform 'loglin'"),
+}
+
+
+# Codebook files made from {cb} or {cbpath} (see TestCliExitCodes) by one
+# change: (source, text, its replacement, stderr fragment).
+_BAD_CODEBOOKS = {
+    "cbnabc": ("cb", "n=2", "n=abc", "line 1: bad field n='abc'"),
+    "cbn0": ("cb", "n=2", "n=0", "line 1: bad field n='0'"),
+    "cbdx": ("cb", "d=1", "d=x", "line 1: bad field d='x'"),
+    "cbrx": ("cb", "r=1.0", "r=x", "line 1: bad field r='x'"),
+    "cbnorm": ("cb", "norm=euclidean", "norm=bogus", "line 1: bad field norm='bogus'"),
+    "cbragged": ("cb", "\n0.75\n", "\n0.75,0.25\n",
+                 "line 3: a point row must have 1 values, got 2"),
+    "cbweights": ("cb", "\n0.5,0.5\n", "\n0.5\n", "line 4: a weights row must have 2 values"),
+    "cbgridabc": ("cbpath", "grid=uniform:257", "grid=uniform:abc",
+                  "line 1: bad field grid='uniform:abc'"),
+    "cbgridkind": ("cbpath", "grid=uniform:257", "grid=chebyshev:257",
+                   "line 1: bad field grid='chebyshev:257'"),
+    "cbgridhuge": ("cbpath", "grid=uniform:257", "grid=uniform:100000000000000",
+                   "line 2: a point row must have 100000000000000 values, got 257"),
+    "cbgridone": ("cbpath", "grid=uniform:257, m=1", "grid=uniform:1, m=257",
+                  "uniform grid needs size >= 2"),
 }
 
 
@@ -903,16 +941,18 @@ class TestCliExitCodes:
         files["cbpath"] = str(tmp_path / "cbpath.csv")
         save_codebook(Codebook(paths, 2.0, NormKind.L2, "diffusion", grid=grid,
                                weights=np.full(2, 0.5)), files["cbpath"])
-        files["cbinf"] = str(tmp_path / "cbinf.csv")
-        with open(files["cb"]) as src, open(files["cbinf"], "w") as dst:
-            dst.write(src.read().replace("r=1.0", "r=inf"))
+        for name, (source, text, replacement, _) in {
+            "cbinf": ("cb", "r=1.0", "r=inf", ""), **_BAD_CODEBOOKS
+        }.items():
+            files[name] = str(tmp_path / f"{name}.csv")
+            with open(files[source]) as src, open(files[name], "w") as dst:
+                dst.write(src.read().replace(text, replacement, 1))
         files["blowup"] = str(tmp_path / "blowup.json")
         with open(files["blowup"], "w") as dst:
             json.dump({
                 "name": "blow-up", "algorithm": "euler", "functional": "sup_norm",
-                "ladder": [100, 1000], "replications": 10,
-                "reference": {"kind": "euler", "k_ref": 11, "n_ref": 300},
-                "diffusion": {"drift": "linear:1e300", "diffusion": "linear:0.2", "u0": 1},
+                "ladder": [100, 200, 400, 1000], "replications": 10,
+                "reference": {"kind": "euler", "k_ref": 11, "n_ref": 300}, "measure": _BLOW_UP,
             }, dst)
         bad = {name: config for name, (config, _) in _BAD_CONFIGS.items()}
         for name, config in {**_UNREAD_KEYS, **_MISSING_KEYS, **_NOT_OBJECTS, **bad}.items():

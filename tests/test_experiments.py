@@ -219,11 +219,11 @@ class TestRunRateExperiment:
             self._config(**overrides)
 
     def test_gauss_sub_rung_beyond_the_grid_rejected(self):
-        # The budget 3000 asks for 438 expansion terms; the grid has 257 points.
-        config = self._config(
-            algorithm="gauss-sub", ladder=(300, 3000), measure=None,
-            functional=sup_norm_functional(), profile=SmallBallProfile(2.0),
-            reference=("analytic", 1.0),
-        )
+        # The budget 3000 asks for 438 expansion terms; the grid has 257
+        # points.  The config is refused before any rung runs.
         with pytest.raises(ConfigurationError, match="use a finer grid"):
-            run_rate_experiment(config)
+            self._config(
+                algorithm="gauss-sub", ladder=(300, 400, 500, 3000), measure=None,
+                functional=sup_norm_functional(), profile=SmallBallProfile(2.0),
+                reference=("analytic", 1.0),
+            )

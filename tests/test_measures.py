@@ -589,7 +589,7 @@ class TestBlocks:
         cube = UniformCube(2)
         seed = SeedSpec(41)
         euler = RateExperimentConfig(
-            name="e", algorithm="euler", ladder=(100,), functional=sup,
+            name="e", algorithm="euler", ladder=(100, 200, 400, 800), functional=sup,
             diffusion=gbm_spec(0.1, 0.2), reference=("euler", 9, 200),
             seed=seed, grid=grid,
         )

@@ -9,9 +9,10 @@ coord_at(t) at a grid time t reads that grid point, every nearest
 search returns what a search over all exact distances returns, and a
 streamed Euler measure gives the paths and the failures of one run over
 all its rows.  A rates config drawn from ``config._KEYS`` loads or is
-refused by a ConfigurationError, and quad and adversary argv drawn from
-their option tables exit with a documented code.  Layouts and values are
-drawn at random; ``derandomize`` makes every run check the same examples.
+refused by a ConfigurationError, and quad, adversary, quantize and widths
+argv drawn from their option tables exit with a documented code.  Layouts
+and values are drawn at random; ``derandomize`` makes every run check the
+same examples.
 """
 import json
 import math
@@ -327,15 +328,16 @@ _CONFIG_VALUES = {
     "name": ["p", ""],
     "algorithm": ["mc", "vrmc", "euler", "gauss-sub", "bogus"],
     "measure": ["uniform_cube:1", "uniform_cube:2", "brownian_kl:4:9", "std_normal:1", "bogus",
-                "kind=diffusion drift=linear:0.1 diffusion=linear:0.2 u0=1 k_steps=4 grid=9"],
+                "kind=diffusion drift=linear:0.1 diffusion=linear:0.2 u0=1 k_steps=4 grid=9",
+                "brownian_kl:4:100000000000000"],
     "functional": ["abs_coord_at(0)", "coord_at(1.0)", "sup_norm", "l1_integral", "coord_at(7)",
                    "bogus("],
-    "ladder": [[4, 16], [1, 4, 9, 16], [2, 3, 5, 7], [0, 2], [-4, 4], [], [10**30]],
+    "ladder": [[4, 9, 16, 25], [4, 16], [1, 4, 9, 16], [2, 3, 5, 7], [0, 2], [-4, 4], [],
+               [10**30], [100, 200, 400, 800]],
     "replications": [5, 1, -2],
     "slope_bracket": [[-1, 0], [-0.5, -1.5], [0, 1e300]],
     "transform": ["loglog", "loglog-in-log", "bogus"],
     "seed": [0, 7, -1, 2**64],
-    "grid": [9, 17, 1, 0],
     "reference.kind": ["analytic", "mc", "euler", "bogus"],
     "reference.value": [0.5, 1, -1e300],
     "reference.budget": [1000, 0, -5],
@@ -343,10 +345,6 @@ _CONFIG_VALUES = {
     "codebooks.kind": ["midpoint-grid", "files", "lloyd", "bogus"],
     "codebooks.weight_samples": [100, 1000, 99, 0],
     "codebooks.r": [1, 2, 3, 0],
-    "diffusion.drift": ["linear:0.1", "constant:1", "affine:1,2", "linear:x", "bogus"],
-    "diffusion.diffusion": ["linear:0.2", "constant:1", "linear:inf"],
-    "diffusion.u0": [1, 0.5, -2],
-    "diffusion.m": [1, 2, 0, -1],
     "profile.alpha": [2.0, 1, 0, -1],
     "profile.beta": [0.0, 1.0, -1e300],
 }
@@ -359,7 +357,8 @@ def _config_level(data, level, files, chosen):
     # is drawn first into ``chosen``.  A key that it reads is left out one
     # time in 100, and a key that it does not read is put in one time in
     # 100; a key put in holds a value of any JSON type one time in 100, any
-    # of its _CONFIG_VALUES two times in 100, and the first otherwise.  An
+    # of its _CONFIG_VALUES two times in 100, and the first otherwise (a
+    # measure the first that the algorithm samples, as in _FIRST).  An
     # unknown key is added one time in 20.
     from quantquad.config import _KEYS
 
@@ -384,7 +383,8 @@ def _config_level(data, level, files, chosen):
             fields[name] = chosen[level]
         else:
             values = _CONFIG_VALUES[key]
-            fields[name] = data.draw(st.sampled_from(values)) if fate > 95 else values[0]
+            first = _FIRST.get(chosen[""], {}).get(key, values[0]) if not level else values[0]
+            fields[name] = data.draw(st.sampled_from(values)) if fate > 95 else first
     if data.draw(st.integers(0, 19), f"extra key in {level!r}") == 19:
         extra = data.draw(st.sampled_from(["bogus", "k_steps", "kind", "a.b", "paths"]))
         fields[extra] = data.draw(st.sampled_from(_JSON_VALUES))
@@ -426,61 +426,98 @@ def test_a_config_loads_or_is_refused_by_a_configuration_error(tmp_path):
         loads_or_is_refused()
 
 
-# Option values for quad and adversary argv, each list's first mostly, and
-# every size at most 300; a measure's first is the one its mode samples.
+# Option values for argv, each list's first mostly (or the mode's in
+# _FIRST), and every size small: a Lloyd fit is one short restart on a
+# small pool.  Among them are a measure whose grid no draw fits in and
+# codebook files that are malformed ({cbragged}) or whose header names
+# such a grid ({cbhuge}).
 _ARGV_VALUES = {
-    "measure": ["uniform_cube:1", "uniform_cube:2", "brownian_kl:4:9", "std_normal:1", "bogus",
+    "measure": ["uniform_cube:1", "brownian_kl:4:100000000000000", "uniform_cube:2",
+                "brownian_kl:4:9", "std_normal:1", "bogus",
                 "kind=diffusion drift=linear:0.1 diffusion=linear:0.2 u0=1 k_steps=4 grid=9"],
-    "codebook": ["{cb}", "{cbpath}", "{cb}.missing"],
+    "codebook": ["{cb}", "{cbragged}", "{cbhuge}", "{cbpath}", "{cb}.missing"],
     "functional": ["coord_at(0)", "abs_coord_at(1.0)", "sup_norm", "l1_integral", "coord_at(x)",
                    "dist_to_codebook({cb})"],
     "n": [2, 1, 300, 0, -3], "samples": [100, 300, 99, 0, -3], "pairs": [100, 300, 0, -3],
     "budget": [300, 100, 0, -3], "segments": [2, 8, 0, -2],
     "alpha": ["2", "1", "0", "-2", "nan", "inf"], "beta": ["0", "1", "-1", "nan", "1e300"],
     "window": ["1", "0.5", "0", "-1", "nan", "inf"], "lip_claim": ["1", "0", "-1", "nan", "inf"],
+    "r": [2, 1, 3], "norm": ["l2", "sup", "l1", "euclidean", "bogus"],
+    "pool": [200, 1, 0, "x"], "restarts": [1, 0, -1], "iters": [2, 0, -1],
+    "weight_samples": [100, 99, 0], "dims": ["1,2", "0", "-1", "1,x", "9", "4,200"],
+    "p": ["2", "1", "0", "-1", "nan", "inf"],
 }
-_SAMPLED = {"euler": _ARGV_VALUES["measure"][-1], "gauss-sub": "brownian_kl:4:9"}
+_FIRST = {
+    "euler": {"measure": _ARGV_VALUES["measure"][-1]},
+    "gauss-sub": {"measure": "brownian_kl:4:9"},
+    "widths": {"measure": "brownian_kl:4:9", "samples": 1000},
+}
+_SIZES = ("n", "samples", "pairs", "budget", "pool", "restarts", "iters", "weight_samples")
 
 
-def test_quad_and_adversary_argv_exit_with_a_documented_code(tmp_path):
-    # quad and adversary argv from the option tables.  An option that the
-    # mode needs is left out one time in 50, a size it may take never, any
-    # other it may take one time in 5, and one it does not read is given one
-    # time in 50.  The exit code is one the README documents; an uncaught
-    # exception fails the test with its traceback.
+def _argv_exit_with_a_documented_code(tmp_path, commands, count):
+    # argv of each command in ``commands``, which maps it to its mode flag
+    # (or None) and a table of the options that each mode needs and those
+    # it may take.  An option that the mode needs is left out one time in
+    # 50, a size it may take never, any other it may take one time in 5,
+    # and one it does not read is given one time in 50.  The exit code is
+    # one the README documents; an uncaught exception fails the test with
+    # its traceback.
     import contextlib
     import io
 
     from quantquad import cli
 
-    files = {"cb": str(tmp_path / "cb.csv"), "cbpath": str(tmp_path / "cbpath.csv")}
+    files = {name: str(tmp_path / f"{name}.csv") for name in ("cb", "cbpath", "cbragged", "cbhuge")}
     save_codebook(uniform_midpoint_codebook(1, 4), files["cb"])
     save_codebook(product_quantizer_bm(2, 4, Grid.uniform(9)), files["cbpath"])
+    for name, source, text, replacement in (
+        ("cbragged", "cb", "\n0.375\n", "\n0.375,1\n"),
+        ("cbhuge", "cbpath", "uniform:9", "uniform:100000000000000"),
+    ):
+        with open(files[source]) as src, open(files[name], "w") as dst:
+            dst.write(src.read().replace(text, replacement))
 
     def value(data, mode, option):
         values = _ARGV_VALUES[option]
         if data.draw(st.integers(0, 4), f"any {option}") < 4:
-            return _SAMPLED.get(mode, values[0]) if option == "measure" else values[0]
+            return _FIRST.get(mode, {}).get(option, values[0])
         return data.draw(st.sampled_from(values), option)
 
-    @_examples(120)
-    @given(st.sampled_from([("quad", cli._QUAD_OPTIONS), ("adversary", cli._ADVERSARY_OPTIONS)]),
-           st.data())
-    def exits_with_a_documented_code(command, data):
-        name, table = command
+    @_examples(count)
+    @given(st.sampled_from(sorted(commands)), st.data())
+    def exits_with_a_documented_code(name, data):
+        flag, table = commands[name]
         mode = data.draw(st.sampled_from(sorted(table)), "mode")
-        argv = [name, "--algo" if name == "quad" else "--check", mode, "--seed", "3",
+        argv = [name, *([flag, mode] if flag else []), "--seed", "3",
                 "--out", str(tmp_path / "out")]
-        if name == "quad":
-            argv += ["--functional", value(data, mode, "functional").format(**files)]
         needs, takes = (names.split() for names in table[mode])
         for option in dict.fromkeys(" ".join(" ".join(rule) for rule in table.values()).split()):
-            sized = option in ("n", "samples", "pairs", "budget") and option in takes
+            sized = option in _SIZES and option in takes
             odds = 49 if option in needs else 50 if sized else 40 if option in takes else 1
             if data.draw(st.integers(0, 49), option) < odds:
                 argv += ["--" + option.replace("_", "-"),
-                         str(value(data, mode, option)).format(**files)]
+                         str(value(data, mode or name, option)).format(**files)]
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
             assert cli.main(argv) in (0, 1, 2, 3)
 
     exits_with_a_documented_code()
+
+
+def test_quad_and_adversary_argv_exit_with_a_documented_code(tmp_path):
+    # From cli's option tables; quad needs --functional besides.
+    from quantquad import cli
+
+    quad = {algo: ("functional " + needs, takes)
+            for algo, (needs, takes) in cli._QUAD_OPTIONS.items()}
+    _argv_exit_with_a_documented_code(
+        tmp_path, {"quad": ("--algo", quad), "adversary": ("--check", cli._ADVERSARY_OPTIONS)},
+        120)
+
+
+def test_quantize_and_widths_argv_exit_with_a_documented_code(tmp_path):
+    # Each command's needs and takes, as in cli's parser.
+    _argv_exit_with_a_documented_code(tmp_path, {
+        "quantize": (None, {"": ("measure n", "r norm pool restarts iters weight_samples")}),
+        "widths": (None, {"": ("measure dims", "p norm samples")}),
+    }, 200)
