@@ -31,6 +31,7 @@ from .measures import (
     MeasureSpec,
     SeedSpec,
     _evaluated,
+    _kl_matrix,
     _Moments,
     _stream,
     _tiles,
@@ -43,6 +44,12 @@ from .quantize import Codebook, _all_point_distances, min_dist_batch
 _BLIND_SNAP_TOL = 1e-9
 # Standard deviation of the random bumps lipschitz_check adds to its draws.
 _BUMP_SCALE = 1e-3
+# Level of the two-sided exact binomial test of event_probability: the
+# two-sided tail of a normal beyond 3 standard deviations.
+_EVENTS_ALPHA = 0.0027
+# A binomial tail is summed until its terms fall this many nats below its
+# first: the rest adds less than a part in 1e20.
+_TAIL_NATS = 60.0
 
 
 # ---------------------------------------------------------------------------
@@ -178,11 +185,10 @@ class IncrementFamilySpec:
         return self.window * np.arange(self.segments + 1) / self.segments
 
 
-def _increments(spec: IncrementFamilySpec, grid: Grid):
-    """The map from a (b, G, 1) batch of paths on ``grid`` to their (b,
-    segments) increments x(s_i) - x(s_{i-1}) over ``spec``'s sub-grid."""
-    indices = np.array([grid.index_of(t) for t in spec.times()])
-    return lambda batch: np.diff(batch[:, indices, 0], axis=1)
+def _sub_grid(spec: IncrementFamilySpec, grid: Grid) -> np.ndarray:
+    """Indices on ``grid`` of ``spec``'s sub-grid points s_0 .. s_segments,
+    the only grid points that its increments x(s_i) - x(s_{i-1}) read."""
+    return np.array([grid.index_of(t) for t in spec.times()])
 
 
 def increment_functional(
@@ -195,16 +201,43 @@ def increment_functional(
     the sup norm: perturbing x by delta moves each increment by at most
     2 delta.
     """
-    increments = _increments(spec, grid or Grid.uniform())
+    indices = _sub_grid(spec, grid or Grid.uniform())
     sigma = np.where(np.array(spec.signs) == 0, 1.0, -1.0)
     theta = spec.threshold
 
     def fn(batch):
-        slack = np.maximum(0.0, increments(batch) * sigma[None, :] - theta)
+        increments = np.diff(batch[:, indices, 0], axis=1)
+        slack = np.maximum(0.0, increments * sigma[None, :] - theta)
         return 0.5 * slack.min(axis=1)
 
     name = f"increment[{spec.segments},{spec.window},{spec.threshold}]"
     return Functional(fn, 1.0, None, name)
+
+
+def _binomial_p_value(hits: int, M: int, log_p: float) -> float:
+    """Two-sided exact binomial p-value of ``hits`` successes in M trials of
+    success probability exp(``log_p``): twice the smaller tail, at most 1.
+
+    The tail on the side of ``hits`` away from the mean M p is summed from
+    ``hits`` outward, where its terms fall, as a log-sum of terms
+    lgamma(M + 1) - lgamma(j + 1) - lgamma(M - j + 1) + j ln p +
+    (M - j) ln(1 - p), until a term falls _TAIL_NATS below the first.  The
+    other tail holds at least half the mass, or the p-value is 1 anyway.
+    """
+    log_q = math.log1p(-math.exp(log_p))
+    log_m = math.lgamma(M + 1)
+
+    def log_term(j):
+        return log_m - math.lgamma(j + 1) - math.lgamma(M - j + 1) + j * log_p + (M - j) * log_q
+
+    step = -1 if hits <= M * math.exp(log_p) else 1
+    first, total = log_term(hits), 0.0
+    for j in range(hits, -1 if step < 0 else M + 1, step):
+        drop = log_term(j) - first
+        if drop < -_TAIL_NATS:
+            break
+        total += math.exp(drop)
+    return min(1.0, 2.0 * math.exp(first) * total)
 
 
 @dataclass(frozen=True)
@@ -217,12 +250,13 @@ class EventProbabilityReport:
     window: float
     threshold: float
     sample_count: int
+    p_value: float  # of the two-sided exact binomial test at ``analytic``
 
     @property
     def passed(self) -> bool:
-        within = abs(self.estimate - self.analytic) <= 3.0 * self.stderr
-        capped = self.estimate <= self.upper_bound + 3.0 * self.stderr
-        return within and capped
+        """Whether the exact binomial test at level _EVENTS_ALPHA keeps the
+        analytic probability: its p-value exceeds the level."""
+        return self.p_value > _EVENTS_ALPHA
 
 
 def event_probability(
@@ -244,18 +278,23 @@ def event_probability(
     The estimate is the fraction of hits and its stderr the CLT stderr of
     the 0/1 indicators, sqrt(m2 / (M - 1)) / sqrt(M) as for every Monte
     Carlo mean; both come from ``measures._Moments``.  At an estimate of 0
-    or 1 the stderr is exactly 0, so ``passed`` then needs the estimate to
-    equal the analytic value.
+    or 1 the stderr is exactly 0.  ``passed`` is the two-sided exact
+    binomial test of the hit count against the analytic value at level
+    0.0027 (``_binomial_p_value``), which holds at any M p, however small.
+
+    The stream's expansion normals are mapped through only the segments + 1
+    columns of the basis at the sub-grid points, so no whole path is built.
     """
     spec = IncrementFamilySpec(segments, window, signs=(0,) * segments)
     grid = grid or Grid.uniform()
     threshold = math.sqrt(window) / segments**1.5
-    increments = _increments(spec, grid)
+    measure = BrownianKL(k_terms, grid)
+    columns = _kl_matrix(measure)[:, _sub_grid(spec, grid)]
 
-    def cleared(batch):
-        return np.all(increments(batch) >= threshold, axis=1).astype(float)
+    def cleared(z):
+        return np.all(np.diff(z @ columns, axis=1) >= threshold, axis=1).astype(float)
 
-    hits = _Moments(_stream(BrownianKL(k_terms, grid), seed.child(0), M, cleared, 10**4))
+    hits = _Moments(_stream(measure, seed.child(0), M, cleared, 10**4, coefficients=True))
     p = 1.0 - NormalDist().cdf(1.0 / segments)
     return EventProbabilityReport(
         estimate=float(hits.mean()),
@@ -266,6 +305,7 @@ def event_probability(
         window=window,
         threshold=threshold,
         sample_count=M,
+        p_value=_binomial_p_value(int(hits.total), M, segments * math.log(p)),
     )
 
 

@@ -14,6 +14,7 @@ import sys
 
 from . import __version__
 from .adversary import (
+    _EVENTS_ALPHA,
     _check_certificate_size,
     bakhvalov_lower_bound,
     event_probability,
@@ -32,16 +33,16 @@ from .errors import ConfigurationError, NumericError
 from .experiments import kl_tail_width, run_rate_experiment, width_estimate
 from .measures import (
     _check_count,
-    _check_kl_basis,
     BrownianKL,
     Diffusion,
     measure_tag,
     reference_value,
     sample_shape,
 )
-from .paths import Grid, check_kl_dim, make_kl_subspace
+from .paths import make_kl_subspace
 from .quadrature import (
     SmallBallProfile,
+    _subspace_grid,
     check_path_measure,
     classical_mc,
     euler_mc_schedule,
@@ -218,17 +219,9 @@ def _cmd_quad(args) -> int:
         )
         n, k = subspace_mc_schedule(args.budget, profile)
         echo_extra.update(alpha=profile.alpha, beta=profile.beta, scheduled_n=n, scheduled_k=k)
-        if measure is not None:
-            grid = measure.grid
-        else:
-            # a k-term subspace needs more than k grid points; double up
-            size = 257
-            while size <= 2 * k:
-                size = 2 * (size - 1) + 1
-            _check_kl_basis(k, size)  # before the grid is built
-            grid = Grid.uniform(size)
-            echo_extra["grid"] = size
-        check_kl_dim(k, grid)
+        grid = _subspace_grid(k, measure and measure.grid)
+        if measure is None:
+            echo_extra["grid"] = grid.size
         measure = BrownianKL(k, grid)
     if codebook is not None and measure is not None:  # f reads draws and points
         _check_fits(sample_shape(measure), codebook)
@@ -298,6 +291,7 @@ def _cmd_adversary(args) -> int:
         ok, fields = report.passed, dict(
             estimate=report.estimate, analytic=report.analytic,
             stderr=report.stderr, upper_bound=report.upper_bound,
+            p_value=report.p_value, alpha=_EVENTS_ALPHA,
         )
     else:  # bakhvalov
         codebook = load_codebook(args.codebook)

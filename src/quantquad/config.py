@@ -277,7 +277,13 @@ def load_experiment_config(path: str, seed: Optional[SeedSpec] = None):
 
 def _config_from(raw, seed: Optional[SeedSpec]):
     from .experiments import RateExperimentConfig, _check_ladder
-    from .quadrature import _PATH_MEASURES, SmallBallProfile, check_path_measure
+    from .quadrature import (
+        _PATH_MEASURES,
+        SmallBallProfile,
+        _subspace_grid,
+        check_path_measure,
+        subspace_mc_schedule,
+    )
     from .quantize import _MIN_SAMPLES, lloyd, uniform_midpoint_codebook, voronoi_weights
     from .storage import load_codebook
 
@@ -291,11 +297,22 @@ def _config_from(raw, seed: Optional[SeedSpec]):
 
     algorithm, ladder = read("algorithm"), read("ladder")
 
-    # A path ladder's rungs sample its measure's kind on its grid (else 257
-    # points), each at its schedule's k; f reads the space they sample.
+    profile = None
+    if algorithm == "gauss-sub":
+        alpha = read("profile.alpha") if "profile" in raw else 2.0
+        profile = SmallBallProfile(alpha, read("profile.beta", 0.0))
+
+    # A path ladder's rungs sample its measure's kind on its grid, each at
+    # its schedule's k; f reads the space they sample.  A gauss-sub ladder
+    # without a measure samples the grid quad picks for its largest budget.
     measure = read("measure", None if algorithm == "gauss-sub" else _NEEDED, parse_measure)
     check_path_measure(algorithm, measure)
-    grid = (measure.grid if measure else Grid.uniform()) if algorithm in _PATH_MEASURES else None
+    grid = None
+    if measure is not None and algorithm in _PATH_MEASURES:
+        grid = measure.grid
+    elif algorithm == "gauss-sub":
+        _check_ladder(algorithm, ladder, profile)  # each k fits the grid quad picks for it
+        grid = _subspace_grid(max(subspace_mc_schedule(size, profile)[1] for size in ladder))
     space = grid or measure.grid or measure.d
     functional = read("functional", parse=lambda text: parse_functional(text, space))
 
@@ -333,11 +350,6 @@ def _config_from(raw, seed: Optional[SeedSpec]):
                 codebooks[n] = cb
         else:
             raise ConfigurationError(f"unknown codebook source {source!r}")
-
-    profile = None
-    if algorithm == "gauss-sub":
-        alpha = read("profile.alpha") if "profile" in raw else 2.0
-        profile = SmallBallProfile(alpha, read("profile.beta", 0.0))
 
     return RateExperimentConfig(
         name=read("name", "experiment"), algorithm=algorithm, ladder=ladder,

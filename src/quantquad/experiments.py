@@ -24,6 +24,7 @@ from .measures import (
     MeasureSpec,
     SeedSpec,
     _check_count,
+    _coefficient_route,
     _Moments,
     _stream,
     reference_value,
@@ -36,9 +37,12 @@ from .paths import (
     batch_norm,
     batch_project,
     check_kl_dim,
+    kl_eigenvalues,
+    make_kl_subspace,
 )
 from .quadrature import (
     SmallBallProfile,
+    _subspace_grid,
     classical_mc_replicated,
     euler_mc_schedule,
     subspace_mc_schedule,
@@ -142,17 +146,34 @@ def width_estimate(
     this is the exact subspace distance and for sup/L1 an upper bound.
     Since the subspace is given rather than optimized, the result is an
     upper estimate of the k-th average width.  Needs M >= 1000.
+
+    The L2 distance of a BrownianKL draw to ``make_kl_subspace(k)`` on the
+    measure's grid, k <= k_terms, with the measure's rows orthonormal there
+    (``measures._coefficient_route``), is read from the draw's expansion
+    normals z as (sum_{l > k} lambda_l z_l^2)^(1/2), which is the residual's
+    norm to within the rows' orthonormality; no path is built.  Every other
+    distance is taken on the draw's path.
     """
     if not 0 < p < math.inf:
         raise ConfigurationError("order p must be positive and finite")
     if measure.grid is None:
         raise ConfigurationError("width_estimate expects a path measure")
 
-    def distances(batch):
-        resid = batch_project(batch[:, :, 0], sub)[1]
-        return batch_norm(resid[:, :, None], norm_kind, sub.grid) ** p
+    coefficients = _coefficient_route(measure, norm_kind, sub.grid, sub.basis,
+                                      lambda k, grid: make_kl_subspace(k, grid).basis)
+    if coefficients:
+        scale = np.sqrt(kl_eigenvalues(measure.k_terms)[sub.dim:])
 
-    value, stderr = _Moments(_stream(measure, seed.child(0), M, distances, 1000)).root(p)
+        def distances(z):
+            tail = z[:, sub.dim:] * scale
+            return np.sqrt(np.einsum("bl,bl->b", tail, tail)) ** p
+    else:
+        def distances(batch):
+            resid = batch_project(batch[:, :, 0], sub)[1]
+            return batch_norm(resid[:, :, None], norm_kind, sub.grid) ** p
+
+    powers = _stream(measure, seed.child(0), M, distances, 1000, coefficients=coefficients)
+    value, stderr = _Moments(powers).root(p)
     return RatePoint(size=float(sub.dim), error=value, stderr=stderr)
 
 
@@ -168,17 +189,18 @@ _REFERENCES = {"analytic": "", "mc": "measure", "euler": "diffusion"}
 def _check_ladder(algorithm: str, ladder: Sequence[int], profile=None, grid=None) -> None:
     """Refuse a ladder that no fit can use or with a size that no rung can
     run: fewer than 4 sizes, an mc/vrmc size below 2 draws, or a budget that
-    its schedule, or the grid that the k-term rungs sample, calls too small."""
+    its schedule, or the grid that the k-term rungs sample, calls too small.
+    With no ``grid``, each k-term rung is checked on the grid that
+    ``quadrature._subspace_grid`` picks for it."""
     if len(ladder) < 4:
         raise ConfigurationError(f"a rate fit needs at least 4 ladder sizes, got {len(ladder)}")
-    grid = grid or Grid.uniform()
     for size in ladder:
         if algorithm in ("mc", "vrmc"):
             _check_count(size, 2)
         elif algorithm == "euler":
             euler_mc_schedule(size)
         else:
-            check_kl_dim(subspace_mc_schedule(size, profile)[1], grid)
+            _subspace_grid(subspace_mc_schedule(size, profile)[1], grid)
 
 
 @dataclass
@@ -219,7 +241,7 @@ class RateExperimentConfig:
             for field in needs.split():
                 if getattr(self, field) is None:
                     raise ConfigurationError(f"{label} needs the field {field!r}")
-        _check_ladder(self.algorithm, self.ladder, self.profile, self.grid)
+        _check_ladder(self.algorithm, self.ladder, self.profile, self.grid or Grid.uniform())
         if self.algorithm == "vrmc" and not set(self.ladder) <= set(self.codebooks or ()):
             raise ConfigurationError("vrmc needs one codebook per ladder size")
         if self.transform not in _TRANSFORMS:

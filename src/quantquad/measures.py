@@ -21,7 +21,7 @@ from typing import Callable, Optional, Union
 import numpy as np
 
 from .errors import ConfigurationError, NumericError
-from .paths import Grid, kl_basis_on_grid, kl_eigenvalues
+from .paths import Grid, NormKind, _is_orthonormal, kl_basis_on_grid, kl_eigenvalues
 
 # Bytes of the largest array one block of draws makes.  Blocks take
 # consecutive rows of one stream, so their size moves no draw: it bounds
@@ -282,6 +282,39 @@ def _kl_matrix(measure: BrownianKL) -> np.ndarray:
     basis = np.sqrt(lam)[:, None] * kl_basis_on_grid(measure.k_terms, measure.grid)
     basis.flags.writeable = False
     return basis
+
+
+@functools.lru_cache(maxsize=1)
+def _kl_orthonormal(measure: BrownianKL) -> bool:
+    # Whether the measure's k_terms expansion rows are orthonormal under its
+    # grid weights; kept for the last measure, as _kl_matrix is.
+    return _is_orthonormal(kl_basis_on_grid(measure.k_terms, measure.grid), measure.grid.weights)
+
+
+def _coefficient_route(
+    measure: MeasureSpec, norm: NormKind, grid: Grid, basis: Optional[np.ndarray], rows
+) -> bool:
+    """Whether a ``norm`` reading of ``measure``'s draws through ``basis`` on
+    ``grid`` may read the draws' expansion coefficients instead of their paths.
+
+    The one rule: ``norm`` is L2, ``measure`` is a BrownianKL whose k_terms
+    expansion rows are orthonormal under its grid weights (checked once per
+    measure), and ``basis`` holds a of them on the same grid points,
+    1 <= a <= k_terms: bit for bit ``rows(a, grid)``.  The rows of a
+    product codebook are ``kl_basis_on_grid``; those of a subspace
+    ``make_kl_subspace``'s.  By Parseval, the grid L2 distance of two paths
+    of the expansion is then the euclidean distance of their coefficients
+    c = z sqrt(lambda), to within the rows' orthonormality; a stream read so
+    draws the measure's normals z (``_tiles`` with ``coefficients``).
+    """
+    if norm is not NormKind.L2 or not isinstance(measure, BrownianKL) or basis is None:
+        return False
+    return (
+        1 <= basis.shape[0] <= measure.k_terms
+        and np.array_equal(grid.points, measure.grid.points)
+        and _kl_orthonormal(measure)
+        and np.array_equal(basis, rows(basis.shape[0], grid))
+    )
 
 
 def _check_kl_basis(k_terms: int, size: int) -> None:
@@ -628,7 +661,8 @@ def _draw_floats(measure: MeasureSpec) -> int:
 
 
 def _tiles(
-    measure: MeasureSpec, seed: SeedSpec, total: int, replay: bool = False, stream: str = ""
+    measure: MeasureSpec, seed: SeedSpec, total: int, replay: bool = False, stream: str = "",
+    coefficients: bool = False,
 ):
     """(start, tile) over draws 0 .. total of ``seed``'s stream, in row tiles.
 
@@ -655,19 +689,26 @@ def _tiles(
     ahead.  A failure while drawing raises at its stream index, naming
     ``stream`` (``_located``; see ``_pieces``).
 
+    With ``coefficients``, a BrownianKL stream hands out its expansion
+    coefficients instead of its paths: the (rows, k_terms) standard normals
+    z that build them, which are the draws of StdNormal(k_terms) on the same
+    seed.  They are drawn in the rows of the stream's path tiles, so the
+    stream holds a tile of them, never a block.
+
     With ``replay``, a stream that fits in one block is drawn read-only and
-    held after the call, as ``sample_batch`` builds it; the next ``replay``
-    call on the same key (measure, seed, total, block rows) gets the held
-    block instead of drawing it again.  Vector measures compare by value,
-    path measures by identity.  Any other draw drops the held block first.
+    held after the call, as ``sample_batch`` builds it (paths, or the normals
+    with ``coefficients``); the next ``replay`` call on the same key
+    (measure, seed, total, block rows, ``coefficients``) gets the held block
+    instead of drawing it again.  Vector measures compare by value, path
+    measures by identity.  Any other draw drops the held block first.
     """
     global _held
     rows = _block_rows(_draw_floats(measure))
     if replay and total <= rows:
-        key = (measure, seed, total, rows)
+        key = (measure, seed, total, rows, coefficients)
         if _held is None or _held[0] != key:
             with _located(0, stream):
-                batch = sample_batch(measure, seed, total)
+                batch = sample_batch(_drawn(measure, coefficients), seed, total)
             batch.flags.writeable = False
             _held = (key, batch)
         yield from _split(0, _held[1])
@@ -679,7 +720,8 @@ def _tiles(
         rng = _DrawAhead(rng, parts, (measure.k_steps - 1, measure.spec.m))
     try:
         for start in range(0, total, rows):
-            for first, draws in _pieces(measure, rng, start, min(rows, total - start), stream):
+            pieces = _pieces(measure, rng, start, min(rows, total - start), stream, coefficients)
+            for first, draws in pieces:
                 yield from _split(first, draws)
                 del draws  # each piece dies before the next is made
     finally:
@@ -687,10 +729,19 @@ def _tiles(
             rng.close()
 
 
-def _pieces(measure: MeasureSpec, rng, start: int, n: int, stream: str = ""):
+def _drawn(measure: MeasureSpec, coefficients: bool) -> MeasureSpec:
+    """What a stream of ``measure`` draws: the measure, or with
+    ``coefficients`` the standard normals of its expansion."""
+    return StdNormal(measure.k_terms) if coefficients else measure
+
+
+def _pieces(
+    measure: MeasureSpec, rng, start: int, n: int, stream: str = "", coefficients: bool = False
+):
     """(first, draws) over the rows start .. start + n of a stream, in the
     pieces they are made in, each raising a failure at its stream index
-    (``_located``): a BrownianKL block in tiles built by ``sample_batch``, a
+    (``_located``): a BrownianKL block in tiles built by ``sample_batch``
+    (or, with ``coefficients``, its normals in the rows of those tiles), a
     Diffusion block in Euler parts (``_euler_run``), each as soon as it has
     stepped, and any other block whole."""
     global _held
@@ -705,9 +756,10 @@ def _pieces(measure: MeasureSpec, rng, start: int, n: int, stream: str = ""):
             yield start + part[0], part[1]
             del part
     step = _block_rows(_draw_floats(measure), _TILE_BYTES) if isinstance(measure, BrownianKL) else n
+    drawn = _drawn(measure, coefficients)
     for first in range(start, start + n, step):
         with _located(first, stream):
-            draws = sample_batch(measure, rng, min(step, start + n - first))
+            draws = sample_batch(drawn, rng, min(step, start + n - first))
         yield first, draws
         del draws
 
@@ -759,7 +811,7 @@ def _located(start: int, stream: str = ""):
 
 def _stream(
     measure: MeasureSpec, seed: SeedSpec, total: int, evaluate, minimum: int,
-    replay: bool = False,
+    replay: bool = False, coefficients: bool = False,
 ):
     """``evaluate`` of each tile of draws 0 .. total of ``seed``'s stream, in order.
 
@@ -769,11 +821,13 @@ def _stream(
     through from drawing or evaluating.  Any other failure, and a non-finite
     value, raise ``NumericError`` at the failing draw's stream index
     (``_evaluated``).  ``replay`` is for an ``evaluate`` that only reads its
-    draws (see ``_tiles``).  Values may view their block: a consumer drops
-    them before it asks for the next, so each block dies before the next.
+    draws, and ``coefficients`` for one that reads a BrownianKL stream's
+    expansion normals instead of its paths (see ``_tiles``).  Values may view
+    their block: a consumer drops them before it asks for the next, so each
+    block dies before the next.
     """
     _check_count(total, minimum)
-    tiles = _tiles(measure, seed, total, replay)
+    tiles = _tiles(measure, seed, total, replay, coefficients=coefficients)
     try:
         for start, tile in tiles:
             yield _evaluated(evaluate, tile, start)

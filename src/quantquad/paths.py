@@ -23,6 +23,9 @@ DEFAULT_GRID_SIZE = 257
 
 # Exact-match tolerance when locating a time on the grid.
 _GRID_MATCH_TOL = 1e-12
+# Largest entry of |rows W rows^T - I| for rows that count as orthonormal
+# under the grid weights W.  Uniform grids give the KL rows about 1e-14.
+_ORTHONORMAL_TOL = 1e-12
 
 
 class NormKind(enum.Enum):
@@ -137,6 +140,12 @@ def batch_norm(
     # since |x|^2 = x^2 bit for bit.
     mag = values[..., 0] if values.shape[-1] == 1 else _pointwise_magnitude(values)
     return np.sqrt(np.einsum("...g,g,...g->...", mag, w, mag))
+
+
+def _is_orthonormal(rows: np.ndarray, w: np.ndarray) -> bool:
+    """Whether ``rows`` are orthonormal under the weights ``w`` to _ORTHONORMAL_TOL."""
+    gram = (rows * w) @ rows.T
+    return bool(np.all(np.abs(gram - np.eye(rows.shape[0])) <= _ORTHONORMAL_TOL))
 
 
 # ---------------------------------------------------------------------------

@@ -37,13 +37,14 @@ from .measures import (
     Diffusion,
     MeasureSpec,
     SeedSpec,
+    _check_kl_basis,
     _Moments,
     _stream,
     oracle_dim,
     rng_calls_per_sample,
     sample_shape,
 )
-from .paths import Functional
+from .paths import DEFAULT_GRID_SIZE, Functional, Grid, check_kl_dim
 from .quantize import Codebook, _check_fits, min_dist_batch
 
 
@@ -288,6 +289,26 @@ def subspace_mc_schedule(N: int, profile: SmallBallProfile) -> Tuple[int, int]:
     (a, b); their product is at most N.
     """
     return _balanced_schedule(N, profile.alpha, profile.beta, "subspace")
+
+
+def _subspace_grid(k: int, grid: Optional[Grid] = None) -> Grid:
+    """The grid on which a k-term Gaussian-subspace run samples.
+
+    ``grid`` when a measure gives one; else the DEFAULT_GRID_SIZE-point
+    uniform grid, doubled (G -> 2 (G - 1) + 1 points) until it has more
+    than 2k points, its basis checked against the byte limit before it is
+    built.  Raises ``ConfigurationError`` unless a k-term subspace fits on
+    the grid.  ``quad --algo gauss-sub`` takes its budget's k, a ``rates``
+    ladder its largest budget's, so that every rung reads one grid.
+    """
+    if grid is None:
+        size = DEFAULT_GRID_SIZE
+        while size <= 2 * k:
+            size = 2 * (size - 1) + 1
+        _check_kl_basis(k, size)  # before the grid is built
+        grid = Grid.uniform(size)
+    check_kl_dim(k, grid)
+    return grid
 
 
 # The measure kind that Euler and Gaussian-subspace Monte Carlo sample at

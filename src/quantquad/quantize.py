@@ -28,6 +28,7 @@ from .measures import (
     MonteCarloEstimate,
     SeedSpec,
     _block_rows,
+    _coefficient_route,
     _Moments,
     _stream,
     measure_tag,
@@ -35,9 +36,11 @@ from .measures import (
     sample_batch,
 )
 from .paths import (
+    _ORTHONORMAL_TOL,
     Functional,
     Grid,
     NormKind,
+    _is_orthonormal,
     batch_norm,
     check_norm_space,
     kl_basis_on_grid,
@@ -47,16 +50,8 @@ from .paths import (
 # Bytes of the buffer that holds a run of gathered points whose exact
 # distances are taken: small enough to stay in cache.
 _GATHER_BYTES = 2**19
-# Largest entry of |rows W rows^T - I| for rows that count as orthonormal
-# under the grid weights W.  Uniform grids give the KL rows about 1e-14.
-_ORTHONORMAL_TOL = 1e-12
 # Fewest draws a distortion or Voronoi-weight estimate takes.
 _MIN_SAMPLES = 100
-
-
-def _is_orthonormal(rows: np.ndarray, w: np.ndarray) -> bool:
-    gram = (rows * w) @ rows.T
-    return bool(np.all(np.abs(gram - np.eye(rows.shape[0])) <= _ORTHONORMAL_TOL))
 
 
 @dataclass(frozen=True, eq=False)
@@ -448,13 +443,50 @@ def dist_to_codebook_functional(codebook: Codebook) -> Functional:
 # Distortion and Voronoi weights
 
 
+def _searched(codebook: Codebook, measure: MeasureSpec, M: int, seed: SeedSpec, read):
+    """``read(distances, indices)`` of each tile of the nearest search of
+    draws 0 .. M of ``seed.child(0)``'s stream of ``measure``, in order.
+
+    A path stream is searched by ``min_dist_batch``.  A product codebook
+    whose rows are the measure's first a expansion rows
+    (``measures._coefficient_route``) reads the stream's expansion normals z
+    instead: with c = z sqrt(lambda), the winner is that of
+    ``min_dist_batch`` on c's a leading coordinates in the vector product
+    codebook of the same levels, whose flat index is the path codebook's,
+    and the distance is sqrt(head^2 + sum_{l >= a} c_l^2) for the head
+    distance on those coordinates.  Draws are held and replayed (``_tiles``).
+    """
+    product = codebook.product
+    basis = None if product is None else product.basis
+    if not _coefficient_route(measure, codebook.norm, codebook.grid, basis, kl_basis_on_grid):
+        return _stream(measure, seed.child(0), M, lambda x: read(*min_dist_batch(x, codebook)),
+                       _MIN_SAMPLES, replay=True)
+    head = Codebook(_mesh(product.levels), codebook.order_r, NormKind.EUCLIDEAN,
+                    codebook.measure_tag, product=ProductStructure(product.levels))
+    scale, a = np.sqrt(kl_eigenvalues(measure.k_terms)), basis.shape[0]
+
+    def search(z):
+        c = z * scale
+        dist, idx = min_dist_batch(c[:, :a], head)
+        tail = c[:, a:]
+        return read(np.sqrt(dist * dist + np.einsum("bl,bl->b", tail, tail)), idx)
+
+    return _stream(measure, seed.child(0), M, search, _MIN_SAMPLES, replay=True,
+                   coefficients=True)
+
+
 def distortion(
     codebook: Codebook, measure: MeasureSpec, r: float, M: int, seed: SeedSpec
 ) -> MonteCarloEstimate:
     """Monte Carlo estimate of the order-r quantization error of the codebook.
 
-    The stderr comes from the CLT on the r-th power of the distance and
-    the delta method for the 1/r-th root (``measures._Moments.root``).
+    The distance is that of ``min_dist_batch`` on paths.  For a product
+    codebook on a BrownianKL measure's first expansion rows, orthonormal on
+    its grid, it is the euclidean distance of the draws' expansion
+    coefficients to the point's, which equals the path distance to within
+    the rows' orthonormality (``_searched``); no path is built.  The stderr
+    comes from the CLT on the r-th power of the distance and the delta
+    method for the 1/r-th root (``measures._Moments.root``).
 
     Needs M >= 100; a non-finite distance raises ``NumericError`` at its draw.
     Draws that fit in one block are held after the call, and the next
@@ -463,10 +495,7 @@ def distortion(
     """
     if not 0 < r < math.inf:
         raise ConfigurationError("order r must be positive and finite")
-    powers = _stream(
-        measure, seed.child(0), M, lambda x: min_dist_batch(x, codebook)[0] ** r,
-        _MIN_SAMPLES, replay=True,
-    )
+    powers = _searched(codebook, measure, M, seed, lambda dist, idx: dist**r)
     value, stderr = _Moments(powers).root(r)
     return MonteCarloEstimate(value, stderr, M)
 
@@ -476,15 +505,14 @@ def voronoi_weights(
 ) -> np.ndarray:
     """Estimate cell masses by nearest-point counting; stores them on the codebook.
 
-    Needs M >= 100.  The returned weights sum to 1 exactly; empty cells get
-    weight 0 and are flagged with a warning.  Draws are held and replayed as
-    in ``distortion``.
+    Needs M >= 100.  Each draw counts for the point ``min_dist_batch`` finds
+    on its path, or, on the route of ``distortion``, for the point nearest
+    to its expansion coefficients.  The returned weights sum to 1 exactly;
+    empty cells get weight 0 and are flagged with a warning.  Draws are held
+    and replayed as in ``distortion``.
     """
     counts = np.zeros(codebook.n, dtype=np.int64)
-    for idx in _stream(
-        measure, seed.child(0), M, lambda x: min_dist_batch(x, codebook)[1],
-        _MIN_SAMPLES, replay=True,
-    ):
+    for idx in _searched(codebook, measure, M, seed, lambda dist, idx: idx):
         counts += np.bincount(idx, minlength=codebook.n)
     w = counts / float(M)
     # Force an exact unit sum; the correction is at the rounding level.

@@ -5,7 +5,9 @@ import pytest
 from conftest import dense_integral, traced_peak
 
 from quantquad.adversary import (
+    _EVENTS_ALPHA,
     IncrementFamilySpec,
+    _binomial_p_value,
     bakhvalov_lower_bound,
     event_probability,
     fooling_family,
@@ -265,11 +267,26 @@ class TestEventProbability:
         with pytest.raises(ConfigurationError):
             event_probability(1, 1.0, 100, SeedSpec(0))
 
-    def test_no_hit_has_exactly_zero_stderr(self):
-        # p^16 is about 6.7e-6: no path of 10^4 clears all 16 increments.
+    def test_no_hit_has_exactly_zero_stderr_and_passes(self):
+        # p^16 is about 6.7e-6: no path of 10^4 clears all 16 increments,
+        # which has probability 0.935, so the exact test keeps p^16.
         report = event_probability(16, 1.0, 10**4, SeedSpec(0))
         assert (report.estimate, report.stderr) == (0.0, 0.0)
-        assert not report.passed  # an estimate off the analytic value fails
+        assert report.p_value == 1.0
+        assert report.passed
+
+    @pytest.mark.parametrize("M, p", [(50, 0.1), (40, 0.5), (60, 0.013), (30, 0.97)])
+    def test_p_value_is_twice_the_smaller_exact_tail(self, M, p):
+        pmf = [math.comb(M, j) * p**j * (1 - p) ** (M - j) for j in range(M + 1)]
+        for hits in range(M + 1):
+            want = min(1.0, 2.0 * min(sum(pmf[: hits + 1]), sum(pmf[hits:])))
+            got = _binomial_p_value(hits, M, math.log(p))
+            assert got == pytest.approx(want, rel=1e-9, abs=0.0)
+
+    def test_a_hit_count_off_the_analytic_value_fails(self):
+        # 6 hits in 10^4 at p = 6.7e-6 (mean 0.067) is far in the upper tail.
+        assert _binomial_p_value(6, 10**4, math.log(6.734448846180103e-6)) < _EVENTS_ALPHA
+        assert _binomial_p_value(0, 10**4, math.log(6.734448846180103e-6)) == 1.0
 
     def test_stderr_is_the_one_estimators(self):
         # The hit indicators, in stream order, folded by measures._Moments:

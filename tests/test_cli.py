@@ -281,6 +281,19 @@ class TestCliAdversary:
         assert code == 0
         assert "check=events passed=true" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("seed", ["0", "1", "2"])
+    def test_events_check_with_no_hits_passes(self, seed, capsys):
+        # M p = 0.067: no hits has probability 0.935, and the exact
+        # binomial test keeps the analytic value (p-value 1).
+        code = run(
+            "adversary", "--check", "events", "--segments", "16",
+            "--samples", "10000", "--seed", seed,
+        )
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "check=events passed=true estimate=0.0 " in out
+        assert " p_value=1.0 alpha=0.0027" in out
+
     def test_lipschitz_planted_violation_exits_3(self, capsys):
         code = run(
             "adversary", "--check", "lipschitz",
@@ -412,6 +425,23 @@ class TestCliRatesAndWidths:
         out_dir = str(tmp_path / "out")
         assert run("rates", "--config", str(cfg), "--out-dir", out_dir) == 0
         assert os.path.exists(os.path.join(out_dir, f"{algorithm}.csv"))
+
+    def test_gauss_sub_ladder_samples_the_grid_quad_picks_for_its_largest_budget(
+        self, tmp_path
+    ):
+        # The budget 3000 asks for 438 expansion terms, more than 257 grid
+        # points hold.  quad doubles the grid to 1025 points, and a rates
+        # ladder without a measure runs every rung on that grid.
+        from quantquad.config import load_experiment_config
+
+        cfg = tmp_path / "gaussbeyondgrid.json"
+        cfg.write_text(json.dumps(_changed("gauss-sub", ladder=[300, 400, 500, 3000])))
+        assert load_experiment_config(str(cfg)).grid.size == 1025
+        out = str(tmp_path / "gs.json")
+        assert run("quad", "--algo", "gauss-sub", "--functional", "sup_norm",
+                   "--budget", "3000", "--out", out) == 0
+        assert json.load(open(out))["config"]["grid"] == 1025
+        assert run("rates", "--config", str(cfg), "--out-dir", str(tmp_path / "out")) == 0
 
     def test_widths_output(self, tmp_path):
         out = str(tmp_path / "w.csv")
@@ -858,9 +888,6 @@ _BAD_CONFIGS = {
                     "budget N=5 too small for the Euler schedule"),
     "smallgaussbudget": (_changed("gauss-sub", ladder=[5, 400, 500, 600]),
                          "budget N=5 too small for the subspace schedule"),
-    "gaussbeyondgrid": (_changed("gauss-sub", ladder=[300, 400, 500, 3000]),
-                        "a 438-dimensional expansion subspace needs a grid with more than "
-                        "438 points (got 257)"),
     # One draw must fit in a block before a grid or state of its size is built.
     "hugegrid": (_changed("euler", measure=_LADDERS["euler"]["measure"] + " grid=10000000000"),
                  "config key 'measure': one draw of 10000000000 floats needs 80000000000 bytes"),

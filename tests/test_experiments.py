@@ -15,7 +15,14 @@ from quantquad.experiments import (
     width_estimate,
 )
 from quantquad.measures import BrownianKL, SeedSpec, UniformCube, _block_rows, _Moments
-from quantquad.paths import Functional, Grid, make_kl_subspace, sup_norm_functional
+from quantquad.paths import (
+    Functional,
+    Grid,
+    NormKind,
+    make_kl_subspace,
+    make_pl_subspace,
+    sup_norm_functional,
+)
 from quantquad.quadrature import SmallBallProfile, classical_mc_replicated
 from quantquad.quantize import uniform_midpoint_codebook
 
@@ -118,6 +125,56 @@ class TestWidthEstimate:
             lambda: width_estimate(BrownianKL(200, grid), sub, 2.0, 3 * rows, SeedSpec(4))
         )
         assert peak <= 3.2 * (8 * rows * grid.size)
+
+    def test_coefficient_route_agrees_with_the_path_projection(self, monkeypatch):
+        # An L2 width to make_kl_subspace(k) on the measure's grid reads the
+        # draws' expansion normals; forced onto paths, it agrees to 1e-12.
+        from quantquad import experiments
+
+        grid = Grid.uniform()
+        measure, seed = BrownianKL(200, grid), SeedSpec(7)
+
+        def widths():
+            return [
+                value
+                for k in (1, 4, 16)
+                for point in [width_estimate(measure, make_kl_subspace(k, grid), 2.0, 20_000,
+                                             seed.child(10, k))]
+                for value in (point.error, point.stderr)
+            ]
+
+        route = widths()
+        monkeypatch.setattr(experiments, "_coefficient_route", lambda *args: False)
+        np.testing.assert_allclose(route, widths(), rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("norm", [NormKind.SUP, NormKind.L1, NormKind.L2])
+    def test_sup_l1_and_pl_widths_read_paths(self, norm, monkeypatch):
+        # Sup and L1 widths, and a piecewise-linear subspace, are taken on
+        # paths, bit for bit as before.
+        from quantquad import experiments, measures
+
+        grid = Grid.uniform()
+        measure, seed = BrownianKL(200, grid), SeedSpec(9)
+        sub = (make_pl_subspace(np.linspace(0, 1, 5), grid) if norm is NormKind.L2
+               else make_kl_subspace(4, grid))
+        drawn = []
+        draw = measures.sample_batch
+        monkeypatch.setattr(measures, "sample_batch",
+                            lambda m, rng, n: drawn.append(type(m)) or draw(m, rng, n))
+        point = width_estimate(measure, sub, 2.0, 2000, seed, norm)
+        assert set(drawn) == {BrownianKL}
+        monkeypatch.setattr(experiments, "_coefficient_route", lambda *args: False)
+        assert width_estimate(measure, sub, 2.0, 2000, seed, norm) == point
+
+    def test_streamed_width_draws_in_tiles(self):
+        # The route holds a tile or two of normals and no path block.
+        from quantquad import measures
+
+        grid = Grid.uniform()
+        measure, sub = BrownianKL(200, grid), make_kl_subspace(4, grid)
+        width_estimate(measure, sub, 2.0, 1000, SeedSpec(4))  # fills the caches
+        peak = traced_peak(lambda: width_estimate(measure, sub, 2.0, 20_000, SeedSpec(4)))
+        assert peak <= 2 * measures._TILE_BYTES + 8 * measure.k_terms * grid.size
 
     def test_vector_measure_rejected(self):
         sub = make_kl_subspace(2, Grid.uniform())

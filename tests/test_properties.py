@@ -462,9 +462,17 @@ def _argv_exit_with_a_documented_code(tmp_path, commands, count):
     # 50, a size it may take never, any other it may take one time in 5,
     # and one it does not read is given one time in 50.  The exit code is
     # one the README documents; an uncaught exception fails the test with
-    # its traceback.
+    # its traceback and the argv.
+    #
+    # The mode, the options and their values come from one seeded Random
+    # per example, so every entry of a list is drawn as often as any other
+    # when a value is drawn: hypothesis's own draws of them shrink toward
+    # each list's first entries and repeat whole examples.  More than half
+    # of the argv that reach cli.main must be distinct.
     import contextlib
     import io
+
+    from hypothesis import note
 
     from quantquad import cli
 
@@ -478,30 +486,41 @@ def _argv_exit_with_a_documented_code(tmp_path, commands, count):
         with open(files[source]) as src, open(files[name], "w") as dst:
             dst.write(src.read().replace(text, replacement))
 
-    def value(data, mode, option):
+    def value(rnd, mode, option):
         values = _ARGV_VALUES[option]
-        if data.draw(st.integers(0, 4), f"any {option}") < 4:
+        if rnd.randrange(5) < 4:
             return _FIRST.get(mode, {}).get(option, values[0])
-        return data.draw(st.sampled_from(values), option)
+        return rnd.choice(values)
+
+    seen = []
+    main = cli.main
+
+    def spy(argv):
+        seen.append(tuple(argv))
+        return main(argv)
 
     @_examples(count)
-    @given(st.sampled_from(sorted(commands)), st.data())
-    def exits_with_a_documented_code(name, data):
+    @given(st.sampled_from(sorted(commands)), st.randoms(use_true_random=True))
+    def exits_with_a_documented_code(name, rnd):
         flag, table = commands[name]
-        mode = data.draw(st.sampled_from(sorted(table)), "mode")
+        mode = rnd.choice(sorted(table))
         argv = [name, *([flag, mode] if flag else []), "--seed", "3",
                 "--out", str(tmp_path / "out")]
         needs, takes = (names.split() for names in table[mode])
         for option in dict.fromkeys(" ".join(" ".join(rule) for rule in table.values()).split()):
             sized = option in _SIZES and option in takes
             odds = 49 if option in needs else 50 if sized else 40 if option in takes else 1
-            if data.draw(st.integers(0, 49), option) < odds:
+            if rnd.randrange(50) < odds:
                 argv += ["--" + option.replace("_", "-"),
-                         str(value(data, mode or name, option)).format(**files)]
+                         str(value(rnd, mode or name, option)).format(**files)]
+        note(f"argv: {argv}")
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
             assert cli.main(argv) in (0, 1, 2, 3)
 
-    exits_with_a_documented_code()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli, "main", spy)
+        exits_with_a_documented_code()
+    assert len(set(seen)) > len(seen) / 2, f"{len(set(seen))} distinct argv of {len(seen)}"
 
 
 def test_quad_and_adversary_argv_exit_with_a_documented_code(tmp_path):

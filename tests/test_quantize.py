@@ -642,7 +642,7 @@ class TestReplay:
             )
 
         one = peak([81])
-        assert one >= 8 * M * grid.size  # the traced peak holds a block
+        assert one >= 8 * M * measure.k_terms  # the traced peak holds a block of normals
         assert peak([81, 82, 83]) <= one + 64 * 1024
 
     def test_width_after_distortion_meets_its_block_bound(self):
@@ -662,6 +662,73 @@ class TestReplay:
 
         peak = traced_peak(run)
         assert peak <= 3.2 * (8 * M * grid.size)
+
+
+def _path_route(monkeypatch):
+    # Forces the nearest search onto paths, as before the coefficient route.
+    monkeypatch.setattr(quantize, "_coefficient_route", lambda *args: False)
+
+
+class TestCoefficientRoute:
+    # A product codebook on a BrownianKL measure's first expansion rows,
+    # orthonormal on its grid, is searched in the draws' expansion
+    # coefficients: the same winners as the search on paths, and distances
+    # equal to within the rows' orthonormality.
+
+    def _estimates(self, codebooks, measure, M, seed):
+        out, weights = [], []
+        for cb in codebooks:
+            measures._held = None
+            est = distortion(cb, measure, 2.0, M, seed)
+            out += [est.value, est.stderr]
+            weights.append(voronoi_weights(cb, measure, M, seed))
+        return np.array(out), weights
+
+    def test_agrees_with_the_path_search(self, monkeypatch):
+        grid = Grid.uniform()
+        measure, seed, M = BrownianKL(200, grid), SeedSpec(7), 20_000
+        codebooks = [product_quantizer_bm(2**j, 200, grid) for j in range(1, 7)]
+        values, weights = self._estimates(codebooks, measure, M, seed)
+        key, held = measures._held
+        assert key[-1] and held.shape == (M, 200)  # the stream's normals, held
+        _path_route(monkeypatch)
+        paths, path_weights = self._estimates(codebooks, measure, M, seed)
+        assert measures._held[1].shape == (M, grid.size, 1)
+        np.testing.assert_allclose(values, paths, rtol=1e-12, atol=0)
+        for w, want in zip(weights, path_weights):
+            np.testing.assert_array_equal(w, want)  # the same counts
+
+    @pytest.mark.parametrize("case", ["129-points", "non-uniform", "loaded"])
+    def test_not_taken_where_the_rows_do_not_read_coefficients(self, case, tmp_path, monkeypatch):
+        # 200 rows on 129 points are not orthonormal; nor are they on a
+        # non-uniform grid; a loaded codebook has no product structure.
+        # Each gives the path search's result bit for bit.
+        grid = {"129-points": Grid.uniform(129), "non-uniform": Grid(np.linspace(0, 1, 257) ** 2),
+                "loaded": Grid.uniform()}[case]
+        measure, seed, M = BrownianKL(200, grid), SeedSpec(8), 2000
+        cb = product_quantizer_bm(8, 200, grid)
+        if case == "loaded":
+            save_codebook(cb, str(tmp_path / "cb.csv"))
+            cb = load_codebook(str(tmp_path / "cb.csv"))
+        basis = None if cb.product is None else cb.product.basis
+        assert not measures._coefficient_route(measure, NormKind.L2, grid, basis, kl_basis_on_grid)
+        values, weights = self._estimates([cb], measure, M, seed)
+        assert not measures._held[0][-1]
+        _path_route(monkeypatch)
+        paths, path_weights = self._estimates([cb], measure, M, seed)
+        np.testing.assert_array_equal(values, paths)
+        np.testing.assert_array_equal(weights[0], path_weights[0])
+
+    def test_200_terms_on_129_points_keep_a_product_but_read_paths(self):
+        # The codebook's 3 active rows are orthonormal on 129 points; the
+        # measure's 200 are not (an off-diagonal Gram entry of 1.0).
+        grid = Grid.uniform(129)
+        cb = product_quantizer_bm(8, 200, grid)
+        assert cb.product is not None
+        route = functools.partial(measures._coefficient_route, norm=NormKind.L2, grid=grid,
+                                  basis=cb.product.basis, rows=kl_basis_on_grid)
+        assert not route(BrownianKL(200, grid))
+        assert route(BrownianKL(20, grid))
 
 
 class TestOrder:

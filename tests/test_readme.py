@@ -38,7 +38,7 @@ _CHECKSUMS = {
     "results/euler-demo.csv": "3f041f97ac065bd8874b253b7baf06f311cd6b888fc4bcf86cc3e257cb174f39",
     "results/euler-demo.plot.csv":
         "ce2f7eadc4b094a7c1f414340adf6fce7352f827698ead9df7f9f25325c59b6b",
-    "widths.csv": "28da776fa1f19aad0adde0a053b064f2f3b27521cd459a844816708b013f203d",
+    "widths.csv": "10110c389c1d0607be65c1ac7767f287f370d6e619d64d6faa803681609324ea",
     "stdout of quantize --measure uniform_cube:1":
         "bcd0ca1d860efce2ee131d552091d1a8c1e606a6718d833d384649d37be07aa5",
     "stdout of quad --algo mc":
@@ -52,7 +52,7 @@ _CHECKSUMS = {
     "stdout of adversary --check gap-identity":
         "730e02aa837ffc3640f49e5a25bdefb774088be5d6649b8017c8d680f8603694",
     "stdout of adversary --check events":
-        "adfbce8d5bd796c45937bc7bf264c6fd4272e999389e5ee93b54a5473d790665",
+        "ffadec387fe8c73a75753a3616a913d65135590f32e14c0d15f3a706e597c362",
     "stdout of adversary --check lipschitz":
         "365bf49ebc330430e8c9b42c74244a57557c4044ec6feb04b5e3598bc8d36ef5",
     "stdout of rates --config vrmc-demo.json":

@@ -23,8 +23,8 @@ _PATH = os.path.join(os.path.dirname(__file__), os.pardir, "bench", "workloads.p
 
 
 _CHECKSUMS = {
-    "bm-quantization": "c1cb614ef9cee928f7c401ce4f459caf0a8a6877ed291d7ff886ab02de1e188e",
-    "path-mc": "d9919bd1326718ac40b3e5bbd4197538530fd36be92cb75ff1b39ce78c931358",
+    "bm-quantization": "1789e469eb540785d11cd156aeb12ccee933d81165c6057788a93a824183d044",
+    "path-mc": "a4cf84c469f1c2408584a7530316034f281e25b9ce3fcf9bd52e655f9ff08bb2",
     "vector-codebooks": "c0b0fbab8e5debcd1209ca1128cfed04b2e2f0a4db6f0844286644523d97ebcd",
 }
 
