@@ -30,6 +30,7 @@ from .measures import (
     BrownianKL,
     MeasureSpec,
     SeedSpec,
+    StdNormal,
     _evaluated,
     _kl_matrix,
     _Moments,
@@ -282,19 +283,19 @@ def event_probability(
     binomial test of the hit count against the analytic value at level
     0.0027 (``_binomial_p_value``), which holds at any M p, however small.
 
-    The stream's expansion normals are mapped through only the segments + 1
-    columns of the basis at the sub-grid points, so no whole path is built.
+    The stream of expansion normals, StdNormal(k_terms), is mapped through
+    only the segments + 1 columns of the basis at the sub-grid points, so no
+    whole path is built.
     """
     spec = IncrementFamilySpec(segments, window, signs=(0,) * segments)
     grid = grid or Grid.uniform()
     threshold = math.sqrt(window) / segments**1.5
-    measure = BrownianKL(k_terms, grid)
-    columns = _kl_matrix(measure)[:, _sub_grid(spec, grid)]
+    columns = _kl_matrix(BrownianKL(k_terms, grid))[:, _sub_grid(spec, grid)]
 
     def cleared(z):
         return np.all(np.diff(z @ columns, axis=1) >= threshold, axis=1).astype(float)
 
-    hits = _Moments(_stream(measure, seed.child(0), M, cleared, 10**4, coefficients=True))
+    hits = _Moments(_stream(StdNormal(k_terms), seed.child(0), M, cleared, 10**4))
     p = 1.0 - NormalDist().cdf(1.0 / segments)
     return EventProbabilityReport(
         estimate=float(hits.mean()),

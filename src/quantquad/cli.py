@@ -33,8 +33,6 @@ from .errors import ConfigurationError, NumericError
 from .experiments import kl_tail_width, run_rate_experiment, width_estimate
 from .measures import (
     _check_count,
-    BrownianKL,
-    Diffusion,
     measure_tag,
     reference_value,
     sample_shape,
@@ -42,11 +40,9 @@ from .measures import (
 from .paths import make_kl_subspace
 from .quadrature import (
     SmallBallProfile,
-    _subspace_grid,
+    _budget_rung,
     check_path_measure,
     classical_mc,
-    euler_mc_schedule,
-    subspace_mc_schedule,
     voronoi_quadrature,
     vr_mc,
 )
@@ -209,20 +205,19 @@ def _cmd_quad(args) -> int:
     codebook = load_codebook(args.codebook) if args.codebook else None
     # Build the measure the run samples first: f reads its space.
     n, echo_extra = args.n, {}
-    if args.algo == "euler":
-        n, k = euler_mc_schedule(args.budget)
+    if args.algo in ("euler", "gauss-sub"):
+        profile = None
+        if args.algo == "gauss-sub":
+            profile = SmallBallProfile(
+                2.0 if args.alpha is None else args.alpha, 0.0 if args.beta is None else args.beta
+            )
+            echo_extra.update(alpha=profile.alpha, beta=profile.beta)
+        n, k, rung = _budget_rung(args.algo, args.budget, measure and measure.grid,
+                                  getattr(measure, "spec", None), profile)
         echo_extra.update(scheduled_n=n, scheduled_k=k)
-        measure = Diffusion(measure.spec, k, measure.grid)
-    elif args.algo == "gauss-sub":
-        profile = SmallBallProfile(
-            2.0 if args.alpha is None else args.alpha, 0.0 if args.beta is None else args.beta
-        )
-        n, k = subspace_mc_schedule(args.budget, profile)
-        echo_extra.update(alpha=profile.alpha, beta=profile.beta, scheduled_n=n, scheduled_k=k)
-        grid = _subspace_grid(k, measure and measure.grid)
         if measure is None:
-            echo_extra["grid"] = grid.size
-        measure = BrownianKL(k, grid)
+            echo_extra["grid"] = rung.grid.size
+        measure = rung
     if codebook is not None and measure is not None:  # f reads draws and points
         _check_fits(sample_shape(measure), codebook)
     if measure is not None:

@@ -276,14 +276,8 @@ def load_experiment_config(path: str, seed: Optional[SeedSpec] = None):
 
 
 def _config_from(raw, seed: Optional[SeedSpec]):
-    from .experiments import RateExperimentConfig, _check_ladder
-    from .quadrature import (
-        _PATH_MEASURES,
-        SmallBallProfile,
-        _subspace_grid,
-        check_path_measure,
-        subspace_mc_schedule,
-    )
+    from .experiments import RateExperimentConfig, _check_ladder, _rung_grid
+    from .quadrature import SmallBallProfile, check_path_measure
     from .quantize import _MIN_SAMPLES, lloyd, uniform_midpoint_codebook, voronoi_weights
     from .storage import load_codebook
 
@@ -302,18 +296,14 @@ def _config_from(raw, seed: Optional[SeedSpec]):
         alpha = read("profile.alpha") if "profile" in raw else 2.0
         profile = SmallBallProfile(alpha, read("profile.beta", 0.0))
 
-    # A path ladder's rungs sample its measure's kind on its grid, each at
-    # its schedule's k; f reads the space they sample.  A gauss-sub ladder
-    # without a measure samples the grid quad picks for its largest budget.
+    # A path ladder's rungs sample its measure's kind, each at its
+    # schedule's k, on the grid RateExperimentConfig resolves; f reads the
+    # space they sample.
     measure = read("measure", None if algorithm == "gauss-sub" else _NEEDED, parse_measure)
     check_path_measure(algorithm, measure)
-    grid = None
-    if measure is not None and algorithm in _PATH_MEASURES:
-        grid = measure.grid
-    elif algorithm == "gauss-sub":
-        _check_ladder(algorithm, ladder, profile)  # each k fits the grid quad picks for it
-        grid = _subspace_grid(max(subspace_mc_schedule(size, profile)[1] for size in ladder))
-    space = grid or measure.grid or measure.d
+    _check_ladder(algorithm, ladder)  # before any grid or codebook is built
+    grid = _rung_grid(algorithm, ladder, profile, getattr(measure, "grid", None))
+    space = measure.d if measure is not None and measure.grid is None else grid
     functional = read("functional", parse=lambda text: parse_functional(text, space))
 
     reference = ("mc", 1_000_000)
@@ -326,7 +316,6 @@ def _config_from(raw, seed: Optional[SeedSpec]):
 
     codebooks = None
     if algorithm == "vrmc":
-        _check_ladder(algorithm, ladder)  # before any codebook is built
         source = read("codebooks.kind") if "codebooks" in raw else "midpoint-grid"
         codebooks = {}
         if source == "midpoint-grid":

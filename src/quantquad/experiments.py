@@ -18,11 +18,11 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .measures import (
-    BrownianKL,
     Diffusion,
     DiffusionSpec,
     MeasureSpec,
     SeedSpec,
+    StdNormal,
     _check_count,
     _coefficient_route,
     _Moments,
@@ -36,12 +36,12 @@ from .paths import (
     Subspace,
     batch_norm,
     batch_project,
-    check_kl_dim,
     kl_eigenvalues,
     make_kl_subspace,
 )
 from .quadrature import (
     SmallBallProfile,
+    _budget_rung,
     _subspace_grid,
     classical_mc_replicated,
     euler_mc_schedule,
@@ -150,29 +150,33 @@ def width_estimate(
     The L2 distance of a BrownianKL draw to ``make_kl_subspace(k)`` on the
     measure's grid, k <= k_terms, with the measure's rows orthonormal there
     (``measures._coefficient_route``), is read from the draw's expansion
-    normals z as (sum_{l > k} lambda_l z_l^2)^(1/2), which is the residual's
-    norm to within the rows' orthonormality; no path is built.  Every other
-    distance is taken on the draw's path.
+    normals z, the stream of StdNormal(k_terms) on the same seed, as
+    (sum_{l > k} lambda_l z_l^2)^(1/2), which is the residual's norm to
+    within the rows' orthonormality; no path is built.  Every other distance
+    is taken on the draw's path.
     """
     if not 0 < p < math.inf:
         raise ConfigurationError("order p must be positive and finite")
     if measure.grid is None:
         raise ConfigurationError("width_estimate expects a path measure")
 
-    coefficients = _coefficient_route(measure, norm_kind, sub.grid, sub.basis,
-                                      lambda k, grid: make_kl_subspace(k, grid).basis)
-    if coefficients:
+    if _coefficient_route(measure, norm_kind, sub.grid, sub.basis,
+                          lambda k, grid: make_kl_subspace(k, grid).basis):
         scale = np.sqrt(kl_eigenvalues(measure.k_terms)[sub.dim:])
+        measure = StdNormal(measure.k_terms)
 
         def distances(z):
-            tail = z[:, sub.dim:] * scale
+            # In place: the tile is this evaluator's own, and a tile-sized
+            # temporary beside it was re-faulted on every tile.
+            tail = z[:, sub.dim:]
+            tail *= scale
             return np.sqrt(np.einsum("bl,bl->b", tail, tail)) ** p
     else:
         def distances(batch):
             resid = batch_project(batch[:, :, 0], sub)[1]
             return batch_norm(resid[:, :, None], norm_kind, sub.grid) ** p
 
-    powers = _stream(measure, seed.child(0), M, distances, 1000, coefficients=coefficients)
+    powers = _stream(measure, seed.child(0), M, distances, 1000)
     value, stderr = _Moments(powers).root(p)
     return RatePoint(size=float(sub.dim), error=value, stderr=stderr)
 
@@ -186,12 +190,10 @@ _NEEDS = {"mc": "measure", "vrmc": "measure", "euler": "diffusion", "gauss-sub":
 _REFERENCES = {"analytic": "", "mc": "measure", "euler": "diffusion"}
 
 
-def _check_ladder(algorithm: str, ladder: Sequence[int], profile=None, grid=None) -> None:
+def _check_ladder(algorithm: str, ladder: Sequence[int]) -> None:
     """Refuse a ladder that no fit can use or with a size that no rung can
     run: fewer than 4 sizes, an mc/vrmc size below 2 draws, or a budget that
-    its schedule, or the grid that the k-term rungs sample, calls too small.
-    With no ``grid``, each k-term rung is checked on the grid that
-    ``quadrature._subspace_grid`` picks for it."""
+    the Euler schedule calls too small (``_rung_grid`` checks gauss-sub's)."""
     if len(ladder) < 4:
         raise ConfigurationError(f"a rate fit needs at least 4 ladder sizes, got {len(ladder)}")
     for size in ladder:
@@ -199,8 +201,17 @@ def _check_ladder(algorithm: str, ladder: Sequence[int], profile=None, grid=None
             _check_count(size, 2)
         elif algorithm == "euler":
             euler_mc_schedule(size)
-        else:
-            _subspace_grid(subspace_mc_schedule(size, profile)[1], grid)
+
+
+def _rung_grid(algorithm: str, ladder: Sequence[int], profile=None, grid=None) -> Grid:
+    """The grid on which every rung of a checked ladder samples (and an
+    euler reference runs): ``grid``; else for gauss-sub the grid
+    ``quadrature._subspace_grid`` picks for the largest budget's k, as
+    ``quad`` does for that budget; else 257 points.  A gauss-sub budget
+    too small for its schedule, or a largest k beyond ``grid``, is refused."""
+    if algorithm == "gauss-sub":
+        return _subspace_grid(max(subspace_mc_schedule(size, profile)[1] for size in ladder), grid)
+    return grid or Grid.uniform()
 
 
 @dataclass
@@ -211,6 +222,10 @@ class RateExperimentConfig:
     for "euler"/"gauss-sub" (which derive (n, k) from their schedules).
     ``reference`` is ("analytic", value), ("mc", budget), or
     ("euler", k_ref, n_ref) for diffusion targets.
+
+    The rungs of "euler"/"gauss-sub" and an "euler" reference sample
+    ``grid``: the given grid, else the measure's, resolved when the config
+    is built by ``_rung_grid``, the rule that the ``rates`` loader calls.
     """
 
     name: str
@@ -241,7 +256,9 @@ class RateExperimentConfig:
             for field in needs.split():
                 if getattr(self, field) is None:
                     raise ConfigurationError(f"{label} needs the field {field!r}")
-        _check_ladder(self.algorithm, self.ladder, self.profile, self.grid or Grid.uniform())
+        _check_ladder(self.algorithm, self.ladder)
+        self.grid = _rung_grid(self.algorithm, self.ladder, self.profile,
+                               self.grid or getattr(self.measure, "grid", None))
         if self.algorithm == "vrmc" and not set(self.ladder) <= set(self.codebooks or ()):
             raise ConfigurationError("vrmc needs one codebook per ladder size")
         if self.transform not in _TRANSFORMS:
@@ -288,21 +305,15 @@ def _resolve_reference(config: RateExperimentConfig) -> Tuple[float, float]:
 
 
 def _run_one_size(config: RateExperimentConfig, size: int, stream: SeedSpec):
-    algo = config.algorithm
-    grid = config.grid or Grid.uniform()
-    if algo == "vrmc":
+    if config.algorithm == "vrmc":
         est = vr_mc_replicated(config.codebooks[size], config.measure, config.functional, size,
                                config.replications, stream)
         return est, size, 0
-    if algo == "mc":
+    if config.algorithm == "mc":
         n, k, measure = size, 0, config.measure
-    elif algo == "euler":
-        n, k = euler_mc_schedule(size)
-        measure = Diffusion(config.diffusion, k, grid)
     else:
-        n, k = subspace_mc_schedule(size, config.profile)
-        check_kl_dim(k, grid)
-        measure = BrownianKL(k, grid)
+        n, k, measure = _budget_rung(config.algorithm, size, config.grid, config.diffusion,
+                                     config.profile)
     est = classical_mc_replicated(measure, config.functional, n, config.replications, stream)
     return est, n, k
 

@@ -304,8 +304,9 @@ def _coefficient_route(
     product codebook are ``kl_basis_on_grid``; those of a subspace
     ``make_kl_subspace``'s.  By Parseval, the grid L2 distance of two paths
     of the expansion is then the euclidean distance of their coefficients
-    c = z sqrt(lambda), to within the rows' orthonormality; a stream read so
-    draws the measure's normals z (``_tiles`` with ``coefficients``).
+    c = z sqrt(lambda), to within the rows' orthonormality.  A reading on
+    this route streams the normals z, StdNormal(k_terms) on the same seed
+    (see ``_tiles``).
     """
     if norm is not NormKind.L2 or not isinstance(measure, BrownianKL) or basis is None:
         return False
@@ -661,54 +662,50 @@ def _draw_floats(measure: MeasureSpec) -> int:
 
 
 def _tiles(
-    measure: MeasureSpec, seed: SeedSpec, total: int, replay: bool = False, stream: str = "",
-    coefficients: bool = False,
+    measure: MeasureSpec, seed: SeedSpec, total: int, replay: bool = False, stream: str = ""
 ):
     """(start, tile) over draws 0 .. total of ``seed``'s stream, in row tiles.
 
     The one source of a stream's draws.  They come in row blocks of
     ``_block_rows(_draw_floats(measure))``, each handed out in tiles that
     never cross a block edge.  Generators fill rows in order, so the draws
-    do not depend on the block or tile size.
+    do not depend on the block or tile size; but a BrownianKL tile's paths
+    are a BLAS product of its normals, whose rounding may move with the
+    tile's rows.
 
-    A BrownianKL tile is built when it is asked for, by ``sample_batch`` on
-    the caller's thread, so the stream holds a few tiles and its basis,
-    never a block.  Its tiles have the rows of _TILE_BYTES of the largest
-    array one draw makes, as its blocks do, and so the rows in which
-    ``sample_batch`` builds a block.  (Drawing the next tile's coefficients
-    on the drawer thread slowed the stream: the product and most
-    functionals are BLAS calls that already keep every core busy.)  A
-    Diffusion block runs as Euler parts (``_euler_parts``), each drawn on
+    A Diffusion block runs as Euler parts (``_euler_parts``), each drawn on
     the drawer thread while the one before it steps (``_DrawAhead``), and
     each handed out in tiles of _TILE_BYTES of its rows as soon as it has
     stepped, before the next part steps: the stream holds one part of
     output, never a block.  A part's tiles are handed out before a later
     part of its block fails, so a failure in evaluating them comes first.
-    Any other block is drawn whole and handed out in tiles of _TILE_BYTES
-    of its rows.  Closing the generator cancels or waits for a draw made
-    ahead.  A failure while drawing raises at its stream index, naming
-    ``stream`` (``_located``; see ``_pieces``).
+    Any other tile is drawn when it is asked for, by ``sample_batch`` on the
+    caller's thread, in the rows of _TILE_BYTES of the largest array one
+    draw makes, so the stream holds a tile (and a BrownianKL's basis), never
+    a block.  (Drawing the next KL tile's coefficients on the drawer thread
+    slowed the stream: the product and most functionals are BLAS calls that
+    already keep every core busy.)  Closing the generator cancels or waits
+    for a draw made ahead.  A failure while drawing raises at its stream
+    index, naming ``stream`` (``_located``; see ``_pieces``).
 
-    With ``coefficients``, a BrownianKL stream hands out its expansion
-    coefficients instead of its paths: the (rows, k_terms) standard normals
-    z that build them, which are the draws of StdNormal(k_terms) on the same
-    seed.  They are drawn in the rows of the stream's path tiles, so the
-    stream holds a tile of them, never a block.
+    A BrownianKL path is built from k_terms standard normals z, drawn row
+    by row: a stream that reads z instead of the paths is the stream of
+    StdNormal(k_terms) on the same seed.
 
     With ``replay``, a stream that fits in one block is drawn read-only and
-    held after the call, as ``sample_batch`` builds it (paths, or the normals
-    with ``coefficients``); the next ``replay`` call on the same key
-    (measure, seed, total, block rows, ``coefficients``) gets the held block
-    instead of drawing it again.  Vector measures compare by value, path
-    measures by identity.  Any other draw drops the held block first.
+    held after the call, as ``sample_batch`` builds it; the next ``replay``
+    call on the same key (measure, seed, total, block rows) gets the held
+    block instead of drawing it again.  Vector measures compare by value,
+    so equal StdNormal measures share their held normals; path measures
+    compare by identity.  Any other draw drops the held block first.
     """
     global _held
     rows = _block_rows(_draw_floats(measure))
     if replay and total <= rows:
-        key = (measure, seed, total, rows, coefficients)
+        key = (measure, seed, total, rows)
         if _held is None or _held[0] != key:
             with _located(0, stream):
-                batch = sample_batch(_drawn(measure, coefficients), seed, total)
+                batch = sample_batch(measure, seed, total)
             batch.flags.writeable = False
             _held = (key, batch)
         yield from _split(0, _held[1])
@@ -720,7 +717,7 @@ def _tiles(
         rng = _DrawAhead(rng, parts, (measure.k_steps - 1, measure.spec.m))
     try:
         for start in range(0, total, rows):
-            pieces = _pieces(measure, rng, start, min(rows, total - start), stream, coefficients)
+            pieces = _pieces(measure, rng, start, min(rows, total - start), stream)
             for first, draws in pieces:
                 yield from _split(first, draws)
                 del draws  # each piece dies before the next is made
@@ -729,21 +726,12 @@ def _tiles(
             rng.close()
 
 
-def _drawn(measure: MeasureSpec, coefficients: bool) -> MeasureSpec:
-    """What a stream of ``measure`` draws: the measure, or with
-    ``coefficients`` the standard normals of its expansion."""
-    return StdNormal(measure.k_terms) if coefficients else measure
-
-
-def _pieces(
-    measure: MeasureSpec, rng, start: int, n: int, stream: str = "", coefficients: bool = False
-):
+def _pieces(measure: MeasureSpec, rng, start: int, n: int, stream: str = ""):
     """(first, draws) over the rows start .. start + n of a stream, in the
     pieces they are made in, each raising a failure at its stream index
-    (``_located``): a BrownianKL block in tiles built by ``sample_batch``
-    (or, with ``coefficients``, its normals in the rows of those tiles), a
-    Diffusion block in Euler parts (``_euler_run``), each as soon as it has
-    stepped, and any other block whole."""
+    (``_located``): a Diffusion block in Euler parts (``_euler_run``), each
+    as soon as it has stepped, and any other block in tiles of _TILE_BYTES
+    of the largest array one draw makes, each drawn by ``sample_batch``."""
     global _held
     if isinstance(measure, Diffusion):
         _held = None  # as sample_batch drops it
@@ -755,11 +743,10 @@ def _pieces(
                 return
             yield start + part[0], part[1]
             del part
-    step = _block_rows(_draw_floats(measure), _TILE_BYTES) if isinstance(measure, BrownianKL) else n
-    drawn = _drawn(measure, coefficients)
+    step = _block_rows(_draw_floats(measure), _TILE_BYTES)
     for first in range(start, start + n, step):
         with _located(first, stream):
-            draws = sample_batch(drawn, rng, min(step, start + n - first))
+            draws = sample_batch(measure, rng, min(step, start + n - first))
         yield first, draws
         del draws
 
@@ -811,7 +798,7 @@ def _located(start: int, stream: str = ""):
 
 def _stream(
     measure: MeasureSpec, seed: SeedSpec, total: int, evaluate, minimum: int,
-    replay: bool = False, coefficients: bool = False,
+    replay: bool = False,
 ):
     """``evaluate`` of each tile of draws 0 .. total of ``seed``'s stream, in order.
 
@@ -821,13 +808,11 @@ def _stream(
     through from drawing or evaluating.  Any other failure, and a non-finite
     value, raise ``NumericError`` at the failing draw's stream index
     (``_evaluated``).  ``replay`` is for an ``evaluate`` that only reads its
-    draws, and ``coefficients`` for one that reads a BrownianKL stream's
-    expansion normals instead of its paths (see ``_tiles``).  Values may view
-    their block: a consumer drops them before it asks for the next, so each
-    block dies before the next.
+    draws (see ``_tiles``).  Values may view their block: a consumer drops
+    them before it asks for the next, so each block dies before the next.
     """
     _check_count(total, minimum)
-    tiles = _tiles(measure, seed, total, replay, coefficients=coefficients)
+    tiles = _tiles(measure, seed, total, replay)
     try:
         for start, tile in tiles:
             yield _evaluated(evaluate, tile, start)

@@ -311,6 +311,20 @@ def _subspace_grid(k: int, grid: Optional[Grid] = None) -> Grid:
     return grid
 
 
+def _budget_rung(
+    algorithm: str, budget: int, grid: Optional[Grid], spec=None, profile=None
+) -> Tuple[int, int, MeasureSpec]:
+    """(n, k, measure) of an euler or gauss-sub run of cost ``budget``, as
+    ``quad`` and each ``rates`` rung run it: the schedule's n draws of Euler
+    paths of ``spec`` with k breakpoints on ``grid`` (257 points if None),
+    or of the k-term expansion on the grid ``_subspace_grid`` picks."""
+    if algorithm == "euler":
+        n, k = euler_mc_schedule(budget)
+        return n, k, Diffusion(spec, k, grid)
+    n, k = subspace_mc_schedule(budget, profile)
+    return n, k, BrownianKL(k, _subspace_grid(k, grid))
+
+
 # The measure kind that Euler and Gaussian-subspace Monte Carlo sample at
 # their schedule's k, and its name in a measure spec.
 _PATH_MEASURES = {"euler": (Diffusion, "kind=diffusion"), "gauss-sub": (BrownianKL, "brownian_kl")}

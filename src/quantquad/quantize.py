@@ -27,6 +27,7 @@ from .measures import (
     MeasureSpec,
     MonteCarloEstimate,
     SeedSpec,
+    StdNormal,
     _block_rows,
     _coefficient_route,
     _Moments,
@@ -454,7 +455,8 @@ def _searched(codebook: Codebook, measure: MeasureSpec, M: int, seed: SeedSpec, 
     ``min_dist_batch`` on c's a leading coordinates in the vector product
     codebook of the same levels, whose flat index is the path codebook's,
     and the distance is sqrt(head^2 + sum_{l >= a} c_l^2) for the head
-    distance on those coordinates.  Draws are held and replayed (``_tiles``).
+    distance on those coordinates: the stream read is StdNormal(k_terms) on
+    the same seed.  Draws are held and replayed (``_tiles``).
     """
     product = codebook.product
     basis = None if product is None else product.basis
@@ -471,8 +473,8 @@ def _searched(codebook: Codebook, measure: MeasureSpec, M: int, seed: SeedSpec, 
         tail = c[:, a:]
         return read(np.sqrt(dist * dist + np.einsum("bl,bl->b", tail, tail)), idx)
 
-    return _stream(measure, seed.child(0), M, search, _MIN_SAMPLES, replay=True,
-                   coefficients=True)
+    return _stream(StdNormal(measure.k_terms), seed.child(0), M, search, _MIN_SAMPLES,
+                   replay=True)
 
 
 def distortion(

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from conftest import traced_peak
 
+from quantquad import experiments
 from quantquad.errors import ConfigurationError
 from quantquad.experiments import (
     RateExperimentConfig,
@@ -275,12 +276,35 @@ class TestRunRateExperiment:
         with pytest.raises(ConfigurationError, match=re.escape(fragment)):
             self._config(**overrides)
 
-    def test_gauss_sub_rung_beyond_the_grid_rejected(self):
-        # The budget 3000 asks for 438 expansion terms; the grid has 257
-        # points.  The config is refused before any rung runs.
-        with pytest.raises(ConfigurationError, match="use a finer grid"):
-            self._config(
-                algorithm="gauss-sub", ladder=(300, 400, 500, 3000), measure=None,
-                functional=sup_norm_functional(), profile=SmallBallProfile(2.0),
-                reference=("analytic", 1.0),
-            )
+    def _gauss(self, **overrides):
+        # A gauss-sub ladder whose budget 3000 asks for 438 expansion terms.
+        return self._config(**{**dict(
+            algorithm="gauss-sub", ladder=(300, 400, 500, 3000), measure=None,
+            functional=sup_norm_functional(), profile=SmallBallProfile(2.0),
+            reference=("analytic", 1.0), replications=20, slope_bracket=None,
+        ), **overrides})
+
+    def test_gauss_sub_rung_beyond_257_points_samples_1025(self):
+        # Without a grid, the config samples the 1025 points that
+        # quad --budget 3000 picks, as the rates loader does.
+        assert self._gauss().grid.size == 1025
+
+    def test_gauss_sub_ladder_samples_one_resolved_grid(self, monkeypatch):
+        # Every rung samples the resolved grid: the 1025 points, the same
+        # report as the config given them, or the measure's own grid.
+        sampled = []
+        run = experiments.classical_mc_replicated
+
+        def spy(measure, *args):
+            sampled.append(measure.grid.size)
+            return run(measure, *args)
+
+        monkeypatch.setattr(experiments, "classical_mc_replicated", spy)
+        report = run_rate_experiment(self._gauss())
+        assert sampled == [1025] * 4
+        given = run_rate_experiment(self._gauss(grid=Grid.uniform(1025)))
+        assert repr(given) == repr(report)
+        assert [p.error for p in given.points] == [p.error for p in report.points]
+        sampled.clear()
+        run_rate_experiment(self._gauss(measure=BrownianKL(200, Grid.uniform(2049))))
+        assert sampled == [2049] * 4

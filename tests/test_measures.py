@@ -948,6 +948,17 @@ class TestTiles:
         monkeypatch.setattr(measures, "_TILE_BYTES", 8)
         np.testing.assert_array_equal(results(), default)
 
+    def test_a_vector_stream_holds_a_few_tiles_never_a_block(self, monkeypatch):
+        # Four 8 MiB blocks of StdNormal(8) draws: each is drawn tile by
+        # tile, so the stream holds a 2 MiB tile and its values.
+        from quantquad.paths import Functional
+
+        monkeypatch.setattr(measures, "_BLOCK_BYTES", 2**23)
+        measure, total = StdNormal(8), 4 * measures._block_rows(8)
+        f = Functional(lambda v: v[:, 0])
+        peak = traced_peak(lambda: reference_value(f, measure, total, SeedSpec(48)))
+        assert peak <= 2 * measures._TILE_BYTES < measures._BLOCK_BYTES
+
     def test_kl_tiles_draw_the_coefficients_in_stream_order(self, monkeypatch):
         monkeypatch.setattr(measures, "_TILE_BYTES", 8 * 3 * 33)  # 3-row tiles
         measure, n = BrownianKL(20, Grid.uniform(33)), 10

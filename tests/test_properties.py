@@ -6,9 +6,11 @@ stream is cut into blocks, tiles or pieces, and a run of at most one
 chunk has numpy's mean and std(ddof=1) / sqrt(n).  A measure's tag parses
 back to the measure, a codebook file gives back its codebook bit for bit,
 coord_at(t) at a grid time t reads that grid point, every nearest
-search returns what a search over all exact distances returns, and a
+search returns what a search over all exact distances returns, a
 streamed Euler measure gives the paths and the failures of one run over
-all its rows.  A rates config drawn from ``config._KEYS`` loads or is
+all its rows, a streamed vector or KL measure's tiles are sample_batch
+calls in stream order, and the d=1 Lloyd checkpointed block sums are the
+full in-block sums.  A rates config drawn from ``config._KEYS`` loads or is
 refused by a ConfigurationError, and quad, adversary, quantize and widths
 argv drawn from their option tables exit with a documented code.  Layouts
 and values are drawn at random; ``derandomize`` makes every run check the
@@ -270,6 +272,88 @@ def test_euler_tiles_joined_are_one_run(seed, data):
     assert np.concatenate([t for _, t in tiles]).tobytes() == run.tobytes()
 
 
+@_examples(60)
+@given(_SEEDS, st.data())
+def test_vector_and_kl_tiles_joined_are_one_batch(seed, data):
+    # Blocks of 1 .. total rows and tiles of 1 .. 2 total rows, in bytes of
+    # the largest array one draw makes, each with spare bytes; held or not.
+    # Each tile is one sample_batch call on the stream where it starts (a
+    # held stream is one call), bit for bit.  Vector tiles joined are one
+    # call over all rows bit for bit.  A KL tile's paths are a BLAS product
+    # whose rounding moves with its row count, so KL tiles joined are that
+    # call to within rounding.
+    measure = data.draw(st.one_of(
+        st.builds(UniformCube, st.integers(1, 5)),
+        st.builds(StdNormal, st.integers(1, 5)),
+        st.builds(BrownianKL, st.integers(1, 30), st.builds(Grid.uniform, st.integers(2, 40))),
+    ), "measure")
+    total = data.draw(st.integers(1, 600), "total")
+    row_bytes = 8 * measures._draw_floats(measure)
+    block = row_bytes * data.draw(st.integers(1, total), "block rows")
+    tile = row_bytes * data.draw(st.integers(1, 2 * total), "tile rows")
+    block += data.draw(st.integers(0, row_bytes - 1), "spare block bytes")
+    tile += data.draw(st.integers(0, row_bytes - 1), "spare tile bytes")
+    replay = data.draw(st.booleans(), "replay")
+    whole = measures.sample_batch(measure, SeedSpec(seed), total)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(measures, "_BLOCK_BYTES", block)
+        patch.setattr(measures, "_TILE_BYTES", tile)
+        measures._held = None
+        try:
+            tiles = [(start, t.copy()) for start, t in
+                     measures._tiles(measure, SeedSpec(seed), total, replay)]
+            held = measures._held is not None
+            rng = SeedSpec(seed).rng()
+            calls = [measures.sample_batch(measure, rng, total if held else len(t))
+                     for _, t in tiles[: 1 if held else None]]
+        finally:
+            measures._held = None
+    assert held == (replay and total <= block // row_bytes)
+    starts = np.cumsum([0] + [len(t) for _, t in tiles[:-1]])
+    assert [start for start, _ in tiles] == starts.tolist()
+    joined = np.concatenate([t for _, t in tiles])
+    assert joined.tobytes() == np.concatenate(calls).tobytes()
+    if isinstance(measure, BrownianKL):
+        np.testing.assert_allclose(joined, whole, rtol=0, atol=1e-13)
+    else:
+        assert joined.tobytes() == whole.tobytes()
+
+
+@_examples(80)
+@given(_SEEDS, st.data())
+def test_checkpointed_block_sums_are_the_full_arrays(seed, data):
+    # A sorted pool of up to four blocks and a few samples, kept at every
+    # _CHECKPOINT that divides _BLOCK: prefixes at drawn samples, block
+    # totals, and the pieces of drawn cells (cut at drawn samples too) are
+    # those of the full in-block sums, bit for bit.
+    from conftest import FullBlockSums
+
+    from quantquad import quantize
+
+    block = quantize._BLOCK
+    size = data.draw(st.integers(1, 4 * block + 3), "pool")
+    checkpoint = 2 ** data.draw(st.integers(0, int(math.log2(block))), "log2 checkpoint")
+    r = data.draw(st.sampled_from([1, 2]), "r")
+    flat = np.sort(1e3 + np.random.default_rng(seed).standard_normal(size))
+    at = np.array(data.draw(st.lists(st.integers(0, size - 1), min_size=1, max_size=20), "at"))
+    samples = st.lists(st.integers(0, size), max_size=12)
+    splits = np.array([0, *sorted(data.draw(samples, "cell edges")), size])
+    cuts = []
+    if data.draw(st.booleans(), "cut"):
+        cuts.append(np.array(data.draw(samples, "cuts"), dtype=np.intp))
+    full = FullBlockSums(flat)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(quantize, "_CHECKPOINT", checkpoint)
+        patch.setattr(quantize, "_RUN", np.arange(checkpoint)[:, None])
+        sums = quantize._block_sums(flat)
+        assert sums.checkpoints.shape[-1] == block // checkpoint + 1
+        assert sums.prefix(at, r).tobytes() == full.prefix(at, r).tobytes()
+        assert sums.totals(r).tobytes() == full.totals(r).tobytes()
+        pieces = quantize._pieces(sums, r, splits, cuts)
+    for got, want in zip(pieces, quantize._pieces(full, r, splits, cuts)):
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
 def _blows_up_at(points, u0):
     # A zero drift that is infinite on one row at given steps of given
     # parts of a stream, at[(part, step)] = row, parts counted across blocks.
@@ -469,6 +553,11 @@ def _argv_exit_with_a_documented_code(tmp_path, commands, count):
     # when a value is drawn: hypothesis's own draws of them shrink toward
     # each list's first entries and repeat whole examples.  More than half
     # of the argv that reach cli.main must be distinct.
+    #
+    # An option that one mode of a command alone reads (--pairs, --window)
+    # takes a value drawn uniformly from its list, not its first value
+    # mostly: that mode is drawn too rarely for the late values to come up
+    # otherwise.  Every value of such an option must reach cli.main.
     import contextlib
     import io
 
@@ -486,10 +575,16 @@ def _argv_exit_with_a_documented_code(tmp_path, commands, count):
         with open(files[source]) as src, open(files[name], "w") as dst:
             dst.write(src.read().replace(text, replacement))
 
-    def value(rnd, mode, option):
+    own = {}  # command -> mode -> the options that no other of its modes reads
+    for name, (flag, table) in commands.items():
+        readers = [set(" ".join(rule).split()) for rule in table.values()]
+        own[name] = {mode: {o for o in options if sum(o in r for r in readers) == 1}
+                     for mode, options in zip(table, readers)} if flag else {}
+
+    def value(rnd, name, mode, option):
         values = _ARGV_VALUES[option]
-        if rnd.randrange(5) < 4:
-            return _FIRST.get(mode, {}).get(option, values[0])
+        if option not in own[name].get(mode, ()) and rnd.randrange(5) < 4:
+            return _FIRST.get(mode or name, {}).get(option, values[0])
         return rnd.choice(values)
 
     seen = []
@@ -512,7 +607,7 @@ def _argv_exit_with_a_documented_code(tmp_path, commands, count):
             odds = 49 if option in needs else 50 if sized else 40 if option in takes else 1
             if rnd.randrange(50) < odds:
                 argv += ["--" + option.replace("_", "-"),
-                         str(value(rnd, mode or name, option)).format(**files)]
+                         str(value(rnd, name, mode, option)).format(**files)]
         note(f"argv: {argv}")
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
             assert cli.main(argv) in (0, 1, 2, 3)
@@ -521,6 +616,15 @@ def _argv_exit_with_a_documented_code(tmp_path, commands, count):
         patch.setattr(cli, "main", spy)
         exits_with_a_documented_code()
     assert len(set(seen)) > len(seen) / 2, f"{len(set(seen))} distinct argv of {len(seen)}"
+    for name, modes in own.items():
+        flag = commands[name][0]
+        for mode, options in modes.items():
+            argvs = [argv for argv in seen if argv[:3] == (name, flag, mode)]
+            for option in options:
+                drawn = {argv[i + 1] for argv in argvs for i, word in enumerate(argv)
+                         if word == "--" + option.replace("_", "-")}
+                wanted = {str(v).format(**files) for v in _ARGV_VALUES[option]}
+                assert drawn == wanted, f"{name} {mode} --{option}: {sorted(wanted - drawn)}"
 
 
 def test_quad_and_adversary_argv_exit_with_a_documented_code(tmp_path):
@@ -531,7 +635,7 @@ def test_quad_and_adversary_argv_exit_with_a_documented_code(tmp_path):
             for algo, (needs, takes) in cli._QUAD_OPTIONS.items()}
     _argv_exit_with_a_documented_code(
         tmp_path, {"quad": ("--algo", quad), "adversary": ("--check", cli._ADVERSARY_OPTIONS)},
-        120)
+        500)
 
 
 def test_quantize_and_widths_argv_exit_with_a_documented_code(tmp_path):

@@ -603,8 +603,9 @@ class TestReplay:
         assert draws(kl_cb, kl, 1.0, M, seed)[0] == 0  # same key, other order r
         assert draws(kl_cb, kl, 2.0, M, SeedSpec(72))[0] == 1  # seed
         assert draws(kl_cb, kl, 2.0, M + 1, SeedSpec(72))[0] == 1  # M
-        # Path measures compare by identity, vector measures by value.
-        assert draws(kl_cb, BrownianKL(8, grid), 2.0, M + 1, SeedSpec(72))[0] == 1
+        # Vector measures compare by value: kl_cb's search reads the normals
+        # StdNormal(8), which an equal but distinct BrownianKL shares.
+        assert draws(kl_cb, BrownianKL(8, grid), 2.0, M + 1, SeedSpec(72))[0] == 0
         assert draws(cube_cb, UniformCube(2), 2.0, M, seed)[0] == 1
         assert draws(cube_cb, UniformCube(2), 2.0, M, seed)[0] == 0
         # Block rows: a smaller block that still holds M draws.
@@ -616,6 +617,19 @@ class TestReplay:
         monkeypatch.setattr(measures, "_BLOCK_BYTES", 8)
         distortion(cube_cb, UniformCube(2), 2.0, M, seed)
         assert measures._held is None
+
+    def test_path_measures_compare_by_identity(self, monkeypatch):
+        # On paths, an equal but distinct BrownianKL draws afresh.
+        grid = Grid.uniform(17)
+        kl, seed, M = BrownianKL(8, grid), SeedSpec(71), 500
+        cb = product_quantizer_bm(4, 8, grid)
+        _path_route(monkeypatch)
+        calls = self._count_draws(monkeypatch)
+        distortion(cb, kl, 2.0, M, seed)
+        distortion(cb, kl, 1.0, M, seed)
+        assert calls == [M]
+        distortion(cb, BrownianKL(8, grid), 2.0, M, seed)
+        assert calls == [M, M]
 
     def test_held_block_is_read_only_and_dropped_by_any_draw(self):
         cb, cube, seed = uniform_midpoint_codebook(2, 3), UniformCube(2), SeedSpec(73)
@@ -690,7 +704,7 @@ class TestCoefficientRoute:
         codebooks = [product_quantizer_bm(2**j, 200, grid) for j in range(1, 7)]
         values, weights = self._estimates(codebooks, measure, M, seed)
         key, held = measures._held
-        assert key[-1] and held.shape == (M, 200)  # the stream's normals, held
+        assert key[0] == StdNormal(200) and held.shape == (M, 200)  # the stream's normals
         _path_route(monkeypatch)
         paths, path_weights = self._estimates(codebooks, measure, M, seed)
         assert measures._held[1].shape == (M, grid.size, 1)
@@ -713,7 +727,7 @@ class TestCoefficientRoute:
         basis = None if cb.product is None else cb.product.basis
         assert not measures._coefficient_route(measure, NormKind.L2, grid, basis, kl_basis_on_grid)
         values, weights = self._estimates([cb], measure, M, seed)
-        assert not measures._held[0][-1]
+        assert measures._held[0][0] is measure  # the paths, not the normals, are held
         _path_route(monkeypatch)
         paths, path_weights = self._estimates([cb], measure, M, seed)
         np.testing.assert_array_equal(values, paths)
