@@ -5,13 +5,13 @@ d-dimensional standard normal, Brownian motion on [0,1] through a
 truncated Karhunen-Loeve expansion, and diffusion paths through the
 strong Euler scheme with piecewise-linear interpolation.  All sampling
 is a pure function of (measure, seed): streams are derived from a
-splittable seed tree, so runs are reproducible regardless of how work
-is partitioned.
+splittable seed tree, and a stream is cut into pieces counted from draw
+0 by the rule one ``sample_batch`` call cuts by, so a stream's draws are
+one ``sample_batch`` call's, bit for bit, whatever the byte bounds.
 """
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import os
 from contextlib import contextmanager
@@ -23,9 +23,9 @@ import numpy as np
 from .errors import ConfigurationError, NumericError
 from .paths import Grid, NormKind, _is_orthonormal, kl_basis_on_grid, kl_eigenvalues
 
-# Bytes of the largest array one block of draws makes.  Blocks take
-# consecutive rows of one stream, so their size moves no draw: it bounds
-# memory and nothing else.
+# Bytes of the largest array a stream may hold at once: a replayed stream
+# (_held), one draw (_check_draw), an Euler part's increments or output
+# (_euler_parts) and a codebook search's blocks.  It shapes no stream.
 _BLOCK_BYTES = 2**26
 # Bytes of the largest (k_terms, G) basis a BrownianKL may hold; every
 # BrownianKL checks it when it is built (see _check_kl_basis).
@@ -37,10 +37,10 @@ _KL_BASIS_BYTES = 2**26
 _TILE_BYTES = 2**21
 # Side of the squares in which the Euler kernel turns its increments from
 # sample-major to step-major order.  The kernel runs n >= 2 _TILE paths in
-# parts of at most 16 _TILE rows (see _euler_parts).
+# at least two parts of at most 16 _TILE rows (see _euler_parts).
 _TILE = 64
-# The last one-block stream a codebook search read, as (key, read-only
-# block), or None.  sample_batch drops it before drawing anything, so it
+# The last replayed stream a codebook search read, as (key, read-only
+# draws), or None.  sample_batch drops it before drawing anything, so it
 # never lives beside another stream's draws.
 _held = None
 # The one thread that draws a stream's normals ahead of their use (see
@@ -372,16 +372,18 @@ def _first_nonfinite(states: np.ndarray):
     return int(step), int(row)
 
 
-def _euler_parts(n: int) -> list:
+def _euler_parts(n: int, k: int, m: int, points: int) -> list:
     """Row counts of the parts in which the Euler kernel runs n paths, in order.
 
-    One part below 2 _TILE rows.  From there the fewest parts of at most
-    16 _TILE rows, but at least two, whose sizes differ by at most one,
-    the larger first: two halves up to 2048 rows.
+    The paths have k breakpoints in R^m and are read on ``points`` grid
+    points.  A part has at most 16 _TILE rows, and at most the rows whose
+    (k - 1, m) increments and (points, m) output each fit _BLOCK_BYTES.
+    The fewest such parts, but at least two from 2 _TILE rows, whose sizes
+    differ by at most one, the larger first: one part below 128 rows, two
+    halves up to 2048 rows at the default sizes.
     """
-    if n < 2 * _TILE:
-        return [n]
-    count = max(2, -(-n // (16 * _TILE)))
+    cap = min(16 * _TILE, _block_rows(m * max(k - 1, points)))
+    count = max(1 if n < 2 * _TILE else 2, -(-n // cap))
     return [(n + i) // count for i in range(count - 1, -1, -1)]
 
 
@@ -406,21 +408,20 @@ def euler_values(
     when the tile of steps holding both states ends, so no breakpoint state
     outlives its tile; the large arrays are the increments and the output.
 
-    From n = 2 _TILE the rows run as parts of at most 16 _TILE rows
-    (``_euler_parts``), each drawn and stepped in turn by ``_euler_run``,
-    which writes each part into a view of the output.  A stream takes the
-    parts from ``_euler_run`` itself, each as soon as it has stepped, so
-    it holds one part of output, never a block (see ``_tiles``), and its
-    next part can be drawn while this one steps and is evaluated (see
-    ``_DrawAhead``).  Every row's floats are those of one run over all
-    rows.  A state that is not finite raises ``NumericError`` at its step
-    and row: the earliest step over all parts, and the lowest row at that
-    step.  A coefficient that raises while computing a step's state is
-    raised unless a non-finite state comes at an earlier step.  A tile of
-    _TILE steps keeps all its states and checks them when it ends, which
-    names the same step and row as a check after every step.  The kernel
-    reports non-finite states itself, so numpy's overflow and invalid
-    warnings are silenced.
+    The rows run as parts counted from row 0 (``_euler_parts``), each
+    drawn and stepped in turn by ``_euler_run``, which writes each part
+    into a view of the output.  A stream of the same n draws runs the same
+    parts and takes each from ``_euler_run`` as soon as it has stepped, so
+    it holds one part of output (see ``_tiles``), and its next part can be
+    drawn while this one steps and is evaluated (see ``_DrawAhead``).
+    Every row's floats are those of one run over all rows.  A state that
+    is not finite raises ``NumericError`` at its step and row: the earliest
+    step over all parts, and the lowest row at that step.  A coefficient
+    that raises while computing a step's state is raised unless a
+    non-finite state comes at an earlier step.  A tile of _TILE steps keeps
+    all its states and checks them when it ends, which names the same step
+    and row as a check after every step.  The kernel reports non-finite
+    states itself, so numpy's overflow and invalid warnings are silenced.
     """
     if k < 2:
         raise ConfigurationError("breakpoint count k must be >= 2")
@@ -436,12 +437,13 @@ def _euler_run(
 ):
     """(start, paths) of each Euler part of n paths, in order (``euler_values``).
 
-    ``rng`` is a Generator, or the ``_DrawAhead`` of a streamed block.  A
-    part's (rows, G, m) paths are written into ``out[start : start + rows]``
-    when ``out`` is given, else into a new array, and handed out as soon as
-    the part has stepped, before the next part is drawn.  After a failure no
-    part is handed out: the block's remaining parts run up to its step, and
-    the earliest failure raises when they end.
+    The parts are ``_euler_parts(n, k, m, G)``.  ``rng`` is a Generator, or
+    the ``_DrawAhead`` of a stream.  A part's (rows, G, m) paths are written
+    into ``out[start : start + rows]`` when ``out`` is given, else into a
+    new array, and handed out as soon as the part has stepped, before the
+    next part is drawn.  After a failure no part is handed out: the
+    remaining parts run only up to its step, and the earliest failure
+    raises when they end.
     """
     m = spec.m
     dt = 1.0 / (k - 1)
@@ -523,7 +525,7 @@ def _euler_run(
 
     failure = None
     start = 0
-    for rows in _euler_parts(n):
+    for rows in _euler_parts(n, k, m, grid.size):
         # After a failure in lower rows only an earlier step can win.
         steps = k - 1 if failure is None else failure[0] - 1
         paths = np.empty((rows, grid.size, m)) if out is None else out[start : start + rows]
@@ -546,34 +548,31 @@ def _euler_run(
 class _DrawAhead:
     """The standard normals of one stream, each part drawn while the last is used.
 
-    ``parts`` gives the row counts of the parts in which the stream's
-    consumer asks for its normals, in order; a part is (rows,) + ``shape``.
-    While the caller uses one part, the one worker thread draws the next,
-    across block edges too, into the other slot of a (2, rows of the first
-    part) + ``shape`` buffer.  The buffer is allocated here, on the
-    caller's thread, and only ``Generator.standard_normal`` runs on the
-    worker; one stream's draws never overlap, so they are those of one
-    call.  A part too large for a slot (a short last block, not split) is
-    drawn on the caller.  The consumer reads the parts through
-    ``standard_normal``, as it would read a Generator.
+    ``parts`` lists the row counts of the parts in which the stream's
+    consumer asks for its normals, in order, none larger than the first
+    (as ``_euler_parts`` gives them); a part is (rows,) + ``shape``.  While
+    the caller uses one part, the one worker thread draws the next into
+    the other slot of a (2, rows of the first part) + ``shape`` buffer.
+    The buffer is allocated here, on the caller's thread, and only
+    ``Generator.standard_normal`` runs on the worker; one stream's draws
+    never overlap, so they are those of one call.  The consumer reads the
+    parts through ``standard_normal``, as it would read a Generator.
     """
 
-    def __init__(self, rng: np.random.Generator, parts, shape: tuple):
+    def __init__(self, rng: np.random.Generator, parts: list, shape: tuple):
         self.rng = rng
-        parts = iter(parts)
-        first = next(parts)
-        self.parts = itertools.chain((first,), parts)
-        self.buffer = np.empty((2, first) + shape)
+        self.parts = iter(parts)
+        self.buffer = np.empty((2, parts[0]) + shape)
         self.slot = 0
         self.pending = None
         self._submit()
 
     def _submit(self):
-        # Start drawing the next part into the free slot, if it fits one.
+        # Start drawing the next part, if there is one, into the free slot.
         global _drawer
         self.pending = None
         rows = next(self.parts, 0)
-        if 0 < rows <= self.buffer.shape[1]:
+        if rows:
             if _drawer is None:
                 # Imported here: a run that never draws ahead never loads it.
                 from concurrent.futures import ThreadPoolExecutor
@@ -584,12 +583,9 @@ class _DrawAhead:
 
     def standard_normal(self, size: tuple) -> np.ndarray:
         """The stream's next part, of shape ``size``; valid until the next call."""
-        if self.pending is None:
-            part = self.rng.standard_normal(size)
-        else:
-            future, part = self.pending
-            future.result()
-            self.slot ^= 1
+        future, part = self.pending
+        future.result()
+        self.slot ^= 1
         assert part.shape == size
         self._submit()
         return part
@@ -666,24 +662,21 @@ def _tiles(
 ):
     """(start, tile) over draws 0 .. total of ``seed``'s stream, in row tiles.
 
-    The one source of a stream's draws.  They come in row blocks of
-    ``_block_rows(_draw_floats(measure))``, each handed out in tiles that
-    never cross a block edge.  Generators fill rows in order, so the draws
-    do not depend on the block or tile size; but a BrownianKL tile's paths
-    are a BLAS product of its normals, whose rounding may move with the
-    tile's rows.
+    The one source of a stream's draws.  They are made in pieces counted
+    from draw 0 (``_pieces``) by the rule one ``sample_batch`` call of
+    ``total`` draws cuts by, so a stream's draws are that call's, bit for
+    bit: _BLOCK_BYTES and _TILE_BYTES bound memory and move no draw.  Each
+    piece is handed out in tiles of _TILE_BYTES of its rows.
 
-    A Diffusion block runs as Euler parts (``_euler_parts``), each drawn on
+    A Diffusion stream runs as Euler parts (``_euler_parts``), each drawn on
     the drawer thread while the one before it steps (``_DrawAhead``), and
-    each handed out in tiles of _TILE_BYTES of its rows as soon as it has
-    stepped, before the next part steps: the stream holds one part of
-    output, never a block.  A part's tiles are handed out before a later
-    part of its block fails, so a failure in evaluating them comes first.
+    each handed out as soon as it has stepped, before the next part steps:
+    the stream holds one part of output.  A part's tiles are handed out
+    before a later part fails, so a failure in evaluating them comes first.
     Any other tile is drawn when it is asked for, by ``sample_batch`` on the
-    caller's thread, in the rows of _TILE_BYTES of the largest array one
-    draw makes, so the stream holds a tile (and a BrownianKL's basis), never
-    a block.  (Drawing the next KL tile's coefficients on the drawer thread
-    slowed the stream: the product and most functionals are BLAS calls that
+    caller's thread, so the stream holds a tile (and a BrownianKL's basis).
+    (Drawing the next KL tile's coefficients on the drawer thread slowed
+    the stream: the product and most functionals are BLAS calls that
     already keep every core busy.)  Closing the generator cancels or waits
     for a draw made ahead.  A failure while drawing raises at its stream
     index, naming ``stream`` (``_located``; see ``_pieces``).
@@ -692,12 +685,13 @@ def _tiles(
     by row: a stream that reads z instead of the paths is the stream of
     StdNormal(k_terms) on the same seed.
 
-    With ``replay``, a stream that fits in one block is drawn read-only and
-    held after the call, as ``sample_batch`` builds it; the next ``replay``
-    call on the same key (measure, seed, total, block rows) gets the held
-    block instead of drawing it again.  Vector measures compare by value,
-    so equal StdNormal measures share their held normals; path measures
-    compare by identity.  Any other draw drops the held block first.
+    With ``replay``, a stream whose draws fit in _BLOCK_BYTES is drawn
+    read-only and held after the call, as ``sample_batch`` builds it; the
+    next ``replay`` call on the same key (measure, seed, total, block rows)
+    gets the held draws instead of drawing them again.  Vector measures
+    compare by value, so equal StdNormal measures share their held normals;
+    path measures compare by identity.  Any other draw drops the held
+    stream first.
     """
     global _held
     rows = _block_rows(_draw_floats(measure))
@@ -711,42 +705,41 @@ def _tiles(
         yield from _split(0, _held[1])
         return
     rng = seed.rng()
-    ahead = isinstance(measure, Diffusion) and len(_euler_parts(min(rows, total))) > 1
-    if ahead:
-        parts = (p for s in range(0, total, rows) for p in _euler_parts(min(rows, total - s)))
-        rng = _DrawAhead(rng, parts, (measure.k_steps - 1, measure.spec.m))
+    if isinstance(measure, Diffusion):
+        parts = _euler_parts(total, measure.k_steps, measure.spec.m, measure.grid.size)
+        if len(parts) > 1:
+            rng = _DrawAhead(rng, parts, (measure.k_steps - 1, measure.spec.m))
     try:
-        for start in range(0, total, rows):
-            pieces = _pieces(measure, rng, start, min(rows, total - start), stream)
-            for first, draws in pieces:
-                yield from _split(first, draws)
-                del draws  # each piece dies before the next is made
+        for first, draws in _pieces(measure, rng, total, stream):
+            yield from _split(first, draws)
+            del draws  # each piece dies before the next is made
     finally:
-        if ahead:
+        if isinstance(rng, _DrawAhead):
             rng.close()
 
 
-def _pieces(measure: MeasureSpec, rng, start: int, n: int, stream: str = ""):
-    """(first, draws) over the rows start .. start + n of a stream, in the
-    pieces they are made in, each raising a failure at its stream index
-    (``_located``): a Diffusion block in Euler parts (``_euler_run``), each
-    as soon as it has stepped, and any other block in tiles of _TILE_BYTES
-    of the largest array one draw makes, each drawn by ``sample_batch``."""
+def _pieces(measure: MeasureSpec, rng, n: int, stream: str = ""):
+    """(first, draws) over the n draws of a stream, in the pieces they are
+    made in, counted from draw 0 as one ``sample_batch`` call cuts them, each
+    raising a failure at its stream index (``_located``): a Diffusion in
+    Euler parts (``_euler_run``), each as soon as it has stepped, and any
+    other measure in tiles of _TILE_BYTES of the largest array one draw
+    makes, each drawn by ``sample_batch``."""
     global _held
     if isinstance(measure, Diffusion):
         _held = None  # as sample_batch drops it
         parts = _euler_run(measure.spec, measure.k_steps, rng, n, measure.grid)
         while True:
-            with _located(start, stream):
+            with _located(0, stream):
                 part = next(parts, None)
             if part is None:
                 return
-            yield start + part[0], part[1]
+            yield part
             del part
     step = _block_rows(_draw_floats(measure), _TILE_BYTES)
-    for first in range(start, start + n, step):
+    for first in range(0, n, step):
         with _located(first, stream):
-            draws = sample_batch(measure, rng, min(step, start + n - first))
+            draws = sample_batch(measure, rng, min(step, n - first))
         yield first, draws
         del draws
 
@@ -766,7 +759,8 @@ def _check_count(total: int, minimum: int) -> None:
 
 def _check_draw(floats: int) -> None:
     """Raise ``ConfigurationError`` when one draw of ``floats`` floats would
-    not fit in one block of _BLOCK_BYTES.  Needs nothing to be built."""
+    not fit in _BLOCK_BYTES, so that an Euler part of one row fits it too.
+    Needs nothing to be built."""
     if 8 * floats > _BLOCK_BYTES:
         raise ConfigurationError(
             f"one draw of {floats} floats needs {8 * floats} bytes, more than the "
@@ -808,8 +802,8 @@ def _stream(
     through from drawing or evaluating.  Any other failure, and a non-finite
     value, raise ``NumericError`` at the failing draw's stream index
     (``_evaluated``).  ``replay`` is for an ``evaluate`` that only reads its
-    draws (see ``_tiles``).  Values may view their block: a consumer drops
-    them before it asks for the next, so each block dies before the next.
+    draws (see ``_tiles``).  Values may view their piece: a consumer drops
+    them before it asks for the next, so each piece dies before the next.
     """
     _check_count(total, minimum)
     tiles = _tiles(measure, seed, total, replay)
@@ -862,7 +856,7 @@ class _Moments:
         self.filled = self.position = 0  # the chunk in progress: carry[:, :filled]
         for piece in values:
             self._add(piece.reshape(-1, piece.shape[-1]))
-            del piece  # a view of a drawn block dies before the next is drawn
+            del piece  # a view of a drawn piece dies before the next is drawn
         if self.filled:  # the stream's last chunk
             self._fold(self.carry[:, None, : self.filled], self.position - self.filled)
         arrays = (np.array(column).reshape(shape) for column in zip(*self.columns))

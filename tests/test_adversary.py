@@ -103,13 +103,13 @@ class TestFoolingFamily:
         assert np.any(np.stack(want) > 0)
 
     def test_nan_sample_in_a_member_mean_is_named_by_its_draw(self, monkeypatch):
-        # 10-row blocks; every draw above 0.99 becomes NaN.  The member's
+        # 10-row tiles; every draw above 0.99 becomes NaN.  The member's
         # nearest search fails at the first one, named by its stream index.
-        monkeypatch.setattr(measures, "_BLOCK_BYTES", 8 * 10)
+        monkeypatch.setattr(measures, "_TILE_BYTES", 8 * 10)
         seed = SeedSpec(5)
         draws = sample_batch(UniformCube(1), seed.child(0), 1000)[:, 0]
         first = int(np.argmax(draws > 0.99))
-        assert first % 10 != 0 and first > 10  # not in the first block's first row
+        assert first % 10 != 0 and first > 10  # not in the first tile's first row
         draw = measures.sample_batch
 
         def with_nan(measure, rng, n):

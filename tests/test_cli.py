@@ -737,8 +737,8 @@ def _exit_code_rows():
          1, "samples of shape (2,) do not fit codebook points of shape (1,)"),
     ]
     # A diffusion that blows up is a numeric failure; 300 paths run as two
-    # halves, the pool's paths blow up in the Lloyd fit, the widths in the
-    # first block and the Lipschitz check in its first stream.  {cbpath} is
+    # halves, the pool's paths blow up in the Lloyd fit, the widths in
+    # their stream and the Lipschitz check in its first stream.  {cbpath} is
     # a two-point codebook of constant paths on the diffusion's grid.
     rows += [(argv, 2, "non-finite state at step 2") for argv in _blow_up_argvs() + [
         ("quad", "--algo", "mc", "--measure", _BLOW_UP, "--functional", "coord_at(1.0)",

@@ -479,11 +479,11 @@ class TestReferenceValue:
         assert est.stderr == pytest.approx(1e-3 / math.sqrt(M), rel=0.01)
 
     def test_stderr_matches_one_shot_across_chunks(self, monkeypatch):
-        # Blocks of 65536 draws: 65536 + 37 draws of the one stream child(0)
-        # span two blocks, whose moments are merged.
+        # Tiles of 65536 draws: 65536 + 37 draws of the one stream child(0)
+        # span two tiles, whose moments are merged.
         from quantquad.paths import vector_coord_functional
 
-        monkeypatch.setattr(measures, "_BLOCK_BYTES", 8 * 65536)
+        monkeypatch.setattr(measures, "_TILE_BYTES", 8 * 65536)
         seed = SeedSpec(25)
         M = 65536 + 37
         est = reference_value(vector_coord_functional(0), UniformCube(1), M, seed)
@@ -525,40 +525,52 @@ def _affine_2d(k):
     return Diffusion(spec, k, Grid.uniform(33))
 
 
-def _joined_blocks(measure, seed, total):
-    # (start, block) over the stream's row blocks: the tiles of _tiles joined.
-    rows = measures._block_rows(measures._draw_floats(measure))
-    blocks = {}
+def _joined_pieces(measure, seed, total):
+    # (start, piece) over the pieces a stream is made in, counted from draw
+    # 0 (Euler parts, or tiles of other draws): the tiles of _tiles joined.
+    if isinstance(measure, Diffusion):
+        sizes = measures._euler_parts(total, measure.k_steps, measure.spec.m, measure.grid.size)
+        starts = np.cumsum([0] + sizes[:-1])
+    else:
+        floats = measures._draw_floats(measure)
+        starts = np.arange(0, total, measures._block_rows(floats, measures._TILE_BYTES))
+    pieces = {}
     for start, tile in measures._tiles(measure, seed, total):
-        blocks.setdefault(start - start % rows, []).append(tile)
-    return [(start, np.concatenate(tiles)) for start, tiles in blocks.items()]
+        piece = int(starts[np.searchsorted(starts, start, side="right") - 1])
+        pieces.setdefault(piece, []).append(tile)
+    return [(start, np.concatenate(tiles)) for start, tiles in pieces.items()]
 
 
 class TestBlocks:
-    # Streamed estimates take draws 0 .. M of one stream in row blocks of
-    # at most _BLOCK_BYTES; the block size moves no draw.
+    # Streamed estimates take draws 0 .. M of one stream in pieces counted
+    # from draw 0; _BLOCK_BYTES and _TILE_BYTES bound them and move no draw.
 
     @pytest.mark.parametrize(
-        "measure, exact",
-        [
-            (UniformCube(3), True),
-            (StdNormal(2), True),
-            (_affine_2d(9), True),
-            (BrownianKL(20, Grid.uniform(33)), False),
-        ],
+        "measure",
+        [UniformCube(3), StdNormal(2), _affine_2d(9), BrownianKL(20, Grid.uniform(33))],
         ids=["uniform", "normal", "diffusion", "kl"],
     )
-    def test_one_row_blocks_are_the_one_shot_batch(self, measure, exact, monkeypatch):
+    def test_one_row_pieces_are_the_one_shot_batch(self, measure, monkeypatch):
+        # One-row tiles, and Euler parts capped at one row by a block of one
+        # draw's bytes: every piece is one row, and the stream is one call.
         seed = SeedSpec(40)
-        monkeypatch.setattr(measures, "_BLOCK_BYTES", 8)
-        blocks = _joined_blocks(measure, seed, 50)
-        assert [start for start, _ in blocks] == list(range(50))
-        joined = np.concatenate([batch for _, batch in blocks])
-        whole = sample_batch(measure, seed, 50)
-        if exact:
-            np.testing.assert_array_equal(joined, whole)
-        else:
-            np.testing.assert_allclose(joined, whole, rtol=0, atol=1e-14)
+        monkeypatch.setattr(measures, "_BLOCK_BYTES", 8 * measures._draw_floats(measure))
+        monkeypatch.setattr(measures, "_TILE_BYTES", 8)
+        pieces = _joined_pieces(measure, seed, 50)
+        assert [start for start, _ in pieces] == list(range(50))
+        joined = np.concatenate([batch for _, batch in pieces])
+        assert joined.tobytes() == sample_batch(measure, seed, 50).tobytes()
+
+    @pytest.mark.parametrize("G, total", [(1025, 24569), (2049, 12299)])
+    def test_kl_stream_is_one_call_on_grids_that_split_its_tiles(self, G, total):
+        # At the default sizes tiles of 255 (1025 points) and 127 (2049
+        # points) rows do not divide the 8184 and 4094 rows of _BLOCK_BYTES.
+        # A tile's paths are one BLAS product, whose rounding moves with its
+        # rows, so tiles that restarted at every 8184th or 4094th draw would
+        # move 1836 and 1306 of these paths.
+        measure, seed = BrownianKL(200, Grid.uniform(G)), SeedSpec(3)
+        joined = np.concatenate([tile for _, tile in measures._tiles(measure, seed, total)])
+        assert joined.tobytes() == sample_batch(measure, seed, total).tobytes()
 
     def test_every_site_ignores_the_block_size(self, monkeypatch):
         from quantquad.adversary import (
@@ -613,7 +625,7 @@ class TestBlocks:
 
         default = sites()
         monkeypatch.setattr(measures, "_BLOCK_BYTES", 8)
-        np.testing.assert_allclose(sites(), default, rtol=1e-12, atol=0)
+        np.testing.assert_array_equal(sites(), default)
 
     @pytest.mark.parametrize(
         "measure",
@@ -625,24 +637,32 @@ class TestBlocks:
     )
     def test_blocks_fit_the_byte_bound(self, measure, monkeypatch):
         # A small bound keeps the 2048-step recursion quick; k > G on the
-        # diffusion and G > k on the expansion.
+        # diffusion and G > k on the expansion.  A KL stream's pieces are
+        # tiles.  One 2049-step draw is over 1/128 of the bound, so the
+        # part cap binds: 129 rows run as three parts of 43, not two of 65
+        # and 64, and the draw-ahead buffer holds two parts of increments.
         monkeypatch.setattr(measures, "_BLOCK_BYTES", 2**20)
-        states = []
+        monkeypatch.setattr(measures, "_TILE_BYTES", 2**18)
+        runs = []
         kernel = measures._euler_run
 
         def recorded(spec, k, rng, n, grid, out=None):
-            states.append(8 * n * k * spec.m)
+            runs.append((rng, n))
             return kernel(spec, k, rng, n, grid, out)
 
-        # A stream runs each block through the kernel's part generator.
         monkeypatch.setattr(measures, "_euler_run", recorded)
-        rows = measures._block_rows(measure.grid.size)
-        sizes = [
-            batch.nbytes
-            for _, batch in _joined_blocks(measure, SeedSpec(42), 2 * rows + 3)
-        ]
+        total = 2 * measures._block_rows(measures._draw_floats(measure)) + 3
+        sizes = [batch.nbytes for _, batch in _joined_pieces(measure, SeedSpec(42), total)]
         assert len(sizes) >= 3
-        assert max(sizes + states) <= measures._BLOCK_BYTES
+        assert max(sizes) <= measures._BLOCK_BYTES
+        if isinstance(measure, BrownianKL):
+            assert max(sizes) <= measures._TILE_BYTES
+            return
+        assert 128 * 8 * measures._draw_floats(measure) > measures._BLOCK_BYTES
+        ((ahead, n),) = runs
+        assert n == total == 129 and len(sizes) == 3
+        assert ahead.buffer.shape == (2, 43, 2048, 1)
+        assert ahead.buffer[0].nbytes <= measures._BLOCK_BYTES
 
 
 def _explodes_above(level):
@@ -719,46 +739,48 @@ class TestStream:
 
     @pytest.mark.parametrize("site", ["reference_value", "distortion", "classical_mc"])
     def test_failed_draw_is_named_by_its_stream_index(self, site, monkeypatch):
-        # 62-row blocks.  reference_value and distortion read seed.child(0),
-        # whose paths first blow up at draw 124 (row 0 of the third block);
-        # classical_mc reads the seed's own stream, where the recursion
-        # fails at row 18 of that block, draw 142.
+        # reference_value and distortion read seed.child(0), whose 5000 paths
+        # first blow up at step 17, in draw 2086; classical_mc reads the
+        # seed's own stream, where the recursion fails at step 18 of draw
+        # 911.  Each is what euler_values over all 5000 rows raises, in the
+        # default layout (distortion replays one call), in 62-row parts of
+        # 7-row tiles and in one-row parts and tiles.
         from quantquad.paths import sup_norm_functional
         from quantquad.quadrature import classical_mc
         from quantquad.quantize import distortion, product_quantizer_bm
 
-        monkeypatch.setattr(measures, "_BLOCK_BYTES", 2**14)
         measure, sup, seed = _explodes_above(2.5), sup_norm_functional(), SeedSpec(1)
-        assert measures._block_rows(33) == 62
         codebook = product_quantizer_bm(4, 20, measure.grid)
-        call, expected = {
-            "reference_value": (lambda: reference_value(sup, measure, 5000, seed), 124),
-            "distortion": (lambda: distortion(codebook, measure, 2.0, 5000, seed), 124),
-            "classical_mc": (lambda: classical_mc(measure, sup, 5000, seed), 142),
+        call, stream, expected = {
+            "reference_value": (lambda: reference_value(sup, measure, 5000, seed),
+                                seed.child(0), (2086, 17)),
+            "distortion": (lambda: distortion(codebook, measure, 2.0, 5000, seed),
+                           seed.child(0), (2086, 17)),
+            "classical_mc": (lambda: classical_mc(measure, sup, 5000, seed), seed, (911, 18)),
         }[site]
-        with pytest.raises(NumericError) as info:
-            call()
-        assert info.value.sample == expected
-        assert info.value.step is not None
-        # One-row blocks fail at the same draw: it is each stream's first.
-        monkeypatch.setattr(measures, "_BLOCK_BYTES", 8)
-        with pytest.raises(NumericError) as info:
-            call()
-        assert info.value.sample == expected
+        with pytest.raises(NumericError) as oracle:
+            euler_values(measure.spec, 33, stream.rng(), 5000, measure.grid)
+        assert (oracle.value.sample, oracle.value.step) == expected
+        for layout in ((2**26, 2**21), (2**14, 8 * 33 * 7), (8 * 33, 8)):
+            monkeypatch.setattr(measures, "_BLOCK_BYTES", layout[0])
+            monkeypatch.setattr(measures, "_TILE_BYTES", layout[1])
+            with pytest.raises(NumericError) as info:
+                call()
+            assert (info.value.sample, info.value.step) == expected
 
     @pytest.mark.parametrize("raises", [False, True], ids=["nan", "raises"])
     def test_monte_carlo_failure_is_named_by_its_draw(self, raises, monkeypatch):
         # classical_mc checks its values like every streamed estimate: a NaN
         # is named by its draw, a functional that raises by the first draw
-        # of its block.
+        # of its tile.
         from quantquad.paths import Functional
         from quantquad.quadrature import classical_mc
 
-        monkeypatch.setattr(measures, "_BLOCK_BYTES", 8 * 10)  # 10-row blocks
+        monkeypatch.setattr(measures, "_TILE_BYTES", 8 * 10)  # 10-row tiles
         seed = SeedSpec(5)
         draws = sample_batch(UniformCube(1), seed, 1000)[:, 0]
         first = int(np.argmax(draws > 0.99))
-        assert first % 10 != 0 and first > 10  # not in the first block's first row
+        assert first % 10 != 0 and first > 10  # not in the first tile's first row
 
         def fn(v):
             high = v[:, 0] > 0.99
@@ -772,21 +794,25 @@ class TestStream:
         assert info.value.sample == (first - first % 10 if raises else first)
 
     @pytest.mark.parametrize(
-        "level, seed, stream, expected", [(2.5, 2, 0, 160), (3.0, 3, 1, 487)]
+        "level, seed, stream, expected", [(2.5, 2, 0, 1129), (3.0, 3, 1, 2870)]
     )
     def test_lipschitz_failure_is_named_by_stream_and_index(
         self, level, seed, stream, expected, monkeypatch
     ):
         # lipschitz_check draws pairs from seed.child(0) and seed.child(1).
-        # With 62-row blocks the first blow-up lies in a later block: draw 160
-        # of the first stream (row 36 of its third block), draw 487 of the
-        # second (row 53 of its eighth); one-row blocks fail at the same draw.
+        # The stream whose first non-finite path lies in the earlier part
+        # stops first and raises its own earliest failure: draw 1129 of the
+        # first stream (step 16); and draw 2870 of the second (step 26),
+        # whose path 487 blows up before the first stream's path 1164 does.
+        # So in the default layout, in 62-row parts of 7-row tiles and in
+        # one-row parts and tiles.
         from quantquad.adversary import lipschitz_check
         from quantquad.paths import sup_norm_functional
 
         measure = _explodes_above(level)
-        for block_bytes in (2**14, 8):
+        for block_bytes, tile_bytes in ((2**26, 2**21), (2**14, 8 * 33 * 7), (8 * 33, 8)):
             monkeypatch.setattr(measures, "_BLOCK_BYTES", block_bytes)
+            monkeypatch.setattr(measures, "_TILE_BYTES", tile_bytes)
             with pytest.raises(
                 NumericError, match=rf"sample {expected} of seed\.child\({stream}\): "
             ) as info:
@@ -800,12 +826,12 @@ class TestStream:
     def test_lipschitz_raising_functional_is_a_numeric_error(
         self, failing_call, where, monkeypatch
     ):
-        # Each block evaluates f on the first stream, the second stream and
-        # the bumped first stream, in that order; 10-row blocks.
+        # Each tile evaluates f on the first stream, the second stream and
+        # the bumped first stream, in that order; 10-row tiles.
         from quantquad.adversary import lipschitz_check
         from quantquad.paths import Functional
 
-        monkeypatch.setattr(measures, "_BLOCK_BYTES", 8 * 10)
+        monkeypatch.setattr(measures, "_TILE_BYTES", 8 * 10)
         calls = []
 
         def fn(v):
@@ -830,12 +856,12 @@ class TestStream:
     def test_lipschitz_nan_is_named_by_stream_and_index(
         self, failing_call, where, monkeypatch
     ):
-        # A NaN in row 3 of one call (10-row blocks, calls ordered as
+        # A NaN in row 3 of one call (10-row tiles, calls ordered as
         # above) is named by its stream and its draw, not skipped.
         from quantquad.adversary import lipschitz_check
         from quantquad.paths import Functional
 
-        monkeypatch.setattr(measures, "_BLOCK_BYTES", 8 * 10)
+        monkeypatch.setattr(measures, "_TILE_BYTES", 8 * 10)
         calls = []
 
         def fn(v):
@@ -864,8 +890,8 @@ class TestStream:
 
 
 class TestTiles:
-    # _stream hands each block to its evaluator in row tiles of _TILE_BYTES,
-    # and sample_batch builds BrownianKL blocks tile by tile.  Tiles move no
+    # _stream hands each piece to its evaluator in row tiles of _TILE_BYTES,
+    # and sample_batch builds BrownianKL paths tile by tile.  Tiles move no
     # draw, no located failure and no seeded result; they bound memory.
 
     @pytest.mark.parametrize("site", ["reference_value", "gap_identity_check"])
@@ -873,9 +899,9 @@ class TestTiles:
     def test_failure_in_a_later_tile_is_named_by_its_stream_index(
         self, site, raises, monkeypatch
     ):
-        # 40-row blocks of 7-row tiles.  Draw 79 of seed.child(0) is the
-        # first above 0.99: the last row of the second block, in its tile
-        # from 75.  A NaN is named by its draw, a raise by its tile's first.
+        # 7-row tiles.  Draw 79 of seed.child(0) is the first above 0.99,
+        # in the twelfth tile, from 77.  A NaN is named by its draw, a raise
+        # by its tile's first.  40-row blocks replay no stream.
         from quantquad import adversary
         from quantquad.paths import Functional
         from quantquad.quantize import uniform_midpoint_codebook
@@ -908,7 +934,7 @@ class TestTiles:
             call = lambda: adversary.gap_identity_check(cb, cube, 1000, seed)  # noqa: E731
         with pytest.raises(NumericError, match="RuntimeError" if raises else "non-finite") as info:
             call()
-        assert info.value.sample == (75 if raises else 79)
+        assert info.value.sample == (77 if raises else 79)
 
     def test_one_row_tiles_move_no_result(self, monkeypatch):
         from quantquad.paths import NormKind, sup_norm_functional, vector_coord_functional
@@ -949,7 +975,7 @@ class TestTiles:
         np.testing.assert_array_equal(results(), default)
 
     def test_a_vector_stream_holds_a_few_tiles_never_a_block(self, monkeypatch):
-        # Four 8 MiB blocks of StdNormal(8) draws: each is drawn tile by
+        # Four 8 MiB blocks' worth of StdNormal(8) draws are drawn tile by
         # tile, so the stream holds a 2 MiB tile and its values.
         from quantquad.paths import Functional
 
@@ -1012,53 +1038,44 @@ def _record_draws(monkeypatch, delay=0.0):
 
 
 class TestDrawAhead:
-    # A Diffusion stream whose blocks run as halves draws each half's
-    # increments on one worker thread while the half before it steps.  The
+    # A Diffusion stream of two or more Euler parts draws each part's
+    # increments on one worker thread while the part before it steps.  The
     # measures are 33-step paths on 33 grid points.
 
     @staticmethod
     def _measure(m):
         return Diffusion(gbm_spec(0.1, 0.2), 33, Grid.uniform(33)) if m == 1 else _affine_2d(33)
 
-    @pytest.mark.parametrize(
-        "rows, total", [(300, 1000), (200, 520)], ids=["tail-drawn-ahead", "tail-on-caller"]
-    )
     @pytest.mark.parametrize("m", [1, 2])
-    def test_joined_blocks_are_the_one_shot_batch(self, rows, total, m, monkeypatch):
-        # 300-row blocks run as halves of 150, and their 100-row tail is not
-        # split but fits a slot.  200-row blocks have 100-row slots, so their
-        # unsplit 120-row tail is drawn on the caller.
-        measure = self._measure(m)
-        monkeypatch.setattr(measures, "_BLOCK_BYTES", 8 * 33 * m * rows)
-        assert measures._block_rows(33 * m) == rows
+    def test_joined_parts_are_the_one_shot_batch(self, m, monkeypatch):
+        # Parts capped at 300 rows: 1000 rows run as four parts of 250, each
+        # drawn on the worker, the last too.
+        measure, total = self._measure(m), 1000
+        monkeypatch.setattr(measures, "_BLOCK_BYTES", 8 * 33 * m * 300)
+        assert measures._euler_parts(total, 33, m, 33) == [250] * 4
         log = _record_draws(monkeypatch)
-        blocks = _joined_blocks(measure, SeedSpec(49), total)
-        assert [start for start, _ in blocks] == list(range(0, total, rows))
-        tail_thread = log[-1][1]
-        assert (tail_thread == threading.get_ident()) == (rows == 200)
-        joined = np.concatenate([batch for _, batch in blocks])
+        parts = _joined_pieces(measure, SeedSpec(49), total)
+        assert [start for start, _ in parts] == [0, 250, 500, 750]
+        assert len(log) == 2 * 4 and threading.get_ident() not in {t for _, t in log}
+        joined = np.concatenate([batch for _, batch in parts])
         np.testing.assert_array_equal(joined, sample_batch(measure, SeedSpec(49), total))
 
     def test_failure_is_named_by_its_stream_index(self, monkeypatch):
-        # In the second 300-row block of seed(23).child(0) the first half
-        # blows up at step 32 and the second at step 28, which wins.  The
-        # oracle runs the plain kernel block by block on one generator.
+        # Parts capped at 300 rows.  Over all 3000 paths of seed(23).child(0)
+        # the earliest non-finite state comes at step 26, in draw 1837 (the
+        # second part's paths blow up at step 28 first, in draw 558).  The
+        # oracle is euler_values over all 3000 rows.
         from quantquad.paths import sup_norm_functional
 
         monkeypatch.setattr(measures, "_BLOCK_BYTES", 8 * 33 * 300)
         measure, seed = _explodes_above(3.0), SeedSpec(23)
         with pytest.raises(NumericError) as info:
             reference_value(sup_norm_functional(), measure, 3000, seed)
-        rng = seed.child(0).rng()
-        for start in range(0, 3000, 300):
-            try:
-                _euler_with_states(measure.spec, 33, rng, 300, measure.grid)
-            except NumericError as failure:
-                want = failure
-                break
-        assert (start, want.step, want.sample) == (300, 28, 258)
-        assert (info.value.sample, info.value.step) == (start + want.sample, want.step)
-        assert str(info.value).startswith(f"sample {start + want.sample}: ")
+        with pytest.raises(NumericError) as want:
+            euler_values(measure.spec, 33, seed.child(0).rng(), 3000, measure.grid)
+        assert (want.value.step, want.value.sample) == (26, 1837)
+        assert (info.value.sample, info.value.step) == (want.value.sample, want.value.step)
+        assert str(info.value).startswith("sample 1837: ")
 
     @pytest.mark.parametrize("how", ["kernel-error", "functional-error", "consumer-stops"])
     def test_a_closed_stream_leaves_no_draw_running(self, how, monkeypatch):
@@ -1076,14 +1093,14 @@ class TestDrawAhead:
         elif how == "functional-error":
             rows = []
 
-            def fail_second_block(batch):
+            def fail_second_part(batch):
                 rows.append(len(batch))
                 if sum(rows) > 300:
                     raise RuntimeError("boom")
                 return batch[:, 0, 0]
 
             with pytest.raises(NumericError, match="sample 300: RuntimeError: boom") as kept:
-                reference_value(Functional(fail_second_block), self._measure(1), 3000, seed)
+                reference_value(Functional(fail_second_part), self._measure(1), 3000, seed)
         else:
             kept = measures._stream(self._measure(1), seed, 3000, sup, 100)
             next(kept)
@@ -1120,10 +1137,10 @@ class TestDrawAhead:
         for seed in (SeedSpec(50), SeedSpec(51)):
             reference_value(f, measure, 1000, seed)
         assert set(threads) == {threading.get_ident()}
-        # Per stream: 7 Euler parts (halves of three 300-row blocks and a
-        # 100-row tail) of 32 steps, each one tile; a stream takes its parts
-        # from the kernel, not through sample_batch or euler_values.
-        assert len(threads) == 2 * (7 * 32 + 7)
+        # Per stream: 4 Euler parts (1000 rows in parts of at most 300) of
+        # 32 steps, each one tile; a stream takes its parts from the kernel,
+        # not through sample_batch or euler_values.
+        assert len(threads) == 2 * (4 * 32 + 4)
         workers = {thread for _, thread in log}
         assert len(workers) == 1 and threading.get_ident() not in workers
 
@@ -1154,19 +1171,6 @@ class TestDrawAhead:
             reader.close()
             writer.close()
         assert child.exitcode == 0
-
-    def test_memory_is_one_increments_block_and_one_output_block(self):
-        # Three blocks of 2049-step paths: the (2, half, k-1, 1) buffer holds
-        # one block's increments, beside one output block and a few tiles.
-        from quantquad.paths import sup_norm_functional
-
-        measure = Diffusion(gbm_spec(0.1, 0.2), 2049)
-        rows = measures._block_rows(2049)
-        increments, output = 8 * rows * 2048, 8 * rows * measure.grid.size
-        peak = traced_peak(
-            lambda: reference_value(sup_norm_functional(), measure, 3 * rows, SeedSpec(48))
-        )
-        assert peak <= 1.1 * (increments + output + 2 * measures._TILE_BYTES)
 
 
 def _blows_up_in_parts(at):
@@ -1199,25 +1203,30 @@ class _LoggedSizes:
 
 
 class TestEulerParts:
-    # From 2 _TILE rows the kernel runs a block as parts of at most 16 _TILE
+    # From 2 _TILE rows the kernel runs n rows as parts of at most 16 _TILE
     # = 1024 rows, two halves up to 2048 rows, each part's increments drawn
-    # in turn; every row is that of one run over all rows.
+    # in turn; every row is that of one run over all rows.  A part's
+    # increments and output each fit _BLOCK_BYTES.
 
     @pytest.mark.parametrize(
-        "n, parts",
+        "n, k, m, points, parts",
         [
-            (127, [127]),
-            (128, [64, 64]),
-            (257, [129, 128]),
-            (2047, [1024, 1023]),
-            (2048, [1024, 1024]),
-            (2049, [683, 683, 683]),
-            (4094, [1024, 1024, 1023, 1023]),
+            (127, 33, 1, 257, [127]),
+            (128, 33, 1, 257, [64, 64]),
+            (257, 33, 1, 257, [129, 128]),
+            (2047, 33, 1, 257, [1024, 1023]),
+            (2048, 33, 1, 257, [1024, 1024]),
+            (2049, 33, 1, 257, [683, 683, 683]),
+            (4094, 33, 1, 257, [1024, 1024, 1023, 1023]),
+            (100, 2**17, 1, 257, [50, 50]),  # 64-row cap: 1 MiB of increments a row
+            (129, 2**17, 1, 257, [43, 43, 43]),
+            (1000, 33, 2, 2**14, [250] * 4),  # 256-row cap: 256 KiB of output a row
         ],
     )
-    def test_parts(self, n, parts):
-        assert measures._euler_parts(n) == parts
+    def test_parts(self, n, k, m, points, parts):
+        assert measures._euler_parts(n, k, m, points) == parts
         assert sum(parts) == n and max(parts) <= 16 * measures._TILE
+        assert 8 * max(parts) * m * max(k - 1, points) <= measures._BLOCK_BYTES
 
     @pytest.mark.parametrize("m", [1, 2])
     def test_a_block_of_more_than_2048_rows_is_one_run(self, m):
@@ -1228,16 +1237,16 @@ class TestEulerParts:
         want = _euler_with_states(spec, 9, SeedSpec(60).rng(), 2100, Grid.uniform(17))
         np.testing.assert_array_equal(got, want)
 
-    def test_a_stream_of_three_part_blocks_is_the_one_shot_batch(self, monkeypatch):
-        # 2100-row blocks of 33-step paths run as three parts of 700 rows,
-        # each drawn ahead on the worker; the 300-row tail runs as halves.
+    def test_a_stream_of_capped_parts_is_the_one_shot_batch(self, monkeypatch):
+        # Parts of 33-step paths capped at 700 rows: 4500 rows run as seven
+        # parts counted from row 0, each drawn ahead on the worker.
         measure = TestDrawAhead._measure(1)
-        monkeypatch.setattr(measures, "_BLOCK_BYTES", 8 * 33 * 2100)
+        monkeypatch.setattr(measures, "_BLOCK_BYTES", 8 * 33 * 700)
         log = _record_draws(monkeypatch)
-        blocks = _joined_blocks(measure, SeedSpec(65), 4500)
-        assert [start for start, _ in blocks] == [0, 2100, 4200]
-        assert len(log) == 2 * 8 and threading.get_ident() not in {t for _, t in log}
-        joined = np.concatenate([batch for _, batch in blocks])
+        parts = _joined_pieces(measure, SeedSpec(65), 4500)
+        assert [len(part) for _, part in parts] == [643] * 6 + [642]
+        assert len(log) == 2 * 7 and threading.get_ident() not in {t for _, t in log}
+        joined = np.concatenate([batch for _, batch in parts])
         np.testing.assert_array_equal(joined, sample_batch(measure, SeedSpec(65), 4500))
 
     @pytest.mark.parametrize(
@@ -1257,54 +1266,35 @@ class TestEulerParts:
             euler_values(spec, 9, SeedSpec(8).rng(), 2049, Grid.uniform(17))
         assert (info.value.step, info.value.sample) == expected
 
-    def test_memory_is_two_parts_of_increments_and_one_output_block(self):
-        # Two blocks of 2049-step paths (4094 rows, four parts of at most 1024
-        # rows): the two-slot buffer holds 2 x 1024 rows of increments.
+    @pytest.mark.parametrize("points, blocks", [(257, 3), (257, 2), (2049, 1)])
+    def test_memory_is_two_parts_of_increments_and_one_part_of_output(self, points, blocks):
+        # 2049-step paths, as many as fill ``blocks`` of _BLOCK_BYTES, run as
+        # parts of at most 1024 rows: the stream holds the two-slot buffer
+        # of increments and one part of output, never a block of either.
         from quantquad.paths import sup_norm_functional
 
-        measure = Diffusion(gbm_spec(0.1, 0.2), 2049)
-        rows = measures._block_rows(2049)
-        increments, output = 8 * 2 * 1024 * 2048, 8 * rows * measure.grid.size
+        measure = Diffusion(gbm_spec(0.1, 0.2), 2049, Grid.uniform(points))
+        total = blocks * measures._block_rows(2049)
+        assert max(measures._euler_parts(total, 2049, 1, points)) == 1024
+        increments, output = 8 * 2 * 1024 * 2048, 8 * 1024 * points
         peak = traced_peak(
-            lambda: reference_value(sup_norm_functional(), measure, 2 * rows, SeedSpec(48))
+            lambda: reference_value(sup_norm_functional(), measure, total, SeedSpec(48))
         )
         assert peak <= 1.1 * (increments + output + 2 * measures._TILE_BYTES)
-
-    def test_memory_is_two_parts_of_increments_and_one_part_of_output(self):
-        # One 4094-row block of 2049-step paths on a 2049-point grid runs as
-        # four parts of at most 1024 rows: the stream holds the two-slot
-        # buffer of increments and one part of output, never the block's.
-        from quantquad.paths import sup_norm_functional
-
-        measure = Diffusion(gbm_spec(0.1, 0.2), 2049, Grid.uniform(2049))
-        rows = measures._block_rows(2049)
-        assert measures._euler_parts(rows) == [1024, 1024, 1023, 1023]
-        increments, output = 8 * 2 * 1024 * 2048, 8 * 1024 * 2049
-        peak = traced_peak(
-            lambda: reference_value(sup_norm_functional(), measure, rows, SeedSpec(48))
-        )
-        assert peak <= 1.1 * (increments + output + 2 * measures._TILE_BYTES)
-
-
-def _block_built(measure, seed, total):
-    # The stream as blocks of sample_batch calls on one generator: how every
-    # block was built before a streamed BrownianKL estimate held only tiles.
-    rng, rows = seed.rng(), measures._block_rows(measures._draw_floats(measure))
-    return [sample_batch(measure, rng, min(rows, total - s)) for s in range(0, total, rows)]
 
 
 class TestKLTiles:
     # A streamed BrownianKL estimate builds each tile when it needs it and
-    # never holds a block.  Tiles have the rows in which sample_batch builds
-    # a block, so every path, value and moment is that of the block-built
-    # stream bit for bit.
+    # never holds a block.  Tiles have the rows, counted from draw 0, in
+    # which one sample_batch call builds its paths, so every path, value and
+    # moment is that of one call bit for bit.
 
     @pytest.mark.parametrize(
         "k_terms, G", [(20, 33), (40, 17)], ids=["k-below-grid", "k-above-grid"]
     )
-    def test_tiles_are_the_block_built_stream(self, k_terms, G, monkeypatch):
-        # 10-row blocks of 3-row tiles (3, 3, 3, 1); 25 draws end in a
-        # 5-row block of tiles 3 and 2.
+    def test_tiles_are_one_sample_batch_call(self, k_terms, G, monkeypatch):
+        # 3-row tiles from draw 0, whatever the 10-row blocks; 25 draws end
+        # in a 1-row tile.
         from quantquad.paths import sup_norm_functional
 
         measure, seed, f = BrownianKL(k_terms, Grid.uniform(G)), SeedSpec(61), sup_norm_functional()
@@ -1312,13 +1302,11 @@ class TestKLTiles:
         monkeypatch.setattr(measures, "_BLOCK_BYTES", 8 * width * 10)
         monkeypatch.setattr(measures, "_TILE_BYTES", 8 * width * 3)
         tiles = list(measures._tiles(measure, seed, 25))
-        assert [(s, len(t)) for s, t in tiles] == [
-            (0, 3), (3, 3), (6, 3), (9, 1), (10, 3), (13, 3), (16, 3), (19, 1), (20, 3), (23, 2)
-        ]
-        blocks = _block_built(measure, seed, 25)
-        np.testing.assert_array_equal(np.concatenate([t for _, t in tiles]), np.concatenate(blocks))
+        assert [(s, len(t)) for s, t in tiles] == [(s, 3) for s in range(0, 24, 3)] + [(24, 1)]
+        whole = sample_batch(measure, seed, 25)
+        assert np.concatenate([t for _, t in tiles]).tobytes() == whole.tobytes()
         streamed = measures._Moments(measures._stream(measure, seed, 25, f, 2))
-        built = measures._Moments(f(block) for block in blocks)
+        built = measures._Moments([f(whole)])
         assert (streamed.mean(), streamed.stderr()) == (built.mean(), built.stderr())
         assert np.array_equal(streamed.m2, built.m2)
 
@@ -1360,8 +1348,8 @@ class TestKLTiles:
         assert log == [(event, threading.get_ident()) for _ in range(34) for event in ("start", "end")]
 
     def test_memory_is_a_few_tiles(self):
-        # Three blocks of 1025-point paths: a tile, its coefficients, the
-        # basis and the functional's temporaries, never a block.
+        # Three blocks' worth of 1025-point paths: a tile, its coefficients,
+        # the basis and the functional's temporaries, never a block.
         from quantquad.paths import sup_norm_functional
 
         measure = BrownianKL(200, Grid.uniform(1025))

@@ -8,9 +8,10 @@ back to the measure, a codebook file gives back its codebook bit for bit,
 coord_at(t) at a grid time t reads that grid point, every nearest
 search returns what a search over all exact distances returns, a
 streamed Euler measure gives the paths and the failures of one run over
-all its rows, a streamed vector or KL measure's tiles are sample_batch
-calls in stream order, and the d=1 Lloyd checkpointed block sums are the
-full in-block sums.  A rates config drawn from ``config._KEYS`` loads or is
+all its rows in parts that fit _BLOCK_BYTES, a streamed vector or KL
+measure's tiles are sample_batch calls in stream order and joined are one
+call, and the d=1 Lloyd checkpointed block sums are the full in-block
+sums.  A rates config drawn from ``config._KEYS`` loads or is
 refused by a ConfigurationError, and quad, adversary, quantize and widths
 argv drawn from their option tables exit with a documented code.  Layouts
 and values are drawn at random; ``derandomize`` makes every run check the
@@ -244,8 +245,8 @@ def test_nearest_search_is_the_first_minimum_of_all_distances(data):
 
 def _euler_layout(data, minimum=1):
     # (measure, total) of a small Diffusion stream, with _BLOCK_BYTES and
-    # _TILE_BYTES drawn for it (set by the caller): blocks of 1 .. total rows,
-    # and tiles of whole or split parts.
+    # _TILE_BYTES drawn for it (set by the caller): Euler parts capped at
+    # 1 .. total rows, and tiles of whole or split parts.
     m = data.draw(st.sampled_from([1, 2]), "m")
     k, size = data.draw(st.integers(2, 40), "k"), data.draw(st.integers(2, 40), "G")
     total = data.draw(st.integers(minimum, 2600), "total")
@@ -278,10 +279,11 @@ def test_vector_and_kl_tiles_joined_are_one_batch(seed, data):
     # Blocks of 1 .. total rows and tiles of 1 .. 2 total rows, in bytes of
     # the largest array one draw makes, each with spare bytes; held or not.
     # Each tile is one sample_batch call on the stream where it starts (a
-    # held stream is one call), bit for bit.  Vector tiles joined are one
-    # call over all rows bit for bit.  A KL tile's paths are a BLAS product
-    # whose rounding moves with its row count, so KL tiles joined are that
-    # call to within rounding.
+    # held stream is one call), bit for bit, and tiles joined are one call
+    # over all rows under the same bytes, bit for bit: a KL tile's paths are
+    # a BLAS product whose rounding moves with its row count, and tiles are
+    # cut from draw 0 as that call cuts its products.  The block bytes
+    # decide what is held.
     measure = data.draw(st.one_of(
         st.builds(UniformCube, st.integers(1, 5)),
         st.builds(StdNormal, st.integers(1, 5)),
@@ -294,7 +296,6 @@ def test_vector_and_kl_tiles_joined_are_one_batch(seed, data):
     block += data.draw(st.integers(0, row_bytes - 1), "spare block bytes")
     tile += data.draw(st.integers(0, row_bytes - 1), "spare tile bytes")
     replay = data.draw(st.booleans(), "replay")
-    whole = measures.sample_batch(measure, SeedSpec(seed), total)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(measures, "_BLOCK_BYTES", block)
         patch.setattr(measures, "_TILE_BYTES", tile)
@@ -306,6 +307,7 @@ def test_vector_and_kl_tiles_joined_are_one_batch(seed, data):
             rng = SeedSpec(seed).rng()
             calls = [measures.sample_batch(measure, rng, total if held else len(t))
                      for _, t in tiles[: 1 if held else None]]
+            whole = measures.sample_batch(measure, SeedSpec(seed), total)
         finally:
             measures._held = None
     assert held == (replay and total <= block // row_bytes)
@@ -313,10 +315,7 @@ def test_vector_and_kl_tiles_joined_are_one_batch(seed, data):
     assert [start for start, _ in tiles] == starts.tolist()
     joined = np.concatenate([t for _, t in tiles])
     assert joined.tobytes() == np.concatenate(calls).tobytes()
-    if isinstance(measure, BrownianKL):
-        np.testing.assert_allclose(joined, whole, rtol=0, atol=1e-13)
-    else:
-        assert joined.tobytes() == whole.tobytes()
+    assert joined.tobytes() == whole.tobytes()
 
 
 @_examples(80)
@@ -356,8 +355,8 @@ def test_checkpointed_block_sums_are_the_full_arrays(seed, data):
 
 def _blows_up_at(points, u0):
     # A zero drift that is infinite on one row at given steps of given
-    # parts of a stream, at[(part, step)] = row, parts counted across blocks.
-    # A part starts where every state is u0.
+    # parts of a run, at[(part, step)] = row.  A part starts where every
+    # state is u0.
     seen = {"part": -1, "step": 0}
 
     def drift(x):
@@ -377,32 +376,63 @@ def _blows_up_at(points, u0):
 @_examples(40)
 @given(_SEEDS, st.data())
 def test_an_euler_failure_names_the_earliest_step_and_lowest_row(seed, data):
-    # The first block with a non-finite state fails at its earliest such
-    # step and, at that step, its lowest row, whichever part holds it.
+    # A stream fails where euler_values over all its rows fails: at the
+    # earliest step with a non-finite state and, at that step, its lowest
+    # row, whichever part holds it, for every part cap and tile size.
     measure, total, block, tile = _euler_layout(data, minimum=100)
     k, m = measure.k_steps, measure.spec.m
+    u0 = (1.0,) * m
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(measures, "_BLOCK_BYTES", block)
         patch.setattr(measures, "_TILE_BYTES", tile)
-        rows = measures._block_rows(measures._draw_floats(measure))
-        parts = [(s + sum(measures._euler_parts(min(rows, total - s))[:i]), p)
-                 for s in range(0, total, rows)
-                 for i, p in enumerate(measures._euler_parts(min(rows, total - s)))]
+        sizes = measures._euler_parts(total, k, m, measure.grid.size)
+        starts = np.cumsum([0] + sizes[:-1]).tolist()
         points = {}
         for _ in range(data.draw(st.integers(1, 3), "blow-ups")):
-            part = data.draw(st.integers(0, len(parts) - 1), "part")
+            part = data.draw(st.integers(0, len(sizes) - 1), "part")
             step = data.draw(st.integers(1, k - 1), "step")
-            points[(part, step)] = data.draw(st.integers(0, parts[part][1] - 1), "row")
-        u0 = (1.0,) * m
-        spec = DiffusionSpec(_blows_up_at(points, np.array(u0)),
-                             ConstantCoeff(0.2).diffusion, u0, m)
+            points[(part, step)] = data.draw(st.integers(0, sizes[part] - 1), "row")
+
+        def exploding():
+            spec = DiffusionSpec(_blows_up_at(points, np.array(u0)),
+                                 ConstantCoeff(0.2).diffusion, u0, m)
+            return Diffusion(spec, k, measure.grid)
+
         with pytest.raises(NumericError) as info:
-            reference_value(sup_norm_functional(), Diffusion(spec, k, measure.grid), total,
-                            SeedSpec(seed))
-    first = min(parts[part][0] // rows for part, _ in points)
-    expected = min((step, parts[part][0] + row) for (part, step), row in points.items()
-                   if parts[part][0] // rows == first)
+            reference_value(sup_norm_functional(), exploding(), total, SeedSpec(seed))
+        with pytest.raises(NumericError) as oracle:
+            run = exploding()
+            euler_values(run.spec, k, SeedSpec(seed).child(0).rng(), total, run.grid)
+    expected = min((step, starts[part] + row) for (part, step), row in points.items())
+    assert (oracle.value.step, oracle.value.sample) == expected
     assert (info.value.step, info.value.sample) == expected
+
+
+@_examples(200)
+@given(
+    n=st.integers(1, 20_000),
+    k=st.integers(2, 2**17),
+    m=st.integers(1, 3),
+    points=st.integers(2, 2**15),
+    spare=st.integers(0, 2**26),
+)
+def test_euler_parts_fit_the_block_bytes(n, k, m, points, spare):
+    # For every bound that admits one draw (_check_draw), the parts of n
+    # rows count them once, the larger first and differing by at most one
+    # row, and a part's increments and output each fit the bound.  They
+    # are the fewest such parts, two at least from 2 _TILE rows.
+    block = 8 * m * max(k, points) + spare
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(measures, "_BLOCK_BYTES", block)
+        measures._check_draw(m * max(k, points))
+        parts = measures._euler_parts(n, k, m, points)
+    assert sum(parts) == n and parts == sorted(parts, reverse=True)
+    assert parts[0] - parts[-1] <= 1
+    cap = min(16 * measures._TILE, block // (8 * m * max(k - 1, points)))
+    assert parts[0] <= cap
+    assert 8 * parts[0] * (k - 1) * m <= block and 8 * parts[0] * points * m <= block
+    fewest = 2 if n >= 2 * measures._TILE else 1
+    assert len(parts) == fewest or -(-n // (len(parts) - 1)) > cap
 
 
 # Well-typed values of each key of config._KEYS (many that the loader then

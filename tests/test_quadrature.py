@@ -374,9 +374,10 @@ class TestReplicationRule:
         with pytest.raises(ConfigurationError):
             vr_mc_replicated(exact_two_point(), UniformCube(1), f, 1, 10, SeedSpec(0))
 
-    @pytest.mark.parametrize("rows", [1, 37])
-    def test_euler_blocks_keep_every_replication(self, rows, grid, monkeypatch):
-        # Blocks of one, resp. 37, paths give the same estimates as one
+    @pytest.mark.parametrize("rows, parts", [(1, 160), (37, 5)])
+    def test_euler_blocks_keep_every_replication(self, rows, parts, grid, monkeypatch):
+        # Euler parts capped at one, resp. 37, paths (160 draws run as 160
+        # parts of one, resp. 5 of 32) give the same estimates as one
         # recursion over all draws.
         measure, f, cb = _measure_functional_codebook("diffusion", grid)
         seed = SeedSpec(34)
@@ -386,11 +387,12 @@ class TestReplicationRule:
         kernel = measures._euler_run
 
         def counted(*args):
-            calls.append(args[3])
-            return kernel(*args)
+            for start, paths in kernel(*args):
+                calls.append(len(paths))
+                yield start, paths
 
         # A draw's largest array is its path on the grid (G > k = 11).  A
-        # stream runs each block through the kernel's part generator.
+        # stream takes its parts from the kernel's part generator.
         monkeypatch.setattr(measures, "_BLOCK_BYTES", rows * 8 * grid.size)
         monkeypatch.setattr(measures, "_euler_run", counted)
         np.testing.assert_array_equal(
@@ -399,7 +401,7 @@ class TestReplicationRule:
         np.testing.assert_array_equal(
             vr_mc_replicated(cb, measure, f, 16, 10, seed), whole_vr
         )
-        assert max(calls) == rows
+        assert max(calls) <= rows and len(calls) == 2 * parts
         assert sum(calls) == 2 * 16 * 10
 
 
