@@ -14,7 +14,7 @@ from __future__ import annotations
 import functools
 import math
 import os
-from contextlib import contextmanager
+from contextlib import closing, contextmanager
 from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
@@ -43,8 +43,8 @@ _TILE = 64
 # draws), or None.  sample_batch drops it before drawing anything, so it
 # never lives beside another stream's draws.
 _held = None
-# The one thread that draws a stream's normals ahead of their use (see
-# _DrawAhead), started by the first stream that needs it.
+# The one thread that draws an Euler run's increments ahead of their use
+# (see _increments), started by the first run of two or more parts.
 _drawer = None
 # Draws per chunk in which _Moments folds each run of a stream's values.
 _CHUNK = 2**12
@@ -409,19 +409,22 @@ def euler_values(
     outlives its tile; the large arrays are the increments and the output.
 
     The rows run as parts counted from row 0 (``_euler_parts``), each
-    drawn and stepped in turn by ``_euler_run``, which writes each part
-    into a view of the output.  A stream of the same n draws runs the same
-    parts and takes each from ``_euler_run`` as soon as it has stepped, so
-    it holds one part of output (see ``_tiles``), and its next part can be
-    drawn while this one steps and is evaluated (see ``_DrawAhead``).
+    stepped in turn by ``_euler_run``, which writes each part into a view
+    of the output.  From two parts on, the next part's increments are drawn
+    on the worker thread while this one steps (``_increments``), so the
+    call holds two parts of increments beside its output.  A stream of the
+    same n draws runs the same parts and takes each from ``_euler_run`` as
+    soon as it has stepped, so it holds one part of output (see ``_tiles``).
     Every row's floats are those of one run over all rows.  A state that
     is not finite raises ``NumericError`` at its step and row: the earliest
     step over all parts, and the lowest row at that step.  A coefficient
-    that raises while computing a step's state is raised unless a
-    non-finite state comes at an earlier step.  A tile of _TILE steps keeps
-    all its states and checks them when it ends, which names the same step
-    and row as a check after every step.  The kernel reports non-finite
-    states itself, so numpy's overflow and invalid warnings are silenced.
+    that raises while computing a step's state raises ``NumericError`` at
+    that step and the first row of its part, chained from the coefficient's
+    exception, unless a non-finite state comes at an earlier step.  A tile
+    of _TILE steps keeps all its states and checks them when it ends, which
+    names the same step and row as a check after every step.  The kernel
+    reports non-finite states itself, so numpy's overflow and invalid
+    warnings are silenced.
     """
     if k < 2:
         raise ConfigurationError("breakpoint count k must be >= 2")
@@ -432,18 +435,19 @@ def euler_values(
 
 
 def _euler_run(
-    spec: DiffusionSpec, k: int, rng: Union[np.random.Generator, _DrawAhead], n: int,
-    grid: Grid, out=None,
+    spec: DiffusionSpec, k: int, rng: np.random.Generator, n: int, grid: Grid, out=None
 ):
     """(start, paths) of each Euler part of n paths, in order (``euler_values``).
 
-    The parts are ``_euler_parts(n, k, m, G)``.  ``rng`` is a Generator, or
-    the ``_DrawAhead`` of a stream.  A part's (rows, G, m) paths are written
-    into ``out[start : start + rows]`` when ``out`` is given, else into a
-    new array, and handed out as soon as the part has stepped, before the
-    next part is drawn.  After a failure no part is handed out: the
-    remaining parts run only up to its step, and the earliest failure
-    raises when they end.
+    The parts are ``_euler_parts(n, k, m, G)``, and their increments are
+    those of one ``rng.standard_normal`` call over all rows (``_increments``):
+    from two parts on, the next part is drawn on the worker thread while
+    this one steps.  A part's (rows, G, m) paths are written into
+    ``out[start : start + rows]`` when ``out`` is given, else into a new
+    array, and handed out as soon as the part has stepped.  After a failure
+    no part is handed out: the remaining parts run only up to its step, and
+    the earliest failure raises when they end.  Closing the run cancels or
+    waits for a draw made ahead.
     """
     m = spec.m
     dt = 1.0 / (k - 1)
@@ -464,11 +468,11 @@ def _euler_run(
     def run(increments, paths, start, steps):
         # The first ``steps`` steps of the rows from ``start`` whose
         # increments are given, their grid values written into ``paths``.
-        # Returns the first failure as (step, row) of a non-finite state,
-        # lowest row first, or (step, exception) of a coefficient that raised
-        # while computing that step's state; None if there is none.  The
-        # states of one tile of steps are kept, states[i + 1] after its step
-        # i, and checked when the tile ends.
+        # Returns the first failure as (step, row, None) of a non-finite
+        # state, lowest row first, or (step, start, exception) of a
+        # coefficient that raised while computing that step's state; None if
+        # there is none.  The states of one tile of steps are kept,
+        # states[i + 1] after its step i, and checked when the tile ends.
         rows = increments.shape[0]
         noise = np.empty((rows, m))
         tile = np.empty((min(_TILE, k - 1), rows, m))
@@ -503,11 +507,11 @@ def _euler_run(
                 # The states before the call that raised come first.
                 hit = _first_nonfinite(states[1 : i + 1])
                 if hit is None:
-                    return first + i + 1, exc
+                    return first + i + 1, start, exc
             else:
                 hit = _first_nonfinite(states[1 : count + 1])
             if hit is not None:
-                return first + hit[0] + 1, start + hit[1]
+                return first + hit[0] + 1, start + hit[1], None
             # The tile's grid points, _TILE at a time: each gathers its two
             # breakpoints' states, step-major, and is written once.
             lo, hi = edges[first], edges[first + count]
@@ -523,78 +527,65 @@ def _euler_run(
             states[0] = states[count]
         return None
 
+    parts = _euler_parts(n, k, m, grid.size)
     failure = None
     start = 0
-    for rows in _euler_parts(n, k, m, grid.size):
-        # After a failure in lower rows only an earlier step can win.
-        steps = k - 1 if failure is None else failure[0] - 1
-        paths = np.empty((rows, grid.size, m)) if out is None else out[start : start + rows]
-        with np.errstate(over="ignore", invalid="ignore"):
-            hit = run(rng.standard_normal((rows, k - 1, m)), paths, start, steps)
-        failure = hit or failure
-        if failure is None:
-            yield start, paths
-        del paths  # a handed-out part dies before the next is made
-        start += rows
+    with closing(_increments(rng, parts, (k - 1, m))) as increments:
+        for rows in parts:
+            # After a failure in lower rows only an earlier step can win.
+            steps = k - 1 if failure is None else failure[0] - 1
+            paths = np.empty((rows, grid.size, m)) if out is None else out[start : start + rows]
+            with np.errstate(over="ignore", invalid="ignore"):
+                hit = run(next(increments), paths, start, steps)
+            failure = hit or failure
+            if failure is None:
+                yield start, paths
+            del paths  # a handed-out part dies before the next is made
+            start += rows
     if failure is not None:
-        step, where = failure
-        if isinstance(where, Exception):
-            raise where
-        raise NumericError(
-            f"euler recursion produced a non-finite state at step {step}", step=step, sample=where
-        )
+        step, row, exc = failure
+        if exc is None:
+            message = f"euler recursion produced a non-finite state at step {step}"
+        else:
+            message = f"euler coefficient raised at step {step}: {type(exc).__name__}: {exc}"
+        raise NumericError(message, step=step, sample=row) from exc
 
 
-class _DrawAhead:
-    """The standard normals of one stream, each part drawn while the last is used.
+def _increments(rng: np.random.Generator, parts: list, shape: tuple):
+    """The (rows,) + ``shape`` standard normals of each part, in order.
 
-    ``parts`` lists the row counts of the parts in which the stream's
-    consumer asks for its normals, in order, none larger than the first
-    (as ``_euler_parts`` gives them); a part is (rows,) + ``shape``.  While
-    the caller uses one part, the one worker thread draws the next into
-    the other slot of a (2, rows of the first part) + ``shape`` buffer.
-    The buffer is allocated here, on the caller's thread, and only
-    ``Generator.standard_normal`` runs on the worker; one stream's draws
-    never overlap, so they are those of one call.  The consumer reads the
-    parts through ``standard_normal``, as it would read a Generator.
+    ``parts`` are row counts, none larger than the first (as
+    ``_euler_parts`` gives them).  One part is drawn on the caller's thread.
+    From two parts on, the one worker thread draws each part into one slot
+    of a (2, parts[0]) + ``shape`` buffer while the caller uses the part in
+    the other; the buffer is allocated on the caller's thread, and only
+    ``Generator.standard_normal`` runs on the worker.  The draws never
+    overlap, so they are those of one call.  A part is valid until the next
+    is asked for.  Closing cancels the pending draw, or waits for it if it
+    has begun.
     """
+    global _drawer
+    if len(parts) == 1:
+        yield rng.standard_normal((parts[0],) + shape)
+        return
+    if _drawer is None:
+        # Imported here: a run that never draws ahead never loads it.
+        from concurrent.futures import ThreadPoolExecutor
 
-    def __init__(self, rng: np.random.Generator, parts: list, shape: tuple):
-        self.rng = rng
-        self.parts = iter(parts)
-        self.buffer = np.empty((2, parts[0]) + shape)
-        self.slot = 0
-        self.pending = None
-        self._submit()
-
-    def _submit(self):
-        # Start drawing the next part, if there is one, into the free slot.
-        global _drawer
-        self.pending = None
-        rows = next(self.parts, 0)
-        if rows:
-            if _drawer is None:
-                # Imported here: a run that never draws ahead never loads it.
-                from concurrent.futures import ThreadPoolExecutor
-
-                _drawer = ThreadPoolExecutor(1, thread_name_prefix="quantquad-draws")
-            part = self.buffer[self.slot, :rows]
-            self.pending = (_drawer.submit(self.rng.standard_normal, out=part), part)
-
-    def standard_normal(self, size: tuple) -> np.ndarray:
-        """The stream's next part, of shape ``size``; valid until the next call."""
-        future, part = self.pending
-        future.result()
-        self.slot ^= 1
-        assert part.shape == size
-        self._submit()
-        return part
-
-    def close(self):
-        """Cancel the pending draw, or wait for it if it has begun."""
-        if self.pending is not None and not self.pending[0].cancel():
-            self.pending[0].exception()  # waits; the stream's own error wins
-        self.pending = None
+        _drawer = ThreadPoolExecutor(1, thread_name_prefix="quantquad-draws")
+    buffer = np.empty((2, parts[0]) + shape)
+    slots = [buffer[i % 2, :rows] for i, rows in enumerate(parts)]
+    pending = _drawer.submit(rng.standard_normal, out=slots[0])
+    try:
+        for i, part in enumerate(slots):
+            pending.result()
+            pending = None
+            if i + 1 < len(slots):
+                pending = _drawer.submit(rng.standard_normal, out=slots[i + 1])
+            yield part
+    finally:
+        if pending is not None and not pending.cancel():
+            pending.exception()  # waits; the run's own error wins
 
 
 def _forget_drawer():
@@ -668,18 +659,19 @@ def _tiles(
     bit: _BLOCK_BYTES and _TILE_BYTES bound memory and move no draw.  Each
     piece is handed out in tiles of _TILE_BYTES of its rows.
 
-    A Diffusion stream runs as Euler parts (``_euler_parts``), each drawn on
-    the drawer thread while the one before it steps (``_DrawAhead``), and
-    each handed out as soon as it has stepped, before the next part steps:
-    the stream holds one part of output.  A part's tiles are handed out
-    before a later part fails, so a failure in evaluating them comes first.
-    Any other tile is drawn when it is asked for, by ``sample_batch`` on the
-    caller's thread, so the stream holds a tile (and a BrownianKL's basis).
+    A Diffusion stream runs as the Euler parts of one ``euler_values`` call
+    (``_euler_run``), each handed out as soon as it has stepped, before the
+    next part steps: the stream holds one part of output, and the kernel's
+    two parts of increments.  A part's tiles are handed out before a later
+    part fails, so a failure in evaluating them comes first.  Any other
+    tile is drawn when it is asked for, by ``sample_batch`` on the caller's
+    thread, so the stream holds a tile (and a BrownianKL's basis).
     (Drawing the next KL tile's coefficients on the drawer thread slowed
     the stream: the product and most functionals are BLAS calls that
-    already keep every core busy.)  Closing the generator cancels or waits
-    for a draw made ahead.  A failure while drawing raises at its stream
-    index, naming ``stream`` (``_located``; see ``_pieces``).
+    already keep every core busy.)  Closing the generator closes the
+    kernel's run, which cancels or waits for a draw made ahead.  A failure
+    while drawing raises at its stream index, naming ``stream``
+    (``_located``; see ``_pieces``).
 
     A BrownianKL path is built from k_terms standard normals z, drawn row
     by row: a stream that reads z instead of the paths is the stream of
@@ -704,38 +696,30 @@ def _tiles(
             _held = (key, batch)
         yield from _split(0, _held[1])
         return
-    rng = seed.rng()
-    if isinstance(measure, Diffusion):
-        parts = _euler_parts(total, measure.k_steps, measure.spec.m, measure.grid.size)
-        if len(parts) > 1:
-            rng = _DrawAhead(rng, parts, (measure.k_steps - 1, measure.spec.m))
-    try:
-        for first, draws in _pieces(measure, rng, total, stream):
+    with closing(_pieces(measure, seed.rng(), total, stream)) as pieces:
+        for first, draws in pieces:
             yield from _split(first, draws)
             del draws  # each piece dies before the next is made
-    finally:
-        if isinstance(rng, _DrawAhead):
-            rng.close()
 
 
 def _pieces(measure: MeasureSpec, rng, n: int, stream: str = ""):
     """(first, draws) over the n draws of a stream, in the pieces they are
     made in, counted from draw 0 as one ``sample_batch`` call cuts them, each
     raising a failure at its stream index (``_located``): a Diffusion in
-    Euler parts (``_euler_run``), each as soon as it has stepped, and any
-    other measure in tiles of _TILE_BYTES of the largest array one draw
-    makes, each drawn by ``sample_batch``."""
+    Euler parts (``_euler_run``, closed with the pieces), each as soon as it
+    has stepped, and any other measure in tiles of _TILE_BYTES of the
+    largest array one draw makes, each drawn by ``sample_batch``."""
     global _held
     if isinstance(measure, Diffusion):
         _held = None  # as sample_batch drops it
-        parts = _euler_run(measure.spec, measure.k_steps, rng, n, measure.grid)
-        while True:
-            with _located(0, stream):
-                part = next(parts, None)
-            if part is None:
-                return
-            yield part
-            del part
+        with closing(_euler_run(measure.spec, measure.k_steps, rng, n, measure.grid)) as parts:
+            while True:
+                with _located(0, stream):
+                    part = next(parts, None)
+                if part is None:
+                    return
+                yield part
+                del part
     step = _block_rows(_draw_floats(measure), _TILE_BYTES)
     for first in range(0, n, step):
         with _located(first, stream):

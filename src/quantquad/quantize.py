@@ -331,7 +331,8 @@ def _gram_search(values: np.ndarray, codebook: Codebook):
     # 4 (gamma_{F+8} + gamma_{F+2}) A <= 4.1 (F+5) eps A.  The margin
     # 8 (F+5) eps A is twice that, which covers A's own rounding.  Rows
     # where the best score or 4A is not finite (non-finite samples,
-    # overflow) rescore every point, as a score itself may have overflowed.
+    # overflow) rescore every point, as a score itself may have overflowed,
+    # so the score arithmetic's overflow and invalid warnings are silenced.
     b = values.shape[0]
     flat = math.prod(values.shape[1:])
     x2d = values.reshape(b, flat)
@@ -339,8 +340,9 @@ def _gram_search(values: np.ndarray, codebook: Codebook):
     w = None
     if codebook.grid is not None:
         w = np.repeat(codebook.grid.weights, codebook.points.shape[2])
-    c_sq = np.einsum("nd,nd->n", c2d if w is None else c2d * w, c2d)
-    c_twice = 2.0 * c2d  # exact, so x @ c_twice.T is exactly 2 <x, c>
+    with np.errstate(over="ignore", invalid="ignore"):
+        c_sq = np.einsum("nd,nd->n", c2d if w is None else c2d * w, c2d)
+        c_twice = 2.0 * c2d  # exact, so x @ c_twice.T is exactly 2 <x, c>
     c_max = c_sq.max()
     ulps = 8.0 * (flat + 5) * np.finfo(float).eps
     dist = np.empty(b)
@@ -349,14 +351,14 @@ def _gram_search(values: np.ndarray, codebook: Codebook):
     for b0 in range(0, b, step):
         x = x2d[b0 : b0 + step]
         t = x.shape[0]
-        xw = x if w is None else x * w
-        # Scores are (points, samples): the reductions then run over
-        # contiguous rows of samples, which is fastest for few points.
-        scores = c_twice @ xw.T
-        np.subtract(c_sq[:, None], scores, out=scores)
-        scale = np.einsum("bd,bd->b", xw, x) + c_max
-        del xw
-        with np.errstate(invalid="ignore"):  # inf - inf on overflowed rows
+        with np.errstate(over="ignore", invalid="ignore"):
+            xw = x if w is None else x * w
+            # Scores are (points, samples): the reductions then run over
+            # contiguous rows of samples, which is fastest for few points.
+            scores = c_twice @ xw.T
+            np.subtract(c_sq[:, None], scores, out=scores)
+            scale = np.einsum("bd,bd->b", xw, x) + c_max
+            del xw
             limit = scores.min(axis=0) + ulps * scale
             unsafe = ~np.isfinite(limit + 4.0 * scale)
         near = scores <= limit

@@ -920,6 +920,15 @@ _BAD_CODEBOOKS = {
     "cbragged": ("cb", "\n0.75\n", "\n0.75,0.25\n",
                  "line 3: a point row must have 1 values, got 2"),
     "cbweights": ("cb", "\n0.5,0.5\n", "\n0.5\n", "line 4: a weights row must have 2 values"),
+    "cbrows": ("cb", "\n0.75\n", "\n0.75\n0.8\n",
+               "expected 2 point rows (+ optional weights row), got 4 data rows"),
+    "cbfield": ("cb", "d=1", "d=1, bogus", "line 1: malformed field 'bogus'"),
+    "cbnonorm": ("cb", ", norm=euclidean", "", "line 1: missing field 'norm'"),
+    "cbspace": ("cb", "space=vector", "space=matrix", "line 1: unknown space 'matrix'"),
+    "cbnan": ("cb", "\n0.25\n", "\nnan\n", "codebook points must be finite"),
+    "cbtwins": ("cb", "\n0.25\n", "\n0.75\n", "codebook points must be pairwise distinct"),
+    "cbnegative": ("cb", "\n0.5,0.5\n", "\n1.5,-0.5\n", "weights must be n nonnegative reals"),
+    "cbsum": ("cb", "\n0.5,0.5\n", "\n0.5,0.4\n", "weights must sum to 1"),
     "cbgridabc": ("cbpath", "grid=uniform:257", "grid=uniform:abc",
                   "line 1: bad field grid='uniform:abc'"),
     "cbgridkind": ("cbpath", "grid=uniform:257", "grid=chebyshev:257",

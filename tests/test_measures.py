@@ -386,7 +386,8 @@ class TestEulerKernel:
     def test_a_raising_coefficient_against_the_other_half(self, raise_at, blow_up_at, raises):
         # The first half's drift raises while computing step ``raise_at``; the
         # second half's state at step ``blow_up_at`` is not finite.  The
-        # raise wins unless the state's step is earlier.
+        # raise wins unless the state's step is earlier; it is named by its
+        # step and the first half's first row, and chained from the raise.
         blow_up = _blows_up_in_calls({(128, blow_up_at): 4})
 
         def drift(x):
@@ -396,10 +397,14 @@ class TestEulerKernel:
             return a
 
         spec = DiffusionSpec(drift, ConstantCoeff(0.2).diffusion, (1.0,))
-        with pytest.raises(ValueError if raises else NumericError) as info:
+        with pytest.raises(NumericError) as info:
             euler_values(spec, 9, SeedSpec(8).rng(), 257, Grid.uniform(17))
-        if not raises:
+        if raises:
+            assert (info.value.step, info.value.sample) == (raise_at, 0)
+            assert isinstance(info.value.__cause__, ValueError)
+        else:
             assert (info.value.step, info.value.sample) == (blow_up_at, 129 + 4)
+            assert info.value.__cause__ is None
 
     def test_a_nonfinite_state_comes_before_the_raise_it_causes(self):
         # States are checked when a tile of steps ends, so a coefficient can
@@ -651,6 +656,8 @@ class TestBlocks:
             return kernel(spec, k, rng, n, grid, out)
 
         monkeypatch.setattr(measures, "_euler_run", recorded)
+        draws, rng = [], SeedSpec.rng
+        monkeypatch.setattr(SeedSpec, "rng", lambda seed: _LoggedSizes(rng(seed), draws))
         total = 2 * measures._block_rows(measures._draw_floats(measure)) + 3
         sizes = [batch.nbytes for _, batch in _joined_pieces(measure, SeedSpec(42), total)]
         assert len(sizes) >= 3
@@ -659,10 +666,13 @@ class TestBlocks:
             assert max(sizes) <= measures._TILE_BYTES
             return
         assert 128 * 8 * measures._draw_floats(measure) > measures._BLOCK_BYTES
-        ((ahead, n),) = runs
+        ((_, n),) = runs
         assert n == total == 129 and len(sizes) == 3
-        assert ahead.buffer.shape == (2, 43, 2048, 1)
-        assert ahead.buffer[0].nbytes <= measures._BLOCK_BYTES
+        assert [shape for shape, _, _ in draws] == [(43, 2048, 1)] * 3
+        buffer = draws[0][1]
+        assert all(base is buffer for _, base, _ in draws)
+        assert buffer.shape == (2, 43, 2048, 1)
+        assert buffer[0].nbytes <= measures._BLOCK_BYTES
 
 
 def _explodes_above(level):
@@ -1038,7 +1048,7 @@ def _record_draws(monkeypatch, delay=0.0):
 
 
 class TestDrawAhead:
-    # A Diffusion stream of two or more Euler parts draws each part's
+    # An Euler run of two or more parts, streamed or not, draws each part's
     # increments on one worker thread while the part before it steps.  The
     # measures are 33-step paths on 33 grid points.
 
@@ -1049,16 +1059,17 @@ class TestDrawAhead:
     @pytest.mark.parametrize("m", [1, 2])
     def test_joined_parts_are_the_one_shot_batch(self, m, monkeypatch):
         # Parts capped at 300 rows: 1000 rows run as four parts of 250, each
-        # drawn on the worker, the last too.
+        # drawn on the worker, the last too, in a stream and in one
+        # sample_batch call alike.
         measure, total = self._measure(m), 1000
         monkeypatch.setattr(measures, "_BLOCK_BYTES", 8 * 33 * m * 300)
         assert measures._euler_parts(total, 33, m, 33) == [250] * 4
         log = _record_draws(monkeypatch)
         parts = _joined_pieces(measure, SeedSpec(49), total)
         assert [start for start, _ in parts] == [0, 250, 500, 750]
-        assert len(log) == 2 * 4 and threading.get_ident() not in {t for _, t in log}
         joined = np.concatenate([batch for _, batch in parts])
         np.testing.assert_array_equal(joined, sample_batch(measure, SeedSpec(49), total))
+        assert len(log) == 2 * 2 * 4 and threading.get_ident() not in {t for _, t in log}
 
     def test_failure_is_named_by_its_stream_index(self, monkeypatch):
         # Parts capped at 300 rows.  Over all 3000 paths of seed(23).child(0)
@@ -1077,11 +1088,14 @@ class TestDrawAhead:
         assert (info.value.sample, info.value.step) == (want.value.sample, want.value.step)
         assert str(info.value).startswith("sample 1837: ")
 
-    @pytest.mark.parametrize("how", ["kernel-error", "functional-error", "consumer-stops"])
+    @pytest.mark.parametrize(
+        "how", ["kernel-error", "euler-values-error", "functional-error", "consumer-stops"]
+    )
     def test_a_closed_stream_leaves_no_draw_running(self, how, monkeypatch):
         # Each draw takes 50 ms, so a draw started ahead is still running
-        # when the stream closes; closing cancels it or waits for it.  The
-        # error's traceback is kept to the end, and with it the stream's frames.
+        # when the stream (or euler_values) ends; the kernel's run cancels
+        # it or waits for it.  The error's traceback is kept to the end, and
+        # with it the stream's frames.
         from quantquad.paths import Functional, sup_norm_functional
 
         monkeypatch.setattr(measures, "_BLOCK_BYTES", 8 * 33 * 300)
@@ -1090,6 +1104,10 @@ class TestDrawAhead:
         if how == "kernel-error":
             with pytest.raises(NumericError, match="non-finite state") as kept:
                 reference_value(sup, _explodes_above(3.0), 3000, seed)
+        elif how == "euler-values-error":
+            measure = _explodes_above(3.0)
+            with pytest.raises(NumericError, match="non-finite state") as kept:
+                euler_values(measure.spec, 33, seed.rng(), 3000, measure.grid)
         elif how == "functional-error":
             rows = []
 
@@ -1193,13 +1211,15 @@ def _blows_up_in_parts(at):
 
 
 class _LoggedSizes:
-    # A Generator whose standard_normal sizes are logged.
-    def __init__(self, rng, sizes):
-        self.rng, self.sizes = rng, sizes
+    # A Generator whose standard_normal draws are logged as (shape, the
+    # array whose view they fill or None, thread id).
+    def __init__(self, rng, log):
+        self.rng, self.log = rng, log
 
-    def standard_normal(self, size):
-        self.sizes.append(size)
-        return self.rng.standard_normal(size)
+    def standard_normal(self, size=None, out=None):
+        shape, base = (size, None) if out is None else (out.shape, out.base)
+        self.log.append((shape, base, threading.get_ident()))
+        return self.rng.standard_normal(size, out=out)
 
 
 class TestEulerParts:
@@ -1230,10 +1250,16 @@ class TestEulerParts:
 
     @pytest.mark.parametrize("m", [1, 2])
     def test_a_block_of_more_than_2048_rows_is_one_run(self, m):
+        # Three parts of 700 rows, each drawn on the worker into one slot of
+        # a two-part buffer.
         spec = gbm_spec(0.1, 0.2) if m == 1 else _affine_2d(9).spec
-        sizes = []
-        got = euler_values(spec, 9, _LoggedSizes(SeedSpec(60).rng(), sizes), 2100, Grid.uniform(17))
-        assert sizes == [(700, 8, m)] * 3
+        log = []
+        got = euler_values(spec, 9, _LoggedSizes(SeedSpec(60).rng(), log), 2100, Grid.uniform(17))
+        assert [shape for shape, _, _ in log] == [(700, 8, m)] * 3
+        assert all(base is log[0][1] for _, base, _ in log)
+        assert log[0][1].shape == (2, 700, 8, m)
+        workers = {thread for _, _, thread in log}
+        assert len(workers) == 1 and threading.get_ident() not in workers
         want = _euler_with_states(spec, 9, SeedSpec(60).rng(), 2100, Grid.uniform(17))
         np.testing.assert_array_equal(got, want)
 
@@ -1265,6 +1291,38 @@ class TestEulerParts:
         with pytest.raises(NumericError, match=f"at step {expected[0]}$") as info:
             euler_values(spec, 9, SeedSpec(8).rng(), 2049, Grid.uniform(17))
         assert (info.value.step, info.value.sample) == expected
+
+    @pytest.mark.parametrize("site", ["reference_value", "euler_values"])
+    def test_a_raising_coefficient_is_named_by_its_step_and_part(self, site):
+        # A zero drift that raises on its 40th call: 3000 paths of 33 steps
+        # run as three parts of 1000 rows, 32 calls each, so it raises at
+        # step 8 of the second part, named by that part's first row.
+        from quantquad.paths import sup_norm_functional
+
+        calls = []
+
+        def drift(x):
+            calls.append(len(x))
+            if len(calls) == 40:
+                raise ValueError("drift failed")
+            return np.zeros_like(x)
+
+        measure = Diffusion(DiffusionSpec(drift, ConstantCoeff(0.2).diffusion, (1.0,)), 33)
+        assert measures._euler_parts(3000, 33, 1, measure.grid.size) == [1000] * 3
+        seed = SeedSpec(3)
+        with pytest.raises(NumericError) as info:
+            if site == "reference_value":
+                reference_value(sup_norm_functional(), measure, 3000, seed)
+            else:
+                euler_values(measure.spec, 33, seed.child(0).rng(), 3000, measure.grid)
+        assert (info.value.sample, info.value.step) == (1000, 8)
+        message = "euler coefficient raised at step 8: ValueError: drift failed"
+        cause = info.value
+        if site == "reference_value":
+            assert str(cause) == f"sample 1000: {message}"
+            cause = cause.__cause__
+        assert str(cause) == message and (cause.sample, cause.step) == (1000, 8)
+        assert isinstance(cause.__cause__, ValueError)
 
     @pytest.mark.parametrize("points, blocks", [(257, 3), (257, 2), (2049, 1)])
     def test_memory_is_two_parts_of_increments_and_one_part_of_output(self, points, blocks):

@@ -4,6 +4,7 @@ import itertools
 import math
 import os
 import tracemalloc
+import warnings
 from functools import reduce
 from statistics import NormalDist
 
@@ -262,6 +263,21 @@ class TestProductSearch:
         np.testing.assert_array_equal(got[1], want[1])
         np.testing.assert_array_equal(got[0], want[0])
 
+    def test_levels_closer_than_rounding_fall_back_to_the_gram_search(self, monkeypatch):
+        # Levels 1e-9 apart on two axes: the proven rounding margin exceeds
+        # the squared spacing, so the search scores every point instead.
+        lv = np.array([0.0, 1e-9, 2e-9])
+        cb = Codebook(quantize._mesh([lv, lv]), 2.0, NormKind.EUCLIDEAN, "close",
+                      product=ProductStructure((lv, lv)))
+        calls, gram = [], quantize._gram_search
+        monkeypatch.setattr(quantize, "_gram_search", lambda v, c: calls.append(c) or gram(v, c))
+        values = np.random.default_rng(70).standard_normal((50, 2))
+        got_d, got_idx = min_dist_batch(values, cb)
+        assert len(calls) == 1
+        want_d, want_idx, _ = _brute_search(values, cb)
+        np.testing.assert_array_equal(got_idx, want_idx)
+        np.testing.assert_array_equal(got_d, want_d)
+
     @pytest.mark.parametrize("make", [
         lambda grid: product_quantizer_bm(16, 200, grid),
         lambda grid: uniform_midpoint_codebook(2, 8),
@@ -339,6 +355,30 @@ class TestGramSearch:
         cb = Codebook(paths, 2.0, NormKind.L2, "brownian_kl:200", grid=grid,
                       weights=weights)
         assert voronoi_quadrature(cb, dist_to_codebook_functional(cb)).estimate == 0.0
+
+    @pytest.mark.parametrize("space", ["vector", "path"])
+    def test_an_overflowing_score_warns_of_nothing(self, space, grid):
+        # A point at 1e308 overflows its score (inf, or NaN in the product
+        # on paths); such rows are rescored over every point, so the search
+        # silences numpy's warnings and returns the brute-force minimum.
+        rng = np.random.default_rng(71)
+        if space == "vector":
+            cb = Codebook(np.array([[1e308, 0.0], [0.0, 0.0], [1.0, 1.0]]), 2.0,
+                          NormKind.EUCLIDEAN, "far")
+            values = rng.standard_normal((50, 2))
+        else:
+            paths = sample_batch(BrownianKL(20, grid), SeedSpec(72), 53)
+            points = paths[:3].copy()
+            points[0] = 1e308
+            cb = Codebook(points, 2.0, NormKind.L2, "far", grid=grid)
+            values = paths[3:]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got_d, got_idx = min_dist_batch(values, cb)
+            want_d, want_idx, all_d = _brute_search(values, cb)
+        assert np.isinf(all_d[:, 0]).all()
+        np.testing.assert_array_equal(got_idx, want_idx)
+        np.testing.assert_array_equal(got_d, want_d)
 
     @pytest.mark.parametrize("large", [False, True], ids=["small", "above-old-switch"])
     def test_lattice_ties_match_brute_force(self, large):
