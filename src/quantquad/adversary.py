@@ -38,7 +38,7 @@ from .measures import (
     _tiles,
 )
 from .paths import Functional, Grid, NormKind, Subspace, batch_norm, batch_project
-from .quantize import Codebook, _all_point_distances, min_dist_batch
+from .quantize import Codebook, _all_point_distances, _check_reads, min_dist_batch
 
 # Residuals below this are snapped to exactly 0, so that membership in the
 # subspace is decided, not approximated.
@@ -122,6 +122,7 @@ def gap_identity_check(
     """
     if codebook.n < 2:
         raise ConfigurationError("gap_identity_check needs at least 2 points")
+    _check_reads(codebook, measure)
     m = codebook.n
     reduced = Codebook(
         codebook.points[: m - 1],

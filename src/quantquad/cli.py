@@ -35,7 +35,6 @@ from .measures import (
     _check_count,
     measure_tag,
     reference_value,
-    sample_shape,
 )
 from .paths import make_kl_subspace
 from .quadrature import (
@@ -46,7 +45,7 @@ from .quadrature import (
     voronoi_quadrature,
     vr_mc,
 )
-from .quantize import _MIN_SAMPLES, LloydOptions, _check_fits, lloyd, voronoi_weights
+from .quantize import _MIN_SAMPLES, LloydOptions, _check_reads, lloyd, voronoi_weights
 from .storage import (
     atomic_write,
     load_codebook,
@@ -219,7 +218,7 @@ def _cmd_quad(args) -> int:
             echo_extra["grid"] = rung.grid.size
         measure = rung
     if codebook is not None and measure is not None:  # f reads draws and points
-        _check_fits(sample_shape(measure), codebook)
+        _check_reads(codebook, measure)
     if measure is not None:
         space = measure.grid or measure.d
     else:  # voronoi reads the codebook's space

@@ -15,6 +15,7 @@ from .errors import ConfigurationError
 from .measures import (
     _check_count,
     _check_draw,
+    _floats_of,
     AffineCoeff,
     BrownianKL,
     ConstantCoeff,
@@ -110,10 +111,11 @@ def _measure_from_fields(kind: str, fields: dict) -> MeasureSpec:
     try:
         sizes = {key: int(text) for key, text in fields.items()
                  if key not in ("drift", "diffusion", "u0")}
-        # One draw's largest array is m times its largest size, a path's grid
-        # included: check it before a grid or a state of that size is built.
+        # Check one draw's largest array, a path's default grid included,
+        # before a grid or a state of that size is built.
         m, path = sizes.pop("m", 1), "grid" in _FIELDS[kind]
-        _check_draw(m * max([sizes.get("grid", DEFAULT_GRID_SIZE if path else 1), *sizes.values()]))
+        _check_draw(_floats_of(m, sizes.get("grid", DEFAULT_GRID_SIZE if path else 1),
+                               *sizes.values()))
         grid = Grid.uniform(sizes["grid"]) if "grid" in sizes else None
         if kind == "uniform_cube":
             return UniformCube(sizes["d"])

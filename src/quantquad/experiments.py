@@ -24,6 +24,7 @@ from .measures import (
     SeedSpec,
     StdNormal,
     _check_count,
+    _check_grid,
     _coefficient_route,
     _Moments,
     _stream,
@@ -159,6 +160,7 @@ def width_estimate(
         raise ConfigurationError("order p must be positive and finite")
     if measure.grid is None:
         raise ConfigurationError("width_estimate expects a path measure")
+    _check_grid(measure, sub.grid, "subspace")
 
     if _coefficient_route(measure, norm_kind, sub.grid, sub.basis,
                           lambda k, grid: make_kl_subspace(k, grid).basis):

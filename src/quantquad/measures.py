@@ -1,13 +1,51 @@
 """Sampleable probability measures and their reference-value oracle.
 
-Four measure families are supported: the uniform law on [0,1]^d, the
-d-dimensional standard normal, Brownian motion on [0,1] through a
-truncated Karhunen-Loeve expansion, and diffusion paths through the
-strong Euler scheme with piecewise-linear interpolation.  All sampling
-is a pure function of (measure, seed): streams are derived from a
-splittable seed tree, and a stream is cut into pieces counted from draw
-0 by the rule one ``sample_batch`` call cuts by, so a stream's draws are
-one ``sample_batch`` call's, bit for bit, whatever the byte bounds.
+Four measure families: the uniform law on [0,1]^d, the d-dimensional
+standard normal, Brownian motion on [0,1] through a truncated
+Karhunen-Loeve expansion, and diffusion paths through the strong Euler
+scheme (``Diffusion``).  Sampling is a pure function of (measure, seed),
+streams being derived from a splittable seed tree.  The stream contract
+is stated here once; the code points to it by name.
+
+Cut from draw 0.  A stream of n draws is made in pieces counted from draw
+0 by the rule one ``sample_batch`` call of n draws cuts by (``_pieces``),
+so its draws are that call's, bit for bit: _BLOCK_BYTES and _TILE_BYTES
+bound memory and move no draw.  A Diffusion's pieces are its Euler parts;
+any other measure's are tiles of _TILE_BYTES of the largest array one
+draw makes (``_draw_floats``), each drawn by ``sample_batch`` on the
+caller's thread when it is asked for.  A BrownianKL path is built from
+k_terms standard normals z drawn row by row, so a stream that reads z is
+that of StdNormal(k_terms) on the same seed.
+
+The part rule.  The Euler kernel (``_euler_run``) runs n paths with k
+breakpoints in R^m, read on G grid points, as parts counted from row 0:
+at most 16 _TILE rows, and at most the rows whose (k - 1, m) increments
+and (G, m) output each fit _BLOCK_BYTES; the fewest such parts, but at
+least two from 2 _TILE rows, whose sizes differ by at most one, the
+larger first (``_euler_parts``).  Every row's floats are those of one run
+over all rows.  Each part is handed out as soon as it has stepped, so a
+stream holds one part of output.
+
+Draw-ahead.  A run's increments are those of one ``rng.standard_normal``
+call over all rows.  From two parts on, one worker thread draws the next
+part into the free slot of a two-part buffer while the current part
+steps (``_increments``), so a run holds two parts of increments; only
+``Generator.standard_normal`` runs on the worker.  Closing a run cancels
+its pending draw, or waits for it if it has begun.  (Drawing a KL tile's
+coefficients ahead slowed the stream: the product and most functionals
+are BLAS calls that already keep every core busy.)
+
+Failure naming.  An Euler state that is not finite raises
+``NumericError`` at its step and row: the earliest step over all parts,
+and the lowest row at that step.  A coefficient that raises while
+computing a step's state raises at that step and the first row of its
+part, chained from its exception, unless a non-finite state comes at an
+earlier step.  After a failure the remaining parts run only up to its
+step and none is handed out, so a failure in evaluating an earlier part
+comes first.  In a stream, any failure while drawing or evaluating, and
+a non-finite value, raise ``NumericError`` at the failing draw's stream
+index, naming the stream (``_located``); ``ConfigurationError`` passes
+through.
 """
 from __future__ import annotations
 
@@ -36,8 +74,7 @@ _KL_BASIS_BYTES = 2**26
 # faults of 2 MiB tiles), which doubled the time of a distortion ladder.
 _TILE_BYTES = 2**21
 # Side of the squares in which the Euler kernel turns its increments from
-# sample-major to step-major order.  The kernel runs n >= 2 _TILE paths in
-# at least two parts of at most 16 _TILE rows (see _euler_parts).
+# sample-major to step-major order, and the unit of the part rule.
 _TILE = 64
 # The last replayed stream a codebook search read, as (key, read-only
 # draws), or None.  sample_batch drops it before drawing anything, so it
@@ -214,6 +251,25 @@ class BrownianKL:
 
 @dataclass(frozen=True, eq=False)
 class Diffusion:
+    """Euler paths of ``spec`` with k_steps breakpoints, read on the grid.
+
+    The strong Euler scheme with step dt = 1/(k_steps - 1): a step is
+    x + dt a(x) + sqrt(dt) b(x) z, and increments z are drawn for every
+    step even where b vanishes, so stream consumption does not depend on
+    the coefficients.  When ``spec.diffusion`` is the ``diffusion`` method
+    of an AffineCoeff (which ConstantCoeff and LinearCoeff return), b(x) z
+    is the elementwise product of its ``diagonal`` and z, equal to the
+    matrix product bit for bit, and the drift and diagonal are written in
+    place (``AffineCoeff.into``).  A grid point between breakpoints l and
+    l+1 is x_l (1 - lam) + x_{l+1} lam, written when the tile of _TILE steps
+    holding both states ends, so the large arrays are the increments and
+    the output.  A tile's states are checked when it ends, which names the
+    same step and row as a check after every step; the kernel reports a
+    non-finite state itself, so numpy's overflow and invalid warnings are
+    silenced.  Drawing follows the part rule, draw-ahead and failure
+    naming of the module docstring.
+    """
+
     spec: DiffusionSpec
     k_steps: int
     grid: Grid = None
@@ -299,23 +355,34 @@ def _coefficient_route(
 
     The one rule: ``norm`` is L2, ``measure`` is a BrownianKL whose k_terms
     expansion rows are orthonormal under its grid weights (checked once per
-    measure), and ``basis`` holds a of them on the same grid points,
-    1 <= a <= k_terms: bit for bit ``rows(a, grid)``.  The rows of a
-    product codebook are ``kl_basis_on_grid``; those of a subspace
+    measure), and ``basis`` holds a of them, 1 <= a <= k_terms: bit for bit
+    ``rows(a, grid)``, ``grid`` being the measure's (``_check_grid``).  The
+    rows of a product codebook are ``kl_basis_on_grid``; those of a subspace
     ``make_kl_subspace``'s.  By Parseval, the grid L2 distance of two paths
     of the expansion is then the euclidean distance of their coefficients
     c = z sqrt(lambda), to within the rows' orthonormality.  A reading on
     this route streams the normals z, StdNormal(k_terms) on the same seed
-    (see ``_tiles``).
+    (see the module docstring).
     """
     if norm is not NormKind.L2 or not isinstance(measure, BrownianKL) or basis is None:
         return False
     return (
         1 <= basis.shape[0] <= measure.k_terms
-        and np.array_equal(grid.points, measure.grid.points)
         and _kl_orthonormal(measure)
         and np.array_equal(basis, rows(basis.shape[0], grid))
     )
+
+
+def _check_grid(measure: MeasureSpec, grid: Optional[Grid], reader: str) -> None:
+    """Raise ``ConfigurationError`` when a ``reader`` on ``grid`` (None for a
+    vector reader) would read ``measure``'s paths at other points than they
+    are drawn on.  Every codebook and subspace that meets a path measure is
+    checked by this, before anything is drawn."""
+    if grid is not None and not np.array_equal(grid.points, measure.grid.points):
+        raise ConfigurationError(
+            f"a {reader} on a {grid.size}-point grid cannot read draws on the "
+            f"measure's {measure.grid.size}-point grid: their points differ"
+        )
 
 
 def _check_kl_basis(k_terms: int, size: int) -> None:
@@ -373,82 +440,23 @@ def _first_nonfinite(states: np.ndarray):
 
 
 def _euler_parts(n: int, k: int, m: int, points: int) -> list:
-    """Row counts of the parts in which the Euler kernel runs n paths, in order.
-
-    The paths have k breakpoints in R^m and are read on ``points`` grid
-    points.  A part has at most 16 _TILE rows, and at most the rows whose
-    (k - 1, m) increments and (points, m) output each fit _BLOCK_BYTES.
-    The fewest such parts, but at least two from 2 _TILE rows, whose sizes
-    differ by at most one, the larger first: one part below 128 rows, two
-    halves up to 2048 rows at the default sizes.
+    """Row counts of the Euler parts of n paths with k breakpoints in R^m on
+    ``points`` grid points, in order (the part rule of the module docstring):
+    one part below 128 rows, two halves up to 2048 rows at the default sizes.
     """
     cap = min(16 * _TILE, _block_rows(m * max(k - 1, points)))
     count = max(1 if n < 2 * _TILE else 2, -(-n // cap))
     return [(n + i) // count for i in range(count - 1, -1, -1)]
 
 
-def euler_values(
-    spec: DiffusionSpec,
-    k: int,
-    rng: np.random.Generator,
-    n: int,
-    grid: Grid,
-) -> np.ndarray:
-    """n Euler paths with step 1/(k-1), interpolated to the grid; (n, G, m).
-
-    Increment vectors are drawn for every step even when the diffusion
-    coefficient vanishes, so stream consumption does not depend on the
-    coefficients.  A step is x + dt a(x) + sqrt(dt) b(x) z.  When
-    ``spec.diffusion`` is the ``diffusion`` method of an AffineCoeff (which
-    ConstantCoeff and LinearCoeff return), b(x) z is the elementwise
-    product of its ``diagonal`` and z, which equals the matrix product bit
-    for bit (the other terms are exact zeros); an AffineCoeff's drift and
-    diagonal are written in place (``AffineCoeff.into``).  A grid point
-    between breakpoints l and l+1 is x_l (1 - lam) + x_{l+1} lam, written
-    when the tile of steps holding both states ends, so no breakpoint state
-    outlives its tile; the large arrays are the increments and the output.
-
-    The rows run as parts counted from row 0 (``_euler_parts``), each
-    stepped in turn by ``_euler_run``, which writes each part into a view
-    of the output.  From two parts on, the next part's increments are drawn
-    on the worker thread while this one steps (``_increments``), so the
-    call holds two parts of increments beside its output.  A stream of the
-    same n draws runs the same parts and takes each from ``_euler_run`` as
-    soon as it has stepped, so it holds one part of output (see ``_tiles``).
-    Every row's floats are those of one run over all rows.  A state that
-    is not finite raises ``NumericError`` at its step and row: the earliest
-    step over all parts, and the lowest row at that step.  A coefficient
-    that raises while computing a step's state raises ``NumericError`` at
-    that step and the first row of its part, chained from the coefficient's
-    exception, unless a non-finite state comes at an earlier step.  A tile
-    of _TILE steps keeps all its states and checks them when it ends, which
-    names the same step and row as a check after every step.  The kernel
-    reports non-finite states itself, so numpy's overflow and invalid
-    warnings are silenced.
-    """
-    if k < 2:
-        raise ConfigurationError("breakpoint count k must be >= 2")
-    out = np.empty((n, grid.size, spec.m))
-    for _ in _euler_run(spec, k, rng, n, grid, out):
-        pass
-    return out
-
-
 def _euler_run(
     spec: DiffusionSpec, k: int, rng: np.random.Generator, n: int, grid: Grid, out=None
 ):
-    """(start, paths) of each Euler part of n paths, in order (``euler_values``).
-
-    The parts are ``_euler_parts(n, k, m, G)``, and their increments are
-    those of one ``rng.standard_normal`` call over all rows (``_increments``):
-    from two parts on, the next part is drawn on the worker thread while
-    this one steps.  A part's (rows, G, m) paths are written into
+    """(start, paths) of each Euler part of n paths of the scheme of
+    ``Diffusion``, in order, by the part rule, draw-ahead and failure naming
+    of the module docstring.  A part's (rows, G, m) paths are written into
     ``out[start : start + rows]`` when ``out`` is given, else into a new
-    array, and handed out as soon as the part has stepped.  After a failure
-    no part is handed out: the remaining parts run only up to its step, and
-    the earliest failure raises when they end.  Closing the run cancels or
-    waits for a draw made ahead.
-    """
+    array; the earliest failure raises when the parts end."""
     m = spec.m
     dt = 1.0 / (k - 1)
     sq = math.sqrt(dt)
@@ -552,17 +560,11 @@ def _euler_run(
 
 
 def _increments(rng: np.random.Generator, parts: list, shape: tuple):
-    """The (rows,) + ``shape`` standard normals of each part, in order.
-
-    ``parts`` are row counts, none larger than the first (as
-    ``_euler_parts`` gives them).  One part is drawn on the caller's thread.
-    From two parts on, the one worker thread draws each part into one slot
-    of a (2, parts[0]) + ``shape`` buffer while the caller uses the part in
-    the other; the buffer is allocated on the caller's thread, and only
-    ``Generator.standard_normal`` runs on the worker.  The draws never
-    overlap, so they are those of one call.  A part is valid until the next
-    is asked for.  Closing cancels the pending draw, or waits for it if it
-    has begun.
+    """The (rows,) + ``shape`` standard normals of each part, in order, drawn
+    ahead as the module docstring says.  ``parts`` are row counts, none
+    larger than the first (as ``_euler_parts`` gives them); the two-part
+    buffer is allocated on the caller's thread, and a part is valid until
+    the next is asked for.
     """
     global _drawer
     if len(parts) == 1:
@@ -602,8 +604,9 @@ def sample_batch(
 ) -> np.ndarray:
     """n independent draws as one array: (n, d) vectors or (n, G, m) paths.
 
-    ``seed`` is a SeedSpec, or a Generator whose stream continues.  Drops
-    the stream a codebook search holds (see ``_tiles``).
+    ``seed`` is a SeedSpec, or a Generator whose stream continues.  A
+    Diffusion runs the Euler kernel over all n rows.  Drops the stream a
+    codebook search holds (see ``_tiles``).
     """
     global _held
     _held = None
@@ -625,7 +628,10 @@ def sample_batch(
             np.matmul(coeff, basis, out=out[r : r + step])
         return out[:, :, None]
     if isinstance(measure, Diffusion):
-        return euler_values(measure.spec, measure.k_steps, rng, n, measure.grid)
+        out = np.empty((n, measure.grid.size, measure.spec.m))
+        for _ in _euler_run(measure.spec, measure.k_steps, rng, n, measure.grid, out):
+            pass
+        return out
     raise ConfigurationError(f"unknown measure {measure!r}")
 
 
@@ -639,13 +645,19 @@ def _block_rows(floats: int, limit: int = 0) -> int:
 
 
 def _draw_floats(measure: MeasureSpec) -> int:
-    """Floats of the largest array one draw makes: its vector, its path, its
-    expansion coefficients or its Euler increments."""
-    if isinstance(measure, (UniformCube, StdNormal)):
-        return measure.d
+    """Floats of the largest array one draw of ``measure`` makes (``_floats_of``)."""
+    if measure.grid is None:
+        return _floats_of(1, measure.d)
     if isinstance(measure, BrownianKL):
-        return max(measure.k_terms, measure.grid.size)
-    return measure.spec.m * max(measure.k_steps, measure.grid.size)
+        return _floats_of(1, measure.k_terms, measure.grid.size)
+    return _floats_of(measure.spec.m, measure.k_steps, measure.grid.size)
+
+
+def _floats_of(m: int, *sizes: int) -> int:
+    """Floats of the largest array one draw makes (its vector, its path, its
+    expansion coefficients or its Euler increments): m times the largest
+    of its sizes, d, or G with k_terms or k_steps.  Needs nothing built."""
+    return m * max(sizes)
 
 
 def _tiles(
@@ -653,29 +665,10 @@ def _tiles(
 ):
     """(start, tile) over draws 0 .. total of ``seed``'s stream, in row tiles.
 
-    The one source of a stream's draws.  They are made in pieces counted
-    from draw 0 (``_pieces``) by the rule one ``sample_batch`` call of
-    ``total`` draws cuts by, so a stream's draws are that call's, bit for
-    bit: _BLOCK_BYTES and _TILE_BYTES bound memory and move no draw.  Each
-    piece is handed out in tiles of _TILE_BYTES of its rows.
-
-    A Diffusion stream runs as the Euler parts of one ``euler_values`` call
-    (``_euler_run``), each handed out as soon as it has stepped, before the
-    next part steps: the stream holds one part of output, and the kernel's
-    two parts of increments.  A part's tiles are handed out before a later
-    part fails, so a failure in evaluating them comes first.  Any other
-    tile is drawn when it is asked for, by ``sample_batch`` on the caller's
-    thread, so the stream holds a tile (and a BrownianKL's basis).
-    (Drawing the next KL tile's coefficients on the drawer thread slowed
-    the stream: the product and most functionals are BLAS calls that
-    already keep every core busy.)  Closing the generator closes the
-    kernel's run, which cancels or waits for a draw made ahead.  A failure
-    while drawing raises at its stream index, naming ``stream``
-    (``_located``; see ``_pieces``).
-
-    A BrownianKL path is built from k_terms standard normals z, drawn row
-    by row: a stream that reads z instead of the paths is the stream of
-    StdNormal(k_terms) on the same seed.
+    The one source of a stream's draws, made as the module docstring says
+    (``_pieces``), each piece handed out in tiles of _TILE_BYTES of its
+    rows.  Closing the generator closes the pieces, and with them an
+    Euler run.
 
     With ``replay``, a stream whose draws fit in _BLOCK_BYTES is drawn
     read-only and held after the call, as ``sample_batch`` builds it; the
@@ -704,22 +697,15 @@ def _tiles(
 
 def _pieces(measure: MeasureSpec, rng, n: int, stream: str = ""):
     """(first, draws) over the n draws of a stream, in the pieces they are
-    made in, counted from draw 0 as one ``sample_batch`` call cuts them, each
-    raising a failure at its stream index (``_located``): a Diffusion in
-    Euler parts (``_euler_run``, closed with the pieces), each as soon as it
-    has stepped, and any other measure in tiles of _TILE_BYTES of the
-    largest array one draw makes, each drawn by ``sample_batch``."""
+    made in, cut from draw 0, each raising a failure at its stream index
+    (module docstring)."""
     global _held
     if isinstance(measure, Diffusion):
         _held = None  # as sample_batch drops it
-        with closing(_euler_run(measure.spec, measure.k_steps, rng, n, measure.grid)) as parts:
-            while True:
-                with _located(0, stream):
-                    part = next(parts, None)
-                if part is None:
-                    return
-                yield part
-                del part
+        # GeneratorExit passes _located, and yield from closes the run.
+        with _located(0, stream):
+            yield from _euler_run(measure.spec, measure.k_steps, rng, n, measure.grid)
+        return
     step = _block_rows(_draw_floats(measure), _TILE_BYTES)
     for first in range(0, n, step):
         with _located(first, stream):
@@ -782,12 +768,11 @@ def _stream(
 
     The driver of every streamed estimate.  ``evaluate`` maps the b draws of
     a tile of ``_tiles`` to (b,) or (columns, b) values.  Fewer than
-    ``minimum`` draws raise ``ConfigurationError``, which also passes
-    through from drawing or evaluating.  Any other failure, and a non-finite
-    value, raise ``NumericError`` at the failing draw's stream index
-    (``_evaluated``).  ``replay`` is for an ``evaluate`` that only reads its
-    draws (see ``_tiles``).  Values may view their piece: a consumer drops
-    them before it asks for the next, so each piece dies before the next.
+    ``minimum`` draws raise ``ConfigurationError``; failures are named as
+    the module docstring says (``_evaluated``).  ``replay`` is for an
+    ``evaluate`` that only reads its draws (see ``_tiles``).  Values may
+    view their piece: a consumer drops them before it asks for the next, so
+    each piece dies before the next.
     """
     _check_count(total, minimum)
     tiles = _tiles(measure, seed, total, replay)
@@ -800,11 +785,9 @@ def _stream(
 
 
 def _evaluated(evaluate, tile: np.ndarray, start: int, stream: str = "") -> np.ndarray:
-    """``evaluate(tile)`` of the draws from ``start``, raised at its stream index.
-
-    A failure, or a non-finite value, raises ``NumericError`` at the failing
-    draw (a raise at the tile's first), naming ``stream`` (``_located``).
-    """
+    """``evaluate(tile)`` of the draws from ``start``; a failure, or a
+    non-finite value, raises at the failing draw (a raise at the tile's
+    first), naming ``stream`` (``_located``)."""
     with _located(start, stream):
         values = evaluate(tile)
         _check_finite(values)

@@ -42,10 +42,9 @@ from .measures import (
     _stream,
     oracle_dim,
     rng_calls_per_sample,
-    sample_shape,
 )
 from .paths import DEFAULT_GRID_SIZE, Functional, Grid, check_kl_dim
-from .quantize import Codebook, _check_fits, min_dist_batch
+from .quantize import Codebook, _check_reads, min_dist_batch
 
 
 @dataclass(frozen=True)
@@ -149,7 +148,7 @@ def _mc_values(
     if codebook is not None:
         if codebook.weights is None:
             raise ConfigurationError("vr_mc needs codebook weights")
-        _check_fits(sample_shape(measure), codebook)  # before f reads the points
+        _check_reads(codebook, measure)  # before f reads the points
         f_at_points = f(codebook.points)
         voronoi_part = float(f_at_points @ codebook.weights)
 

@@ -29,12 +29,14 @@ from .measures import (
     SeedSpec,
     StdNormal,
     _block_rows,
+    _check_grid,
     _coefficient_route,
     _Moments,
     _stream,
     measure_tag,
     oracle_dim,
     sample_batch,
+    sample_shape,
 )
 from .paths import (
     _ORTHONORMAL_TOL,
@@ -196,6 +198,20 @@ def _check_fits(shape: tuple, codebook: Codebook):
         )
 
 
+def _check_reads(codebook: Codebook, measure: MeasureSpec):
+    """Refuse a codebook whose points are not draws of ``measure``: another
+    shape, or another grid (``measures._check_grid``).  Draws nothing."""
+    _check_fits(sample_shape(measure), codebook)
+    _check_grid(measure, codebook.grid, "codebook")
+
+
+def _unit_sum(w: np.ndarray) -> np.ndarray:
+    """``w`` forced, in place, to an exact unit sum at its largest entry
+    (the first on a tie); the correction is at the rounding level."""
+    w[int(np.argmax(w))] += 1.0 - w.sum()
+    return w
+
+
 def _pair_distances(values: np.ndarray, codebook: Codebook, cols, rows=None):
     """Distances from sample rows[i] (sample i if rows is None) to point cols[i].
 
@@ -255,8 +271,8 @@ def _product_search(values: np.ndarray, codebook: Codebook):
     # rounding (then every point is searched), and the other level of the
     # bracketing pair by |d_hi - d_lo| (d_hi + d_lo) >= |d_hi - d_lo| s.
     product = codebook.product
-    b = values.shape[0]
-    xi = values.reshape(b, math.prod(values.shape[1:]))
+    b, flat = values.shape[0], math.prod(values.shape[1:])
+    xi = values.reshape(b, flat)
     if product.basis is not None:
         w = np.repeat(codebook.grid.weights, codebook.points.shape[2])
         xi = xi @ (product.basis * w).T
@@ -274,7 +290,7 @@ def _product_search(values: np.ndarray, codebook: Codebook):
         return dist, idx
     c_max = sum(max(lv[0] ** 2, lv[-1] ** 2) for lv in product.levels)
     a = len(product.levels)
-    coef = 16.0 * (xi.shape[1] + a * a + 5) * np.finfo(float).eps + 4.0 * a * _ORTHONORMAL_TOL
+    coef = 16.0 * (flat + a * a + 5) * np.finfo(float).eps + 4.0 * a * _ORTHONORMAL_TOL
     margin = coef * ((top + math.sqrt(c_max)) ** 2 + c_max)
     if margin >= min((s * s for _, _, s in axes), default=math.inf):
         return _gram_search(values, codebook)
@@ -448,7 +464,8 @@ def dist_to_codebook_functional(codebook: Codebook) -> Functional:
 
 def _searched(codebook: Codebook, measure: MeasureSpec, M: int, seed: SeedSpec, read):
     """``read(distances, indices)`` of each tile of the nearest search of
-    draws 0 .. M of ``seed.child(0)``'s stream of ``measure``, in order.
+    draws 0 .. M of ``seed.child(0)``'s stream of ``measure``, in order,
+    after ``_check_reads``.
 
     A path stream is searched by ``min_dist_batch``.  A product codebook
     whose rows are the measure's first a expansion rows
@@ -460,6 +477,7 @@ def _searched(codebook: Codebook, measure: MeasureSpec, M: int, seed: SeedSpec, 
     distance on those coordinates: the stream read is StdNormal(k_terms) on
     the same seed.  Draws are held and replayed (``_tiles``).
     """
+    _check_reads(codebook, measure)
     product = codebook.product
     basis = None if product is None else product.basis
     if not _coefficient_route(measure, codebook.norm, codebook.grid, basis, kl_basis_on_grid):
@@ -518,9 +536,7 @@ def voronoi_weights(
     counts = np.zeros(codebook.n, dtype=np.int64)
     for idx in _searched(codebook, measure, M, seed, lambda dist, idx: idx):
         counts += np.bincount(idx, minlength=codebook.n)
-    w = counts / float(M)
-    # Force an exact unit sum; the correction is at the rounding level.
-    w[int(np.argmax(w))] += 1.0 - w.sum()
+    w = _unit_sum(counts / float(M))
     empty = np.flatnonzero(counts == 0)
     if empty.size:
         warnings.warn(
@@ -941,14 +957,12 @@ def uniform_midpoint_codebook(d: int, per_axis: int) -> Codebook:
     axis = (2.0 * np.arange(1, per_axis + 1) - 1.0) / (2.0 * per_axis)
     points = _mesh([axis] * d)
     n = points.shape[0]
-    weights = np.full(n, 1.0 / n)
-    weights[0] += 1.0 - weights.sum()
     return Codebook(
         points,
         2.0,
         NormKind.EUCLIDEAN,
         f"uniform_cube:{d}",
-        weights=weights,
+        weights=_unit_sum(np.full(n, 1.0 / n)),
         oracle_dim=d,
         product=ProductStructure((axis,) * d),
     )
@@ -1024,14 +1038,12 @@ def _lloyd_max(n: int):
 def scalar_gaussian_quantizer(levels: int) -> Codebook:
     """Exact quadratic-optimal quantizer of N(0,1), weighted by its cell masses."""
     points, masses, _ = _lloyd_max(levels)
-    weights = masses.copy()
-    weights[int(np.argmax(weights))] += 1.0 - weights.sum()
     return Codebook(
         points[:, None].copy(),
         2.0,
         NormKind.EUCLIDEAN,
         "std_normal:1",
-        weights=weights,
+        weights=_unit_sum(masses.copy()),
         oracle_dim=1,
     )
 
@@ -1097,7 +1109,7 @@ def product_quantizer_bm(
         weights = np.ones(points.shape[0])
         for masses in _mesh([_lloyd_max(int(levels[ell]))[1] for ell in active]).T:
             weights = weights * masses
-        weights[int(np.argmax(weights))] += 1.0 - weights.sum()
+        _unit_sum(weights)
     product = None
     if _is_orthonormal(rows, grid.weights):
         product = ProductStructure(axes_levels, rows)

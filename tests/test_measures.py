@@ -20,7 +20,6 @@ from quantquad.measures import (
     SeedSpec,
     StdNormal,
     UniformCube,
-    euler_values,
     gbm_spec,
     reference_value,
     sample_batch,
@@ -122,7 +121,7 @@ class TestBrownianKL:
 
 def _one_euler_path(spec, k, seed):
     # One Euler path with k breakpoints on the default grid, shape (G, m).
-    return euler_values(spec, k, seed.rng(), 1, Grid.uniform())[0]
+    return sample_batch(Diffusion(spec, k, Grid.uniform()), seed.rng(), 1)[0]
 
 
 class TestEuler:
@@ -155,7 +154,7 @@ class TestEuler:
         states = []
         for vol in (0.0, 0.2):
             rng = SeedSpec(4).rng()
-            euler_values(gbm_spec(0.1, vol), 9, rng, 3, Grid.uniform())
+            sample_batch(Diffusion(gbm_spec(0.1, vol), 9, Grid.uniform()), rng, 3)
             states.append(rng.bit_generator.state["state"])
         assert states[0] == states[1]
 
@@ -301,7 +300,7 @@ class TestEulerKernel:
     @pytest.mark.parametrize("case", list(EULER_CASES))
     def test_equals_the_kernel_with_states(self, case):
         spec, k, grid, n = EULER_CASES[case]
-        got = euler_values(spec, k, SeedSpec(7).rng(), n, grid)
+        got = sample_batch(Diffusion(spec, k, grid), SeedSpec(7).rng(), n)
         want = _euler_with_states(spec, k, SeedSpec(7).rng(), n, grid)
         assert got.shape == (n, grid.size, spec.m)
         assert np.array_equal(got, want)
@@ -320,7 +319,7 @@ class TestEulerKernel:
     def test_nonfinite_state_located(self, diffusion, m):
         spec = DiffusionSpec(_blows_up_at(3, 5), diffusion, (1.0,) * m, m)
         with pytest.raises(NumericError) as got:
-            euler_values(spec, 9, SeedSpec(8).rng(), 12, Grid.uniform(17))
+            sample_batch(Diffusion(spec, 9, Grid.uniform(17)), SeedSpec(8).rng(), 12)
         spec = DiffusionSpec(_blows_up_at(3, 5), diffusion, (1.0,) * m, m)
         with pytest.raises(NumericError) as want:
             _euler_with_states(spec, 9, SeedSpec(8).rng(), 12, Grid.uniform(17))
@@ -350,7 +349,8 @@ class TestEulerKernel:
     def test_memory_is_increments_and_output(self):
         n, k, grid = 1000, 2049, Grid.uniform()
         rng = SeedSpec(10).rng()
-        peak = traced_peak(lambda: euler_values(gbm_spec(0.1, 0.2), k, rng, n, grid))
+        measure = Diffusion(gbm_spec(0.1, 0.2), k, grid)
+        peak = traced_peak(lambda: sample_batch(measure, rng, n))
         needed = 8 * n * ((k - 1) + grid.size)
         assert peak <= 1.1 * needed
 
@@ -377,7 +377,7 @@ class TestEulerKernel:
         # n = 257 runs as halves of 129 and 128 rows.
         spec = DiffusionSpec(_blows_up_in_calls(blow_ups), ConstantCoeff(0.2).diffusion, (1.0,))
         with pytest.raises(NumericError, match=f"at step {expected[0]}$") as info:
-            euler_values(spec, 9, SeedSpec(8).rng(), 257, Grid.uniform(17))
+            sample_batch(Diffusion(spec, 9, Grid.uniform(17)), SeedSpec(8).rng(), 257)
         assert (info.value.step, info.value.sample) == expected
 
     @pytest.mark.parametrize(
@@ -398,7 +398,7 @@ class TestEulerKernel:
 
         spec = DiffusionSpec(drift, ConstantCoeff(0.2).diffusion, (1.0,))
         with pytest.raises(NumericError) as info:
-            euler_values(spec, 9, SeedSpec(8).rng(), 257, Grid.uniform(17))
+            sample_batch(Diffusion(spec, 9, Grid.uniform(17)), SeedSpec(8).rng(), 257)
         if raises:
             assert (info.value.step, info.value.sample) == (raise_at, 0)
             assert isinstance(info.value.__cause__, ValueError)
@@ -419,7 +419,7 @@ class TestEulerKernel:
 
         spec = DiffusionSpec(drift, ConstantCoeff(0.2).diffusion, (1.0,))
         with pytest.raises(NumericError) as info:
-            euler_values(spec, 9, SeedSpec(8).rng(), 12, Grid.uniform(17))
+            sample_batch(Diffusion(spec, 9, Grid.uniform(17)), SeedSpec(8).rng(), 12)
         assert (info.value.step, info.value.sample) == (4, 2)
 
     def test_overflow_is_reported_without_a_warning(self):
@@ -427,7 +427,7 @@ class TestEulerKernel:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(NumericError, match="at step 2$") as info:
-                euler_values(spec, 11, SeedSpec(8).rng(), 300, Grid.uniform())
+                sample_batch(Diffusion(spec, 11, Grid.uniform()), SeedSpec(8).rng(), 300)
         assert (info.value.step, info.value.sample) == (2, 0)
 
 
@@ -752,7 +752,7 @@ class TestStream:
         # reference_value and distortion read seed.child(0), whose 5000 paths
         # first blow up at step 17, in draw 2086; classical_mc reads the
         # seed's own stream, where the recursion fails at step 18 of draw
-        # 911.  Each is what euler_values over all 5000 rows raises, in the
+        # 911.  Each is what sample_batch of all 5000 rows raises, in the
         # default layout (distortion replays one call), in 62-row parts of
         # 7-row tiles and in one-row parts and tiles.
         from quantquad.paths import sup_norm_functional
@@ -769,7 +769,7 @@ class TestStream:
             "classical_mc": (lambda: classical_mc(measure, sup, 5000, seed), seed, (911, 18)),
         }[site]
         with pytest.raises(NumericError) as oracle:
-            euler_values(measure.spec, 33, stream.rng(), 5000, measure.grid)
+            sample_batch(measure, stream.rng(), 5000)
         assert (oracle.value.sample, oracle.value.step) == expected
         for layout in ((2**26, 2**21), (2**14, 8 * 33 * 7), (8 * 33, 8)):
             monkeypatch.setattr(measures, "_BLOCK_BYTES", layout[0])
@@ -1075,7 +1075,7 @@ class TestDrawAhead:
         # Parts capped at 300 rows.  Over all 3000 paths of seed(23).child(0)
         # the earliest non-finite state comes at step 26, in draw 1837 (the
         # second part's paths blow up at step 28 first, in draw 558).  The
-        # oracle is euler_values over all 3000 rows.
+        # oracle is sample_batch of all 3000 rows.
         from quantquad.paths import sup_norm_functional
 
         monkeypatch.setattr(measures, "_BLOCK_BYTES", 8 * 33 * 300)
@@ -1083,17 +1083,17 @@ class TestDrawAhead:
         with pytest.raises(NumericError) as info:
             reference_value(sup_norm_functional(), measure, 3000, seed)
         with pytest.raises(NumericError) as want:
-            euler_values(measure.spec, 33, seed.child(0).rng(), 3000, measure.grid)
+            sample_batch(measure, seed.child(0).rng(), 3000)
         assert (want.value.step, want.value.sample) == (26, 1837)
         assert (info.value.sample, info.value.step) == (want.value.sample, want.value.step)
         assert str(info.value).startswith("sample 1837: ")
 
     @pytest.mark.parametrize(
-        "how", ["kernel-error", "euler-values-error", "functional-error", "consumer-stops"]
+        "how", ["kernel-error", "sample-batch-error", "functional-error", "consumer-stops"]
     )
     def test_a_closed_stream_leaves_no_draw_running(self, how, monkeypatch):
         # Each draw takes 50 ms, so a draw started ahead is still running
-        # when the stream (or euler_values) ends; the kernel's run cancels
+        # when the stream (or sample_batch) ends; the kernel's run cancels
         # it or waits for it.  The error's traceback is kept to the end, and
         # with it the stream's frames.
         from quantquad.paths import Functional, sup_norm_functional
@@ -1104,10 +1104,10 @@ class TestDrawAhead:
         if how == "kernel-error":
             with pytest.raises(NumericError, match="non-finite state") as kept:
                 reference_value(sup, _explodes_above(3.0), 3000, seed)
-        elif how == "euler-values-error":
+        elif how == "sample-batch-error":
             measure = _explodes_above(3.0)
             with pytest.raises(NumericError, match="non-finite state") as kept:
-                euler_values(measure.spec, 33, seed.rng(), 3000, measure.grid)
+                sample_batch(measure, seed.rng(), 3000)
         elif how == "functional-error":
             rows = []
 
@@ -1130,9 +1130,9 @@ class TestDrawAhead:
         del kept
 
     def test_only_the_draws_leave_the_callers_thread(self, monkeypatch):
-        # sample_batch, euler_values, the kernel's steps and the functional
-        # run on the caller's thread, as the span tracer of bench/ assumes;
-        # every draw of every stream runs on one other thread.
+        # sample_batch, the kernel's steps and the functional run on the
+        # caller's thread, as the span tracer of bench/ assumes; every draw
+        # of every stream runs on one other thread.
         from quantquad.paths import Functional
 
         monkeypatch.setattr(measures, "_BLOCK_BYTES", 8 * 33 * 300)
@@ -1147,7 +1147,6 @@ class TestDrawAhead:
             return call
 
         monkeypatch.setattr(measures, "sample_batch", recorded(measures.sample_batch))
-        monkeypatch.setattr(measures, "euler_values", recorded(measures.euler_values))
         f = Functional(recorded(lambda v: v[:, -1, 0]))
         spec = gbm_spec(0.1, 0.2)
         measure = Diffusion(DiffusionSpec(recorded(spec.drift), spec.diffusion, spec.u0), 33,
@@ -1157,7 +1156,7 @@ class TestDrawAhead:
         assert set(threads) == {threading.get_ident()}
         # Per stream: 4 Euler parts (1000 rows in parts of at most 300) of
         # 32 steps, each one tile; a stream takes its parts from the kernel,
-        # not through sample_batch or euler_values.
+        # not through sample_batch.
         assert len(threads) == 2 * (4 * 32 + 4)
         workers = {thread for _, thread in log}
         assert len(workers) == 1 and threading.get_ident() not in workers
@@ -1254,7 +1253,8 @@ class TestEulerParts:
         # a two-part buffer.
         spec = gbm_spec(0.1, 0.2) if m == 1 else _affine_2d(9).spec
         log = []
-        got = euler_values(spec, 9, _LoggedSizes(SeedSpec(60).rng(), log), 2100, Grid.uniform(17))
+        rng = _LoggedSizes(SeedSpec(60).rng(), log)
+        got = sample_batch(Diffusion(spec, 9, Grid.uniform(17)), rng, 2100)
         assert [shape for shape, _, _ in log] == [(700, 8, m)] * 3
         assert all(base is log[0][1] for _, base, _ in log)
         assert log[0][1].shape == (2, 700, 8, m)
@@ -1289,10 +1289,10 @@ class TestEulerParts:
         # n = 2049 runs as three parts of 683 rows.
         spec = DiffusionSpec(_blows_up_in_parts(blow_ups), ConstantCoeff(0.2).diffusion, (1.0,))
         with pytest.raises(NumericError, match=f"at step {expected[0]}$") as info:
-            euler_values(spec, 9, SeedSpec(8).rng(), 2049, Grid.uniform(17))
+            sample_batch(Diffusion(spec, 9, Grid.uniform(17)), SeedSpec(8).rng(), 2049)
         assert (info.value.step, info.value.sample) == expected
 
-    @pytest.mark.parametrize("site", ["reference_value", "euler_values"])
+    @pytest.mark.parametrize("site", ["reference_value", "sample_batch"])
     def test_a_raising_coefficient_is_named_by_its_step_and_part(self, site):
         # A zero drift that raises on its 40th call: 3000 paths of 33 steps
         # run as three parts of 1000 rows, 32 calls each, so it raises at
@@ -1314,7 +1314,7 @@ class TestEulerParts:
             if site == "reference_value":
                 reference_value(sup_norm_functional(), measure, 3000, seed)
             else:
-                euler_values(measure.spec, 33, seed.child(0).rng(), 3000, measure.grid)
+                sample_batch(measure, seed.child(0).rng(), 3000)
         assert (info.value.sample, info.value.step) == (1000, 8)
         message = "euler coefficient raised at step 8: ValueError: drift failed"
         cause = info.value

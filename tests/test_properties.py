@@ -39,7 +39,6 @@ from quantquad.measures import (
     SeedSpec,
     StdNormal,
     UniformCube,
-    euler_values,
     measure_tag,
     reference_value,
 )
@@ -269,7 +268,7 @@ def test_euler_tiles_joined_are_one_run(seed, data):
         tiles = [(start, t.copy()) for start, t in measures._tiles(measure, SeedSpec(seed), total)]
     starts = np.cumsum([0] + [len(t) for _, t in tiles[:-1]])
     assert [start for start, _ in tiles] == starts.tolist()
-    run = euler_values(measure.spec, measure.k_steps, SeedSpec(seed).rng(), total, measure.grid)
+    run = measures.sample_batch(measure, SeedSpec(seed), total)
     assert np.concatenate([t for _, t in tiles]).tobytes() == run.tobytes()
 
 
@@ -376,7 +375,7 @@ def _blows_up_at(points, u0):
 @_examples(40)
 @given(_SEEDS, st.data())
 def test_an_euler_failure_names_the_earliest_step_and_lowest_row(seed, data):
-    # A stream fails where euler_values over all its rows fails: at the
+    # A stream fails where sample_batch of all its rows fails: at the
     # earliest step with a non-finite state and, at that step, its lowest
     # row, whichever part holds it, for every part cap and tile size.
     measure, total, block, tile = _euler_layout(data, minimum=100)
@@ -401,8 +400,7 @@ def test_an_euler_failure_names_the_earliest_step_and_lowest_row(seed, data):
         with pytest.raises(NumericError) as info:
             reference_value(sup_norm_functional(), exploding(), total, SeedSpec(seed))
         with pytest.raises(NumericError) as oracle:
-            run = exploding()
-            euler_values(run.spec, k, SeedSpec(seed).child(0).rng(), total, run.grid)
+            measures.sample_batch(exploding(), SeedSpec(seed).child(0), total)
     expected = min((step, starts[part] + row) for (part, step), row in points.items())
     assert (oracle.value.step, oracle.value.sample) == expected
     assert (info.value.step, info.value.sample) == expected

@@ -263,6 +263,35 @@ class TestProductSearch:
         np.testing.assert_array_equal(got[1], want[1])
         np.testing.assert_array_equal(got[0], want[0])
 
+    def test_a_path_near_tie_is_sized_by_the_flat_size(self, monkeypatch):
+        # The margin's proof counts F = G m rounded terms, not the a axes
+        # left after the projection: a tie between the margin at F = a and
+        # the margin at F = G m is rescored.  One axis of levels +-L on 257
+        # points; a path delta e_0 ties the levels at 4 L delta.
+        cb = product_quantizer_bm(2, 200, Grid.uniform(257))
+        (lv,), basis = cb.product.levels, cb.product.basis
+        L, eps, tol = lv[1], np.finfo(float).eps, quantize._ORTHONORMAL_TOL
+        scale = (L + L) ** 2 + L * L  # (top + sqrt(c_max))^2 + c_max
+
+        def margin(flat):
+            return (16.0 * (flat + 1 + 5) * eps + 4.0 * tol) * scale
+
+        tie = math.sqrt(margin(1) * margin(257))
+        values = (np.array([1.0, -1.0])[:, None] * (tie / (4 * L)) * basis)[:, :, None]
+        rescored, pair = [], quantize._pair_distances
+
+        def recorded(values, codebook, cols, rows=None):
+            if rows is not None:
+                rescored.extend(rows.tolist())
+            return pair(values, codebook, cols, rows)
+
+        monkeypatch.setattr(quantize, "_pair_distances", recorded)
+        got = min_dist_batch(values, cb)
+        assert sorted(set(rescored)) == [0, 1]
+        want = _point_search(cb, values)
+        np.testing.assert_array_equal(got[1], want[1])
+        np.testing.assert_array_equal(got[0], want[0])
+
     def test_levels_closer_than_rounding_fall_back_to_the_gram_search(self, monkeypatch):
         # Levels 1e-9 apart on two axes: the proven rounding margin exceeds
         # the squared spacing, so the search scores every point instead.
@@ -783,6 +812,43 @@ class TestCoefficientRoute:
                                   basis=cb.product.basis, rows=kl_basis_on_grid)
         assert not route(BrownianKL(200, grid))
         assert route(BrownianKL(20, grid))
+
+
+class TestReaderGrids:
+    # A codebook or a subspace reads a path at its own grid points, so draws
+    # on other points, as many or not, are refused with ConfigurationError
+    # before anything is drawn.
+    WARPED = Grid((np.arange(257) / 256.0) ** 2)
+
+    @pytest.mark.parametrize("site", [
+        "distortion", "distortion-129", "voronoi_weights", "vr_mc", "vr_mc_replicated",
+        "gap_identity_check", "width_estimate", "width_estimate-129",
+    ])
+    def test_another_grid_is_refused_before_drawing(self, site, monkeypatch):
+        from quantquad.adversary import gap_identity_check
+        from quantquad.experiments import width_estimate
+        from quantquad.paths import make_kl_subspace, sup_norm_functional
+        from quantquad.quadrature import vr_mc, vr_mc_replicated
+
+        uniform, seed, sup = Grid.uniform(257), SeedSpec(1), sup_norm_functional()
+        measure = BrownianKL(200, uniform if site.endswith("-129") else self.WARPED)
+        cb = product_quantizer_bm(8, 200, Grid.uniform(129) if site.endswith("-129") else uniform)
+        sub = make_kl_subspace(4, cb.grid)
+        call = {
+            "distortion": lambda: distortion(cb, measure, 2.0, 5000, seed),
+            "voronoi_weights": lambda: voronoi_weights(cb, measure, 5000, seed),
+            "vr_mc": lambda: vr_mc(cb, measure, sup, 1000, seed),
+            "vr_mc_replicated": lambda: vr_mc_replicated(cb, measure, sup, 100, 4, seed),
+            "gap_identity_check": lambda: gap_identity_check(cb, measure, 1000, seed),
+            "width_estimate": lambda: width_estimate(measure, sub, 2.0, 1000, seed),
+        }[site.removesuffix("-129")]
+
+        def drawn(*args, **kwargs):
+            raise AssertionError("drew before refusing")
+
+        monkeypatch.setattr(measures, "_tiles", drawn)
+        with pytest.raises(ConfigurationError, match=r"-point grid|do not fit codebook"):
+            call()
 
 
 class TestOrder:
