@@ -37,7 +37,15 @@ from .measures import (
     _stream,
     _tiles,
 )
-from .paths import Functional, Grid, NormKind, Subspace, batch_norm, batch_project
+from .paths import (
+    Functional,
+    Grid,
+    NormKind,
+    Subspace,
+    _check_scalar_paths,
+    batch_norm,
+    batch_project,
+)
 from .quantize import Codebook, _all_point_distances, _check_reads, min_dist_batch
 
 # Residuals below this are snapped to exactly 0, so that membership in the
@@ -353,6 +361,7 @@ def subspace_blind_functional(sub: Subspace) -> Functional:
     """
 
     def fn(batch):
+        _check_scalar_paths(batch.shape[1:])
         resid = batch_project(batch[:, :, 0], sub)[1]
         norms = batch_norm(resid[:, :, None], NormKind.L2, sub.grid)
         norms[norms < _BLIND_SNAP_TOL] = 0.0

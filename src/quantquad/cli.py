@@ -135,8 +135,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--samples", type=int, default=10_000)
     p.add_argument("--out", required=True)
 
-    p = sub.add_parser("info", parents=[common], help="version and environment")
-    p.add_argument("--version", action="store_true")
+    sub.add_parser("info", help="version and environment")
 
     return parser
 
@@ -328,8 +327,6 @@ def _cmd_rates(args) -> int:
 def _cmd_widths(args) -> int:
     seed = parse_seed(args.seed)
     measure = parse_measure(args.measure)
-    if measure.grid is None:
-        raise ConfigurationError("widths needs a path measure")
     norm = parse_norm(args.norm)
     try:
         dims = [int(tok) for tok in args.dims.split(",")]
@@ -356,7 +353,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         if args.command is None:
-            if getattr(args, "version", False):
+            if args.version:
                 print(f"quantquad {__version__}")
                 return EXIT_OK
             parser.print_usage(sys.stderr)

@@ -29,12 +29,14 @@ from .measures import (
     _Moments,
     _stream,
     reference_value,
+    sample_shape,
 )
 from .paths import (
     Functional,
     Grid,
     NormKind,
     Subspace,
+    _check_scalar_paths,
     batch_norm,
     batch_project,
     kl_eigenvalues,
@@ -158,8 +160,7 @@ def width_estimate(
     """
     if not 0 < p < math.inf:
         raise ConfigurationError("order p must be positive and finite")
-    if measure.grid is None:
-        raise ConfigurationError("width_estimate expects a path measure")
+    _check_scalar_paths(sample_shape(measure))
     _check_grid(measure, sub.grid, "subspace")
 
     if _coefficient_route(measure, norm_kind, sub.grid, sub.basis,

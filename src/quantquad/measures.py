@@ -622,7 +622,7 @@ def sample_batch(
         # draws are those of one (n, k_terms) array that is never made.
         basis = _kl_matrix(measure)
         out = np.empty((n, measure.grid.size))
-        step = _block_rows(max(basis.shape), _TILE_BYTES)
+        step = _block_rows(_draw_floats(measure), _TILE_BYTES)
         for r in range(0, n, step):
             coeff = rng.standard_normal((min(step, n - r), measure.k_terms))
             np.matmul(coeff, basis, out=out[r : r + step])

@@ -185,6 +185,13 @@ class Subspace:
         return self.basis.shape[0]
 
 
+def _check_scalar_paths(shape: tuple) -> None:
+    """Raise ``ConfigurationError`` unless ``shape`` is one scalar path's,
+    (G, 1): a subspace has no distance to a vector or a path in R^m, m != 1."""
+    if len(shape) != 2 or shape[1] != 1:
+        raise ConfigurationError(f"a subspace reads scalar paths, not samples of shape {shape}")
+
+
 def _orthonormalize_rows(raw: np.ndarray, grid: Grid) -> np.ndarray:
     # QR in sqrt-weighted coordinates; rows of the result are W-orthonormal.
     sw = np.sqrt(grid.weights)

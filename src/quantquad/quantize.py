@@ -138,6 +138,7 @@ class Codebook:
             raise ConfigurationError("codebook needs at least one point")
         if not np.all(np.isfinite(pts)):
             raise ConfigurationError("codebook points must be finite")
+        self.points = pts
         if self.product is None:
             if _has_equal_rows(pts.reshape(pts.shape[0], -1)):
                 raise ConfigurationError("codebook points must be pairwise distinct")
@@ -147,7 +148,6 @@ class Codebook:
             self._check_product(pts)
         if not 0 < self.order_r < math.inf:
             raise ConfigurationError("order r must be positive and finite")
-        self.points = pts
         if self.weights is not None:
             w = np.asarray(self.weights, dtype=float)
             if w.shape != (pts.shape[0],) or np.any(w < 0):
@@ -166,11 +166,10 @@ class Codebook:
         if self.grid is None:
             fits = product.basis is None and len(product.levels) == flat
         else:
-            w = np.repeat(self.grid.weights, pts.shape[2])
             fits = (
                 product.basis is not None
                 and product.basis.shape == (len(product.levels), flat)
-                and _is_orthonormal(product.basis, w)
+                and _is_orthonormal(product.basis, self._flat_weights())
             )
         if not fits:
             raise ConfigurationError(
@@ -184,6 +183,12 @@ class Codebook:
 
     def flat_points(self) -> np.ndarray:
         return self.points.reshape(self.n, -1)
+
+    def _flat_weights(self) -> Optional[np.ndarray]:
+        """The grid weight of each entry of a flat path point; None on vectors."""
+        if self.grid is None:
+            return None
+        return np.repeat(self.grid.weights, self.points.shape[2])
 
 
 # ---------------------------------------------------------------------------
@@ -254,8 +259,7 @@ def _product_search(values: np.ndarray, codebook: Codebook):
     #
     # Rounding can break a tie, or a near tie, the other way in the exact
     # distances, so a row where a second level on some axis lies within a
-    # proven margin of that axis's best is rescored over every combination
-    # of its near levels, as _gram_search rescores near scores.  With
+    # proven margin of that axis's best goes to _gram_search.  With
     # F = flat, A = |x|^2 + c_max, c_max = sum_l max_v lv_v^2 >= |y|^2 and
     # rows orthonormal to within tol = _ORTHONORMAL_TOL, the winner of a
     # search over every exact distance exceeds the levelwise best on each
@@ -268,14 +272,13 @@ def _product_search(values: np.ndarray, codebook: Codebook):
     # largest distance to a levelwise best plus sqrt(c_max).  On an axis of
     # smallest spacing s, a level on the best's own side is behind it by
     # at least s^2, more than the margin unless the levels are closer than
-    # rounding (then every point is searched), and the other level of the
-    # bracketing pair by |d_hi - d_lo| (d_hi + d_lo) >= |d_hi - d_lo| s.
+    # rounding (then every row goes to _gram_search), and the other level
+    # of the bracketing pair by |d_hi - d_lo| (d_hi + d_lo) >= |d_hi - d_lo| s.
     product = codebook.product
     b, flat = values.shape[0], math.prod(values.shape[1:])
     xi = values.reshape(b, flat)
     if product.basis is not None:
-        w = np.repeat(codebook.grid.weights, codebook.points.shape[2])
-        xi = xi @ (product.basis * w).T
+        xi = xi @ (product.basis * codebook._flat_weights()).T
     axes = [(axis, lv, np.diff(lv).min()) for axis, lv in enumerate(product.levels)
             if lv.size > 1]  # a one-level axis adds digit 0 in radix 1
     idx = np.zeros(b, dtype=np.intp)
@@ -292,31 +295,11 @@ def _product_search(values: np.ndarray, codebook: Codebook):
     a = len(product.levels)
     coef = 16.0 * (flat + a * a + 5) * np.finfo(float).eps + 4.0 * a * _ORTHONORMAL_TOL
     margin = coef * ((top + math.sqrt(c_max)) ** 2 + c_max)
-    if margin >= min((s * s for _, _, s in axes), default=math.inf):
-        return _gram_search(values, codebook)
-    rows = np.flatnonzero(tie <= margin)
-    if rows.size == 0:
-        return dist, idx
-    cols = np.zeros(rows.size, dtype=np.intp)
-    for axis, lv, s in axes:  # the best level, or a near pair, times the combinations so far
-        nearest, diff = _nearest_level(lv, xi[rows, axis])
-        count = 1 + (np.abs(diff) * s <= margin)
-        start = nearest - (count - 1) * (diff < 0)  # a pair starts at its lower level
-        pick = np.repeat(np.arange(rows.size), count)
-        first = np.repeat(np.cumsum(count) - count, count)
-        cols = cols[pick] * lv.size + start[pick] + np.arange(pick.size) - first
-        rows = rows[pick]
-    d = _pair_distances(values, codebook, cols, rows)
-    rows, cols, d = _row_minima(rows, cols, d)
-    dist[rows], idx[rows] = d, cols
+    closest = min((s * s for _, _, s in axes), default=math.inf)
+    rows = np.flatnonzero((tie <= margin) | (margin >= closest))
+    if rows.size:
+        dist[rows], idx[rows] = _gram_search(values[rows], codebook)
     return dist, idx
-
-
-def _row_minima(rows, cols, d):
-    # Each row's smallest distance, its lowest index on a tie.
-    keep = np.lexsort((cols, d, rows))
-    keep = keep[np.r_[0, np.flatnonzero(np.diff(rows[keep])) + 1]]
-    return rows[keep], cols[keep], d[keep]
 
 
 def _gram_search(values: np.ndarray, codebook: Codebook):
@@ -353,9 +336,7 @@ def _gram_search(values: np.ndarray, codebook: Codebook):
     flat = math.prod(values.shape[1:])
     x2d = values.reshape(b, flat)
     c2d = codebook.flat_points()
-    w = None
-    if codebook.grid is not None:
-        w = np.repeat(codebook.grid.weights, codebook.points.shape[2])
+    w = codebook._flat_weights()
     with np.errstate(over="ignore", invalid="ignore"):
         c_sq = np.einsum("nd,nd->n", c2d if w is None else c2d * w, c2d)
         c_twice = 2.0 * c2d  # exact, so x @ c_twice.T is exactly 2 <x, c>
@@ -383,8 +364,10 @@ def _gram_search(values: np.ndarray, codebook: Codebook):
         cols, rows = np.divmod(np.flatnonzero(near), t)
         del near
         d = _pair_distances(values[b0 : b0 + step], codebook, cols, rows)
-        if rows.size > t:
-            rows, cols, d = _row_minima(rows, cols, d)
+        if rows.size > t:  # each row's smallest distance, its lowest index on a tie
+            keep = np.lexsort((cols, d, rows))
+            keep = keep[np.r_[0, np.flatnonzero(np.diff(rows[keep])) + 1]]
+            rows, cols, d = rows[keep], cols[keep], d[keep]
         dist[b0 + rows] = d
         idx[b0 + rows] = cols
     return dist, idx

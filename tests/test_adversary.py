@@ -348,6 +348,16 @@ class TestSubspaceBlind:
         )
         assert not report.flagged
 
+    def test_paths_in_two_dimensions_rejected(self):
+        from quantquad.config import parse_measure
+
+        measure = parse_measure("kind=diffusion drift=constant:0 diffusion=constant:1 "
+                                "u0=0 m=2 k_steps=33 grid=33")
+        f0 = subspace_blind_functional(make_kl_subspace(2, measure.grid))
+        batch = sample_batch(measure, SeedSpec(15), 10)
+        with pytest.raises(ConfigurationError, match="not samples of shape"):
+            f0(batch)
+
 
 class TestLipschitzCheck:
     def test_sup_norm_passes(self, grid):

@@ -523,8 +523,13 @@ class TestCliNumeric:
 
 class TestCliInfo:
     def test_version_exit_zero(self, capsys):
-        assert run("info", "--version") == 0
+        assert run("info") == 0
         assert "quantquad" in capsys.readouterr().out
+
+    def test_info_reads_no_option(self, capsys):
+        # Every other command refuses a bad --seed; info reads none at all.
+        assert run("info", "--seed", "1") == 1
+        assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
 
     def test_bare_version_flag(self, capsys):
         assert run("--version") == 0
@@ -578,6 +583,10 @@ def _exit_code_rows():
          1, "window must lie in (0, 1]"),
         (("adversary", "--check", "events", "--window", "nan", "--samples", "10000"),
          1, "window must lie in (0, 1]"),
+        # A subspace holds scalar paths: widths refuses paths in R^2.
+        (("widths", "--measure", "kind=diffusion drift=constant:0 diffusion=constant:1 "
+          "u0=0 m=2 k_steps=33 grid=33", "--dims", "1,2"),
+         1, "a subspace reads scalar paths, not samples of shape (33, 2)"),
         # Orders, exponents and claims must be finite.
         (widths + ("inf",), 1, "order p must be positive and finite"),
         (widths + ("nan",), 1, "order p must be positive and finite"),

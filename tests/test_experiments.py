@@ -182,6 +182,23 @@ class TestWidthEstimate:
         with pytest.raises(ConfigurationError):
             width_estimate(UniformCube(1), sub, 2.0, 1000, SeedSpec(0))
 
+    def test_paths_in_two_dimensions_rejected_before_a_draw(self, monkeypatch):
+        # A subspace holds scalar paths, so a path in R^2 has no distance
+        # to it, and the width of coordinate 0 alone is no answer.
+        from quantquad import measures
+        from quantquad.measures import ConstantCoeff, Diffusion, DiffusionSpec
+
+        spec = DiffusionSpec(ConstantCoeff(0).drift, ConstantCoeff(1).diffusion, (0.0, 5.0), 2)
+        measure = Diffusion(spec, 33, Grid.uniform(33))
+        sub = make_kl_subspace(2, Grid.uniform(33))
+
+        def drawn(*args):
+            raise AssertionError("drew a path")
+
+        monkeypatch.setattr(measures, "_euler_run", drawn)
+        with pytest.raises(ConfigurationError, match=re.escape("not samples of shape (33, 2)")):
+            width_estimate(measure, sub, 2.0, 1000, SeedSpec(1))
+
 
 class TestRunRateExperiment:
     def _config(self, **overrides):

@@ -307,6 +307,22 @@ class TestProductSearch:
         np.testing.assert_array_equal(got_idx, want_idx)
         np.testing.assert_array_equal(got_d, want_d)
 
+    def test_only_the_uncertified_row_goes_to_the_gram_search(self, monkeypatch):
+        # Row 123 lies on the cell edge 1/4 between the levels 3/16 and
+        # 5/16, an exact tie; no uniform draw beside it comes within the
+        # margin, so the Gram search receives that row alone.
+        cb = uniform_midpoint_codebook(2, 8)
+        values = sample_batch(UniformCube(2), SeedSpec(80), 1000)
+        values[123, 0] = 0.25
+        calls, gram = [], quantize._gram_search
+        monkeypatch.setattr(quantize, "_gram_search", lambda v, c: calls.append(v) or gram(v, c))
+        got_d, got_idx = min_dist_batch(values, cb)
+        assert len(calls) == 1
+        np.testing.assert_array_equal(calls[0], values[[123]])
+        want_d, want_idx, _ = _brute_search(values, cb)
+        np.testing.assert_array_equal(got_idx, want_idx)
+        np.testing.assert_array_equal(got_d, want_d)
+
     @pytest.mark.parametrize("make", [
         lambda grid: product_quantizer_bm(16, 200, grid),
         lambda grid: uniform_midpoint_codebook(2, 8),
